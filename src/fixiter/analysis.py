@@ -10,6 +10,7 @@ are kept distinct from conclusion failures throughout).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -22,6 +23,7 @@ from .mappings import (
     Certificate,
     Mapping,
     Witness,
+    _certify,
     apply_power,
     distance_to_fixed_set,
     special_points,
@@ -495,43 +497,17 @@ def certify_condition_I(
     phi = w.phi if isinstance(w, ConditionIWitness) else w
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
-    probe = m.domain.extreme_points()[0]
-    if distance_to_fixed_set(m, probe) is None:
+    if not m.has_fixed_set:
         raise ContractError(
             f"mapping '{m.mapping_id}' declares no fixed-point set; the coercivity "
             "bound has no distance to measure"
         )
-
-    best = -math.inf
-    best_witness: Witness | None = None
-    evaluated = 0
-
-    def consider(x: Vector) -> None:
-        nonlocal best, best_witness, evaluated
-        v = phi(distance_to_fixed_set(m, x)) - m.space.norm(x - apply_power(m, 1, x))
-        evaluated += 1
-        if v > best:
-            best = v
-            best_witness = Witness(x=x)
-
-    for x in special_points(m.space, m.domain, m.meta):
-        consider(x)
-    rng = np.random.default_rng(seed)
-    for row in m.domain.sample(m.space, rng, sample_count):
-        consider(Vector.from_array(row))
-
-    assert best_witness is not None
-    if sample_count < 10:
-        verdict = "inconclusive"
-    else:
-        verdict = "refuted" if best > TAU_CERT else "certified"
-    return Certificate(
-        property_name="condition_I",
-        n_range=(1, 1),
-        sample_count=evaluated,
-        max_violation=best,
-        witness=best_witness,
-        verdict=verdict,
+    sampled = m.domain.sample(m.space, np.random.default_rng(seed), sample_count)
+    points = itertools.chain(special_points(m.space, m.domain, m.meta), map(Vector.from_array, sampled))
+    return _certify(
+        "condition_I", (1, 1), (Witness(x=x) for x in points),
+        lambda c: phi(distance_to_fixed_set(m, c.x)) - m.space.norm(c.x - apply_power(m, 1, c.x)),
+        sample_count,
     )
 
 
@@ -655,7 +631,7 @@ def compare_schemes(base: RunConfig, schemes: Sequence[str], target_error: float
     """
     if target_error <= 0.0:
         raise ContractError(f"target_error must be > 0, got {target_error}")
-    if distance_to_fixed_set(base.mapping, base.x0) is None:
+    if not base.mapping.has_fixed_set:
         raise ContractError("compare_schemes needs a mapping with a known fixed-point set")
 
     rows = []

@@ -37,6 +37,7 @@ from .analysis import (
 )
 from .errors import FixiterError, ScenarioError
 from .mappings import (
+    CATALOG,
     CATALOG_IDS,
     Certificate,
     Mapping,
@@ -53,6 +54,7 @@ from .schemes import (
     SCHEMES,
     RunConfig,
     Trajectory,
+    _p_token,
     run_scheme,
     trajectory_header,
     write_trajectory_csv,
@@ -61,19 +63,23 @@ from .space import ModulusEstimate, NormedSpace, Vector, modulus_of_convexity_es
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("lemma21", "theorem31", "theorem32", "theorem33", "condition_I", "certify")
-CERT_CLASSES = (
-    "nonexpansive",
-    "asymptotically_nonexpansive",
-    "nearly_nonexpansive",
-    "uniformly_lipschitz",
-)
+# Certifier call per mapping class, given the mapping, a certify CheckSpec and the seed.
+_CERTIFIERS = {
+    "nonexpansive": lambda m, c, seed: certify_nonexpansive(m, c.samples, seed),
+    "asymptotically_nonexpansive": lambda m, c, seed: certify_asymptotically_nonexpansive(
+        m, c.schedule, c.n_max, c.samples, seed),
+    "nearly_nonexpansive": lambda m, c, seed: certify_nearly_nonexpansive(
+        m, c.schedule, c.n_max, c.samples, seed),
+    "uniformly_lipschitz": lambda m, c, seed: certify_uniform_lipschitz(
+        m, c.lipschitz_L, c.n_max, c.samples, seed),
+}
+CERT_CLASSES = tuple(_CERTIFIERS)
 _SCHEDULE_KINDS = ("constant", "geometric", "harmonic_tail", "table")
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _DEFAULT_CHECK_SAMPLES = 10_000
 _DEFAULT_CERT_SAMPLES = 1_000
 _DEFAULT_CERT_N_MAX = 20
 _CERT_EXIT = {"certified": 0, "refuted": 2, "inconclusive": 3}
-_DEFAULT_DIMS = {"example21": 1, "contraction": 1, "identity": 1, "asymptotic_demo": 2}
 
 
 # ---------------------------------------------------------------------------
@@ -381,10 +387,6 @@ def parse_scenario(path) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _p_token(p: float) -> float | str:
-    return "inf" if math.isinf(p) else p
-
-
 def check_spec_to_dict(c: CheckSpec) -> dict:
     out: dict = {"name": c.name}
     if c.name in ("theorem33", "condition_I"):
@@ -448,10 +450,6 @@ def build_run_config(s: Scenario, m: Mapping) -> RunConfig:
     )
 
 
-def _has_fixed_point_info(m: Mapping) -> bool:
-    return distance_to_fixed_set(m, m.domain.extreme_points()[0]) is not None
-
-
 def preflight_checks(s: Scenario, m: Mapping) -> None:
     """Reject checks whose preconditions the scenario cannot meet, before any
     work happens, so validation failures never leave partial outputs."""
@@ -465,13 +463,10 @@ def preflight_checks(s: Scenario, m: Mapping) -> None:
         elif c.name == "theorem32":
             if not m.meta.known_fixed_points:
                 raise ScenarioError(path, "theorem32 requires a mapping with known fixed points")
-        elif c.name in ("theorem33", "condition_I"):
-            if not _has_fixed_point_info(m):
+        elif c.name in ("theorem33", "condition_I", "lemma21"):
+            if not m.has_fixed_set:
                 raise ScenarioError(path, f"{c.name} requires fixed-point information on the mapping")
-        elif c.name == "lemma21":
-            if not _has_fixed_point_info(m):
-                raise ScenarioError(path, "lemma21 requires fixed-point information on the mapping")
-            if near_schedule_for(m) is None:
+            if c.name == "lemma21" and near_schedule_for(m) is None:
                 raise ScenarioError(
                     path, "lemma21 requires a near-sequence (a declared a or k schedule, "
                     "or a nonexpansive mapping)"
@@ -508,16 +503,6 @@ def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     return passed, report.to_dict()
 
 
-def _dispatch_certify(m: Mapping, c: CheckSpec, seed: int) -> Certificate:
-    if c.cert_class == "nearly_nonexpansive":
-        return certify_nearly_nonexpansive(m, c.schedule, c.n_max, c.samples, seed)
-    if c.cert_class == "asymptotically_nonexpansive":
-        return certify_asymptotically_nonexpansive(m, c.schedule, c.n_max, c.samples, seed)
-    if c.cert_class == "uniformly_lipschitz":
-        return certify_uniform_lipschitz(m, c.lipschitz_L, c.n_max, c.samples, seed)
-    return certify_nonexpansive(m, c.samples, seed)
-
-
 def run_checks(
     s: Scenario, m: Mapping, traj: Trajectory, seed: int
 ) -> tuple[list[dict], list[dict]]:
@@ -550,7 +535,7 @@ def run_checks(
                 details = report.to_dict()
                 details["condition_certificate"] = certificate_to_dict(cert)
         else:
-            cert = _dispatch_certify(m, c, seed)
+            cert = _CERTIFIERS[c.cert_class](m, c, seed)
             passed, details = cert.verdict == "certified", certificate_to_dict(cert)
         results.append({
             "name": c.name,
@@ -603,11 +588,8 @@ def cmd_run(args) -> int:
         traj = run_scheme(config)
         run_seconds = time.perf_counter() - t0
         results, check_timings = run_checks(scenario, mapping, traj, args.seed)
-    except ScenarioError as e:
-        _err(f"{args.scenario}: {e}")
-        return 1
     except FixiterError as e:
-        _err(str(e))
+        _err(f"{args.scenario}: {e}" if isinstance(e, ScenarioError) else str(e))
         return 1
 
     report = {
@@ -648,11 +630,8 @@ def cmd_compare(args) -> int:
         _claim_outputs([csv_path, json_path], args.force)
 
         report = compare_schemes(base, schemes, args.target)
-    except ScenarioError as e:
-        _err(f"{args.scenario}: {e}")
-        return 1
     except FixiterError as e:
-        _err(str(e))
+        _err(f"{args.scenario}: {e}" if isinstance(e, ScenarioError) else str(e))
         return 1
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -706,27 +685,20 @@ def cmd_certify(args) -> int:
         if args.class_name not in CERT_CLASSES:
             raise ScenarioError("--class",
                                 f"unknown mapping class '{args.class_name}'; known classes: {CERT_CLASSES}")
-        dim = args.dim if args.dim is not None else _DEFAULT_DIMS[args.mapping]
+        dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
         space = NormedSpace(dim, _cli_p(args.p, "--p"))
         mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
 
+        schedule = None
         if args.class_name in ("nearly_nonexpansive", "asymptotically_nonexpansive"):
             if args.schedule is None:
                 raise ScenarioError("--schedule", f"{args.class_name} needs a coefficient schedule")
-            sched = _parse_schedule_spec(args.schedule)
-            if args.class_name == "nearly_nonexpansive":
-                cert = certify_nearly_nonexpansive(mapping, sched, args.n_max, args.samples, args.seed)
-            else:
-                cert = certify_asymptotically_nonexpansive(mapping, sched, args.n_max, args.samples, args.seed)
-        elif args.class_name == "uniformly_lipschitz":
-            if args.lipschitz is None:
-                raise ScenarioError("--lipschitz", "uniformly_lipschitz needs a constant L")
-            cert = certify_uniform_lipschitz(mapping, args.lipschitz, args.n_max, args.samples, args.seed)
-        else:
-            cert = certify_nonexpansive(mapping, args.samples, args.seed)
-    except ScenarioError as e:
-        _err(str(e))
-        return 1
+            schedule = _parse_schedule_spec(args.schedule)
+        elif args.class_name == "uniformly_lipschitz" and args.lipschitz is None:
+            raise ScenarioError("--lipschitz", "uniformly_lipschitz needs a constant L")
+        spec = CheckSpec(name="certify", samples=args.samples, cert_class=args.class_name,
+                         schedule=schedule, lipschitz_L=args.lipschitz, n_max=args.n_max)
+        cert = _CERTIFIERS[args.class_name](mapping, spec, args.seed)
     except FixiterError as e:
         _err(str(e))
         return 1

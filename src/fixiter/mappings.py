@@ -13,15 +13,16 @@ are kept so a reported violation can be reproduced exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ContractError, DomainError, ParameterError, ScheduleError
 from .schedules import Schedule
-from .space import TAU_DOM, Ball, Box, Domain, NormedSpace, Vector
+from .space import Ball, Box, Domain, NormedSpace, Vector
 
 # Absolute slack for all sampled inequality checks.
 TAU_CERT = 1e-8
@@ -66,6 +67,11 @@ class Mapping:
     @property
     def has_power(self) -> bool:
         return self.power is not None
+
+    @property
+    def has_fixed_set(self) -> bool:
+        """Whether a fixed-point set is declared, so distances to it are defined."""
+        return self.meta.fixed_set_is_domain or bool(self.meta.known_fixed_points)
 
 
 def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
@@ -137,6 +143,19 @@ def _domain_vectors(m_space: NormedSpace, domain: Domain, rng: np.random.Generat
     return [Vector.from_array(row) for row in domain.sample(m_space, rng, count)]
 
 
+def _discontinuity_neighbors(space: NormedSpace, domain: Domain, d: Vector) -> list[Vector]:
+    """Points pushed tiny offsets away from the discontinuity ``d`` along each
+    axis, clipped into the domain; offsets the clip undoes are dropped."""
+    neighbors = []
+    for off, axis, sign in itertools.product(_DISCONTINUITY_OFFSETS, range(space.dim), (1.0, -1.0)):
+        shifted = d.array.copy()
+        shifted[axis] += sign * off
+        neighbor = domain.clip(space, Vector.from_array(shifted))
+        if neighbor.coords != d.coords:
+            neighbors.append(neighbor)
+    return neighbors
+
+
 def special_points(space: NormedSpace, domain: Domain, meta: MappingMeta) -> list[Vector]:
     """Deterministic probe points: domain extremes, declared discontinuities,
     and points pushed tiny offsets away from each discontinuity.  Violations of
@@ -144,31 +163,10 @@ def special_points(space: NormedSpace, domain: Domain, meta: MappingMeta) -> lis
     points: list[Vector] = list(domain.extreme_points())
     for d in meta.discontinuities:
         points.append(d)
-        for off in _DISCONTINUITY_OFFSETS:
-            for axis in range(space.dim):
-                for sign in (1.0, -1.0):
-                    shifted = d.array.copy()
-                    shifted[axis] += sign * off
-                    neighbor = domain.clip(space, Vector.from_array(shifted))
-                    if neighbor.coords != d.coords:
-                        points.append(neighbor)
+        points.extend(_discontinuity_neighbors(space, domain, d))
     if meta.known_fixed_points:
         points.extend(meta.known_fixed_points)
     return points
-
-
-def _special_pairs(m: Mapping) -> list[tuple[Vector, Vector]]:
-    pairs: list[tuple[Vector, Vector]] = [m.domain.extreme_points()]
-    for d in m.meta.discontinuities:
-        for off in _DISCONTINUITY_OFFSETS:
-            for axis in range(m.space.dim):
-                for sign in (1.0, -1.0):
-                    shifted = d.array.copy()
-                    shifted[axis] += sign * off
-                    neighbor = m.domain.clip(m.space, Vector.from_array(shifted))
-                    if neighbor.coords != d.coords:
-                        pairs.append((neighbor, d))
-    return pairs
 
 
 def build_mapping(
@@ -298,10 +296,30 @@ class Certificate:
         return self.verdict == "certified"
 
 
-def _verdict(max_violation: float, requested: int) -> str:
+def _certify(
+    property_name: str,
+    n_range: tuple[int, int],
+    candidates: Iterable[Witness],
+    violation: Callable[[Witness], float],
+    requested: int,
+) -> Certificate:
+    """The certificate loop every certifier shares: evaluate the candidates in
+    order, keep the first strict maximum of the violation as the witness, and
+    judge it against TAU_CERT unless fewer than 10 samples were requested."""
+    best = -math.inf
+    best_witness: Witness | None = None
+    evaluated = 0
+    for w in candidates:
+        v = violation(w)
+        evaluated += 1
+        if v > best:
+            best, best_witness = v, w
+    assert best_witness is not None
     if requested < 10:
-        return "inconclusive"
-    return "refuted" if max_violation > TAU_CERT else "certified"
+        verdict = "inconclusive"
+    else:
+        verdict = "refuted" if best > TAU_CERT else "certified"
+    return Certificate(property_name, n_range, evaluated, best, best_witness, verdict)
 
 
 def _certify_pairs(
@@ -312,43 +330,26 @@ def _certify_pairs(
     sample_count: int,
     seed: int,
 ) -> Certificate:
+    """Check a power-pair inequality on the domain extremes and each
+    (discontinuity neighbour, discontinuity) pair at every n, then on seeded
+    random (n, x, y) triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
-
-    best = -math.inf
-    best_witness: Witness | None = None
-    evaluated = 0
-
-    def consider(n: int, x: Vector, y: Vector) -> None:
-        nonlocal best, best_witness, evaluated
-        v = violation(n, x, y)
-        evaluated += 1
-        if v > best:
-            best = v
-            best_witness = Witness(x=x, y=y, n=n)
-
-    for x, y in _special_pairs(m):
-        for n in range(1, n_max + 1):
-            consider(n, x, y)
-
+    pairs = [m.domain.extreme_points()] + [
+        (neighbor, d) for d in m.meta.discontinuities
+        for neighbor in _discontinuity_neighbors(m.space, m.domain, d)
+    ]
     rng = np.random.default_rng(seed)
     ns = rng.integers(1, n_max + 1, size=sample_count)
     xs = m.domain.sample(m.space, rng, sample_count)
     ys = m.domain.sample(m.space, rng, sample_count)
-    for i in range(sample_count):
-        consider(int(ns[i]), Vector.from_array(xs[i]), Vector.from_array(ys[i]))
-
-    assert best_witness is not None
-    return Certificate(
-        property_name=property_name,
-        n_range=(1, n_max),
-        sample_count=evaluated,
-        max_violation=best,
-        witness=best_witness,
-        verdict=_verdict(best, sample_count),
+    candidates = itertools.chain(
+        (Witness(x=x, y=y, n=n) for x, y in pairs for n in range(1, n_max + 1)),
+        (Witness(x=Vector.from_array(x), y=Vector.from_array(y), n=int(n)) for n, x, y in zip(ns, xs, ys)),
     )
+    return _certify(property_name, (1, n_max), candidates, lambda w: violation(w.n, w.x, w.y), sample_count)
 
 
 def nearly_nonexpansive_violation(m: Mapping, a: Schedule, n: int, x: Vector, y: Vector) -> float:
@@ -386,8 +387,8 @@ def certify_uniform_lipschitz(
     m: Mapping, L: float, n_max: int, sample_count: int, seed: int
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= L * ||x - y|| for 1 <= n <= n_max."""
-    if L <= 0.0:
-        raise ParameterError(f"Lipschitz constant must be > 0, got {L}")
+    if not 0.0 < L < math.inf:
+        raise ParameterError(f"Lipschitz constant must be finite and > 0, got {L}")
     return _certify_pairs(
         "uniformly_lipschitz", m, lambda n, x, y: uniform_lipschitz_violation(m, L, n, x, y),
         n_max, sample_count, seed,
@@ -409,15 +410,24 @@ def certify_asymptotically_nonexpansive(
 
 def certify_nonexpansive(m: Mapping, sample_count: int, seed: int) -> Certificate:
     """Sampled check of the single-application bound ||Tx - Ty|| <= ||x - y||."""
-    cert = _certify_pairs(
+    return _certify_pairs(
         "nonexpansive", m, lambda n, x, y: uniform_lipschitz_violation(m, 1.0, n, x, y),
         1, sample_count, seed,
     )
-    return replace(cert, property_name="nonexpansive")
 
 
 # ---------------------------------------------------------------------------
 # catalog
+
+def _space_for(dim: int, space: NormedSpace | None) -> NormedSpace:
+    """The given space, or the Euclidean one, after checking it has dimension ``dim``."""
+    if dim < 1:
+        raise ParameterError(f"dim must be >= 1, got {dim}")
+    space = space or NormedSpace(dim, 2.0)
+    if space.dim != dim:
+        raise ParameterError(f"space dim {space.dim} != requested dim {dim}")
+    return space
+
 
 def make_example21(q: float, space: NormedSpace | None = None) -> Mapping:
     """Discontinuous scaling map on [0, 1]: x -> q*x below 1, with T(1) = 0.
@@ -456,11 +466,7 @@ def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = 
     """x -> q*x on the unit ball; nonexpansive with fixed point 0."""
     if not (0.0 < q < 1.0):
         raise ParameterError(f"q must lie in (0, 1), got {q}")
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    space = space or NormedSpace(dim, 2.0)
-    if space.dim != dim:
-        raise ParameterError(f"space dim {space.dim} != requested dim {dim}")
+    space = _space_for(dim, space)
     origin = Vector((0.0,) * dim)
     domain = Ball(origin, 1.0)
 
@@ -480,11 +486,7 @@ def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = 
 
 def make_identity(dim: int = 1, space: NormedSpace | None = None) -> Mapping:
     """The identity on the box [-1, 1]^dim; every point is fixed."""
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    space = space or NormedSpace(dim, 2.0)
-    if space.dim != dim:
-        raise ParameterError(f"space dim {space.dim} != requested dim {dim}")
+    space = _space_for(dim, space)
     domain = Box((-1.0,) * dim, (1.0,) * dim)
     meta = MappingMeta(declared_class="nonexpansive", lipschitz_L=1.0, fixed_set_is_domain=True)
     return build_mapping(
@@ -510,11 +512,7 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
     asymptotic schedule is (1.2, 1, 1, ...).  For dim = 1 the catalog falls
     back to the halving map with the constant schedule 1.
     """
-    if dim < 1:
-        raise ParameterError(f"dim must be >= 1, got {dim}")
-    space = space or NormedSpace(dim, 2.0)
-    if space.dim != dim:
-        raise ParameterError(f"space dim {space.dim} != requested dim {dim}")
+    space = _space_for(dim, space)
 
     if dim == 1:
         domain = Box((-1.0,), (1.0,))
@@ -562,32 +560,35 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
     return build_mapping("asymptotic_demo", space, domain, apply, power, meta, {"dim": dim})
 
 
-CATALOG_IDS = ("example21", "contraction", "identity", "asymptotic_demo")
+class _CatalogEntry(NamedTuple):
+    factory: Callable[..., Mapping]  # (space, **required parameters) -> Mapping
+    parameters: tuple[str, ...]
+    default_dim: int
+
+
+# The one place a catalog map is registered.
+CATALOG = {
+    "example21": _CatalogEntry(lambda space, q: make_example21(q, space), ("q",), 1),
+    "contraction": _CatalogEntry(lambda space, q: make_linear_contraction(q, space.dim, space), ("q",), 1),
+    "identity": _CatalogEntry(lambda space: make_identity(space.dim, space), (), 1),
+    "asymptotic_demo": _CatalogEntry(
+        lambda space: make_asymptotically_nonexpansive_example(space.dim, space), (), 2),
+}
+CATALOG_IDS = tuple(CATALOG)
 
 
 def get_mapping(mapping_id: str, parameters: dict, space: NormedSpace) -> Mapping:
     """Resolve a catalog id and parameter dict against a space."""
+    if mapping_id not in CATALOG:
+        raise ParameterError(f"unknown mapping id '{mapping_id}'; known ids: {CATALOG_IDS}")
+    entry = CATALOG[mapping_id]
     params = dict(parameters)
-    if mapping_id == "example21":
-        q = params.pop("q", None)
-        if q is None:
-            raise ParameterError("example21 requires parameter 'q'")
-        if params:
-            raise ParameterError(f"example21 got unknown parameters {sorted(params)}")
-        return make_example21(float(q), space)
-    if mapping_id == "contraction":
-        q = params.pop("q", None)
-        if q is None:
-            raise ParameterError("contraction requires parameter 'q'")
-        if params:
-            raise ParameterError(f"contraction got unknown parameters {sorted(params)}")
-        return make_linear_contraction(float(q), space.dim, space)
-    if mapping_id == "identity":
-        if params:
-            raise ParameterError(f"identity got unknown parameters {sorted(params)}")
-        return make_identity(space.dim, space)
-    if mapping_id == "asymptotic_demo":
-        if params:
-            raise ParameterError(f"asymptotic_demo got unknown parameters {sorted(params)}")
-        return make_asymptotically_nonexpansive_example(space.dim, space)
-    raise ParameterError(f"unknown mapping id '{mapping_id}'; known ids: {CATALOG_IDS}")
+    values = {}
+    for name in entry.parameters:
+        value = params.pop(name, None)
+        if value is None:
+            raise ParameterError(f"{mapping_id} requires parameter '{name}'")
+        values[name] = float(value)
+    if params:
+        raise ParameterError(f"{mapping_id} got unknown parameters {sorted(params)}")
+    return entry.factory(space, **values)

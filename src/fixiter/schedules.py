@@ -46,6 +46,8 @@ class Schedule:
     @staticmethod
     def harmonic_tail(scale: float = 1.0, offset: float = 0.0) -> "Schedule":
         scale, offset = float(scale), float(offset)
+        if not (math.isfinite(scale) and math.isfinite(offset)):
+            raise ScheduleError(f"harmonic_tail schedule needs a finite scale and offset, got {scale}, {offset}")
         if offset <= -1.0:
             raise ScheduleError(f"harmonic_tail offset must be > -1 so at(1) is defined, got {offset}")
         return Schedule(
@@ -70,7 +72,13 @@ class Schedule:
     def at(self, n: int) -> float:
         if n < 1:
             raise ContractError(f"schedules are indexed from n = 1, got n = {n}")
-        return float(self._fn(int(n)))
+        try:
+            value = float(self._fn(int(n)))
+        except OverflowError as e:
+            raise ScheduleError(f"{self.kind} schedule overflows at n = {n}") from e
+        if not math.isfinite(value):
+            raise ScheduleError(f"{self.kind} schedule is not finite at n = {n}: {value}")
+        return value
 
     def values(self, n_max: int) -> list[float]:
         return [self.at(n) for n in range(1, n_max + 1)]

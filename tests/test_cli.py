@@ -265,6 +265,16 @@ def test_certify_argument_errors(capsys):
     assert cli.main(["certify", "example21", "--class", "nonexpansive",
                      "--param", "q=oops"]) == 1
     capsys.readouterr()
+    nearly = ["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5"]
+    for argv in (
+        nearly + ["--schedule", "geometric:2", "--n-max", "1100"],  # overflows
+        nearly + ["--schedule", "harmonic_tail:inf"],
+        nearly + ["--schedule", "harmonic_tail:nan"],
+        ["certify", "contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5",
+         "--lipschitz", "inf"],
+    ):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

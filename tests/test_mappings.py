@@ -250,6 +250,14 @@ def test_certifier_argument_validation():
         certify_nearly_nonexpansive(m, Schedule.constant(0.1), 0, 100, 0)
     with pytest.raises(ParameterError):
         certify_uniform_lipschitz(m, 0.0, 1, 100, 0)
+    for L in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            certify_uniform_lipschitz(m, L, 1, 100, 0)
+    for scale, offset in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf)):
+        with pytest.raises(ScheduleError):
+            certify_nearly_nonexpansive(m, Schedule.harmonic_tail(scale, offset), 1, 100, 0)
+    with pytest.raises(ScheduleError):
+        certify_nearly_nonexpansive(m, Schedule.geometric(2.0), 1100, 100, 0)
     with pytest.raises(ScheduleError):
         certify_nearly_nonexpansive(m, Schedule.constant(-0.1), 1, 100, 0)
     with pytest.raises(ScheduleError):
