@@ -10,7 +10,6 @@ are kept distinct from conclusion failures throughout).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -19,11 +18,13 @@ import numpy as np
 
 from .errors import ConfigurationError, ContractError, ScopeError
 from .mappings import (
+    _ROUNDING,
     TAU_CERT,
     Certificate,
     Mapping,
     Witness,
     _certify,
+    _power_rows,
     apply_power,
     distance_to_fixed_set,
     special_points,
@@ -464,13 +465,26 @@ class PhiSpec:
     def __call__(self, t: float) -> float:
         if t < 0.0:
             raise ContractError(f"gauge argument must be >= 0, got {t}")
+        try:
+            value = float(self._value(t))
+        except OverflowError:
+            raise ContractError(f"{self.kind} gauge overflows at t = {t}") from None
+        if not math.isfinite(value):
+            raise ContractError(f"{self.kind} gauge is not finite at t = {t}: {value}")
+        return value
+
+    def rows(self, t: np.ndarray) -> np.ndarray:
+        """The gauge at every entry of ``t``; an overflow reads inf instead of raising."""
+        return self._value(t)
+
+    def _value(self, t):
         if self.kind == "linear":
             return self.lam * t
         if self.kind == "power":
             return self.lam * t**self.gamma
         ts = [g[0] for g in self.grid]
         vs = [g[1] for g in self.grid]
-        return float(np.interp(t, ts, vs))
+        return np.interp(t, ts, vs)
 
     def to_dict(self) -> dict:
         if self.kind == "linear":
@@ -503,11 +517,35 @@ def certify_condition_I(
             "bound has no distance to measure"
         )
     sampled = m.domain.sample(m.space, np.random.default_rng(seed), sample_count)
-    points = itertools.chain(special_points(m.space, m.domain, m.meta), map(Vector.from_array, sampled))
+    points = special_points(m.space, m.domain, m.meta)
+    space = m.space
+
+    def candidate(i: int) -> Witness:
+        return Witness(x=points[i] if i < len(points) else Vector.from_array(sampled[i - len(points)]))
+
+    def screen():
+        X = np.concatenate([np.reshape([p.coords for p in points], (-1, space.dim)), sampled])
+        TX = _power_rows(m, np.ones(len(X), dtype=int), X)
+        if not (m.domain.inside_rows(space, X).all() and m.domain.inside_rows(space, TX).all()):
+            return None
+        res = space.norm_rows(X - TX)
+        t = np.zeros(len(X)) if m.meta.fixed_set_is_domain else np.min(
+            [space.norm_rows(X - p.array) for p in m.meta.known_fixed_points], axis=0)
+        t_err, res_err = space.norm_rows_error(t), space.norm_rows_error(res)
+        if not (t_err.any() or res_err.any() or phi.kind == "power"):
+            v = phi.rows(t) - res  # the scalar operations on the same values
+            return v, v
+        # The gauge is nondecreasing, so bounds on t bound phi(t); numpy's
+        # powers may round differently from Python's.
+        phi_hi = phi.rows(t + t_err) * (1.0 + _ROUNDING)
+        phi_lo = phi.rows(np.maximum(t - t_err, 0.0)) * (1.0 - _ROUNDING)
+        rounding = _ROUNDING * (phi_hi + res)
+        return phi_lo - res - res_err - rounding, phi_hi - res + res_err + rounding
+
     return _certify(
-        "condition_I", (1, 1), (Witness(x=x) for x in points),
+        "condition_I", (1, 1), len(points) + sample_count, candidate,
         lambda c: phi(distance_to_fixed_set(m, c.x)) - m.space.norm(c.x - apply_power(m, 1, c.x)),
-        sample_count,
+        screen, sample_count,
     )
 
 

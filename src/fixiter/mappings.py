@@ -3,12 +3,16 @@
 A ``Mapping`` bundles a point evaluator with its domain, the space whose norm
 measures it, an optional closed-form power ``T^n``, and metadata (declared
 class, known fixed points, coefficient schedules, discontinuity points).
-Construction samples the map to certify that it is a self-map and that any
-registered power agrees with repeated application.
+A map may also declare row evaluators that apply it to a (k, dim) array of
+points at once; they must equal the scalar ones bit for bit.  Construction
+samples the map to certify that it is a self-map and that any registered
+power agrees with repeated application.
 
 Certification of a mapping class is sampling-based and one-sided: "certified"
-means no violation was found at the given budget, never a proof.  Witnesses
-are kept so a reported violation can be reproduced exactly.
+means no violation was found at the given budget, never a proof.  Every
+candidate is screened as arrays, and the ones that may hold the maximum are
+evaluated again through the scalar path, so a witness reproduces its
+violation exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParameterError, ScheduleError
+from .errors import ContractError, DomainError, FixiterError, ParameterError, ScheduleError
 from .schedules import Schedule
 from .space import Ball, Box, Domain, NormedSpace, Vector
 
@@ -41,6 +45,11 @@ _POWER_SAMPLES = 100
 _POWER_N_MAX = 20
 _POWER_TOL = 1e-10
 _DISCONTINUITY_OFFSETS = (1e-3, 1e-6)
+# Relative slack for rounding when a screen combines norms and coefficients.
+_ROUNDING = 16 * float(np.finfo(float).eps)
+# What a screen may raise on a row it cannot evaluate; the scalar path then
+# runs instead and raises the same error for the same candidate.
+_SCREEN_ERRORS = (FixiterError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,10 @@ class Mapping:
     power: Callable[[int, Vector], Vector] | None
     meta: MappingMeta
     parameters: tuple[tuple[str, float], ...] = ()
+    # Optional row evaluators on (k, dim) arrays: apply_rows(X), and
+    # power_rows(ns, X) with one power index ns[i] >= 1 per row.
+    apply_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def has_power(self) -> bool:
@@ -82,17 +95,21 @@ def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
         raise DomainError(f"point {x.coords} lies outside the domain of mapping '{m.mapping_id}'")
     if n == 0:
         return x
-    if m.power is not None:
-        result = m.power(n, x)
-    else:
-        result = x
-        for _ in range(n):
-            result = m.apply(result)
+    result = _iterate(m, n, x)
     if not m.domain.contains(m.space, result):
         raise DomainError(
             f"mapping '{m.mapping_id}' left its domain: T^{n} {x.coords} = {result.coords}"
         )
     return result
+
+
+def _iterate(m: Mapping, n: int, x: Vector) -> Vector:
+    """T^n x for n >= 1 without domain checks: the closed-form power, or n applications."""
+    if m.power is not None:
+        return m.power(n, x)
+    for _ in range(n):
+        x = m.apply(x)
+    return x
 
 
 def fixed_point_residual(m: Mapping, x: Vector) -> float:
@@ -137,10 +154,44 @@ def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# construction
+# row evaluation
 
-def _domain_vectors(m_space: NormedSpace, domain: Domain, rng: np.random.Generator, count: int) -> list[Vector]:
-    return [Vector.from_array(row) for row in domain.sample(m_space, rng, count)]
+def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> np.ndarray:
+    """``fn(n)`` for each entry of ``ns``, evaluated once per distinct n in Python floats."""
+    distinct, index = np.unique(ns, return_inverse=True)
+    return np.array([fn(int(n)) for n in distinct], dtype=float)[index]
+
+
+def _stack(vectors: Iterable[Vector], shape: tuple[int, ...]) -> np.ndarray:
+    return np.array([v.coords for v in vectors], dtype=float).reshape(shape)
+
+
+def _apply_rows(m: Mapping, X: np.ndarray) -> np.ndarray:
+    """T applied to each row of X: by the map's row evaluator, else row by row."""
+    if m.apply_rows is not None:
+        return m.apply_rows(X)
+    return _stack((m.apply(Vector.from_array(x)) for x in X), X.shape)
+
+
+def _power_rows(m: Mapping, ns: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Row i is T^ns[i] X[i], ns >= 1, as ``apply_power`` computes it but without
+    its domain checks: by the map's row evaluator, else row by row."""
+    if m.power_rows is not None:
+        return m.power_rows(ns, X)
+    return _stack((_iterate(m, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape)
+
+
+def _screen(fn: Callable[[], object]) -> object:
+    """``fn()`` with numpy's warnings off, or None when it raises on some row."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn()
+    except _SCREEN_ERRORS:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# construction
 
 
 def _discontinuity_neighbors(space: NormedSpace, domain: Domain, d: Vector) -> list[Vector]:
@@ -177,8 +228,16 @@ def build_mapping(
     power: Callable[[int, Vector], Vector] | None = None,
     meta: MappingMeta = MappingMeta(),
     parameters: dict | None = None,
+    *,
+    apply_rows: Callable[[np.ndarray], np.ndarray] | None = None,
+    power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> Mapping:
     """Assemble a Mapping and certify its construction invariants by sampling.
+
+    ``apply_rows(X)`` and ``power_rows(ns, X)`` optionally evaluate the map on
+    a (k, dim) array, one point per row and one power index ns[i] >= 1 per
+    row; they must equal ``apply`` and ``power`` bit for bit.  Without them,
+    every row evaluation loops over the scalar evaluators.
 
     Checks, each with a fixed internal seed so construction is reproducible:
     * the evaluator maps the domain into itself (uniform samples plus the
@@ -187,40 +246,16 @@ def build_mapping(
       within 1e-10, and returns its argument unchanged at n = 0;
     * declared metadata is coherent (schedules present and admissible for the
       declared class, listed fixed points actually fixed).
+    Sampled probes are screened by the row evaluators; a probe the screen
+    cannot clear is checked again through ``apply`` and ``power``.
     """
     if domain.dim != space.dim:
         raise ContractError(f"domain dim {domain.dim} != space dim {space.dim}")
     if meta.declared_class not in MAPPING_CLASSES:
         raise ContractError(f"unknown mapping class '{meta.declared_class}'")
+    if power_rows is not None and power is None:
+        raise ContractError(f"mapping '{mapping_id}' declares power_rows without a closed-form power")
     _check_meta(space, meta)
-
-    rng = np.random.default_rng(_SELF_MAP_SEED)
-    probes = _domain_vectors(space, domain, rng, _SELF_MAP_SAMPLES)
-    probes.extend(special_points(space, domain, meta))
-    for x in probes:
-        fx = apply(x)
-        if not domain.contains(space, fx):
-            raise ContractError(
-                f"mapping '{mapping_id}' is not a self-map: T{x.coords} = {fx.coords} left the domain"
-            )
-
-    if power is not None:
-        xs = _domain_vectors(space, domain, rng, _POWER_SAMPLES)
-        ns = rng.integers(1, _POWER_N_MAX + 1, size=_POWER_SAMPLES)
-        for x, n in zip(xs, ns):
-            iterated = x
-            for _ in range(int(n)):
-                iterated = apply(iterated)
-            gap = space.distance(power(int(n), x), iterated)
-            if gap > _POWER_TOL:
-                raise ContractError(
-                    f"closed-form power of '{mapping_id}' disagrees with {n}-fold application "
-                    f"at {x.coords} by {gap:.3e}"
-                )
-        for x in xs[:5]:
-            if power(0, x).coords != x.coords:
-                raise ContractError(f"power(0, x) must return x exactly for '{mapping_id}'")
-
     m = Mapping(
         mapping_id=mapping_id,
         space=space,
@@ -229,7 +264,48 @@ def build_mapping(
         power=power,
         meta=meta,
         parameters=tuple(sorted((parameters or {}).items())),
+        apply_rows=apply_rows,
+        power_rows=power_rows,
     )
+
+    rng = np.random.default_rng(_SELF_MAP_SEED)
+    sampled = domain.sample(space, rng, _SELF_MAP_SAMPLES)
+    inside = _screen(lambda: domain.inside_rows(space, _apply_rows(m, sampled)))
+    doubtful = sampled if inside is None else sampled[~inside]
+    for x in [Vector.from_array(row) for row in doubtful] + special_points(space, domain, meta):
+        fx = apply(x)
+        if not domain.contains(space, fx):
+            raise ContractError(
+                f"mapping '{mapping_id}' is not a self-map: T{x.coords} = {fx.coords} left the domain"
+            )
+
+    if power is not None:
+        xs = domain.sample(space, rng, _POWER_SAMPLES)
+        ns = rng.integers(1, _POWER_N_MAX + 1, size=_POWER_SAMPLES)
+
+        def agreeing() -> np.ndarray:
+            iterated = xs.copy()
+            for step in range(1, int(ns.max()) + 1):
+                live = ns >= step
+                iterated[live] = _apply_rows(m, iterated[live])
+            gap = space.norm_rows(_power_rows(m, ns, xs) - iterated)
+            return gap + space.norm_rows_error(gap) <= _POWER_TOL
+
+        agree = _screen(agreeing)
+        for row, n in zip(xs, ns) if agree is None else zip(xs[~agree], ns[~agree]):
+            x = iterated = Vector.from_array(row)
+            for _ in range(int(n)):
+                iterated = apply(iterated)
+            gap = space.distance(power(int(n), x), iterated)
+            if gap > _POWER_TOL:
+                raise ContractError(
+                    f"closed-form power of '{mapping_id}' disagrees with {n}-fold application "
+                    f"at {x.coords} by {gap:.3e}"
+                )
+        for x in map(Vector.from_array, xs[:5]):
+            if power(0, x).coords != x.coords:
+                raise ContractError(f"power(0, x) must return x exactly for '{mapping_id}'")
+
     if meta.known_fixed_points:
         for p in meta.known_fixed_points:
             res = fixed_point_residual(m, p)
@@ -299,19 +375,42 @@ class Certificate:
 def _certify(
     property_name: str,
     n_range: tuple[int, int],
-    candidates: Iterable[Witness],
+    count: int,
+    candidate: Callable[[int], Witness],
     violation: Callable[[Witness], float],
+    screen: Callable[[], tuple[np.ndarray, np.ndarray] | None],
     requested: int,
 ) -> Certificate:
-    """The certificate loop every certifier shares: evaluate the candidates in
-    order, keep the first strict maximum of the violation as the witness, and
-    judge it against TAU_CERT unless fewer than 10 samples were requested."""
+    """The certificate kernel every certifier shares: screen, then confirm.
+
+    ``screen()`` evaluates all ``count`` candidates as arrays and returns a
+    lower and an upper bound on each one's violation, or None when some row
+    cannot be bounded (outside the domain or near its boundary).  The
+    candidates that may be the first strict maximum are then evaluated by
+    ``violation(candidate(i))`` in candidate order, and the first strict
+    maximum is the witness, so the result is exactly that of evaluating every
+    candidate.  When the screen fails, or a bound is not finite, every
+    candidate is evaluated that way, which raises any error for the same
+    candidate as if the screen had never run.  The verdict judges the maximum
+    against TAU_CERT unless fewer than 10 samples were requested.
+    """
+    bounds = _screen(screen)
+    order: Iterable[int] = range(count)
+    if bounds is not None:
+        lower, upper = bounds
+        if np.isfinite(lower).all() and np.isfinite(upper).all():
+            # With L the largest lower bound, first attained at row `first`, a
+            # candidate whose upper bound is below L, or is L after `first`,
+            # cannot be the first strict maximum.
+            first = int(np.argmax(lower))
+            keep = upper > lower[first]
+            keep[: first + 1] |= upper[: first + 1] == lower[first]
+            order = np.flatnonzero(keep).tolist()
     best = -math.inf
     best_witness: Witness | None = None
-    evaluated = 0
-    for w in candidates:
+    for i in order:
+        w = candidate(i)
         v = violation(w)
-        evaluated += 1
         if v > best:
             best, best_witness = v, w
     assert best_witness is not None
@@ -319,20 +418,22 @@ def _certify(
         verdict = "inconclusive"
     else:
         verdict = "refuted" if best > TAU_CERT else "certified"
-    return Certificate(property_name, n_range, evaluated, best, best_witness, verdict)
+    return Certificate(property_name, n_range, count, best, best_witness, verdict)
 
 
 def _certify_pairs(
     property_name: str,
     m: Mapping,
     violation: Callable[[int, Vector, Vector], float],
+    terms: Callable[[int], tuple[float, float]],
     n_max: int,
     sample_count: int,
     seed: int,
 ) -> Certificate:
-    """Check a power-pair inequality on the domain extremes and each
-    (discontinuity neighbour, discontinuity) pair at every n, then on seeded
-    random (n, x, y) triples."""
+    """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) =
+    ``terms(n)`` and ``violation`` is the scalar excess, on the domain extremes
+    and each (discontinuity neighbour, discontinuity) pair at every n, then on
+    seeded random (n, x, y) triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
     if sample_count < 1:
@@ -345,11 +446,33 @@ def _certify_pairs(
     ns = rng.integers(1, n_max + 1, size=sample_count)
     xs = m.domain.sample(m.space, rng, sample_count)
     ys = m.domain.sample(m.space, rng, sample_count)
-    candidates = itertools.chain(
-        (Witness(x=x, y=y, n=n) for x, y in pairs for n in range(1, n_max + 1)),
-        (Witness(x=Vector.from_array(x), y=Vector.from_array(y), n=int(n)) for n, x, y in zip(ns, xs, ys)),
-    )
-    return _certify(property_name, (1, n_max), candidates, lambda w: violation(w.n, w.x, w.y), sample_count)
+    special = len(pairs) * n_max
+
+    def candidate(i: int) -> Witness:
+        if i < special:
+            x, y = pairs[i // n_max]
+            return Witness(x=x, y=y, n=i % n_max + 1)
+        i -= special
+        return Witness(x=Vector.from_array(xs[i]), y=Vector.from_array(ys[i]), n=int(ns[i]))
+
+    def screen():
+        N = np.concatenate([np.tile(np.arange(1, n_max + 1), len(pairs)), ns])
+        X = np.concatenate([np.repeat([x.coords for x, _ in pairs], n_max, axis=0), xs])
+        Y = np.concatenate([np.repeat([y.coords for _, y in pairs], n_max, axis=0), ys])
+        TX, TY = _power_rows(m, N, X), _power_rows(m, N, Y)
+        if not all(m.domain.inside_rows(m.space, R).all() for R in (X, Y, TX, TY)):
+            return None
+        lhs, dist = m.space.norm_rows(TX - TY), m.space.norm_rows(X - Y)
+        c, b = _per_n(terms, N).T
+        # The same operations as the scalar violations, so exact where the norms are.
+        v = lhs - c * dist - b
+        err = m.space.norm_rows_error(lhs) + np.abs(c) * m.space.norm_rows_error(dist)
+        if err.any():
+            err += _ROUNDING * (lhs + np.abs(c * dist) + np.abs(b))
+        return v - err, v + err
+
+    return _certify(property_name, (1, n_max), special + sample_count, candidate,
+                    lambda w: violation(w.n, w.x, w.y), screen, sample_count)
 
 
 def nearly_nonexpansive_violation(m: Mapping, a: Schedule, n: int, x: Vector, y: Vector) -> float:
@@ -379,7 +502,7 @@ def certify_nearly_nonexpansive(
             raise ScheduleError(f"near-sequence must be >= 0; a({n}) = {a.at(n)}")
     return _certify_pairs(
         "nearly_nonexpansive", m, lambda n, x, y: nearly_nonexpansive_violation(m, a, n, x, y),
-        n_max, sample_count, seed,
+        lambda n: (1.0, a.at(n)), n_max, sample_count, seed,
     )
 
 
@@ -391,7 +514,7 @@ def certify_uniform_lipschitz(
         raise ParameterError(f"Lipschitz constant must be finite and > 0, got {L}")
     return _certify_pairs(
         "uniformly_lipschitz", m, lambda n, x, y: uniform_lipschitz_violation(m, L, n, x, y),
-        n_max, sample_count, seed,
+        lambda n: (L, 0.0), n_max, sample_count, seed,
     )
 
 
@@ -404,7 +527,7 @@ def certify_asymptotically_nonexpansive(
             raise ScheduleError(f"asymptotic schedule must satisfy k(n) >= 1; k({n}) = {k.at(n)}")
     return _certify_pairs(
         "asymptotically_nonexpansive", m, lambda n, x, y: asymptotically_nonexpansive_violation(m, k, n, x, y),
-        n_max, sample_count, seed,
+        lambda n: (k.at(n), 0.0), n_max, sample_count, seed,
     )
 
 
@@ -412,7 +535,7 @@ def certify_nonexpansive(m: Mapping, sample_count: int, seed: int) -> Certificat
     """Sampled check of the single-application bound ||Tx - Ty|| <= ||x - y||."""
     return _certify_pairs(
         "nonexpansive", m, lambda n, x, y: uniform_lipschitz_violation(m, 1.0, n, x, y),
-        1, sample_count, seed,
+        lambda n: (1.0, 0.0), 1, sample_count, seed,
     )
 
 
@@ -453,13 +576,20 @@ def make_example21(q: float, space: NormedSpace | None = None) -> Mapping:
         v = x.coords[0]
         return Vector((0.0,)) if v >= 1.0 else Vector(((q**n) * v,))
 
+    def apply_rows(X: np.ndarray) -> np.ndarray:
+        return np.where(X >= 1.0, 0.0, q * X)
+
+    def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.where(X >= 1.0, 0.0, _per_n(lambda n: q**n, ns)[:, None] * X)
+
     meta = MappingMeta(
         declared_class="nearly_nonexpansive",
         known_fixed_points=(Vector((0.0,)),),
         a_schedule=Schedule.geometric(q),
         discontinuities=(Vector((1.0,)),),
     )
-    return build_mapping("example21", space, domain, apply, power, meta, {"q": q})
+    return build_mapping("example21", space, domain, apply, power, meta, {"q": q},
+                         apply_rows=apply_rows, power_rows=power_rows)
 
 
 def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = None) -> Mapping:
@@ -481,7 +611,9 @@ def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = 
         known_fixed_points=(origin,),
         lipschitz_L=1.0,
     )
-    return build_mapping("contraction", space, domain, apply, power, meta, {"q": q, "dim": dim})
+    return build_mapping("contraction", space, domain, apply, power, meta, {"q": q, "dim": dim},
+                         apply_rows=lambda X: q * X,
+                         power_rows=lambda ns, X: _per_n(lambda n: q**n, ns)[:, None] * X)
 
 
 def make_identity(dim: int = 1, space: NormedSpace | None = None) -> Mapping:
@@ -495,6 +627,8 @@ def make_identity(dim: int = 1, space: NormedSpace | None = None) -> Mapping:
         power=lambda n, x: x,
         meta=meta,
         parameters={"dim": dim},
+        apply_rows=lambda X: X,
+        power_rows=lambda ns, X: X,
     )
 
 
@@ -528,6 +662,8 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
             power=lambda n, x: Vector(((0.5**n) * x.coords[0],)),
             meta=meta,
             parameters={"dim": dim},
+            apply_rows=lambda X: 0.5 * X,
+            power_rows=lambda ns, X: _per_n(lambda n: 0.5**n, ns)[:, None] * X,
         )
 
     lam, mu = _DEMO_EXPAND, _DEMO_SHRINK
@@ -551,13 +687,25 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
         even_part = Vector.from_array(np.concatenate((head, tail)))
         return apply(even_part) if odd else even_part
 
+    def apply_rows(X: np.ndarray) -> np.ndarray:
+        out = mu * X
+        out[:, 0] = lam * X[:, 1]
+        out[:, 1] = mu * X[:, 0]
+        return out
+
+    def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
+        even = _per_n(lambda n: mu ** (2 * (n // 2)), ns)[:, None] * X
+        even[:, :2] = _per_n(lambda n: (lam * mu) ** (n // 2), ns)[:, None] * X[:, :2]
+        return np.where((ns % 2 == 1)[:, None], apply_rows(even), even)
+
     meta = MappingMeta(
         declared_class="asymptotically_nonexpansive",
         known_fixed_points=(origin,),
         lipschitz_L=lam,
         k_schedule=Schedule.table((lam, 1.0)),
     )
-    return build_mapping("asymptotic_demo", space, domain, apply, power, meta, {"dim": dim})
+    return build_mapping("asymptotic_demo", space, domain, apply, power, meta, {"dim": dim},
+                         apply_rows=apply_rows, power_rows=power_rows)
 
 
 class _CatalogEntry(NamedTuple):

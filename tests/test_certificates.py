@@ -1,20 +1,35 @@
 """Properties every sampled certificate keeps, over generated seeds and budgets.
 
-All five certifiers share one loop, so the same three facts must hold for each:
+All five certifiers share one kernel, so the same facts must hold for each:
 re-evaluating the witness reproduces ``max_violation`` exactly, the sample
-count is the deterministic special candidates plus the requested budget, and
-the same seed gives an equal certificate.
+count is the deterministic special candidates plus the requested budget, the
+same seed gives an equal certificate, and the kernel's array screen gives the
+certificate that evaluating every candidate through the scalar path gives.
 """
 
+import math
 from dataclasses import replace
 
-from hypothesis import given, settings
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixiter import (
+    CATALOG_IDS,
+    TAU_CERT,
+    Box,
+    Certificate,
+    ContractError,
+    DomainError,
     MappingMeta,
+    NormedSpace,
     PhiSpec,
     Schedule,
+    Vector,
+    Witness,
+    apply_power,
+    build_mapping,
     certify_asymptotically_nonexpansive,
     certify_condition_I,
     certify_nearly_nonexpansive,
@@ -22,14 +37,18 @@ from fixiter import (
     certify_uniform_lipschitz,
     distance_to_fixed_set,
     fixed_point_residual,
+    get_mapping,
     make_asymptotically_nonexpansive_example,
     make_example21,
     make_identity,
     make_linear_contraction,
 )
 from fixiter.mappings import (
+    CATALOG,
+    _discontinuity_neighbors,
     asymptotically_nonexpansive_violation,
     nearly_nonexpansive_violation,
+    special_points,
     uniform_lipschitz_violation,
 )
 
@@ -111,3 +130,154 @@ def test_has_fixed_set():
     assert make_identity(2).has_fixed_set  # every point is fixed
     assert not replace(make_example21(0.5), meta=MappingMeta()).has_fixed_set
 
+
+
+# ---------------------------------------------------------------------------
+# the array screen against the scalar loop
+
+P_VALUES = (1.0, 1.5, 2.0, 3.0, math.inf)
+CERTIFIERS = ("nonexpansive", "uniformly_lipschitz", "asymptotically_nonexpansive",
+              "nearly_nonexpansive", "condition_I")
+gauges = st.one_of(
+    st.builds(PhiSpec, st.just("linear"), lam=st.floats(min_value=0.01, max_value=2.0)),
+    st.builds(PhiSpec, st.just("power"), lam=st.floats(min_value=0.01, max_value=2.0),
+              gamma=st.floats(min_value=1.0, max_value=3.0)),
+    st.builds(lambda v: PhiSpec("table", grid=((0.0, 0.0), (0.5, v), (2.0, 2.0 * v))),
+              st.floats(min_value=0.01, max_value=1.0)),
+)
+
+
+@st.composite
+def catalog_maps(draw, drop_rows=st.booleans()):
+    """A catalog map in a generated l_p space; without its row evaluators when
+    ``drop_rows`` draws True, so rows are evaluated by the scalar loop."""
+    mapping_id = draw(st.sampled_from(CATALOG_IDS))
+    dim = 1 if mapping_id == "example21" else draw(dims)
+    params = {"q": draw(ratios)} if CATALOG[mapping_id].parameters else {}
+    m = get_mapping(mapping_id, params, NormedSpace(dim, draw(st.sampled_from(P_VALUES))))
+    return replace(m, apply_rows=None, power_rows=None) if draw(drop_rows) else m
+
+
+def _scalar_loop(name, n_range, candidates, violation, requested):
+    """The reference: every candidate through the scalar path, first strict maximum kept."""
+    best, witness = -math.inf, None
+    for w in candidates:
+        v = violation(w)
+        if v > best:
+            best, witness = v, w
+    verdict = "inconclusive" if requested < 10 else ("refuted" if best > TAU_CERT else "certified")
+    return Certificate(name, n_range, len(candidates), best, witness, verdict)
+
+
+def _scalar_pairs(name, m, violation, n_max, budget, seed):
+    pairs = [m.domain.extreme_points()] + [
+        (neighbor, d) for d in m.meta.discontinuities
+        for neighbor in _discontinuity_neighbors(m.space, m.domain, d)
+    ]
+    rng = np.random.default_rng(seed)
+    ns = rng.integers(1, n_max + 1, size=budget)
+    xs = m.domain.sample(m.space, rng, budget)
+    ys = m.domain.sample(m.space, rng, budget)
+    candidates = [Witness(x=x, y=y, n=n) for x, y in pairs for n in range(1, n_max + 1)]
+    candidates += [Witness(x=Vector.from_array(x), y=Vector.from_array(y), n=int(n))
+                   for n, x, y in zip(ns, xs, ys)]
+    return _scalar_loop(name, (1, n_max), candidates, lambda w: violation(w.n, w.x, w.y), budget)
+
+
+def _scalar_condition_I(m, phi, budget, seed):
+    sampled = m.domain.sample(m.space, np.random.default_rng(seed), budget)
+    points = special_points(m.space, m.domain, m.meta) + [Vector.from_array(x) for x in sampled]
+    return _scalar_loop(
+        "condition_I", (1, 1), [Witness(x=x) for x in points],
+        lambda w: phi(distance_to_fixed_set(m, w.x)) - m.space.norm(w.x - apply_power(m, 1, w.x)),
+        budget,
+    )
+
+
+def _both(certifier, m, coef, r, phi, n_max, budget, seed):
+    """The kernel's certificate and the scalar loop's, for one certifier."""
+    if certifier == "condition_I":
+        return certify_condition_I(m, phi, budget, seed), _scalar_condition_I(m, phi, budget, seed)
+    if certifier == "nonexpansive":
+        return certify_nonexpansive(m, budget, seed), _scalar_pairs(
+            "nonexpansive", m, lambda n, x, y: uniform_lipschitz_violation(m, 1.0, n, x, y), 1, budget, seed)
+    if certifier == "uniformly_lipschitz":
+        return certify_uniform_lipschitz(m, coef, n_max, budget, seed), _scalar_pairs(
+            "uniformly_lipschitz", m, lambda n, x, y: uniform_lipschitz_violation(m, coef, n, x, y),
+            n_max, budget, seed)
+    if certifier == "asymptotically_nonexpansive":
+        k = Schedule.table((coef, 1.0))
+        return certify_asymptotically_nonexpansive(m, k, n_max, budget, seed), _scalar_pairs(
+            certifier, m, lambda n, x, y: asymptotically_nonexpansive_violation(m, k, n, x, y),
+            n_max, budget, seed)
+    a = Schedule.geometric(r)
+    return certify_nearly_nonexpansive(m, a, n_max, budget, seed), _scalar_pairs(
+        certifier, m, lambda n, x, y: nearly_nonexpansive_violation(m, a, n, x, y), n_max, budget, seed)
+
+
+_TIE = dict(certifier="nonexpansive", coef=1.0, r=0.5, phi=PhiSpec("linear"), n_max=1, budget=40, seed=0)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=150)
+# Every violation of the identity is exactly 0, so the first candidate must
+# stay the witness: with exact norms (dim 1, p = 2) and with rounded ones.
+@example(m=make_identity(1), **_TIE)
+@example(m=make_identity(3, NormedSpace(3, 1.5)), **_TIE)
+# phi(||x||) = ||x - Tx|| up to rounding, so the array norms' own rounding
+# decides the maximum unless the screen allows for it.
+@example(certifier="condition_I", m=make_linear_contraction(0.5, 2, NormedSpace(2, 1.5)), coef=1.0, r=0.5,
+         phi=PhiSpec("linear", lam=0.5), n_max=1, budget=60, seed=0)
+@given(certifier=st.sampled_from(CERTIFIERS), m=catalog_maps(),
+       coef=st.floats(min_value=1.0, max_value=2.0), r=ratios, phi=gauges,
+       n_max=st.integers(min_value=1, max_value=40), budget=budgets, seed=seeds)
+def test_screened_certificate_equals_scalar_loop(certifier, m, coef, r, phi, n_max, budget, seed):
+    screened, scalar = _both(certifier, m, coef, r, phi, n_max, budget, seed)
+    assert screened == scalar
+
+
+@settings(PROPERTY_SETTINGS, max_examples=60)
+@given(m=catalog_maps(drop_rows=st.just(False)), seed=seeds)
+def test_row_evaluators_equal_scalar_evaluators(m, seed):
+    # build_mapping probes catalog maps through their rows only, so this is
+    # what keeps the two forms from drifting apart.
+    rng = np.random.default_rng(seed)
+    specials = [p.coords for p in special_points(m.space, m.domain, m.meta)]
+    X = np.concatenate([np.reshape(specials, (-1, m.space.dim)), m.domain.sample(m.space, rng, 50)])
+    ns = rng.integers(1, 41, size=len(X))
+    before = X.copy()
+    xs = [Vector.from_array(x) for x in X]
+    for rows, scalar in (
+        (m.apply_rows(X), [m.apply(x).coords for x in xs]),
+        (m.power_rows(ns, X), [m.power(int(n), x).coords for n, x in zip(ns, xs)]),
+    ):
+        assert rows.shape == X.shape
+        assert rows.tobytes() == np.array(scalar).tobytes()
+    assert X.tobytes() == before.tobytes()
+
+
+def test_screen_defers_errors_to_the_scalar_loop():
+    # A declared discontinuity outside the domain makes the scalar loop raise
+    # DomainError at its first pair; the screen must raise the same.
+    meta = MappingMeta(declared_class="nonexpansive", known_fixed_points=(Vector((0.0,)),),
+                       discontinuities=(Vector((2.0,)),))
+    m = build_mapping("quarter", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
+                      lambda x: Vector((x.coords[0] / 4.0,)), lambda n, x: Vector((x.coords[0] / 4.0**n,)),
+                      meta, apply_rows=lambda X: X / 4.0)
+    a = Schedule.geometric(0.5)
+    for certify, scalar in (
+        (lambda: certify_nonexpansive(m, 20, 0), lambda: _scalar_pairs(
+            "nonexpansive", m, lambda n, x, y: uniform_lipschitz_violation(m, 1.0, n, x, y), 1, 20, 0)),
+        (lambda: certify_nearly_nonexpansive(m, a, 3, 20, 0), lambda: _scalar_pairs(
+            "nearly_nonexpansive", m, lambda n, x, y: nearly_nonexpansive_violation(m, a, n, x, y), 3, 20, 0)),
+    ):
+        with pytest.raises(DomainError) as expected:
+            scalar()
+        with pytest.raises(DomainError) as raised:
+            certify()
+        assert str(raised.value) == str(expected.value)
+
+    # A power gauge that overflows on the box: the screen reads inf, and the
+    # scalar gauge raises ContractError.
+    demo = make_asymptotically_nonexpansive_example(3)
+    with pytest.raises(ContractError, match="power gauge overflows"):
+        certify_condition_I(demo, PhiSpec("power", lam=1.0, gamma=1e6), 50, 0)

@@ -177,13 +177,18 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
         _variant(scheme="mann"),  # theorem31 check demands the power hybrid
         _variant(checks=[{"name": "theorem33", "phi": {"kind": "linear", "lam": 0.5},
                           "samples": 500, "n_max": 3}]),
+        # d(x, F) > 1 on this box, so the gauge t**1e6 overflows
+        _variant(mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 3, "p": 2},
+                 x0=[0.8, 0.5, -0.6], scheme="mann",
+                 checks=[{"name": "condition_I", "phi": {"kind": "power", "lam": 1, "gamma": 1e6},
+                          "samples": 500}]),
     ]
     for i, doc in enumerate(bad):
         out = tmp_path / f"out{i}"
         path = _write(tmp_path, doc, f"bad{i}.json")
         code = cli.main(["run", path, "--output", str(out), "--quiet"])
         assert code == 1, i
-        assert capsys.readouterr().err != ""
+        assert capsys.readouterr().err.startswith("error: "), i
         assert not out.exists() or list(out.iterdir()) == [], i
 
 
@@ -291,6 +296,9 @@ def test_modulus_reports_estimate(capsys):
 def test_modulus_infeasible_epsilon_exits_one(capsys):
     assert cli.main(["modulus", "--p", "2", "--dim", "2", "--epsilon", "2.5"]) == 1
     assert "2.5" in capsys.readouterr().err
+    for epsilon in ("nan", "inf"):
+        assert cli.main(["modulus", "--p", "2", "--dim", "2", "--epsilon", epsilon, "--samples", "10"]) == 1
+        assert capsys.readouterr().err == f"error: epsilon must be finite, got {epsilon}\n"
 
 
 # ---------------------------------------------------------------------------
