@@ -439,16 +439,18 @@ class PhiSpec:
 
     def __post_init__(self):
         if self.kind == "linear":
-            if self.lam <= 0.0:
-                raise ContractError(f"linear gauge needs lam > 0, got {self.lam}")
+            if not (0.0 < self.lam < math.inf):
+                raise ContractError(f"linear gauge needs a finite lam > 0, got {self.lam}")
         elif self.kind == "power":
-            if self.lam <= 0.0:
-                raise ContractError(f"power gauge needs lam > 0, got {self.lam}")
-            if self.gamma < 1.0:
-                raise ContractError(f"power gauge needs gamma >= 1, got {self.gamma}")
+            if not (0.0 < self.lam < math.inf):
+                raise ContractError(f"power gauge needs a finite lam > 0, got {self.lam}")
+            if not (1.0 <= self.gamma < math.inf):
+                raise ContractError(f"power gauge needs a finite gamma >= 1, got {self.gamma}")
         elif self.kind == "table":
             if len(self.grid) < 2:
                 raise ContractError("table gauge needs at least two (t, value) knots")
+            if not all(math.isfinite(c) for knot in self.grid for c in knot):
+                raise ContractError(f"table gauge knots must be finite, got {self.grid}")
             ts = [g[0] for g in self.grid]
             vs = [g[1] for g in self.grid]
             if ts[0] != 0.0 or vs[0] != 0.0:

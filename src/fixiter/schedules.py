@@ -86,4 +86,6 @@ class Schedule:
     def to_dict(self) -> dict:
         if self.kind == "formula":
             raise ScheduleError("formula schedules are not serializable to scenario files")
-        return {"kind": self.kind, "parameters": dict(self.params)}
+        # A table's values are a list, as scenario files hold them.
+        return {"kind": self.kind,
+                "parameters": {k: list(v) if isinstance(v, tuple) else v for k, v in self.params}}

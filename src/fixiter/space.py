@@ -21,6 +21,11 @@ from .errors import ContractError, InfeasibleError
 TAU_DOM = 1e-9
 
 _BALL_BATCH = 4096
+# Rejection from the cube serves the unit ball while it keeps at least this share
+# of its draws; below it the exact sampler runs, whose draws do not grow with
+# dimension.  At or above one half the loop cannot spin, and every ball stream
+# that a shipped output pins (dim <= 2) stays on it.
+_REJECTION_MIN_ACCEPTANCE = 0.5
 _EPS = float(np.finfo(float).eps)
 # Ulps per coordinate by which ``norm_rows`` may differ from ``norm``; the
 # worst seen is 2 (numpy 2.4 on x86-64, dims 1 to 100, p in {1, 1.5, 2, 3, inf}).
@@ -121,8 +126,34 @@ class NormedSpace:
     def distance(self, x: Vector, y: Vector) -> float:
         return self.norm(x - y)
 
+    def ball_acceptance(self) -> float:
+        """Share of uniform cube draws that land in the unit ball: G(1+1/p)^dim / G(1+dim/p)."""
+        if self.p == math.inf:
+            return 1.0
+        try:
+            return math.gamma(1.0 + 1.0 / self.p) ** self.dim / math.gamma(1.0 + self.dim / self.p)
+        except OverflowError:  # G(1+dim/p) > 1e308, so the share is below 1e-308
+            return 0.0
+
     def unit_ball_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` points uniformly from the closed unit ball (rejection from the cube)."""
+        """Draw ``count`` points uniformly from the closed unit ball.
+
+        Rejection from the cube where it keeps at least half its draws (p = inf,
+        or a low dim).  Elsewhere the exact sampler of Barthe, Guedon, Mendelson
+        and Naor (Ann. Probab. 33, 2005): with g_i of density proportional to
+        exp(-|t|**p) and W ~ Exp(1), g / (||g||_p**p + W)**(1/p) is uniform in
+        the ball.  Each g_i is drawn as U * H**(1/p), U ~ Uniform(-1, 1) and
+        H ~ Gamma(1 + 1/p), the same law as |g_i|**p ~ Gamma(1/p) with a random
+        sign, but free of the underflow of Gamma(1/p) draws at large p.  Both
+        branches draw a fixed sequence, so the same generator state gives the
+        same array.
+        """
+        if self.ball_acceptance() < _REJECTION_MIN_ACCEPTANCE:
+            p = self.p
+            g = rng.uniform(-1.0, 1.0, size=(count, self.dim))
+            g *= rng.standard_gamma(1.0 + 1.0 / p, size=(count, self.dim)) ** (1.0 / p)
+            w = rng.standard_exponential(count)
+            return g / ((np.abs(g) ** p).sum(axis=1) + w)[:, None] ** (1.0 / p)
         kept: list[np.ndarray] = []
         total = 0
         while total < count:

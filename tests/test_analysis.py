@@ -295,6 +295,17 @@ def test_gauge_validation():
         PhiSpec("sqrt")
     with pytest.raises(ContractError):
         PhiSpec("linear")(-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ContractError, match="finite"):
+            PhiSpec("linear", lam=bad)
+        with pytest.raises(ContractError, match="finite"):
+            PhiSpec("power", lam=bad, gamma=2.0)
+        with pytest.raises(ContractError, match="finite"):
+            PhiSpec("power", lam=1.0, gamma=bad)
+        with pytest.raises(ContractError, match="finite"):
+            PhiSpec("table", grid=((0.0, 0.0), (1.0, 0.5), (bad, 0.6)))
+        with pytest.raises(ContractError, match="finite"):
+            PhiSpec("table", grid=((0.0, 0.0), (1.0, 0.5), (2.0, bad)))
 
 
 def test_coercivity_certified_for_weak_gauge():

@@ -2,9 +2,12 @@
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixiter import cli
 from fixiter.errors import ScenarioError
@@ -54,10 +57,86 @@ _DROP = object()
 # ---------------------------------------------------------------------------
 # scenario parsing
 
-def test_scenario_round_trip():
-    s = cli.scenario_from_dict(GOOD)
-    again = cli.scenario_from_dict(cli.scenario_to_dict(s))
-    assert again == s
+reals = st.floats(allow_nan=False, allow_infinity=False, width=64)
+positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _schedule_docs():
+    return st.one_of(
+        st.builds(lambda v: {"kind": "constant", "parameters": {"value": v}}, reals),
+        st.builds(lambda r: {"kind": "geometric", "parameters": {"ratio": r}}, reals),
+        st.builds(lambda s, o: {"kind": "harmonic_tail", "parameters": {"scale": s, "offset": o}},
+                  reals, st.floats(min_value=-0.999, max_value=1e6)),
+        st.builds(lambda vs: {"kind": "table", "parameters": {"values": vs}}, st.lists(reals, min_size=1, max_size=4)),
+    )
+
+
+def _table_grid(steps):
+    t = v = 0.0
+    grid = [[t, v]]
+    for dt, dv in steps:
+        t, v = t + dt, v + dv
+        grid.append([t, v])
+    return grid
+
+
+def _check_docs():
+    phi = st.one_of(
+        st.builds(lambda lam: {"kind": "linear", "lam": lam}, positive),
+        st.builds(lambda lam, g: {"kind": "power", "lam": lam, "gamma": g}, positive,
+                  st.floats(min_value=1.0, max_value=10.0)),
+        st.builds(lambda steps: {"kind": "table", "grid": _table_grid(steps)},
+                  st.lists(st.tuples(positive, st.floats(min_value=0.0, max_value=1e3)), min_size=1, max_size=4)),
+    )
+    samples = st.integers(min_value=1, max_value=10**6)
+    n_max = st.integers(min_value=1, max_value=100)
+    return st.one_of(
+        st.builds(lambda name: {"name": name}, st.sampled_from(["lemma21", "theorem31", "theorem32"])),
+        st.builds(lambda name, g, k: {"name": name, "phi": g, "samples": k},
+                  st.sampled_from(["theorem33", "condition_I"]), phi, samples),
+        st.builds(lambda k: {"name": "certify", "class": "nonexpansive", "samples": k}, samples),
+        st.builds(lambda c, sch, n, k: {"name": "certify", "class": c, "schedule": sch, "n_max": n, "samples": k},
+                  st.sampled_from(["nearly_nonexpansive", "asymptotically_nonexpansive"]),
+                  _schedule_docs(), n_max, samples),
+        st.builds(lambda L, n, k: {"name": "certify", "class": "uniformly_lipschitz", "L": L, "n_max": n, "samples": k},
+                  positive, n_max, samples),
+    )
+
+
+@st.composite
+def scenario_docs(draw):
+    dim = draw(st.integers(min_value=1, max_value=4))
+    scheme = draw(st.sampled_from(cli.SCHEMES))
+    schedules = {}
+    if scheme != "picard" or draw(st.booleans()):
+        schedules["alpha"] = draw(_schedule_docs())
+    if scheme == "ishikawa":
+        schedules["beta"] = draw(_schedule_docs())
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "name": draw(st.from_regex(r"[A-Za-z0-9._-]{1,12}", fullmatch=True)),
+        "space": {"dim": dim, "p": draw(st.one_of(st.just("inf"), st.floats(min_value=1.0, max_value=64.0)))},
+        "mapping": {"id": draw(st.sampled_from(cli.CATALOG_IDS)),
+                    "parameters": draw(st.dictionaries(st.sampled_from(["q", "a", "b"]), reals, max_size=3))},
+        "scheme": scheme,
+        "schedules": schedules,
+        "x0": draw(st.lists(reals, min_size=dim, max_size=dim)),
+        "checks": draw(st.lists(_check_docs(), max_size=4)),
+    }
+    if draw(st.booleans()):
+        doc["max_steps"] = draw(st.integers(min_value=1, max_value=10**6))
+        doc["stop_tolerance"] = draw(reals)
+    return doc
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(doc=scenario_docs())
+@example(doc=GOOD)
+def test_scenario_round_trip(doc):
+    # Every scenario the parser accepts survives a dump/parse cycle, in memory and through JSON.
+    s = cli.scenario_from_dict(doc)
+    assert cli.scenario_from_dict(cli.scenario_to_dict(s)) == s
+    assert cli.scenario_from_dict(json.loads(json.dumps(cli.scenario_to_dict(s)))) == s
 
 
 def test_scenario_defaults_applied_at_parse():
@@ -183,12 +262,23 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
                  checks=[{"name": "condition_I", "phi": {"kind": "power", "lam": 1, "gamma": 1e6},
                           "samples": 500}]),
     ]
-    for i, doc in enumerate(bad):
+    # Non-finite gauges, written as the Infinity and NaN tokens JSON readers accept.
+    gauges = {
+        "checks[0].phi.lam": {"kind": "linear", "lam": math.inf},
+        "checks[0].phi.gamma": {"kind": "power", "lam": 1.0, "gamma": math.nan},
+        "checks[0].phi.grid[1][0]": {"kind": "table", "grid": [[0.0, 0.0], [math.inf, 0.5]]},
+    }
+    bad = [(doc, "") for doc in bad] + [
+        (_variant(checks=[{"name": "condition_I", "phi": phi, "samples": 500}]), f": {where}: must be finite")
+        for where, phi in gauges.items()
+    ]
+    for i, (doc, where) in enumerate(bad):
         out = tmp_path / f"out{i}"
         path = _write(tmp_path, doc, f"bad{i}.json")
         code = cli.main(["run", path, "--output", str(out), "--quiet"])
         assert code == 1, i
-        assert capsys.readouterr().err.startswith("error: "), i
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err, (i, err)
         assert not out.exists() or list(out.iterdir()) == [], i
 
 
@@ -291,6 +381,9 @@ def test_modulus_reports_estimate(capsys):
     assert doc["estimate"] == pytest.approx(1.0 - (0.75 ** 0.5), abs=1e-6)
     assert cli.main(["modulus", "--p", "inf", "--dim", "2", "--epsilon", "1.0"]) == 0
     capsys.readouterr()
+    # Rejection from the cube would keep 1 draw in 3.5e10 here.
+    assert cli.main(["modulus", "--p", "2", "--dim", "25", "--epsilon", "1.0", "--samples", "10"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["best_witness"]["x"]) == 25
 
 
 def test_modulus_infeasible_epsilon_exits_one(capsys):

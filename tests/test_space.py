@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from fixiter import (
     Ball,
@@ -14,6 +17,7 @@ from fixiter import (
     Vector,
     combine,
     domain_membership,
+    make_linear_contraction,
     modulus_of_convexity_estimate,
     norm,
 )
@@ -208,3 +212,96 @@ def test_modulus_deterministic():
     a = modulus_of_convexity_estimate(sp, 1.2, 4_000, 7)
     b = modulus_of_convexity_estimate(sp, 1.2, 4_000, 7)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# unit-ball sampler
+
+SAMPLER_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# Both regimes: rejection serves dims 1 and 2 for every p, dim 3 for p = 2 and 3,
+# dim 4 for p = 3 and p = inf everywhere; the exact sampler serves the rest.
+SAMPLER_DIMS = [1, 2, 3, 4, 16, 40]
+
+
+def _rejection_reference(space, rng, count):
+    """The rejection loop every unit-ball stream came from before the exact sampler."""
+    kept = []
+    total = 0
+    while total < count:
+        batch = rng.uniform(-1.0, 1.0, size=(4096, space.dim))
+        inside = batch[space.norm_rows(batch) <= 1.0]
+        kept.append(inside)
+        total += len(inside)
+    return np.concatenate(kept)[:count]
+
+
+class _CountingGenerator:
+    """Forwards to a numpy Generator and counts every number it hands out."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            out = method(*args, **kwargs)
+            self.drawn += np.size(out)
+            return out
+
+        return draw
+
+
+def test_ball_acceptance_closed_form():
+    assert NormedSpace(2, 1.0).ball_acceptance() == 0.5  # 1 / 2! exactly, so rejection serves it
+    assert NormedSpace(3, 2.0).ball_acceptance() == pytest.approx(math.pi / 6.0, rel=1e-14)
+    assert NormedSpace(40, math.inf).ball_acceptance() == 1.0
+    assert NormedSpace(10**6, 1.0).ball_acceptance() == 0.0  # G(1 + dim) overflows
+
+
+@SAMPLER_SETTINGS
+@given(p=st.sampled_from(P_VALUES), dim=st.sampled_from(SAMPLER_DIMS),
+       count=st.integers(min_value=1, max_value=300), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       radius=st.floats(min_value=0.1, max_value=10.0))
+def test_ball_sampler_properties(p, dim, count, seed, radius):
+    sp = NormedSpace(dim, p)
+    pts = sp.unit_ball_points(np.random.default_rng(seed), count)
+    assert pts.shape == (count, dim)
+    again = sp.unit_ball_points(np.random.default_rng(seed), count)
+    assert pts.tobytes() == again.tobytes()
+    if sp.ball_acceptance() >= 0.5:
+        ref = _rejection_reference(sp, np.random.default_rng(seed), count)
+        assert pts.tobytes() == ref.tobytes()
+    ball = Ball(Vector((1.0,) * dim), radius)
+    for row in ball.sample(sp, np.random.default_rng(seed), count):
+        assert ball.contains(sp, Vector.from_array(row))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 16, 40])
+@pytest.mark.parametrize("p", P_VALUES)
+def test_ball_sampler_is_uniform(p, dim):
+    # Uniform in the ball: the radius has CDF r**dim, and each coordinate's sign
+    # is a fair coin.  Loose levels; the seed is fixed, so the outcome is too.
+    sp = NormedSpace(dim, p)
+    pts = sp.unit_ball_points(np.random.default_rng(2005), 4000)
+    radial = stats.kstest(sp.norm_rows(pts) ** dim, "uniform")
+    assert radial.pvalue > 1e-3, radial
+    for column in pts.T:
+        signs = stats.binomtest(int(np.sum(column > 0.0)), len(column))
+        assert signs.pvalue > 1e-4 / dim, signs
+
+
+@pytest.mark.parametrize("p,dim", [(1.0, 50), (2.0, 25)])
+def test_ball_sampler_draws_grow_linearly_with_dim(p, dim):
+    # Rejection from the cube would draw 1000 * dim / acceptance numbers here:
+    # over 1e60 at (1, 50) and about 1e11 at (2, 25).
+    rng = _CountingGenerator(0)
+    pts = NormedSpace(dim, p).unit_ball_points(rng, 1000)
+    assert pts.shape == (1000, dim)
+    assert rng.drawn <= 3 * 1000 * dim
+
+
+def test_contraction_builds_at_dim_50():
+    # build_mapping draws 1100 probe points from the unit ball.
+    assert make_linear_contraction(0.5, 50).space.dim == 50
