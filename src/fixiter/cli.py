@@ -492,7 +492,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     near = near_schedule_for(m)
     alpha = traj.config.alpha
-    a = [distance_to_fixed_set(m, traj.iterates[0])]
+    a = [distance_to_fixed_set(m, traj.config.x0)]
     a.extend(rec.dist_to_known_fp for rec in traj.records)
     b = [(1.0 + (alpha.at(rec.n) if alpha is not None else 0.0)) * near.at(rec.n)
          for rec in traj.records]

@@ -45,8 +45,6 @@ _POWER_SAMPLES = 100
 _POWER_N_MAX = 20
 _POWER_TOL = 1e-10
 _DISCONTINUITY_OFFSETS = (1e-3, 1e-6)
-# Relative slack for rounding when a screen combines norms and coefficients.
-_ROUNDING = 16 * float(np.finfo(float).eps)
 # What a screen may raise on a row it cannot evaluate; the scalar path then
 # runs instead and raises the same error for the same candidate.
 _SCREEN_ERRORS = (FixiterError, ArithmeticError, ValueError)
@@ -158,6 +156,8 @@ def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
 
 def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> np.ndarray:
     """``fn(n)`` for each entry of ``ns``, evaluated once per distinct n in Python floats."""
+    if len(ns) == 1:  # one row per step in the scheme engine, where np.unique costs most
+        return np.array([fn(int(ns[0]))], dtype=float)
     distinct, index = np.unique(ns, return_inverse=True)
     return np.array([fn(int(n)) for n in distinct], dtype=float)[index]
 
@@ -288,8 +288,7 @@ def build_mapping(
             for step in range(1, int(ns.max()) + 1):
                 live = ns >= step
                 iterated[live] = _apply_rows(m, iterated[live])
-            gap = space.norm_rows(_power_rows(m, ns, xs) - iterated)
-            return gap + space.norm_rows_error(gap) <= _POWER_TOL
+            return space.norm_rows(_power_rows(m, ns, xs) - iterated) <= _POWER_TOL
 
         agree = _screen(agreeing)
         for row, n in zip(xs, ns) if agree is None else zip(xs[~agree], ns[~agree]):
@@ -384,8 +383,9 @@ def _certify(
     """The certificate kernel every certifier shares: screen, then confirm.
 
     ``screen()`` evaluates all ``count`` candidates as arrays and returns a
-    lower and an upper bound on each one's violation, or None when some row
-    cannot be bounded (outside the domain or near its boundary).  The
+    lower and an upper bound on each one's violation (equal where the array
+    operations are the scalar ones), or None when some row cannot be
+    evaluated (it lies outside the domain).  The
     candidates that may be the first strict maximum are then evaluated by
     ``violation(candidate(i))`` in candidate order, and the first strict
     maximum is the witness, so the result is exactly that of evaluating every
@@ -462,14 +462,10 @@ def _certify_pairs(
         TX, TY = _power_rows(m, N, X), _power_rows(m, N, Y)
         if not all(m.domain.inside_rows(m.space, R).all() for R in (X, Y, TX, TY)):
             return None
-        lhs, dist = m.space.norm_rows(TX - TY), m.space.norm_rows(X - Y)
         c, b = _per_n(terms, N).T
-        # The same operations as the scalar violations, so exact where the norms are.
-        v = lhs - c * dist - b
-        err = m.space.norm_rows_error(lhs) + np.abs(c) * m.space.norm_rows_error(dist)
-        if err.any():
-            err += _ROUNDING * (lhs + np.abs(c * dist) + np.abs(b))
-        return v - err, v + err
+        # The scalar violations' operations on the same values, so exact.
+        v = m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
+        return v, v
 
     return _certify(property_name, (1, n_max), special + sample_count, candidate,
                     lambda w: violation(w.n, w.x, w.y), screen, sample_count)

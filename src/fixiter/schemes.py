@@ -25,11 +25,14 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import Mapping, apply_power, distance_to_fixed_set
+from .mappings import Mapping, _power_rows, apply_power, distance_to_fixed_set
 from .schedules import Schedule
-from .space import Vector, combine, domain_membership
+from .space import Vector
 
 SCHEMES = (
     "picard",
@@ -208,10 +211,12 @@ class StepRecord:
     applications: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Iterates x_0 .. x_N plus one record per step n = 1 .. N.
 
+    ``points`` holds the iterates as the rows of one read-only (N + 1, dim)
+    float64 array; ``iterates`` boxes them into Vectors on first use.
     Record n describes the step that produced x_n: the displacement from
     x_{n-1}, the residuals ||x_n - T x_n|| and ||x_n - T^n x_n|| (the power
     index is the step's own n), the distance to the known fixed-point set when
@@ -220,9 +225,23 @@ class Trajectory:
     """
 
     config: RunConfig
-    iterates: tuple[Vector, ...]
+    points: np.ndarray
     records: tuple[StepRecord, ...]
     stop_reason: str  # tolerance | max_steps | domain_exit
+
+    def __eq__(self, other):
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return ((self.config, self.records, self.stop_reason)
+                == (other.config, other.records, other.stop_reason)
+                and np.array_equal(self.points, other.points))
+
+    def __hash__(self):
+        return hash((self.config, self.records, self.stop_reason))
+
+    @cached_property
+    def iterates(self) -> tuple[Vector, ...]:
+        return tuple(Vector(x) for x in self.points.tolist())
 
     @property
     def scheme(self) -> str:
@@ -234,7 +253,7 @@ class Trajectory:
 
     @property
     def final(self) -> Vector:
-        return self.iterates[-1]
+        return Vector.from_array(self.points[-1])
 
     @property
     def total_applications(self) -> int:
@@ -264,8 +283,64 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigurationError(f"schedule invalid for {config.scheme}: {failed}")
 
 
+# Each scheme's update as stages run in order on z, which starts at x = x_{n-1}:
+# z <- T^k z, with k = n for a power stage and 1 otherwise, then, for a stage
+# with a weight schedule w, z <- (1 - w(n)) x + w(n) z.  The final z is x_n.
+_STAGES = {
+    "picard": ((None, False),),
+    "mann": (("alpha", False),),
+    "ishikawa": (("beta", False), ("alpha", False)),
+    "modified_mann": (("alpha", True),),
+    "pm_hybrid": (("alpha", False), (None, False)),
+    "modified_pm_hybrid": (("alpha", True), (None, True)),
+}
+# Steps the trajectory array first has room for; it doubles when full.
+_CHUNK = 1024
+_ONE = np.ones(1, dtype=int)
+_ONE.flags.writeable = False
+
+
+def _inside(m: Mapping, row: np.ndarray) -> bool:
+    """Whether the domain's scalar test accepts the point in a (1, dim) row.
+
+    ``inside_rows`` decides a row it accepts; a row it rejects is built as a
+    Vector, which raises ContractError when it is not finite, and decided by
+    ``contains``.
+    """
+    return bool(m.domain.inside_rows(m.space, row)[0]) or m.domain.contains(
+        m.space, Vector.from_array(row[0]))
+
+
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int) -> np.ndarray | None:
+    """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
+
+    Schedules, evaluators and domain tests run in the order that
+    ``apply_power``, ``combine`` and ``domain_membership`` run them on
+    Vectors, so an error comes from the same call as it would there.
+    """
+    z = x
+    for schedule, power in stages:
+        w = None if schedule is None else schedule.at(n)
+        z = _power_rows(m, np.array([n]) if power else _ONE, z)
+        if not _inside(m, z):
+            return None
+        if w is not None:
+            z = (1.0 - w) * x + w * z
+            if not _inside(m, z):
+                return None
+    return z
+
+
 def run_scheme(config: RunConfig) -> Trajectory:
-    """Execute the configured scheme and record the trajectory."""
+    """Execute the configured scheme and record the trajectory.
+
+    The update runs step by step on rows of one float64 array, through the
+    mapping's row evaluators where it declares them.  The step records are
+    computed afterwards as array columns.  Both give exactly what evaluating
+    every step on Vectors gives, errors included: an error the update raises
+    is held until the records of the steps before it are computed, since
+    those were computed, and could raise, first.
+    """
     _validate_config(config)
     m = config.mapping
     space = m.space
@@ -277,66 +352,92 @@ def run_scheme(config: RunConfig) -> Trajectory:
             stacklevel=2,
         )
 
-    power_cost = (lambda n: 1) if m.has_power else (lambda n: n)
-    iterates: list[Vector] = [config.x0]
-    records: list[StepRecord] = []
-    stop_reason = "max_steps"
-
+    stages = [(None if w is None else getattr(config, w), power) for w, power in _STAGES[config.scheme]]
+    tol = config.stop_tolerance
+    X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
+    X[0] = config.x0.coords
+    steps, stop_reason, error = 0, "max_steps", None
     for n in range(1, config.max_steps + 1):
-        x = iterates[-1]
+        x = X[n - 1:n]
         try:
-            if config.scheme == "picard":
-                nxt = apply_power(m, 1, x)
-                cost = 1
-            elif config.scheme == "mann":
-                nxt = combine(config.alpha.at(n), x, apply_power(m, 1, x))
-                cost = 1
-            elif config.scheme == "ishikawa":
-                y = combine(config.beta.at(n), x, apply_power(m, 1, x))
-                if not domain_membership(m.domain, space, y):
-                    raise DomainError(f"auxiliary point {y.coords} left the domain at step {n}")
-                nxt = combine(config.alpha.at(n), x, apply_power(m, 1, y))
-                cost = 2
-            elif config.scheme == "modified_mann":
-                nxt = combine(config.alpha.at(n), x, apply_power(m, n, x))
-                cost = power_cost(n)
-            elif config.scheme == "pm_hybrid":
-                y = combine(config.alpha.at(n), x, apply_power(m, 1, x))
-                if not domain_membership(m.domain, space, y):
-                    raise DomainError(f"auxiliary point {y.coords} left the domain at step {n}")
-                nxt = apply_power(m, 1, y)
-                cost = 2
-            else:  # modified_pm_hybrid
-                y = combine(config.alpha.at(n), x, apply_power(m, n, x))
-                if not domain_membership(m.domain, space, y):
-                    raise DomainError(f"auxiliary point {y.coords} left the domain at step {n}")
-                nxt = apply_power(m, n, y)
-                cost = 2 * power_cost(n)
-            if not domain_membership(m.domain, space, nxt):
-                raise DomainError(f"iterate {nxt.coords} left the domain at step {n}")
-        except DomainError:
+            nxt = _step(m, stages, x, n)
+        except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
+            nxt = None
+        except Exception as e:  # raised below, once the records before it are computed
+            error = e
+            break
+        if nxt is None:
             stop_reason = "domain_exit"
             break
-
-        records.append(StepRecord(
-            n=n,
-            step_norm=space.norm(nxt - x),
-            residual_T=space.norm(nxt - apply_power(m, 1, nxt)),
-            residual_Tn=space.norm(nxt - apply_power(m, n, nxt)),
-            dist_to_known_fp=distance_to_fixed_set(m, nxt),
-            applications=cost,
-        ))
-        iterates.append(nxt)
-        if records[-1].step_norm <= config.stop_tolerance:
+        if n == len(X):
+            X = np.concatenate((X, np.empty((min(n, config.max_steps + 1 - n), space.dim))))
+        X[n] = nxt[0]
+        steps = n
+        if tol >= 0.0 and space.norm_rows(nxt - x)[0] <= tol:
             stop_reason = "tolerance"
             break
 
-    return Trajectory(
-        config=config,
-        iterates=tuple(iterates),
-        records=tuple(records),
-        stop_reason=stop_reason,
+    points = X[: steps + 1]
+    points.flags.writeable = False
+    fixed = sum(not power for _, power in stages)
+    powered = len(stages) - fixed
+    costs = [fixed + powered * (1 if m.has_power else n) for n in range(1, steps + 1)]
+    records = _records(m, points, costs)
+    if error is not None:
+        raise error
+    return Trajectory(config=config, points=points, records=records, stop_reason=stop_reason)
+
+
+def _records(m: Mapping, points: np.ndarray, costs: list[int]) -> tuple[StepRecord, ...]:
+    """The step records of a trajectory, as array columns; when a column
+    cannot be computed that way, step by step on Vectors, which raises the
+    first error in step order."""
+    try:
+        with np.errstate(all="ignore"):
+            columns = _record_columns(m, points)
+    except Exception:  # the step-by-step path raises it, in step order
+        columns = None
+    if columns is None:
+        return tuple(_scalar_records(m, points, costs))
+    return tuple(
+        StepRecord(n=n, step_norm=s, residual_T=r1, residual_Tn=rn, dist_to_known_fp=d, applications=c)
+        for n, s, r1, rn, d, c in zip(range(1, len(points)), *columns, costs)
     )
+
+
+def _record_columns(m: Mapping, points: np.ndarray) -> list[list] | None:
+    """step_norm, residual_T, residual_Tn and dist_to_known_fp of every step,
+    or None when an image leaves the domain or a value is not finite."""
+    space, prev, cur = m.space, points[:-1], points[1:]
+    ns = np.arange(1, len(points))
+    images = [_power_rows(m, np.ones_like(ns), cur), _power_rows(m, ns, cur)]
+    if not all(m.domain.inside_rows(space, T).all() for T in images):
+        return None
+    columns = [space.norm_rows(cur - prev)] + [space.norm_rows(cur - T) for T in images]
+    measured = m.meta.known_fixed_points and not m.meta.fixed_set_is_domain
+    if measured:
+        columns.append(np.min([space.norm_rows(cur - p.array) for p in m.meta.known_fixed_points], axis=0))
+    if not all(np.isfinite(c).all() for c in columns):
+        return None
+    columns = [c.tolist() for c in columns]
+    if not measured:  # as distance_to_fixed_set: 0.0 when every point is fixed, else None
+        columns.append([0.0 if m.meta.fixed_set_is_domain else None] * len(cur))
+    return columns
+
+
+def _scalar_records(m: Mapping, points: np.ndarray, costs: list[int]):
+    """The step records evaluated one step at a time on Vectors."""
+    space = m.space
+    xs = [Vector(x) for x in points.tolist()]
+    for n, (prev, x, cost) in enumerate(zip(xs, xs[1:], costs), start=1):
+        yield StepRecord(
+            n=n,
+            step_norm=space.norm(x - prev),
+            residual_T=space.norm(x - apply_power(m, 1, x)),
+            residual_Tn=space.norm(x - apply_power(m, n, x)),
+            dist_to_known_fp=distance_to_fixed_set(m, x),
+            applications=cost,
+        )
 
 
 def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float:
@@ -378,10 +479,9 @@ def trajectory_csv_rows(traj: Trajectory) -> list[list[str]]:
         "step_norm", "residual_T", "residual_Tn", "dist_to_known_fp",
     ]
     rows = [header]
-    for rec in traj.records:
-        x = traj.iterates[rec.n]
+    for rec, x in zip(traj.records, traj.points[1:].tolist()):
         rows.append(
-            [str(rec.n)] + [_fmt(c) for c in x.coords]
+            [str(rec.n)] + [_fmt(c) for c in x]
             + [_fmt(rec.step_norm), _fmt(rec.residual_T), _fmt(rec.residual_Tn),
                _fmt(rec.dist_to_known_fp)]
         )

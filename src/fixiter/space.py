@@ -26,10 +26,6 @@ _BALL_BATCH = 4096
 # dimension.  At or above one half the loop cannot spin, and every ball stream
 # that a shipped output pins (dim <= 2) stays on it.
 _REJECTION_MIN_ACCEPTANCE = 0.5
-_EPS = float(np.finfo(float).eps)
-# Ulps per coordinate by which ``norm_rows`` may differ from ``norm``; the
-# worst seen is 2 (numpy 2.4 on x86-64, dims 1 to 100, p in {1, 1.5, 2, 3, inf}).
-_NORM_ROWS_ULPS = 16
 
 
 @dataclass(frozen=True)
@@ -39,10 +35,10 @@ class Vector:
     coords: tuple[float, ...]
 
     def __post_init__(self):
-        coords = tuple(float(c) for c in self.coords)
+        coords = tuple(map(float, self.coords))
         if len(coords) == 0:
             raise ContractError("vector must have dimension >= 1")
-        if not all(math.isfinite(c) for c in coords):
+        if not all(map(math.isfinite, coords)):
             raise ContractError(f"vector has non-finite coordinates: {coords}")
         object.__setattr__(self, "coords", coords)
 
@@ -58,7 +54,7 @@ class Vector:
 
     @staticmethod
     def from_array(arr: np.ndarray | Iterable[float]) -> "Vector":
-        return Vector(tuple(float(c) for c in np.asarray(arr, dtype=float)))
+        return Vector(np.asarray(arr, dtype=float).tolist())
 
     def __add__(self, other: "Vector") -> "Vector":
         return Vector.from_array(self.array + other.array)
@@ -105,23 +101,27 @@ class NormedSpace:
         return float(np.linalg.norm(v.array, ord=ord_))
 
     def norm_rows(self, points: np.ndarray) -> np.ndarray:
-        """Norms of an (n, dim) array of row vectors."""
-        ord_ = np.inf if self.p == math.inf else self.p
-        return np.linalg.norm(points, ord=ord_, axis=1)
+        """Norms of an (n, dim) array of row vectors, each equal to ``norm`` of its row bit for bit.
 
-    def norm_rows_error(self, norms: np.ndarray) -> np.ndarray:
-        """A bound on how far each ``norm_rows`` value may sit from ``norm`` of the same row.
-
-        Zero where both run the same floating-point operations: for p = inf (a
-        maximum of |x_i|) and, at dim 1, for p = 1 (|x|) and p = 2 (sqrt(x*x)).
-        Elsewhere they may sum |x_i|**p in different orders and round the powers
-        differently, so they agree to a few ulps per coordinate; where the powers
-        underflow (a norm below 2**(-1022/p)) only an absolute bound holds.
+        Each row goes through the floating-point operations that ``np.linalg.norm``
+        runs on one vector: for p = 2 the square root of the same BLAS dot (a
+        stacked matmul of vector by vector calls it), for p = 1 and p = inf the
+        same reductions, and otherwise the same sum of |x_i|**p with the root
+        taken per row by ``math.pow``, since numpy's power rounds differently on
+        an array than on the one-element result of the single-vector path.
+        The rows are copied to C order first, so each reduction runs along
+        contiguous memory as it does for one vector.
         """
-        if self.p == math.inf or (self.dim == 1 and self.p in (1.0, 2.0)):
-            return np.zeros_like(norms)
-        floor = 0.0 if self.p == 1.0 else 2.0 ** (1.0 - 1022.0 / self.p)
-        return _NORM_ROWS_ULPS * (self.dim + 4) * _EPS * np.abs(norms) + floor
+        X = np.ascontiguousarray(points, dtype=float)
+        if self.p == 2.0:
+            return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+        if self.p == 1.0:
+            return np.add.reduce(np.abs(X), axis=1)
+        if self.p == math.inf:
+            return np.abs(X).max(axis=1)
+        sums = np.add.reduce(np.abs(X) ** self.p, axis=1)
+        root = 1.0 / self.p
+        return np.array([math.pow(s, root) for s in sums.tolist()], dtype=float)
 
     def distance(self, x: Vector, y: Vector) -> float:
         return self.norm(x - y)
@@ -198,10 +198,14 @@ class Box:
             raise ContractError(f"dimension mismatch: box has dim {self.dim}, vector has dim {v.dim}")
         return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(v.coords, self.lows, self.highs))
 
+    @cached_property
+    def _bounds(self) -> np.ndarray:
+        return np.array([self.lows, self.highs])
+
     def inside_rows(self, space: NormedSpace, points: np.ndarray, tol: float = TAU_DOM) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; the comparisons are the same, so exactly."""
-        lows, highs = np.asarray(self.lows), np.asarray(self.highs)
-        return np.all((lows - tol <= points) & (points <= highs + tol), axis=1)
+        lows, highs = self._bounds
+        return ((lows - tol <= points) & (points <= highs + tol)).all(axis=1)
 
     def diameter(self, space: NormedSpace) -> float:
         side = Vector(tuple(hi - lo for lo, hi in zip(self.lows, self.highs)))
@@ -238,10 +242,10 @@ class Ball:
         return space.distance(v, self.center) <= self.radius + tol
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray, tol: float = TAU_DOM) -> np.ndarray:
-        """Rows of a (k, dim) array that ``contains`` accepts even allowing for the
-        rounding of ``norm_rows``; a row within that rounding of the sphere reads False."""
-        d = space.norm_rows(points - self.center.array)
-        return d + space.norm_rows_error(d) <= self.radius + tol
+        """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so
+        exactly.  A row whose offset from the center is not finite reads False
+        (``contains`` raises ContractError on it)."""
+        return space.norm_rows(points - self.center.array) <= self.radius + tol
 
     def diameter(self, space: NormedSpace) -> float:
         return 2.0 * self.radius

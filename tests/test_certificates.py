@@ -281,3 +281,21 @@ def test_screen_defers_errors_to_the_scalar_loop():
     demo = make_asymptotically_nonexpansive_example(3)
     with pytest.raises(ContractError, match="power gauge overflows"):
         certify_condition_I(demo, PhiSpec("power", lam=1.0, gamma=1e6), 50, 0)
+
+
+def test_all_tie_certificate_confirms_one_candidate(monkeypatch, capsys):
+    # Every violation of the identity is exactly 0.  The array norms are the
+    # scalar ones, so the screen keeps the first candidate alone.
+    import fixiter.mappings
+    from fixiter import cli
+
+    confirmed = []
+
+    def counting(*args):
+        confirmed.append(args)
+        return uniform_lipschitz_violation(*args)
+
+    monkeypatch.setattr(fixiter.mappings, "uniform_lipschitz_violation", counting)
+    assert cli.main(["certify", "identity", "--class", "nonexpansive", "--dim", "2"]) == 0
+    assert '"sample_count": 1001' in capsys.readouterr().out
+    assert len(confirmed) == 1

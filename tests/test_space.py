@@ -13,6 +13,7 @@ from fixiter import (
     Box,
     ContractError,
     InfeasibleError,
+    TAU_DOM,
     NormedSpace,
     Vector,
     combine,
@@ -51,6 +52,36 @@ def test_norm_properties_sampled():
         assert np.allclose(scaled, np.abs(cs) * nx, rtol=1e-12, atol=1e-12)
         assert np.allclose(sp.norm_rows(-xs), nx)
         assert np.all(nx >= 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 7.0, math.inf]), dim=st.integers(1, 40),
+       rows=st.integers(1, 20), offset=st.integers(0, 3), row_step=st.integers(1, 3),
+       col_step=st.integers(1, 3), fortran=st.booleans(),
+       scale=st.sampled_from([1e-200, 1e-5, 1.0, 1e5, 1e150]), seed=st.integers(0, 2**32 - 1))
+def test_norm_rows_equals_norm_bit_for_bit(p, dim, rows, offset, row_step, col_step, fortran, scale, seed):
+    # Rows taken at odd offsets and strides, or from Fortran-ordered memory,
+    # at scales where the powers underflow or overflow.
+    rng = np.random.default_rng(seed)
+    big = rng.standard_normal((offset + rows * row_step, offset + dim * col_step)) * scale
+    X = big[offset::row_step, offset::col_step]
+    if fortran:
+        X = np.asfortranarray(X)
+    sp = NormedSpace(dim, p)
+    with np.errstate(all="ignore"):
+        got = sp.norm_rows(X)
+        scalar = np.array([sp.norm(Vector.from_array(x)) for x in X])
+    assert got.shape == (rows,)
+    assert got.tobytes() == scalar.tobytes()
+
+
+def test_vector_boxing_errors():
+    assert Vector([1, 2.5]).coords == (1.0, 2.5)
+    assert Vector.from_array(np.array([0.5, -1.0])).coords == (0.5, -1.0)
+    with pytest.raises(ContractError, match="dimension >= 1"):
+        Vector(())
+    with pytest.raises(ContractError, match=r"non-finite coordinates: \(1.0, inf\)"):
+        Vector.from_array(np.array([1.0, np.inf]))
 
 
 def test_distance_is_a_metric_pointwise():
@@ -120,6 +151,17 @@ def test_ball_membership_clip_diameter():
     clipped = ball.clip(sp, Vector((3.0, 4.0)))
     assert norm(sp, clipped) == pytest.approx(1.0)
     assert ball.diameter(sp) == 2.0
+
+
+def test_inside_rows_equals_contains_at_the_tolerance():
+    # Rows on, just inside and just outside the tolerance band of each face.
+    for p in P_VALUES:
+        sp = NormedSpace(1, p)
+        for domain, edge in ((Box((-0.5,), (0.5,)), 0.5), (Ball(Vector((0.0,)), 0.5), 0.5)):
+            at = edge + TAU_DOM
+            rows = np.array([[at], [np.nextafter(at, 0.0)], [np.nextafter(at, 1.0)], [-at], [0.0]])
+            expected = [domain.contains(sp, Vector.from_array(x)) for x in rows]
+            assert domain.inside_rows(sp, rows).tolist() == expected == [True, True, False, True, True]
 
 
 def test_domain_sampling_stays_inside():
