@@ -23,7 +23,6 @@ from .mappings import (
     Mapping,
     Witness,
     _certify,
-    _power_rows,
     apply_power,
     distance_to_fixed_set,
     special_points,
@@ -527,7 +526,7 @@ def certify_condition_I(
 
     def screen():
         X = np.concatenate([np.reshape([p.coords for p in points], (-1, space.dim)), sampled])
-        TX = _power_rows(m, np.ones(len(X), dtype=int), X)
+        TX = m.power_rows(np.ones(len(X), dtype=int), X)
         if not (m.domain.inside_rows(space, X).all() and m.domain.inside_rows(space, TX).all()):
             return None
         res = space.norm_rows(X - TX)

@@ -3,10 +3,10 @@
 A ``Mapping`` bundles a point evaluator with its domain, the space whose norm
 measures it, an optional closed-form power ``T^n``, and metadata (declared
 class, known fixed points, coefficient schedules, discontinuity points).
-A map may also declare row evaluators that apply it to a (k, dim) array of
-points at once; they must equal the scalar ones bit for bit.  Construction
-samples the map to certify that it is a self-map and that any registered
-power agrees with repeated application.
+A map gives its evaluators on points or on (k, dim) arrays of rows, and the
+other form is derived when the map is built.  Construction samples the map to
+certify that it is a self-map and that any registered power agrees with
+repeated application.
 
 Certification of a mapping class is sampling-based and one-sided: "certified"
 means no violation was found at the given budget, never a proof.  Every
@@ -66,14 +66,35 @@ class Mapping:
     mapping_id: str
     space: NormedSpace
     domain: Domain
-    apply: Callable[[Vector], Vector]
+    apply: Callable[[Vector], Vector] | None
     power: Callable[[int, Vector], Vector] | None
     meta: MappingMeta
     parameters: tuple[tuple[str, float], ...] = ()
-    # Optional row evaluators on (k, dim) arrays: apply_rows(X), and
-    # power_rows(ns, X) with one power index ns[i] >= 1 per row.
+    # Row evaluators on (k, dim) arrays: apply_rows(X), and power_rows(ns, X)
+    # with one power index ns[i] >= 1 per row.  A map gives rows or scalars,
+    # and __post_init__ derives the missing form: scalars as one-row views of
+    # the rows, rows as loops over the scalars.  Without a closed form, power
+    # stays None and power_rows iterates each row on Vectors.
     apply_rows: Callable[[np.ndarray], np.ndarray] | None = None
     power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        apply, power, apply_rows, power_rows = self.apply, self.power, self.apply_rows, self.power_rows
+        if apply is None and apply_rows is None:
+            raise ContractError(f"mapping '{self.mapping_id}' declares neither apply nor apply_rows")
+        derived = {}
+        if apply is None:
+            derived["apply"] = lambda x: Vector.from_array(apply_rows(x.array[None])[0])
+        if apply_rows is None:
+            derived["apply_rows"] = lambda X: _stack((apply(Vector.from_array(x)) for x in X), X.shape)
+        if power is None and power_rows is not None:
+            derived["power"] = lambda n, x: x if n == 0 else Vector.from_array(
+                power_rows(np.array([n]), x.array[None])[0])
+        elif power_rows is None:
+            derived["power_rows"] = lambda ns, X: _stack(
+                (_iterate(self, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape)
+        for name, fn in derived.items():
+            object.__setattr__(self, name, fn)
 
     @property
     def has_power(self) -> bool:
@@ -166,21 +187,6 @@ def _stack(vectors: Iterable[Vector], shape: tuple[int, ...]) -> np.ndarray:
     return np.array([v.coords for v in vectors], dtype=float).reshape(shape)
 
 
-def _apply_rows(m: Mapping, X: np.ndarray) -> np.ndarray:
-    """T applied to each row of X: by the map's row evaluator, else row by row."""
-    if m.apply_rows is not None:
-        return m.apply_rows(X)
-    return _stack((m.apply(Vector.from_array(x)) for x in X), X.shape)
-
-
-def _power_rows(m: Mapping, ns: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Row i is T^ns[i] X[i], ns >= 1, as ``apply_power`` computes it but without
-    its domain checks: by the map's row evaluator, else row by row."""
-    if m.power_rows is not None:
-        return m.power_rows(ns, X)
-    return _stack((_iterate(m, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape)
-
-
 def _screen(fn: Callable[[], object]) -> object:
     """``fn()`` with numpy's warnings off, or None when it raises on some row."""
     try:
@@ -224,7 +230,7 @@ def build_mapping(
     mapping_id: str,
     space: NormedSpace,
     domain: Domain,
-    apply: Callable[[Vector], Vector],
+    apply: Callable[[Vector], Vector] | None = None,
     power: Callable[[int, Vector], Vector] | None = None,
     meta: MappingMeta = MappingMeta(),
     parameters: dict | None = None,
@@ -234,10 +240,10 @@ def build_mapping(
 ) -> Mapping:
     """Assemble a Mapping and certify its construction invariants by sampling.
 
-    ``apply_rows(X)`` and ``power_rows(ns, X)`` optionally evaluate the map on
-    a (k, dim) array, one point per row and one power index ns[i] >= 1 per
-    row; they must equal ``apply`` and ``power`` bit for bit.  Without them,
-    every row evaluation loops over the scalar evaluators.
+    A map gives ``apply``, or ``apply_rows(X)`` on a (k, dim) array of rows,
+    or both; likewise ``power`` or ``power_rows(ns, X)``, with one power index
+    ns[i] >= 1 per row.  The missing form is derived from the given one (see
+    ``Mapping``); where both are given they must agree bit for bit.
 
     Checks, each with a fixed internal seed so construction is reproducible:
     * the evaluator maps the domain into itself (uniform samples plus the
@@ -247,14 +253,12 @@ def build_mapping(
     * declared metadata is coherent (schedules present and admissible for the
       declared class, listed fixed points actually fixed).
     Sampled probes are screened by the row evaluators; a probe the screen
-    cannot clear is checked again through ``apply`` and ``power``.
+    cannot clear is checked again on Vectors.
     """
     if domain.dim != space.dim:
         raise ContractError(f"domain dim {domain.dim} != space dim {space.dim}")
     if meta.declared_class not in MAPPING_CLASSES:
         raise ContractError(f"unknown mapping class '{meta.declared_class}'")
-    if power_rows is not None and power is None:
-        raise ContractError(f"mapping '{mapping_id}' declares power_rows without a closed-form power")
     _check_meta(space, meta)
     m = Mapping(
         mapping_id=mapping_id,
@@ -270,16 +274,16 @@ def build_mapping(
 
     rng = np.random.default_rng(_SELF_MAP_SEED)
     sampled = domain.sample(space, rng, _SELF_MAP_SAMPLES)
-    inside = _screen(lambda: domain.inside_rows(space, _apply_rows(m, sampled)))
+    inside = _screen(lambda: domain.inside_rows(space, m.apply_rows(sampled)))
     doubtful = sampled if inside is None else sampled[~inside]
     for x in [Vector.from_array(row) for row in doubtful] + special_points(space, domain, meta):
-        fx = apply(x)
+        fx = m.apply(x)
         if not domain.contains(space, fx):
             raise ContractError(
                 f"mapping '{mapping_id}' is not a self-map: T{x.coords} = {fx.coords} left the domain"
             )
 
-    if power is not None:
+    if m.power is not None:
         xs = domain.sample(space, rng, _POWER_SAMPLES)
         ns = rng.integers(1, _POWER_N_MAX + 1, size=_POWER_SAMPLES)
 
@@ -287,22 +291,22 @@ def build_mapping(
             iterated = xs.copy()
             for step in range(1, int(ns.max()) + 1):
                 live = ns >= step
-                iterated[live] = _apply_rows(m, iterated[live])
-            return space.norm_rows(_power_rows(m, ns, xs) - iterated) <= _POWER_TOL
+                iterated[live] = m.apply_rows(iterated[live])
+            return space.norm_rows(m.power_rows(ns, xs) - iterated) <= _POWER_TOL
 
         agree = _screen(agreeing)
         for row, n in zip(xs, ns) if agree is None else zip(xs[~agree], ns[~agree]):
             x = iterated = Vector.from_array(row)
             for _ in range(int(n)):
-                iterated = apply(iterated)
-            gap = space.distance(power(int(n), x), iterated)
+                iterated = m.apply(iterated)
+            gap = space.distance(m.power(int(n), x), iterated)
             if gap > _POWER_TOL:
                 raise ContractError(
                     f"closed-form power of '{mapping_id}' disagrees with {n}-fold application "
                     f"at {x.coords} by {gap:.3e}"
                 )
         for x in map(Vector.from_array, xs[:5]):
-            if power(0, x).coords != x.coords:
+            if m.power(0, x).coords != x.coords:
                 raise ContractError(f"power(0, x) must return x exactly for '{mapping_id}'")
 
     if meta.known_fixed_points:
@@ -459,7 +463,7 @@ def _certify_pairs(
         N = np.concatenate([np.tile(np.arange(1, n_max + 1), len(pairs)), ns])
         X = np.concatenate([np.repeat([x.coords for x, _ in pairs], n_max, axis=0), xs])
         Y = np.concatenate([np.repeat([y.coords for _, y in pairs], n_max, axis=0), ys])
-        TX, TY = _power_rows(m, N, X), _power_rows(m, N, Y)
+        TX, TY = m.power_rows(N, X), m.power_rows(N, Y)
         if not all(m.domain.inside_rows(m.space, R).all() for R in (X, Y, TX, TY)):
             return None
         c, b = _per_n(terms, N).T
@@ -562,16 +566,6 @@ def make_example21(q: float, space: NormedSpace | None = None) -> Mapping:
         raise ParameterError(f"example21 is one-dimensional; got space dim {space.dim}")
     domain = Box((0.0,), (1.0,))
 
-    def apply(x: Vector) -> Vector:
-        v = x.coords[0]
-        return Vector((0.0,)) if v >= 1.0 else Vector((q * v,))
-
-    def power(n: int, x: Vector) -> Vector:
-        if n == 0:
-            return x
-        v = x.coords[0]
-        return Vector((0.0,)) if v >= 1.0 else Vector(((q**n) * v,))
-
     def apply_rows(X: np.ndarray) -> np.ndarray:
         return np.where(X >= 1.0, 0.0, q * X)
 
@@ -584,7 +578,7 @@ def make_example21(q: float, space: NormedSpace | None = None) -> Mapping:
         a_schedule=Schedule.geometric(q),
         discontinuities=(Vector((1.0,)),),
     )
-    return build_mapping("example21", space, domain, apply, power, meta, {"q": q},
+    return build_mapping("example21", space, domain, meta=meta, parameters={"q": q},
                          apply_rows=apply_rows, power_rows=power_rows)
 
 
@@ -595,19 +589,12 @@ def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = 
     space = _space_for(dim, space)
     origin = Vector((0.0,) * dim)
     domain = Ball(origin, 1.0)
-
-    def apply(x: Vector) -> Vector:
-        return Vector.from_array(q * x.array)
-
-    def power(n: int, x: Vector) -> Vector:
-        return x if n == 0 else Vector.from_array((q**n) * x.array)
-
     meta = MappingMeta(
         declared_class="nonexpansive",
         known_fixed_points=(origin,),
         lipschitz_L=1.0,
     )
-    return build_mapping("contraction", space, domain, apply, power, meta, {"q": q, "dim": dim},
+    return build_mapping("contraction", space, domain, meta=meta, parameters={"q": q, "dim": dim},
                          apply_rows=lambda X: q * X,
                          power_rows=lambda ns, X: _per_n(lambda n: q**n, ns)[:, None] * X)
 
@@ -619,8 +606,6 @@ def make_identity(dim: int = 1, space: NormedSpace | None = None) -> Mapping:
     meta = MappingMeta(declared_class="nonexpansive", lipschitz_L=1.0, fixed_set_is_domain=True)
     return build_mapping(
         "identity", space, domain,
-        apply=lambda x: x,
-        power=lambda n, x: x,
         meta=meta,
         parameters={"dim": dim},
         apply_rows=lambda X: X,
@@ -654,8 +639,6 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
         )
         return build_mapping(
             "asymptotic_demo", space, domain,
-            apply=lambda x: Vector((0.5 * x.coords[0],)),
-            power=lambda n, x: Vector(((0.5**n) * x.coords[0],)),
             meta=meta,
             parameters={"dim": dim},
             apply_rows=lambda X: 0.5 * X,
@@ -667,21 +650,6 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
     highs = [1.0, 1.0 / lam] + [1.0] * (dim - 2)
     domain = Box(tuple(lows), tuple(highs))
     origin = Vector((0.0,) * dim)
-
-    def apply(x: Vector) -> Vector:
-        out = mu * x.array
-        out[0] = lam * x.coords[1]
-        out[1] = mu * x.coords[0]
-        return Vector.from_array(out)
-
-    def power(n: int, x: Vector) -> Vector:
-        if n == 0:
-            return x
-        half, odd = divmod(n, 2)
-        head = ((lam * mu) ** half) * np.array([x.coords[0], x.coords[1]])
-        tail = (mu ** (2 * half)) * x.array[2:]
-        even_part = Vector.from_array(np.concatenate((head, tail)))
-        return apply(even_part) if odd else even_part
 
     def apply_rows(X: np.ndarray) -> np.ndarray:
         out = mu * X
@@ -700,7 +668,7 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
         lipschitz_L=lam,
         k_schedule=Schedule.table((lam, 1.0)),
     )
-    return build_mapping("asymptotic_demo", space, domain, apply, power, meta, {"dim": dim},
+    return build_mapping("asymptotic_demo", space, domain, meta=meta, parameters={"dim": dim},
                          apply_rows=apply_rows, power_rows=power_rows)
 
 

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import Mapping, _power_rows, apply_power, distance_to_fixed_set
+from .mappings import Mapping, apply_power, distance_to_fixed_set
 from .schedules import Schedule
 from .space import Vector
 
@@ -321,7 +321,7 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int) -> np.ndarray | None:
     z = x
     for schedule, power in stages:
         w = None if schedule is None else schedule.at(n)
-        z = _power_rows(m, np.array([n]) if power else _ONE, z)
+        z = m.power_rows(np.array([n]) if power else _ONE, z)
         if not _inside(m, z):
             return None
         if w is not None:
@@ -335,8 +335,8 @@ def run_scheme(config: RunConfig) -> Trajectory:
     """Execute the configured scheme and record the trajectory.
 
     The update runs step by step on rows of one float64 array, through the
-    mapping's row evaluators where it declares them.  The step records are
-    computed afterwards as array columns.  Both give exactly what evaluating
+    mapping's row evaluators.  The step records are computed afterwards as
+    array columns.  Both give exactly what evaluating
     every step on Vectors gives, errors included: an error the update raises
     is held until the records of the steps before it are computed, since
     those were computed, and could raise, first.
@@ -410,7 +410,7 @@ def _record_columns(m: Mapping, points: np.ndarray) -> list[list] | None:
     or None when an image leaves the domain or a value is not finite."""
     space, prev, cur = m.space, points[:-1], points[1:]
     ns = np.arange(1, len(points))
-    images = [_power_rows(m, np.ones_like(ns), cur), _power_rows(m, ns, cur)]
+    images = [m.power_rows(np.ones_like(ns), cur), m.power_rows(ns, cur)]
     if not all(m.domain.inside_rows(space, T).all() for T in images):
         return None
     columns = [space.norm_rows(cur - prev)] + [space.norm_rows(cur - T) for T in images]

@@ -97,20 +97,15 @@ class NormedSpace:
 
     def norm(self, v: Vector) -> float:
         self._check_dim(v)
-        ord_ = np.inf if self.p == math.inf else self.p
-        return float(np.linalg.norm(v.array, ord=ord_))
+        return float(self.norm_rows(v.array[None])[0])
 
     def norm_rows(self, points: np.ndarray) -> np.ndarray:
-        """Norms of an (n, dim) array of row vectors, each equal to ``norm`` of its row bit for bit.
+        """Norms of an (n, dim) array of row vectors.
 
-        Each row goes through the floating-point operations that ``np.linalg.norm``
-        runs on one vector: for p = 2 the square root of the same BLAS dot (a
-        stacked matmul of vector by vector calls it), for p = 1 and p = inf the
-        same reductions, and otherwise the same sum of |x_i|**p with the root
-        taken per row by ``math.pow``, since numpy's power rounds differently on
-        an array than on the one-element result of the single-vector path.
-        The rows are copied to C order first, so each reduction runs along
-        contiguous memory as it does for one vector.
+        Each row's norm is reduced from that row alone, so it has the same bits
+        whatever stack the row sits in, and ``norm`` is the one-row case.  The
+        rows are copied to C order first; for p outside {1, 2, inf} the root is
+        taken per row by ``math.pow``.
         """
         X = np.ascontiguousarray(points, dtype=float)
         if self.p == 2.0:

@@ -149,8 +149,9 @@ gauges = st.one_of(
 
 @st.composite
 def catalog_maps(draw, drop_rows=st.booleans()):
-    """A catalog map in a generated l_p space; without its row evaluators when
-    ``drop_rows`` draws True, so rows are evaluated by the scalar loop."""
+    """A catalog map in a generated l_p space; when ``drop_rows`` draws True its
+    row evaluators are dropped, so rows are evaluated by the per-row loop
+    derived over its scalar views."""
     mapping_id = draw(st.sampled_from(CATALOG_IDS))
     dim = 1 if mapping_id == "example21" else draw(dims)
     params = {"q": draw(ratios)} if CATALOG[mapping_id].parameters else {}
@@ -238,8 +239,8 @@ def test_screened_certificate_equals_scalar_loop(certifier, m, coef, r, phi, n_m
 @settings(PROPERTY_SETTINGS, max_examples=60)
 @given(m=catalog_maps(drop_rows=st.just(False)), seed=seeds)
 def test_row_evaluators_equal_scalar_evaluators(m, seed):
-    # build_mapping probes catalog maps through their rows only, so this is
-    # what keeps the two forms from drifting apart.
+    # Catalog maps give rows only; their scalar evaluators are one-row views
+    # derived when the map is built, and this guards those views.
     rng = np.random.default_rng(seed)
     specials = [p.coords for p in special_points(m.space, m.domain, m.meta)]
     X = np.concatenate([np.reshape(specials, (-1, m.space.dim)), m.domain.sample(m.space, rng, 50)])

@@ -1,11 +1,14 @@
 """Mapping catalog, construction contracts, and sampled class certification."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fixiter import (
     CATALOG_IDS,
+    Ball,
     Box,
     ContractError,
     DomainError,
@@ -314,3 +317,86 @@ def test_direct_mapping_construction_is_allowed():
     m = Mapping("raw", sp, Box((0.0,), (1.0,)), lambda x: x, None, MappingMeta())
     assert m.apply(Vector((0.3,))) == Vector((0.3,))
     assert not m.has_power
+
+
+def _halving_rows(ns, X):
+    if (ns < 1).any():
+        raise AssertionError(f"power rows take indices >= 1, got {ns}")
+    return np.array([0.5**int(n) for n in ns])[:, None] * X
+
+
+def test_rows_only_map_derives_bit_equal_scalar_evaluators():
+    sp = NormedSpace(2, 2.0)
+    m = build_mapping("halve_rows", sp, Ball(Vector((0.0, 0.0)), 1.0), apply=None,
+                      apply_rows=lambda X: 0.5 * X, power_rows=_halving_rows)
+    assert m.has_power
+    rng = np.random.default_rng(3)
+    X = m.domain.sample(sp, rng, 40)
+    ns = rng.integers(1, 30, size=len(X))
+    xs = [Vector.from_array(x) for x in X]
+    assert np.array([m.apply(x).coords for x in xs]).tobytes() == m.apply_rows(X).tobytes()
+    assert (np.array([m.power(int(n), x).coords for n, x in zip(ns, xs)]).tobytes()
+            == m.power_rows(ns, X).tobytes())
+    assert all(m.power(0, x).coords == x.coords for x in xs)
+
+
+def test_a_map_without_evaluators_is_refused():
+    sp, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    with pytest.raises(ContractError, match="mapping 'blank' declares neither apply nor apply_rows"):
+        Mapping("blank", sp, box, None, None, MappingMeta())
+    with pytest.raises(ContractError, match="mapping 'blank' declares neither apply nor apply_rows"):
+        build_mapping("blank", sp, box)
+
+
+def test_power_rows_without_a_scalar_power_is_a_closed_form():
+    sp, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    halve = lambda x: Vector((0.5 * x.coords[0],))
+    m = build_mapping("halve", sp, box, halve, power_rows=_halving_rows)
+    assert m.has_power
+    assert apply_power(m, 3, Vector((0.5,))).coords == (0.0625,)
+    with pytest.raises(ContractError, match="closed-form power of 'wrong' disagrees with"):
+        build_mapping("wrong", sp, box, halve, power_rows=lambda ns, X: X)
+
+
+def test_dropped_rows_become_per_row_adapters():
+    rng = np.random.default_rng(4)
+    for mapping_id in CATALOG_IDS:
+        dim = 1 if mapping_id == "example21" else 3
+        params = {"q": 0.4} if mapping_id in ("example21", "contraction") else {}
+        m = get_mapping(mapping_id, params, NormedSpace(dim, 2.0))
+        adapted = replace(m, apply_rows=None, power_rows=None)
+        assert adapted.apply_rows is not m.apply_rows and adapted.power_rows is not m.power_rows
+        X = m.domain.sample(m.space, rng, 30)
+        ns = rng.integers(1, 30, size=len(X))
+        assert adapted.apply_rows(X).tobytes() == m.apply_rows(X).tobytes()
+        assert adapted.power_rows(ns, X).tobytes() == m.power_rows(ns, X).tobytes()
+
+
+def test_per_row_iteration_boxes_each_row_once(monkeypatch):
+    # A map without a closed form iterates each row on Vectors: one boxing
+    # per row, then its own apply, which boxes nothing through from_array.
+    applied = []
+
+    def halve(x):
+        applied.append(x)
+        return Vector((0.5 * x.coords[0], x.coords[1]))
+
+    sp = NormedSpace(2, 2.0)
+    m = build_mapping("halve_first", sp, Box((-1.0, -1.0), (1.0, 1.0)), halve)
+    assert not m.has_power
+    X = m.domain.sample(sp, np.random.default_rng(5), 6)
+    ns = np.array([1, 4, 2, 7, 3, 1])
+    boxed = []
+    from_array = Vector.from_array
+
+    def counting(arr):
+        boxed.append(arr)
+        return from_array(arr)
+
+    monkeypatch.setattr(Vector, "from_array", staticmethod(counting))
+    applied.clear()
+    got = m.power_rows(ns, X)
+    assert len(boxed) == len(ns)
+    assert len(applied) == ns.sum()
+    assert got[:, 1].tobytes() == X[:, 1].tobytes()
+    assert got[:, 0].tolist() == [x * 0.5**n for x, n in zip(X[:, 0].tolist(), ns.tolist())]

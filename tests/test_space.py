@@ -60,19 +60,32 @@ def test_norm_properties_sampled():
        col_step=st.integers(1, 3), fortran=st.booleans(),
        scale=st.sampled_from([1e-200, 1e-5, 1.0, 1e5, 1e150]), seed=st.integers(0, 2**32 - 1))
 def test_norm_rows_equals_norm_bit_for_bit(p, dim, rows, offset, row_step, col_step, fortran, scale, seed):
-    # Rows taken at odd offsets and strides, or from Fortran-ordered memory,
-    # at scales where the powers underflow or overflow.
+    # A row's norm has the same bits alone, as the scalar norm, or anywhere in
+    # a stack: rows taken at odd offsets and strides, or from Fortran-ordered
+    # memory, at scales where the powers underflow or overflow.
     rng = np.random.default_rng(seed)
     big = rng.standard_normal((offset + rows * row_step, offset + dim * col_step)) * scale
     X = big[offset::row_step, offset::col_step]
     if fortran:
         X = np.asfortranarray(X)
     sp = NormedSpace(dim, p)
+    split = int(rng.integers(0, rows + 1))
     with np.errstate(all="ignore"):
         got = sp.norm_rows(X)
+        alone = np.array([sp.norm_rows(X[i:i + 1])[0] for i in range(rows)])
         scalar = np.array([sp.norm(Vector.from_array(x)) for x in X])
+        halves = np.concatenate((sp.norm_rows(X[:split]), sp.norm_rows(X[split:])))
     assert got.shape == (rows,)
-    assert got.tobytes() == scalar.tobytes()
+    assert got.tobytes() == alone.tobytes() == scalar.tobytes() == halves.tobytes()
+
+
+def test_norm_rows_agrees_with_numpy():
+    rng = np.random.default_rng(5)
+    for p in (1.0, 1.25, 1.5, 2.0, 3.0, 7.0, math.inf):
+        for dim in (1, 2, 3, 10, 40):
+            X = rng.standard_normal((50, dim)) * rng.choice([1e-5, 1.0, 1e5], size=(50, 1))
+            ref = np.array([np.linalg.norm(x, ord=p) for x in X])
+            np.testing.assert_array_max_ulp(NormedSpace(dim, p).norm_rows(X), ref, maxulp=4)
 
 
 def test_vector_boxing_errors():
