@@ -21,8 +21,8 @@ from .mappings import (
     TAU_CERT,
     Certificate,
     Mapping,
-    Witness,
     _certify,
+    _fixed_set_distances,
     apply_power,
     distance_to_fixed_set,
     special_points,
@@ -37,8 +37,6 @@ TAU_SUM = 1e-6
 TAU_FP = 1e-8
 
 _BLOWUP = 1e12
-# Relative slack for numpy's powers, which may round differently from Python's.
-_ROUNDING = 16 * float(np.finfo(float).eps)
 
 
 def tail_window_start(length: int, fraction: float = 0.25, min_entries: int = 50) -> int:
@@ -475,7 +473,11 @@ class PhiSpec:
         return value
 
     def rows(self, t: np.ndarray) -> np.ndarray:
-        """The gauge at every entry of ``t``; an overflow reads inf instead of raising."""
+        """The gauge at every entry of ``t`` by the operations of ``__call__``, so
+        exactly: a power gauge takes Python's ``**`` per entry, which may raise
+        OverflowError."""
+        if self.kind == "power":
+            return np.array([self._value(s) for s in t.tolist()], dtype=float)
         return self._value(t)
 
     def _value(self, t):
@@ -517,32 +519,21 @@ def certify_condition_I(
             f"mapping '{m.mapping_id}' declares no fixed-point set; the coercivity "
             "bound has no distance to measure"
         )
-    sampled = m.domain.sample(m.space, np.random.default_rng(seed), sample_count)
-    points = special_points(m.space, m.domain, m.meta)
     space = m.space
-
-    def candidate(i: int) -> Witness:
-        return Witness(x=points[i] if i < len(points) else Vector.from_array(sampled[i - len(points)]))
+    specials = [p.coords for p in special_points(space, m.domain, m.meta)]
+    X = np.concatenate([np.reshape(specials, (-1, space.dim)),
+                        m.domain.sample(space, np.random.default_rng(seed), sample_count)])
 
     def screen():
-        X = np.concatenate([np.reshape([p.coords for p in points], (-1, space.dim)), sampled])
         TX = m.power_rows(np.ones(len(X), dtype=int), X)
         if not (m.domain.inside_rows(space, X).all() and m.domain.inside_rows(space, TX).all()):
             return None
-        res = space.norm_rows(X - TX)
-        t = np.zeros(len(X)) if m.meta.fixed_set_is_domain else np.min(
-            [space.norm_rows(X - p.array) for p in m.meta.known_fixed_points], axis=0)
-        phi_t = phi.rows(t)
-        v = phi_t - res  # the scalar operations on the same values
-        if phi.kind != "power":
-            return v, v
-        slack = _ROUNDING * (2.0 * phi_t + res)
-        return v - slack, v + slack
+        return phi.rows(_fixed_set_distances(m, X)) - space.norm_rows(X - TX)
 
     return _certify(
-        "condition_I", (1, 1), len(points) + sample_count, candidate,
-        lambda c: phi(distance_to_fixed_set(m, c.x)) - m.space.norm(c.x - apply_power(m, 1, c.x)),
-        screen, sample_count,
+        "condition_I", (1, 1),
+        lambda c: phi(distance_to_fixed_set(m, c.x)) - space.norm(c.x - apply_power(m, 1, c.x)),
+        screen, sample_count, X,
     )
 
 
@@ -664,8 +655,8 @@ def compare_schemes(base: RunConfig, schemes: Sequence[str], target_error: float
     steps_to_target is the first iterate index (0 = the start point) whose
     distance to the known fixed-point set is at most the target.
     """
-    if target_error <= 0.0:
-        raise ContractError(f"target_error must be > 0, got {target_error}")
+    if not 0.0 < target_error < math.inf:
+        raise ContractError(f"target_error must be finite and > 0, got {target_error}")
     if not base.mapping.has_fixed_set:
         raise ContractError("compare_schemes needs a mapping with a known fixed-point set")
 

@@ -618,8 +618,8 @@ def cmd_compare(args) -> int:
         for scheme in schemes:
             if scheme not in SCHEMES:
                 raise ScenarioError("--schemes", f"unknown scheme '{scheme}'; known schemes: {SCHEMES}")
-        if args.target <= 0.0:
-            raise ScenarioError("--target", f"must be > 0, got {args.target}")
+        if not 0.0 < args.target < math.inf:
+            raise ScenarioError("--target", f"must be finite and > 0, got {args.target}")
         scenario = parse_scenario(args.scenario)
         mapping = build_mapping_for(scenario)
         base = build_run_config(scenario, mapping)

@@ -10,9 +10,9 @@ repeated application.
 
 Certification of a mapping class is sampling-based and one-sided: "certified"
 means no violation was found at the given budget, never a proof.  Every
-candidate is screened as arrays, and the ones that may hold the maximum are
-evaluated again through the scalar path, so a witness reproduces its
-violation exactly.
+candidate's violation is computed as arrays, by the scalar operations, and the
+maximum is evaluated again through the scalar path, so a witness reproduces
+its violation exactly.
 """
 
 from __future__ import annotations
@@ -79,20 +79,27 @@ class Mapping:
     power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        apply, power, apply_rows, power_rows = self.apply, self.power, self.apply_rows, self.power_rows
+        # A derived evaluator names the evaluators it was derived from, so one
+        # that dataclasses.replace carries over is derived again when a field
+        # it names now holds another given callable.  The per-row iteration
+        # names none: it reads this map, so it is always derived again.
+        fields = {name: getattr(self, name) for name in ("apply", "power", "apply_rows", "power_rows")}
+        apply, power, apply_rows, power_rows = (None if _stale(fn, fields) else fn for fn in fields.values())
         if apply is None and apply_rows is None:
             raise ContractError(f"mapping '{self.mapping_id}' declares neither apply nor apply_rows")
         derived = {}
         if apply is None:
-            derived["apply"] = lambda x: Vector.from_array(apply_rows(x.array[None])[0])
+            derived["apply"] = _derived(lambda x: Vector.from_array(apply_rows(x.array[None])[0]),
+                                        apply_rows=apply_rows)
         if apply_rows is None:
-            derived["apply_rows"] = lambda X: _stack((apply(Vector.from_array(x)) for x in X), X.shape)
+            derived["apply_rows"] = _derived(
+                lambda X: _stack((apply(Vector.from_array(x)) for x in X), X.shape), apply=apply)
         if power is None and power_rows is not None:
-            derived["power"] = lambda n, x: x if n == 0 else Vector.from_array(
-                power_rows(np.array([n]), x.array[None])[0])
+            derived["power"] = _derived(lambda n, x: x if n == 0 else Vector.from_array(
+                power_rows(np.array([n]), x.array[None])[0]), power_rows=power_rows)
         elif power_rows is None:
-            derived["power_rows"] = lambda ns, X: _stack(
-                (_iterate(self, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape)
+            derived["power_rows"] = _derived(lambda ns, X: _stack(
+                (_iterate(self, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape))
         for name, fn in derived.items():
             object.__setattr__(self, name, fn)
 
@@ -145,6 +152,15 @@ def distance_to_fixed_set(m: Mapping, x: Vector) -> Optional[float]:
     return None
 
 
+def _fixed_set_distances(m: Mapping, X: np.ndarray) -> np.ndarray | None:
+    """``distance_to_fixed_set`` of every row of the (k, dim) array X; the norms are exact."""
+    if m.meta.fixed_set_is_domain:
+        return np.zeros(len(X))
+    if m.meta.known_fixed_points:
+        return np.min([m.space.norm_rows(X - p.array) for p in m.meta.known_fixed_points], axis=0)
+    return None
+
+
 def near_schedule_for(m: Mapping) -> Optional[Schedule]:
     """The mapping's near-sequence a_n: declared directly, derived from k_n
     and the domain diameter for maps declared via an asymptotic schedule, or
@@ -181,6 +197,22 @@ def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> np.ndarray:
         return np.array([fn(int(ns[0]))], dtype=float)
     distinct, index = np.unique(ns, return_inverse=True)
     return np.array([fn(int(n)) for n in distinct], dtype=float)[index]
+
+
+def _derived(fn: Callable, **sources: Callable) -> Callable:
+    fn.derived_from = sources
+    return fn
+
+
+def _stale(fn: Callable | None, fields: dict) -> bool:
+    """Whether ``fn`` was derived from this map, or from an evaluator that
+    ``fields`` replaced by another given one."""
+    sources = getattr(fn, "derived_from", None)
+    if sources is None:  # given
+        return False
+    return not sources or any(
+        fields[name] not in (None, source) and not hasattr(fields[name], "derived_from")
+        for name, source in sources.items())
 
 
 def _stack(vectors: Iterable[Vector], shape: tuple[int, ...]) -> np.ndarray:
@@ -378,51 +410,38 @@ class Certificate:
 def _certify(
     property_name: str,
     n_range: tuple[int, int],
-    count: int,
-    candidate: Callable[[int], Witness],
     violation: Callable[[Witness], float],
-    screen: Callable[[], tuple[np.ndarray, np.ndarray] | None],
+    screen: Callable[[], np.ndarray | None],
     requested: int,
+    X: np.ndarray,
+    Y: np.ndarray | None = None,
+    N: np.ndarray | None = None,
 ) -> Certificate:
-    """The certificate kernel every certifier shares: screen, then confirm.
+    """The certificate kernel every certifier shares.
 
-    ``screen()`` evaluates all ``count`` candidates as arrays and returns a
-    lower and an upper bound on each one's violation (equal where the array
-    operations are the scalar ones), or None when some row cannot be
-    evaluated (it lies outside the domain).  The
-    candidates that may be the first strict maximum are then evaluated by
-    ``violation(candidate(i))`` in candidate order, and the first strict
-    maximum is the witness, so the result is exactly that of evaluating every
-    candidate.  When the screen fails, or a bound is not finite, every
-    candidate is evaluated that way, which raises any error for the same
-    candidate as if the screen had never run.  The verdict judges the maximum
-    against TAU_CERT unless fewer than 10 samples were requested.
+    Candidate i is row i of X, with row i of Y and power index N[i] where the
+    certifier has them.  ``screen()`` returns every violation as one array,
+    computed by the operations of ``violation`` and so exactly, or None when
+    some row lies outside the domain.  Its first maximum is the witness, which
+    ``violation`` evaluates again for ``max_violation``.  When the screen
+    fails or a value is not finite, ``violation`` evaluates every candidate in
+    order, which raises any error for the same candidate as without the
+    screen, and the first strict maximum is the witness.  The verdict judges
+    the maximum against TAU_CERT unless fewer than 10 samples were requested.
     """
-    bounds = _screen(screen)
-    order: Iterable[int] = range(count)
-    if bounds is not None:
-        lower, upper = bounds
-        if np.isfinite(lower).all() and np.isfinite(upper).all():
-            # With L the largest lower bound, first attained at row `first`, a
-            # candidate whose upper bound is below L, or is L after `first`,
-            # cannot be the first strict maximum.
-            first = int(np.argmax(lower))
-            keep = upper > lower[first]
-            keep[: first + 1] |= upper[: first + 1] == lower[first]
-            order = np.flatnonzero(keep).tolist()
+    violations = _screen(screen)
+    exact = violations is not None and np.isfinite(violations).all()
     best = -math.inf
     best_witness: Witness | None = None
-    for i in order:
-        w = candidate(i)
+    for i in [int(np.argmax(violations))] if exact else range(len(X)):
+        w = Witness(x=Vector.from_array(X[i]), y=None if Y is None else Vector.from_array(Y[i]),
+                    n=None if N is None else int(N[i]))
         v = violation(w)
         if v > best:
             best, best_witness = v, w
     assert best_witness is not None
-    if requested < 10:
-        verdict = "inconclusive"
-    else:
-        verdict = "refuted" if best > TAU_CERT else "certified"
-    return Certificate(property_name, n_range, count, best, best_witness, verdict)
+    verdict = "inconclusive" if requested < 10 else "refuted" if best > TAU_CERT else "certified"
+    return Certificate(property_name, n_range, len(X), best, best_witness, verdict)
 
 
 def _certify_pairs(
@@ -447,32 +466,22 @@ def _certify_pairs(
         for neighbor in _discontinuity_neighbors(m.space, m.domain, d)
     ]
     rng = np.random.default_rng(seed)
-    ns = rng.integers(1, n_max + 1, size=sample_count)
-    xs = m.domain.sample(m.space, rng, sample_count)
-    ys = m.domain.sample(m.space, rng, sample_count)
-    special = len(pairs) * n_max
-
-    def candidate(i: int) -> Witness:
-        if i < special:
-            x, y = pairs[i // n_max]
-            return Witness(x=x, y=y, n=i % n_max + 1)
-        i -= special
-        return Witness(x=Vector.from_array(xs[i]), y=Vector.from_array(ys[i]), n=int(ns[i]))
+    N = np.concatenate([np.tile(np.arange(1, n_max + 1), len(pairs)),
+                        rng.integers(1, n_max + 1, size=sample_count)])
+    X = np.concatenate([np.repeat([x.coords for x, _ in pairs], n_max, axis=0),
+                        m.domain.sample(m.space, rng, sample_count)])
+    Y = np.concatenate([np.repeat([y.coords for _, y in pairs], n_max, axis=0),
+                        m.domain.sample(m.space, rng, sample_count)])
 
     def screen():
-        N = np.concatenate([np.tile(np.arange(1, n_max + 1), len(pairs)), ns])
-        X = np.concatenate([np.repeat([x.coords for x, _ in pairs], n_max, axis=0), xs])
-        Y = np.concatenate([np.repeat([y.coords for _, y in pairs], n_max, axis=0), ys])
         TX, TY = m.power_rows(N, X), m.power_rows(N, Y)
         if not all(m.domain.inside_rows(m.space, R).all() for R in (X, Y, TX, TY)):
             return None
         c, b = _per_n(terms, N).T
-        # The scalar violations' operations on the same values, so exact.
-        v = m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
-        return v, v
+        return m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
 
-    return _certify(property_name, (1, n_max), special + sample_count, candidate,
-                    lambda w: violation(w.n, w.x, w.y), screen, sample_count)
+    return _certify(property_name, (1, n_max), lambda w: violation(w.n, w.x, w.y), screen,
+                    sample_count, X, Y, N)
 
 
 def nearly_nonexpansive_violation(m: Mapping, a: Schedule, n: int, x: Vector, y: Vector) -> float:

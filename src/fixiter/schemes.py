@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import Mapping, apply_power, distance_to_fixed_set
+from .mappings import Mapping, _fixed_set_distances, apply_power, distance_to_fixed_set
 from .schedules import Schedule
 from .space import Vector
 
@@ -414,14 +414,14 @@ def _record_columns(m: Mapping, points: np.ndarray) -> list[list] | None:
     if not all(m.domain.inside_rows(space, T).all() for T in images):
         return None
     columns = [space.norm_rows(cur - prev)] + [space.norm_rows(cur - T) for T in images]
-    measured = m.meta.known_fixed_points and not m.meta.fixed_set_is_domain
-    if measured:
-        columns.append(np.min([space.norm_rows(cur - p.array) for p in m.meta.known_fixed_points], axis=0))
+    distances = _fixed_set_distances(m, cur)
+    if distances is not None:
+        columns.append(distances)
     if not all(np.isfinite(c).all() for c in columns):
         return None
     columns = [c.tolist() for c in columns]
-    if not measured:  # as distance_to_fixed_set: 0.0 when every point is fixed, else None
-        columns.append([0.0 if m.meta.fixed_set_is_domain else None] * len(cur))
+    if distances is None:  # as distance_to_fixed_set when no set is declared
+        columns.append([None] * len(cur))
     return columns
 
 

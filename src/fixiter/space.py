@@ -350,25 +350,18 @@ def modulus_of_convexity_estimate(
     xs = space.unit_ball_points(rng, sample_count)
     ys = space.unit_ball_points(rng, sample_count)
     admissible = space.norm_rows(xs - ys) >= epsilon
-    xs, ys = xs[admissible], ys[admissible]
-
-    best_val = math.inf
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    evaluated = 0
-    for sx, sy in _seed_pairs(space, epsilon):
-        evaluated += 1
-        val = 1.0 - space.norm(Vector.from_array(sx + sy)) / 2.0
-        if val < best_val:
-            best_val, best_pair = val, (sx, sy)
-    if len(xs):
-        vals = 1.0 - space.norm_rows(xs + ys) / 2.0
-        evaluated += len(vals)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val, best_pair = float(vals[i]), (xs[i], ys[i])
-
-    assert best_pair is not None
-    wx, wy = Vector.from_array(best_pair[0]), Vector.from_array(best_pair[1])
+    seeds = _seed_pairs(space, epsilon)
+    k = len(seeds)
+    # One pass over the seed pairs' sums, first so that they win ties, and the
+    # samples'; a sample that is not admissible reads inf.
+    sums = np.empty((k + sample_count, space.dim))
+    sums[:k] = [sx + sy for sx, sy in seeds]
+    np.add(xs, ys, out=sums[k:])
+    vals = 1.0 - space.norm_rows(sums) / 2.0
+    vals[k:][~admissible] = math.inf
+    i = int(np.argmin(vals))
+    wx, wy = map(Vector.from_array, seeds[i] if i < k else (xs[i - k], ys[i - k]))
     # Recompute through the scalar path so the witness reproduces the estimate exactly.
     estimate = 1.0 - space.norm(wx + wy) / 2.0
-    return ModulusEstimate(epsilon=float(epsilon), estimate=estimate, sample_count=evaluated, best_witness=(wx, wy))
+    return ModulusEstimate(epsilon=float(epsilon), estimate=estimate,
+                           sample_count=k + int(admissible.sum()), best_witness=(wx, wy))

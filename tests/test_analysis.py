@@ -430,8 +430,9 @@ def test_rate_table_serialization():
 
 
 def test_rate_table_errors():
-    with pytest.raises(ContractError):
-        compare_schemes(_base(), ["picard"], 0.0)
+    for target in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="target_error must be finite and > 0"):
+            compare_schemes(_base(), ["picard"], target)
     with pytest.raises(ConfigurationError):
         compare_schemes(_base(), ["ishikawa"], 1e-6)
     from fixiter import Box, build_mapping

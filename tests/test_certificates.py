@@ -224,8 +224,8 @@ _TIE = dict(certifier="nonexpansive", coef=1.0, r=0.5, phi=PhiSpec("linear"), n_
 # stay the witness: with exact norms (dim 1, p = 2) and with rounded ones.
 @example(m=make_identity(1), **_TIE)
 @example(m=make_identity(3, NormedSpace(3, 1.5)), **_TIE)
-# phi(||x||) = ||x - Tx|| up to rounding, so the array norms' own rounding
-# decides the maximum unless the screen allows for it.
+# phi(||x||) = ||x - Tx|| up to rounding, so any rounding in which the array
+# violations differ from the scalar ones would decide the maximum.
 @example(certifier="condition_I", m=make_linear_contraction(0.5, 2, NormedSpace(2, 1.5)), coef=1.0, r=0.5,
          phi=PhiSpec("linear", lam=0.5), n_max=1, budget=60, seed=0)
 @given(certifier=st.sampled_from(CERTIFIERS), m=catalog_maps(),
@@ -300,3 +300,21 @@ def test_all_tie_certificate_confirms_one_candidate(monkeypatch, capsys):
     assert cli.main(["certify", "identity", "--class", "nonexpansive", "--dim", "2"]) == 0
     assert '"sample_count": 1001' in capsys.readouterr().out
     assert len(confirmed) == 1
+
+
+def test_power_gauge_certificate_evaluates_one_candidate(monkeypatch):
+    # A power gauge's rows take Python's powers, as the scalar gauge does, so
+    # the violations are exact and only the witness is evaluated again.
+    import fixiter.analysis
+
+    evaluated = []
+
+    def counting(m, x):
+        evaluated.append(x)
+        return distance_to_fixed_set(m, x)
+
+    monkeypatch.setattr(fixiter.analysis, "distance_to_fixed_set", counting)
+    m = make_linear_contraction(0.5, 2, NormedSpace(2, 1.5))
+    cert = certify_condition_I(m, PhiSpec("power", lam=0.5, gamma=1.0), 2000, 0)
+    assert cert.sample_count == 2003
+    assert len(evaluated) == 1

@@ -322,6 +322,20 @@ def test_compare_rejects_unknown_scheme(tmp_path, capsys):
     assert "newton" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
+def test_compare_rejects_a_target_that_is_not_finite_and_positive(tmp_path, capsys, target):
+    # A non-finite target would be written to rates.json as NaN or Infinity,
+    # which is not JSON.
+    path = _write(tmp_path, _variant(checks=_DROP))
+    out = tmp_path / "o"
+    code = cli.main(["compare", path, "--schemes", "mann", "--target", target,
+                     "--output", str(out), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: --target: must be finite and > 0, got {float(target)}\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify command
 

@@ -372,6 +372,32 @@ def test_dropped_rows_become_per_row_adapters():
         assert adapted.power_rows(ns, X).tobytes() == m.power_rows(ns, X).tobytes()
 
 
+def test_replace_derives_again_from_a_new_evaluator():
+    # A map built from a scalar apply: its rows and its per-row iteration
+    # follow the apply that replace puts in, and it still has no closed form.
+    sp = NormedSpace(1, 2.0)
+    m = build_mapping("halve", sp, Box((-1.0,), (1.0,)), lambda x: Vector((0.5 * x.coords[0],)))
+    quartered = replace(m, apply=lambda x: Vector((0.25 * x.coords[0],)))
+    X = np.array([[0.8]])
+    assert quartered.apply(Vector((0.8,))).coords == (0.2,)
+    assert quartered.apply_rows(X).tolist() == [[0.2]]
+    assert quartered.power_rows(np.array([2]), X).tolist() == [[0.05]]
+    assert not quartered.has_power and not replace(m, mapping_id="again").has_power
+
+    # A catalog map given rows: a new apply_rows gives a new scalar apply,
+    # and the power, derived from the unchanged power_rows, is kept.
+    c = make_linear_contraction(0.5)
+    quartered = replace(c, apply_rows=lambda X: 0.25 * X)
+    assert quartered.apply(Vector((0.8,))).coords == (0.2,)
+    assert quartered.power is c.power
+
+    # Evaluators kept when their source is cleared stay kept through a later replace.
+    adapted = replace(c, apply_rows=None, power_rows=None)
+    again = replace(adapted, mapping_id="again")
+    assert (again.apply, again.power) == (adapted.apply, adapted.power) == (c.apply, c.power)
+    assert again.power_rows(np.array([2]), X).tolist() == [[0.2]]
+
+
 def test_per_row_iteration_boxes_each_row_once(monkeypatch):
     # A map without a closed form iterates each row on Vectors: one boxing
     # per row, then its own apply, which boxes nothing through from_array.

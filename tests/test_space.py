@@ -13,6 +13,7 @@ from fixiter import (
     Box,
     ContractError,
     InfeasibleError,
+    ModulusEstimate,
     TAU_DOM,
     NormedSpace,
     Vector,
@@ -22,6 +23,7 @@ from fixiter import (
     modulus_of_convexity_estimate,
     norm,
 )
+from fixiter.space import _seed_pairs
 
 P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
@@ -239,6 +241,41 @@ def test_modulus_degenerate_for_extreme_p():
         sp = NormedSpace(2, p)
         est = modulus_of_convexity_estimate(sp, 1.0, 2_000, 0)
         assert est.estimate == 0.0
+
+
+def _two_pass_modulus(space, epsilon, sample_count, seed):
+    """The estimate in two passes, as it was first written: the seed pairs
+    one at a time through the scalar norm, then the admissible samples."""
+    rng = np.random.default_rng(seed)
+    xs = space.unit_ball_points(rng, sample_count)
+    ys = space.unit_ball_points(rng, sample_count)
+    admissible = space.norm_rows(xs - ys) >= epsilon
+    xs, ys = xs[admissible], ys[admissible]
+    best_val, best_pair, evaluated = math.inf, None, 0
+    for sx, sy in _seed_pairs(space, epsilon):
+        evaluated += 1
+        val = 1.0 - space.norm(Vector.from_array(sx + sy)) / 2.0
+        if val < best_val:
+            best_val, best_pair = val, (sx, sy)
+    if len(xs):
+        vals = 1.0 - space.norm_rows(xs + ys) / 2.0
+        evaluated += len(vals)
+        i = int(np.argmin(vals))
+        if vals[i] < best_val:
+            best_val, best_pair = float(vals[i]), (xs[i], ys[i])
+    wx, wy = Vector.from_array(best_pair[0]), Vector.from_array(best_pair[1])
+    return ModulusEstimate(float(epsilon), 1.0 - space.norm(wx + wy) / 2.0, evaluated, (wx, wy))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from(P_VALUES), dim=st.integers(min_value=1, max_value=4),
+       epsilon=st.one_of(st.sampled_from((0.0, 2.0)), st.floats(min_value=0.0, max_value=2.0)),
+       budget=st.integers(min_value=1, max_value=40), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_modulus_equals_the_two_pass_reference(p, dim, epsilon, budget, seed):
+    # At epsilon 0 and 2 the seed pairs tie with samples, and the seeds win.
+    space = NormedSpace(dim, p)
+    assert (modulus_of_convexity_estimate(space, epsilon, budget, seed)
+            == _two_pass_modulus(space, epsilon, budget, seed))
 
 
 def test_modulus_witness_reproduces_estimate():
