@@ -11,7 +11,7 @@ are kept distinct from conclusion failures throughout).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .mappings import (
     special_points,
 )
 from .schemes import ConstraintCheck, RunConfig, Trajectory, run_scheme
-from .space import NormedSpace, Vector, combine
+from .space import NormedSpace, Vector, _rng, combine
 
 TAU_LIM = 1e-8
 TAU_REG = 1e-8
@@ -57,13 +57,7 @@ class LimitVerdict:
     window_start: int
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "last_value": self.last_value,
-            "tail_oscillation": self.tail_oscillation,
-            "estimated_limit": self.estimated_limit,
-            "window_start": self.window_start,
-        }
+        return asdict(self)
 
 
 def limit_verdict(values: Sequence[float], tol: float = TAU_LIM) -> LimitVerdict:
@@ -271,13 +265,7 @@ class CheckResult:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "threshold": self.threshold,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -522,7 +510,7 @@ def certify_condition_I(
     space = m.space
     specials = [p.coords for p in special_points(space, m.domain, m.meta)]
     X = np.concatenate([np.reshape(specials, (-1, space.dim)),
-                        m.domain.sample(space, np.random.default_rng(seed), sample_count)])
+                        m.domain.sample(space, _rng(seed), sample_count)])
 
     def screen():
         TX = m.power_rows(np.ones(len(X), dtype=int), X)
@@ -613,19 +601,7 @@ class RateReport:
         raise KeyError(scheme)
 
     def to_dict(self) -> dict:
-        return {
-            "target_error": self.target_error,
-            "rows": [
-                {
-                    "scheme": r.scheme,
-                    "steps_to_target": r.steps_to_target,
-                    "applications_to_target": r.applications_to_target,
-                    "total_applications": r.total_applications,
-                    "final_error": r.final_error,
-                }
-                for r in self.rows
-            ],
-        }
+        return asdict(self)
 
     def to_csv_rows(self) -> list[list[str]]:
         rows = [["scheme", "steps_to_target", "applications_to_target",

@@ -63,18 +63,26 @@ from .space import ModulusEstimate, NormedSpace, Vector, modulus_of_convexity_es
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("lemma21", "theorem31", "theorem32", "theorem33", "condition_I", "certify")
-# Certifier call per mapping class, given the mapping, a certify CheckSpec and the seed.
+# Per mapping class: the key of the bound it is checked against ("schedule" for
+# a_n or k_n, "L" for a constant, None for no bound), which is also the key in
+# a scenario's certify check, and its certifier, called as
+# (mapping, bound, n_max, samples, seed).  A class with a bound also takes n_max.
 _CERTIFIERS = {
-    "nonexpansive": lambda m, c, seed: certify_nonexpansive(m, c.samples, seed),
-    "asymptotically_nonexpansive": lambda m, c, seed: certify_asymptotically_nonexpansive(
-        m, c.schedule, c.n_max, c.samples, seed),
-    "nearly_nonexpansive": lambda m, c, seed: certify_nearly_nonexpansive(
-        m, c.schedule, c.n_max, c.samples, seed),
-    "uniformly_lipschitz": lambda m, c, seed: certify_uniform_lipschitz(
-        m, c.lipschitz_L, c.n_max, c.samples, seed),
+    "nonexpansive": (None, lambda m, _bound, _n_max, samples, seed: certify_nonexpansive(m, samples, seed)),
+    "asymptotically_nonexpansive": ("schedule", certify_asymptotically_nonexpansive),
+    "nearly_nonexpansive": ("schedule", certify_nearly_nonexpansive),
+    "uniformly_lipschitz": ("L", certify_uniform_lipschitz),
 }
 CERT_CLASSES = tuple(_CERTIFIERS)
-_SCHEDULE_KINDS = ("constant", "geometric", "harmonic_tail", "table")
+# Per schedule kind: its parameter names, in the order ``--schedule`` takes
+# them, and the defaults of the trailing optional ones.  A table's one
+# parameter is its list of values.
+_SCHEDULE_KINDS = {
+    "constant": (("value",), {}),
+    "geometric": (("ratio",), {}),
+    "harmonic_tail": (("scale", "offset"), {"scale": 1.0, "offset": 0.0}),
+    "table": (("values",), {}),
+}
 _NAME_RE = re.compile(r"^[A-Za-z0-9._-]+$")
 _DEFAULT_CHECK_SAMPLES = 10_000
 _DEFAULT_CERT_SAMPLES = 1_000
@@ -91,8 +99,7 @@ class CheckSpec:
     phi: PhiSpec | None = None
     samples: int | None = None
     cert_class: str | None = None
-    schedule: Schedule | None = None
-    lipschitz_L: float | None = None
+    bound: Schedule | float | None = None
     n_max: int | None = None
 
 
@@ -192,28 +199,20 @@ def schedule_from_dict(obj, path: str) -> Schedule:
     if kind not in _SCHEDULE_KINDS:
         raise ScenarioError(
             _join(path, "kind"),
-            f"unknown schedule kind '{kind}'; scenario files accept {_SCHEDULE_KINDS}",
+            f"unknown schedule kind '{kind}'; scenario files accept {tuple(_SCHEDULE_KINDS)}",
         )
-    params = _require_dict(_get(d, "parameters", path), _join(path, "parameters"))
     ppath = _join(path, "parameters")
+    params = _require_dict(_get(d, "parameters", path), ppath)
+    names, defaults = _SCHEDULE_KINDS[kind]
+    _reject_unknown(params, set(names), ppath)
     try:
-        if kind == "constant":
-            _reject_unknown(params, {"value"}, ppath)
-            return Schedule.constant(_expect_real(_get(params, "value", ppath), _join(ppath, "value")))
-        if kind == "geometric":
-            _reject_unknown(params, {"ratio"}, ppath)
-            return Schedule.geometric(_expect_real(_get(params, "ratio", ppath), _join(ppath, "ratio")))
-        if kind == "harmonic_tail":
-            _reject_unknown(params, {"scale", "offset"}, ppath)
-            scale = _expect_real(_get(params, "scale", ppath, required=False, default=1.0),
-                                 _join(ppath, "scale"))
-            offset = _expect_real(_get(params, "offset", ppath, required=False, default=0.0),
-                                  _join(ppath, "offset"))
-            return Schedule.harmonic_tail(scale, offset)
-        values = _expect_list(_get(params, "values", ppath), _join(ppath, "values"))
-        _reject_unknown(params, {"values"}, ppath)
-        return Schedule.table([
-            _expect_real(v, f"{ppath}.values[{i}]") for i, v in enumerate(values)
+        if kind == "table":
+            values = _expect_list(_get(params, "values", ppath), _join(ppath, "values"))
+            return Schedule.table([_expect_real(v, f"{ppath}.values[{i}]") for i, v in enumerate(values)])
+        return getattr(Schedule, kind)(*[
+            _expect_real(_get(params, n, ppath, required=n not in defaults, default=defaults.get(n)),
+                         _join(ppath, n))
+            for n in names
         ])
     except FixiterError as e:
         if isinstance(e, ScenarioError):
@@ -277,20 +276,16 @@ def check_from_dict(obj, path: str) -> CheckSpec:
     if cert_class not in CERT_CLASSES:
         raise ScenarioError(_join(path, "class"),
                             f"unknown mapping class '{cert_class}'; known classes: {CERT_CLASSES}")
-    allowed = {"name", "class", "samples"}
-    schedule = None
-    lipschitz = None
-    n_max = None
-    if cert_class in ("nearly_nonexpansive", "asymptotically_nonexpansive"):
-        allowed |= {"schedule", "n_max"}
-        schedule = schedule_from_dict(_get(d, "schedule", path), _join(path, "schedule"))
-    elif cert_class == "uniformly_lipschitz":
-        allowed |= {"L", "n_max"}
-        lipschitz = _expect_real(_get(d, "L", path), _join(path, "L"))
-        if lipschitz <= 0.0:
-            raise ScenarioError(_join(path, "L"), f"must be > 0, got {lipschitz}")
-    _reject_unknown(d, allowed, path)
-    if cert_class != "nonexpansive":
+    key = _CERTIFIERS[cert_class][0]
+    bound = n_max = None
+    if key == "schedule":
+        bound = schedule_from_dict(_get(d, key, path), _join(path, key))
+    elif key == "L":
+        bound = _expect_real(_get(d, key, path), _join(path, key))
+        if bound <= 0.0:
+            raise ScenarioError(_join(path, key), f"must be > 0, got {bound}")
+    _reject_unknown(d, {"name", "class", "samples"} | ({key, "n_max"} if key else set()), path)
+    if key is not None:
         n_max = _expect_int(
             _get(d, "n_max", path, required=False, default=_DEFAULT_CERT_N_MAX),
             _join(path, "n_max"), minimum=1,
@@ -299,10 +294,7 @@ def check_from_dict(obj, path: str) -> CheckSpec:
         _get(d, "samples", path, required=False, default=_DEFAULT_CERT_SAMPLES),
         _join(path, "samples"), minimum=1,
     )
-    return CheckSpec(
-        name=name, samples=samples, cert_class=cert_class,
-        schedule=schedule, lipschitz_L=lipschitz, n_max=n_max,
-    )
+    return CheckSpec(name=name, samples=samples, cert_class=cert_class, bound=bound, n_max=n_max)
 
 
 def scenario_from_dict(doc) -> Scenario:
@@ -388,20 +380,10 @@ def parse_scenario(path) -> Scenario:
 
 
 def check_spec_to_dict(c: CheckSpec) -> dict:
-    out: dict = {"name": c.name}
-    if c.name in ("theorem33", "condition_I"):
-        out["phi"] = c.phi.to_dict()
-        out["samples"] = c.samples
-    elif c.name == "certify":
-        out["class"] = c.cert_class
-        if c.schedule is not None:
-            out["schedule"] = c.schedule.to_dict()
-        if c.lipschitz_L is not None:
-            out["L"] = c.lipschitz_L
-        if c.n_max is not None:
-            out["n_max"] = c.n_max
-        out["samples"] = c.samples
-    return out
+    key = c.cert_class and _CERTIFIERS[c.cert_class][0]
+    out = {"name": c.name, "phi": c.phi, "class": c.cert_class, key: c.bound,
+           "n_max": c.n_max, "samples": c.samples}
+    return {k: v.to_dict() if hasattr(v, "to_dict") else v for k, v in out.items() if v is not None}
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -535,7 +517,7 @@ def run_checks(
                 details = report.to_dict()
                 details["condition_certificate"] = certificate_to_dict(cert)
         else:
-            cert = _CERTIFIERS[c.cert_class](m, c, seed)
+            cert = _CERTIFIERS[c.cert_class][1](m, c.bound, c.n_max, c.samples, seed)
             passed, details = cert.verdict == "certified", certificate_to_dict(cert)
         results.append({
             "name": c.name,
@@ -558,10 +540,13 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def _claim_outputs(paths: list[Path], force: bool) -> None:
+def _claim_outputs(args, name: str, suffixes: tuple[str, ...]) -> list[Path]:
+    """The paths ``<--output>/<name>.<suffix>``; an existing one is refused unless --force."""
+    paths = [Path(args.output) / f"{name}.{suffix}" for suffix in suffixes]
     for p in paths:
-        if p.exists() and not force:
+        if p.exists() and not args.force:
             raise ScenarioError(str(p), "output file exists; pass --force to overwrite")
+    return paths
 
 
 def _write_json(path: Path, obj) -> None:
@@ -578,11 +563,8 @@ def cmd_run(args) -> int:
         preflight_checks(scenario, mapping)
         config = build_run_config(scenario, mapping)
 
-        out_dir = Path(args.output)
-        csv_path = out_dir / f"{scenario.name}.trajectory.csv"
-        header_path = out_dir / f"{scenario.name}.trajectory.json"
-        report_path = out_dir / f"{scenario.name}.report.json"
-        _claim_outputs([csv_path, header_path, report_path], args.force)
+        csv_path, header_path, report_path = _claim_outputs(
+            args, scenario.name, ("trajectory.csv", "trajectory.json", "report.json"))
 
         t0 = time.perf_counter()
         traj = run_scheme(config)
@@ -597,7 +579,7 @@ def cmd_run(args) -> int:
         "checks": results,
         "timings": {"run_seconds": run_seconds, "checks": check_timings},
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as f:
         write_trajectory_csv(traj, f)
     _write_json(header_path, trajectory_header(traj))
@@ -624,17 +606,14 @@ def cmd_compare(args) -> int:
         mapping = build_mapping_for(scenario)
         base = build_run_config(scenario, mapping)
 
-        out_dir = Path(args.output)
-        csv_path = out_dir / f"{scenario.name}.rates.csv"
-        json_path = out_dir / f"{scenario.name}.rates.json"
-        _claim_outputs([csv_path, json_path], args.force)
+        csv_path, json_path = _claim_outputs(args, scenario.name, ("rates.csv", "rates.json"))
 
         report = compare_schemes(base, schemes, args.target)
     except FixiterError as e:
         _err(f"{args.scenario}: {e}" if isinstance(e, ScenarioError) else str(e))
         return 1
 
-    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     with open(csv_path, "w", newline="") as f:
         csv.writer(f, lineterminator="\n").writerows(report.to_csv_rows())
     _write_json(json_path, {"scenario": scenario_to_dict(scenario), **report.to_dict()})
@@ -663,14 +642,11 @@ def _parse_schedule_spec(spec: str) -> Schedule:
         values = [float(tok) for tok in argv]
     except ValueError as e:
         raise ScenarioError("--schedule", f"non-numeric argument in '{spec}'") from e
-    if kind == "constant" and len(values) == 1:
-        return Schedule.constant(values[0])
-    if kind == "geometric" and len(values) == 1:
-        return Schedule.geometric(values[0])
-    if kind == "harmonic_tail" and 1 <= len(values) <= 2:
-        return Schedule.harmonic_tail(*values)
+    names, defaults = _SCHEDULE_KINDS.get(kind, ((), {}))
     if kind == "table" and values:
         return Schedule.table(values)
+    if kind != "table" and names and len(names) - len(defaults) <= len(values) <= len(names):
+        return getattr(Schedule, kind)(*values, *[defaults[n] for n in names[len(values):]])
     raise ScenarioError(
         "--schedule",
         f"cannot parse '{spec}'; expected kind:args like constant:0.5, geometric:0.5, "
@@ -689,16 +665,17 @@ def cmd_certify(args) -> int:
         space = NormedSpace(dim, _cli_p(args.p, "--p"))
         mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
 
-        schedule = None
-        if args.class_name in ("nearly_nonexpansive", "asymptotically_nonexpansive"):
-            if args.schedule is None:
-                raise ScenarioError("--schedule", f"{args.class_name} needs a coefficient schedule")
-            schedule = _parse_schedule_spec(args.schedule)
-        elif args.class_name == "uniformly_lipschitz" and args.lipschitz is None:
-            raise ScenarioError("--lipschitz", "uniformly_lipschitz needs a constant L")
-        spec = CheckSpec(name="certify", samples=args.samples, cert_class=args.class_name,
-                         schedule=schedule, lipschitz_L=args.lipschitz, n_max=args.n_max)
-        cert = _CERTIFIERS[args.class_name](mapping, spec, args.seed)
+        key, certifier = _CERTIFIERS[args.class_name]
+        flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
+                 "L": ("--lipschitz", args.lipschitz, "constant L")}
+        for flag_key, (flag, value, noun) in flags.items():
+            if (value is None) == (flag_key == key):
+                verb = "needs a" if value is None else "takes no"
+                raise ScenarioError(flag, f"{args.class_name} {verb} {noun}")
+        bound = None if key is None else flags[key][1]
+        if key == "schedule":
+            bound = _parse_schedule_spec(bound)
+        cert = certifier(mapping, bound, args.n_max, args.samples, args.seed)
     except FixiterError as e:
         _err(str(e))
         return 1
@@ -792,6 +769,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed < 0:
+        _err(f"--seed: must be >= 0, got {args.seed}")
+        return 1
     return args.handler(args)
 
 

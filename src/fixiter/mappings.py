@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, FixiterError, ParameterError, ScheduleError
 from .schedules import Schedule
-from .space import Ball, Box, Domain, NormedSpace, Vector
+from .space import Ball, Box, Domain, NormedSpace, Vector, _rng
 
 # Absolute slack for all sampled inequality checks.
 TAU_CERT = 1e-8
@@ -373,6 +373,9 @@ def _check_meta(space: NormedSpace, meta: MappingMeta) -> None:
     for p in meta.known_fixed_points or ():
         if p.dim != space.dim:
             raise ContractError(f"fixed point {p.coords} has wrong dimension")
+    for d in meta.discontinuities:
+        if d.dim != space.dim:
+            raise ContractError(f"discontinuity {d.coords} has wrong dimension")
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +468,7 @@ def _certify_pairs(
         (neighbor, d) for d in m.meta.discontinuities
         for neighbor in _discontinuity_neighbors(m.space, m.domain, d)
     ]
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     N = np.concatenate([np.tile(np.arange(1, n_max + 1), len(pairs)),
                         rng.integers(1, n_max + 1, size=sample_count)])
     X = np.concatenate([np.repeat([x.coords for x, _ in pairs], n_max, axis=0),

@@ -57,10 +57,10 @@ class Vector:
         return Vector(np.asarray(arr, dtype=float).tolist())
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector.from_array(self.array + other.array)
+        return Vector.from_array(self.array + _same_dim(self, other).array)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return Vector.from_array(self.array - other.array)
+        return Vector.from_array(self.array - _same_dim(self, other).array)
 
     def __mul__(self, scalar: float) -> "Vector":
         return Vector.from_array(self.array * float(scalar))
@@ -68,9 +68,23 @@ class Vector:
     __rmul__ = __mul__
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The sampler stream of ``seed``, which must be >= 0."""
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
+def _same_dim(x: Vector, y: Vector) -> Vector:
+    """``y``, once it has the dimension of ``x``."""
+    if x.dim != y.dim:
+        raise ContractError(f"dimension mismatch: vectors have dims {x.dim} and {y.dim}")
+    return y
+
+
 def combine(t: float, x: Vector, y: Vector) -> Vector:
     """Convex combination (1-t)*x + t*y."""
-    return Vector.from_array((1.0 - t) * x.array + t * y.array)
+    return Vector.from_array((1.0 - t) * x.array + t * _same_dim(x, y).array)
 
 
 @dataclass(frozen=True)
@@ -346,7 +360,7 @@ def modulus_of_convexity_estimate(
             f"no unit-ball pair has separation {epsilon} > 2; the constraint set is empty"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     xs = space.unit_ball_points(rng, sample_count)
     ys = space.unit_ball_points(rng, sample_count)
     admissible = space.norm_rows(xs - ys) >= epsilon

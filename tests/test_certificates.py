@@ -42,6 +42,7 @@ from fixiter import (
     make_example21,
     make_identity,
     make_linear_contraction,
+    modulus_of_convexity_estimate,
 )
 from fixiter.mappings import (
     CATALOG,
@@ -129,6 +130,22 @@ def test_has_fixed_set():
     assert make_example21(0.5).has_fixed_set  # declared fixed point 0
     assert make_identity(2).has_fixed_set  # every point is fixed
     assert not replace(make_example21(0.5), meta=MappingMeta()).has_fixed_set
+
+
+def test_every_sampler_refuses_a_negative_seed():
+    # numpy would raise a bare ValueError from inside the sampler.
+    m = make_example21(0.5)
+    for sample in (
+        lambda seed: certify_nonexpansive(m, 100, seed),
+        lambda seed: certify_nearly_nonexpansive(m, Schedule.constant(0.1), 2, 100, seed),
+        lambda seed: certify_uniform_lipschitz(m, 2.0, 2, 100, seed),
+        lambda seed: certify_asymptotically_nonexpansive(m, Schedule.constant(1.5), 2, 100, seed),
+        lambda seed: certify_condition_I(m, PhiSpec("linear", lam=0.5), 100, seed),
+        lambda seed: modulus_of_convexity_estimate(NormedSpace(2, 2.0), 1.0, 100, seed),
+    ):
+        with pytest.raises(ContractError, match=r"^seed must be >= 0, got -1$"):
+            sample(-1)
+        assert sample(0) == sample(0)
 
 
 

@@ -386,6 +386,164 @@ def test_certify_argument_errors(capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--schedule", "geometric:0.5"],
+     "--schedule: nonexpansive takes no coefficient schedule"),
+    (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--lipschitz", "2"],
+     "--lipschitz: nonexpansive takes no constant L"),
+    (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "2",
+      "--schedule", "geometric:0.5"], "--schedule: uniformly_lipschitz takes no coefficient schedule"),
+    (["example21", "--class", "nearly_nonexpansive", "--param", "q=0.5", "--schedule", "geometric:0.5",
+      "--lipschitz", "2"], "--lipschitz: nearly_nonexpansive takes no constant L"),
+])
+def test_certify_refuses_a_bound_its_class_does_not_take(capsys, argv, error):
+    # A scenario file refuses the same key; the command line used to drop it.
+    assert cli.main(["certify"] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_certify_takes_n_max_for_every_class(capsys):
+    assert cli.main(["certify", "identity", "--class", "nonexpansive", "--n-max", "3",
+                     "--samples", "20"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_range"] == [1, 1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "identity", "--class", "nonexpansive", "--seed", "-1"],
+    ["modulus", "--epsilon", "1", "--seed", "-1"],
+    ["run", "RUN", "--seed", "-1"],
+    ["compare", "RUN", "--schemes", "mann", "--target", "1e-6", "--seed", "-1"],
+])
+def test_every_subcommand_refuses_a_negative_seed(tmp_path, capsys, argv):
+    path = _write(tmp_path, GOOD)
+    out = tmp_path / "out"
+    argv = [path if a == "RUN" else a for a in argv] + (["--output", str(out)] if "RUN" in argv else [])
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: --seed: must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# pinned error lines: one fault per input, exact exit code 1 and stderr line
+
+_LIN = {"kind": "linear", "lam": 0.5}
+_GEO = {"kind": "geometric", "parameters": {"ratio": 0.5}}
+_KNOWN_CLASSES = ("known classes: ('nonexpansive', 'asymptotically_nonexpansive', "
+                  "'nearly_nonexpansive', 'uniformly_lipschitz')")
+
+
+def _check(**spec):
+    return {"checks": [spec]}
+
+
+def _cert(cert_class, **spec):
+    return _check(name="certify", **{"class": cert_class}, **spec)
+
+
+def _alpha(kind, **params):
+    return {"schedules": {"alpha": {"kind": kind, "parameters": params}}}
+
+
+_SCENARIO_FAULTS = [
+    (_check(name="lemma99"),
+     "checks[0].name: unknown check 'lemma99'; known checks: ('lemma21', 'theorem31', "
+     "'theorem32', 'theorem33', 'condition_I', 'certify')"),
+    (_check(name="theorem31", surprise=1), "checks[0].surprise: unknown key"),
+    (_check(name="theorem33", samples=500), "checks[0].phi: missing required key"),
+    (_check(name="theorem33", phi=_LIN, samples=500, n_max=3), "checks[0].n_max: unknown key"),
+    (_check(name="condition_I", phi=_LIN, samples=1.5),
+     "checks[0].samples: expected an integer, got float"),
+    (_check(name="certify"), "checks[0].class: missing required key"),
+    (_cert("bogus"), f"checks[0].class: unknown mapping class 'bogus'; {_KNOWN_CLASSES}"),
+    (_cert(3), "checks[0].class: expected a string, got int"),
+    (_cert("nonexpansive", schedule=_GEO), "checks[0].schedule: unknown key"),
+    (_cert("nonexpansive", n_max=3), "checks[0].n_max: unknown key"),
+    (_cert("nonexpansive", samples=0), "checks[0].samples: must be >= 1, got 0"),
+    (_cert("nearly_nonexpansive"), "checks[0].schedule: missing required key"),
+    (_cert("nearly_nonexpansive", schedule=_GEO, L=2.0), "checks[0].L: unknown key"),
+    (_cert("asymptotically_nonexpansive", schedule={"kind": "geometric"}),
+     "checks[0].schedule.parameters: missing required key"),
+    (_cert("uniformly_lipschitz"), "checks[0].L: missing required key"),
+    (_cert("uniformly_lipschitz", L=0), "checks[0].L: must be > 0, got 0.0"),
+    (_cert("uniformly_lipschitz", L=2.0, schedule=_GEO), "checks[0].schedule: unknown key"),
+    (_cert("uniformly_lipschitz", L=2.0, n_max=1.5),
+     "checks[0].n_max: expected an integer, got float"),
+    ({"schedules": {"alpha": {"parameters": {"value": 0.5}}}},
+     "schedules.alpha.kind: missing required key"),
+    (_alpha("formula"),
+     "schedules.alpha.kind: unknown schedule kind 'formula'; scenario files accept "
+     "('constant', 'geometric', 'harmonic_tail', 'table')"),
+    ({"schedules": {"alpha": {"kind": "constant"}}}, "schedules.alpha.parameters: missing required key"),
+    (_alpha("constant"), "schedules.alpha.parameters.value: missing required key"),
+    (_alpha("constant", value=0.5, ratio=0.5), "schedules.alpha.parameters.ratio: unknown key"),
+    (_alpha("geometric"), "schedules.alpha.parameters.ratio: missing required key"),
+    (_alpha("geometric", ratio=0.5, value=0.5), "schedules.alpha.parameters.value: unknown key"),
+    (_alpha("harmonic_tail", offset=-1.0),
+     "schedules.alpha: harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
+    (_alpha("harmonic_tail", value=1.0), "schedules.alpha.parameters.value: unknown key"),
+    (_alpha("table"), "schedules.alpha.parameters.values: missing required key"),
+    (_alpha("table", values=[]), "schedules.alpha: table schedule needs at least one value"),
+    (_alpha("table", values=[0.5], value=0.5), "schedules.alpha.parameters.value: unknown key"),
+    (_check(name="condition_I", phi={"kind": "cubic"}, samples=500),
+     "checks[0].phi.kind: unknown gauge kind 'cubic'"),
+    (_check(name="condition_I", phi={"kind": "linear", "lam": 0.5, "gamma": 2}, samples=500),
+     "checks[0].phi.gamma: unknown key"),
+    (_check(name="condition_I", phi={"kind": "linear", "lam": -1.0}, samples=500),
+     "checks[0].phi: linear gauge needs a finite lam > 0, got -1.0"),
+    (_check(name="condition_I", phi={"kind": "power", "lam": 0.5}, samples=500),
+     "checks[0].phi.gamma: missing required key"),
+    ({"scheme": "mann"}, "checks[0]: theorem31 applies to the modified_pm_hybrid scheme only"),
+    ({"mapping": {"id": "identity"}, "checks": [{"name": "theorem32"}]},
+     "checks[0]: theorem32 requires a mapping with known fixed points"),
+]
+
+
+@pytest.mark.parametrize("edits, message", _SCENARIO_FAULTS)
+def test_scenario_error_lines_are_pinned(tmp_path, capsys, edits, message):
+    path = _write(tmp_path, {**copy.deepcopy(GOOD), **edits})
+    out = tmp_path / "out"
+    assert cli.main(["run", path, "--output", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not out.exists()
+
+
+_NEARLY = ["example21", "--class", "nearly_nonexpansive", "--param", "q=0.5"]
+_CANNOT_PARSE = ("expected kind:args like constant:0.5, geometric:0.5, "
+                 "harmonic_tail:scale[,offset], or table:v1,v2,...")
+_CERTIFY_FAULTS = [
+    (["mystery", "--class", "nonexpansive"],
+     "mapping: unknown mapping 'mystery'; catalog: "
+     "('example21', 'contraction', 'identity', 'asymptotic_demo')"),
+    (["example21", "--class", "bogus", "--param", "q=0.5"],
+     f"--class: unknown mapping class 'bogus'; {_KNOWN_CLASSES}"),
+    (_NEARLY, "--schedule: nearly_nonexpansive needs a coefficient schedule"),
+    (["example21", "--class", "asymptotically_nonexpansive", "--param", "q=0.5"],
+     "--schedule: asymptotically_nonexpansive needs a coefficient schedule"),
+    (["example21", "--class", "uniformly_lipschitz", "--param", "q=0.5"],
+     "--lipschitz: uniformly_lipschitz needs a constant L"),
+    (["example21", "--class", "nonexpansive", "--param", "q=oops"],
+     "--param: value of 'q' must be a number, got 'oops'"),
+    (_NEARLY + ["--schedule", "cubic:1"], f"--schedule: cannot parse 'cubic:1'; {_CANNOT_PARSE}"),
+    (_NEARLY + ["--schedule", "geometric"], f"--schedule: cannot parse 'geometric'; {_CANNOT_PARSE}"),
+    (_NEARLY + ["--schedule", "geometric:0.5,0.2"],
+     f"--schedule: cannot parse 'geometric:0.5,0.2'; {_CANNOT_PARSE}"),
+    (_NEARLY + ["--schedule", "harmonic_tail:1,2,3"],
+     f"--schedule: cannot parse 'harmonic_tail:1,2,3'; {_CANNOT_PARSE}"),
+    (_NEARLY + ["--schedule", "table:"], f"--schedule: cannot parse 'table:'; {_CANNOT_PARSE}"),
+    (_NEARLY + ["--schedule", "geometric:x"], "--schedule: non-numeric argument in 'geometric:x'"),
+    (_NEARLY + ["--schedule", "harmonic_tail:1,-1"],
+     "harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
+    (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "inf"],
+     "Lipschitz constant must be finite and > 0, got inf"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _CERTIFY_FAULTS)
+def test_certify_error_lines_are_pinned(capsys, argv, message):
+    assert cli.main(["certify"] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # modulus command
 

@@ -166,6 +166,9 @@ def test_build_rejects_incoherent_metadata():
                       meta=MappingMeta(known_fixed_points=(Vector((0.5,)),)))
     with pytest.raises(ContractError):
         build_mapping("m", NormedSpace(2, 2.0), box, halve)
+    with pytest.raises(ContractError, match=r"discontinuity \(0.5,\) has wrong dimension"):
+        build_mapping("m", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)),
+                      lambda x: 0.5 * x, meta=MappingMeta(discontinuities=(Vector((0.5,)),)))
 
 
 def test_certify_nearly_certifies_the_jump_map():
@@ -317,6 +320,11 @@ def test_direct_mapping_construction_is_allowed():
     m = Mapping("raw", sp, Box((0.0,), (1.0,)), lambda x: x, None, MappingMeta())
     assert m.apply(Vector((0.3,))) == Vector((0.3,))
     assert not m.has_power
+    # Nor does it check dimensions, but a distance to a fixed point of the wrong one fails.
+    plane = Mapping("raw", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)), lambda x: x, None,
+                    MappingMeta(known_fixed_points=(Vector((0.0,)),)))
+    with pytest.raises(ContractError, match="dimension mismatch"):
+        distance_to_fixed_set(plane, Vector((0.3, 0.4)))
 
 
 def _halving_rows(ns, X):

@@ -123,6 +123,15 @@ def test_vector_arithmetic_and_immutability():
         Vector((1.0, math.nan))
 
 
+def test_vectors_of_different_dimensions_do_not_combine():
+    # numpy would broadcast the 1-D vector across the 2-D one.
+    x, y = Vector((3.0, 4.0)), Vector((1.0,))
+    for op in (lambda: x + y, lambda: x - y, lambda: y - x, lambda: combine(0.5, x, y),
+               lambda: NormedSpace(2, 2.0).distance(x, y)):
+        with pytest.raises(ContractError, match="dimension mismatch: vectors have dims"):
+            op()
+
+
 def test_combine_endpoints_and_midpoint():
     x = Vector((1.0, 0.0))
     y = Vector((0.0, 2.0))
