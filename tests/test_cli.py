@@ -408,17 +408,15 @@ def test_certify_takes_n_max_for_every_class(capsys):
     assert json.loads(capsys.readouterr().out)["n_range"] == [1, 1]
 
 
-@pytest.mark.parametrize("argv", [
-    ["certify", "identity", "--class", "nonexpansive", "--seed", "-1"],
-    ["modulus", "--epsilon", "1", "--seed", "-1"],
-    ["run", "RUN", "--seed", "-1"],
-    ["compare", "RUN", "--schemes", "mann", "--target", "1e-6", "--seed", "-1"],
+@pytest.mark.parametrize("command", [
+    ["certify", "identity", "--class", "nonexpansive"],
+    ["modulus", "--epsilon", "1"],
+    ["run", "{path}", "--output", "{out}"],
+    ["compare", "{path}", "--schemes", "mann", "--target", "1e-6", "--output", "{out}"],
 ])
-def test_every_subcommand_refuses_a_negative_seed(tmp_path, capsys, argv):
-    path = _write(tmp_path, GOOD)
-    out = tmp_path / "out"
-    argv = [path if a == "RUN" else a for a in argv] + (["--output", str(out)] if "RUN" in argv else [])
-    assert cli.main(argv) == 1
+def test_every_subcommand_refuses_a_negative_seed(tmp_path, capsys, command):
+    path, out = _write(tmp_path, GOOD), tmp_path / "out"
+    assert cli.main([a.format(path=path, out=out) for a in command] + ["--seed", "-1"]) == 1
     assert capsys.readouterr() == ("", "error: --seed: must be >= 0, got -1\n")
     assert not out.exists()
 
