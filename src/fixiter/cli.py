@@ -713,8 +713,16 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress informational output")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one ``error:`` line and exits 1, where
+    argparse prints its usage and exits 2, the code of a refuted property."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fixiter",
         description="Fixed-point iteration runner, certifier, and diagnostics",
     )

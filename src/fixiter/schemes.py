@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import Mapping, _fixed_set_distances, apply_power, distance_to_fixed_set
+from .mappings import Mapping, _fixed_set_distances, _iterate, apply_power, distance_to_fixed_set
 from .schedules import Schedule
 from .space import Vector
 
@@ -311,17 +311,21 @@ def _inside(m: Mapping, row: np.ndarray) -> bool:
         m.space, Vector.from_array(row[0]))
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int) -> np.ndarray | None:
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | None) -> np.ndarray | None:
     """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
 
     Schedules, evaluators and domain tests run in the order that
     ``apply_power``, ``combine`` and ``domain_membership`` run them on
-    Vectors, so an error comes from the same call as it would there.
+    Vectors, so an error comes from the same call as it would there.  With
+    ``kept``, the first stage runs its chain through ``_chain``.
     """
     z = x
     for schedule, power in stages:
         w = None if schedule is None else schedule.at(n)
-        z = m.power_rows(np.array([n]) if power else _ONE, z)
+        if kept is None:
+            z = m.power_rows(np.array([n]) if power else _ONE, z)
+        else:  # the first stage, and only it, keeps its images
+            z, kept = _chain(m, x, n if power else 1, kept), None
         if not _inside(m, z):
             return None
         if w is not None:
@@ -331,15 +335,32 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int) -> np.ndarray | None:
     return z
 
 
+def _chain(m: Mapping, x: np.ndarray, k: int, kept: np.ndarray) -> np.ndarray:
+    """T^k of the (1, dim) row x as k calls of ``m.apply`` on Vectors, the
+    calls ``power_rows`` makes on a map without a closed-form power.  Keeps
+    T x in kept[0] and T^{k-1} x in kept[1]."""
+    v = Vector.from_array(x[0])
+    for j in range(1, k + 1):
+        v = m.apply(v)
+        if j == 1:
+            kept[0] = v.coords
+        if j == k - 1:
+            kept[1] = v.coords
+    return np.array([v.coords])
+
+
 def run_scheme(config: RunConfig) -> Trajectory:
     """Execute the configured scheme and record the trajectory.
 
     The update runs step by step on rows of one float64 array, through the
     mapping's row evaluators.  The step records are computed afterwards as
-    array columns.  Both give exactly what evaluating
-    every step on Vectors gives, errors included: an error the update raises
-    is held until the records of the steps before it are computed, since
-    those were computed, and could raise, first.
+    array columns.  On a map without a closed-form power, step n + 1 keeps
+    the images of x_n that its first stage passes, T x_n and, on a power
+    scheme, T^n x_n, and the records read them (see ``_chained_images``).
+    Both give exactly what evaluating every step on Vectors gives, errors
+    included: an error the update raises is held until the records of the
+    steps before it are computed, since those were computed, and could
+    raise, first.
     """
     _validate_config(config)
     m = config.mapping
@@ -356,11 +377,12 @@ def run_scheme(config: RunConfig) -> Trajectory:
     tol = config.stop_tolerance
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
+    kept = None if m.has_power else np.empty((len(X), 2, space.dim))  # kept[n]: T x_n, T^n x_n
     steps, stop_reason, error = 0, "max_steps", None
     for n in range(1, config.max_steps + 1):
         x = X[n - 1:n]
         try:
-            nxt = _step(m, stages, x, n)
+            nxt = _step(m, stages, x, n, None if kept is None else kept[n - 1])
         except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
             nxt = None
         except Exception as e:  # raised below, once the records before it are computed
@@ -370,7 +392,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
             stop_reason = "domain_exit"
             break
         if n == len(X):
-            X = np.concatenate((X, np.empty((min(n, config.max_steps + 1 - n), space.dim))))
+            more = min(n, config.max_steps + 1 - n)
+            X, kept = (A if A is None else np.concatenate((A, np.empty((more,) + A.shape[1:])))
+                       for A in (X, kept))
         X[n] = nxt[0]
         steps = n
         if tol >= 0.0 and space.norm_rows(nxt - x)[0] <= tol:
@@ -382,19 +406,20 @@ def run_scheme(config: RunConfig) -> Trajectory:
     fixed = sum(not power for _, power in stages)
     powered = len(stages) - fixed
     costs = [fixed + powered * (1 if m.has_power else n) for n in range(1, steps + 1)]
-    records = _records(m, points, costs)
+    records = _records(m, points, costs, config.scheme, kept)
     if error is not None:
         raise error
     return Trajectory(config=config, points=points, records=records, stop_reason=stop_reason)
 
 
-def _records(m: Mapping, points: np.ndarray, costs: list[int]) -> tuple[StepRecord, ...]:
+def _records(m: Mapping, points: np.ndarray, costs: list[int], scheme: str,
+             kept: np.ndarray | None) -> tuple[StepRecord, ...]:
     """The step records of a trajectory, as array columns; when a column
     cannot be computed that way, step by step on Vectors, which raises the
     first error in step order."""
     try:
         with np.errstate(all="ignore"):
-            columns = _record_columns(m, points)
+            columns = _record_columns(m, points, scheme, kept)
     except Exception:  # the step-by-step path raises it, in step order
         columns = None
     if columns is None:
@@ -405,12 +430,20 @@ def _records(m: Mapping, points: np.ndarray, costs: list[int]) -> tuple[StepReco
     )
 
 
-def _record_columns(m: Mapping, points: np.ndarray) -> list[list] | None:
+def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
+                    kept: np.ndarray | None) -> list[list] | None:
     """step_norm, residual_T, residual_Tn and dist_to_known_fp of every step,
-    or None when an image leaves the domain or a value is not finite."""
+    or None when an image leaves the domain or a value is not finite.
+
+    On a map with a closed-form power the images come from ``power_rows``;
+    without one, from ``_chained_images``, which reuses the update's chains.
+    """
     space, prev, cur = m.space, points[:-1], points[1:]
     ns = np.arange(1, len(points))
-    images = [m.power_rows(np.ones_like(ns), cur), m.power_rows(ns, cur)]
+    if m.has_power or not len(cur):
+        images = [m.power_rows(np.ones_like(ns), cur), m.power_rows(ns, cur)]
+    else:
+        images = _chained_images(m, points, scheme, kept)
     if not all(m.domain.inside_rows(space, T).all() for T in images):
         return None
     columns = [space.norm_rows(cur - prev)] + [space.norm_rows(cur - T) for T in images]
@@ -423,6 +456,31 @@ def _record_columns(m: Mapping, points: np.ndarray) -> list[list] | None:
     if distances is None:  # as distance_to_fixed_set when no set is declared
         columns.append([None] * len(cur))
     return columns
+
+
+def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarray) -> list[np.ndarray]:
+    """T x_n and T^n x_n for n = 1 .. N >= 1 on a map without a closed-form power.
+
+    Each image is a chain of ``m.apply`` calls on Vectors from x_n, as
+    ``power_rows`` iterates it, so it has the same bits; a chain the update
+    already ran is not run again.  Step n + 1 kept T x_n, and on a power
+    scheme T^n x_n, in kept[n] (see ``_chain``); T x_N is applied afresh.  A
+    T^n x_n not kept continues the chain from T x_n with n - 1 applications.
+    On picard T^j x_n is x_{n+j}: the iterates are extended N applications
+    past x_N, and both images are read off them.
+    """
+    N, v = len(points) - 1, Vector.from_array(points[-1])
+    if scheme == "picard":
+        tail = []
+        for _ in range(N):
+            v = m.apply(v)
+            tail.append(v.coords)
+        X = np.concatenate((points, tail))
+        return [X[2:N + 2], X[2::2]]
+    T = np.concatenate((kept[1:N, 0], [m.apply(v).coords]))
+    first = N if scheme in POWER_SCHEMES else 1  # the first n whose T^n x_n was not kept
+    rest = [_iterate(m, n - 1, Vector.from_array(T[n - 1])).coords for n in range(first, N + 1)]
+    return [T, np.concatenate((kept[1:first, 1], rest))]
 
 
 def _scalar_records(m: Mapping, points: np.ndarray, costs: list[int]):

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -400,6 +401,28 @@ def test_certify_refuses_a_bound_its_class_does_not_take(capsys, argv, error):
     # A scenario file refuses the same key; the command line used to drop it.
     assert cli.main(["certify"] + argv) == 1
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["certify", "example21", "--param", "q=0.5"], "the following arguments are required: --class"),
+    (["certify", "example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "x"],
+     "argument --samples: invalid int value: 'x'"),
+])
+def test_usage_errors_exit_one_with_one_error_line(monkeypatch, capsys, argv, error):
+    # argparse alone prints its usage and exits 2, the code of a refuted property.
+    monkeypatch.setattr(sys, "argv", ["fixiter"] + argv)
+    for run in (lambda: cli.main(argv), cli.entrypoint):
+        with pytest.raises(SystemExit) as exited:
+            run()
+        assert exited.value.code == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["certify", "--help"])
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fixiter certify")
 
 
 def test_certify_takes_n_max_for_every_class(capsys):

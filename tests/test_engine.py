@@ -32,6 +32,7 @@ from fixiter import (
     distance_to_fixed_set,
     domain_membership,
     get_mapping,
+    make_example21,
     make_linear_contraction,
     run_scheme,
 )
@@ -145,12 +146,14 @@ def _scaling(name, space, factor, rows, power, bound=1.0, known=True, refuse=Fal
 
 @st.composite
 def catalog_maps(draw):
-    """A catalog map in a generated l_p space, with or without its row evaluators."""
+    """A catalog map in a generated l_p space: as built, without its row
+    evaluators, or without its closed-form power."""
     mapping_id = draw(st.sampled_from(CATALOG_IDS))
     dim = 1 if mapping_id == "example21" else draw(st.integers(1, 3))
     params = {"q": draw(st.floats(0.05, 0.95))} if CATALOG[mapping_id].parameters else {}
     m = get_mapping(mapping_id, params, NormedSpace(dim, draw(st.sampled_from(P_VALUES))))
-    return m if draw(st.booleans()) else replace(m, apply_rows=None, power_rows=None)
+    return draw(st.sampled_from([m, replace(m, apply_rows=None, power_rows=None),
+                                 replace(m, power=None, power_rows=None)]))
 
 
 @st.composite
@@ -179,10 +182,10 @@ def _start(m, seed):
     return Vector.from_array(m.domain.sample(m.space, rng, 1)[0] * 0.99)
 
 
-def _config(scheme, m, seed, alpha, beta, steps, tol):
-    x0 = _start(m, seed)
+def _config(scheme, m, seed, alpha, beta, steps, tol, x0=None):
+    """A run from x0, or from a point drawn with ``seed``."""
     return RunConfig(
-        scheme, m, x0,
+        scheme, m, _start(m, seed) if x0 is None else x0,
         alpha=None if scheme == "picard" else Schedule.constant(alpha),
         beta=Schedule.constant(beta) if scheme == "ishikawa" else None,
         max_steps=steps, stop_tolerance=tol,
@@ -236,6 +239,43 @@ def test_domain_exit_and_errors_come_in_step_order(rows):
     for run in (run_scheme, _scalar_run):
         with pytest.raises(DomainError, match="left its domain"):
             run(config)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_record_chain_that_raises_first_raises_in_step_order(scheme):
+    # T halves, and refuses a point below 1e-6.  On mann the iterates shrink
+    # by 3/4 a step and stay above it for 30 steps, but the records' chain to
+    # T^15 x_15 goes below it first.
+    def guarded(x):
+        if abs(x.coords[0]) < 1e-6:
+            raise ContractError(f"refused {x.coords}: below 1e-6")
+        return Vector((0.5 * x.coords[0],))
+
+    m = Mapping("guarded", NormedSpace(1, 2.0), Box((-1.0,), (1.0,)), guarded, None, MappingMeta())
+    config = _config(scheme, m, None, 0.5, 0.5, 30, -1.0, x0=Vector((0.9,)))
+    outcome = _outcome(lambda: run_scheme(config))
+    assert outcome[:2] == ("raised", ContractError)
+    assert outcome == _outcome(lambda: _scalar_run(config))
+
+
+# Mapping applications of a 120-step run from 0.7 on example21 (q = 0.5)
+# without its closed-form power: the update's own (total_applications), and
+# the most in all.  The records take T x_n and, on a power scheme, T^n x_n
+# from the update's chains, continue a T^n x_n from T x_n, and on picard read
+# T^n x_n = x_{2n}; built afresh, they would cost n + 1 applications a step.
+APPLY_CALLS = {"picard": (120, 241), "mann": (120, 7261), "ishikawa": (240, 7381),
+               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 14640)}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
+    powerless = replace(make_example21(0.5), power=None, power_rows=None)
+    calls = []
+    m = replace(powerless, apply=lambda x: calls.append(x) or powerless.apply(x))
+    t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
+    charged, most = APPLY_CALLS[scheme]
+    assert (t.steps, t.total_applications) == (120, charged)
+    assert len(calls) <= most
 
 
 def test_weights_past_the_validated_horizon_may_leave_the_domain():
