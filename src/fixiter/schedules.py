@@ -73,7 +73,11 @@ class Schedule:
         if n < 1:
             raise ContractError(f"schedules are indexed from n = 1, got n = {n}")
         try:
-            value = float(self._fn(int(n)))
+            raw = self._fn(int(n))
+            try:
+                value = float(raw)
+            except (TypeError, ValueError) as e:
+                raise ScheduleError(f"{self.kind} schedule is not a real number at n = {n}: {raw!r}") from e
         except OverflowError as e:
             raise ScheduleError(f"{self.kind} schedule overflows at n = {n}") from e
         if not math.isfinite(value):

@@ -69,23 +69,29 @@ class ScheduleVerdict:
         return self.verdict != "violated"
 
 
-def _range_check(name: str, sched: Schedule, horizon: int, lo_open: bool, hi_open: bool) -> ConstraintCheck:
+def _range_check(name: str, sched: Schedule, horizon: int, lo_open: bool,
+                 hi_open: bool) -> tuple[ConstraintCheck, list[float]]:
+    """The range check of sched(n) for n <= horizon, and the values it read:
+    all ``horizon`` of them when it is satisfied, up to the first violation
+    otherwise."""
     lo_sym = "(" if lo_open else "["
     hi_sym = ")" if hi_open else "]"
     bounds = f"{lo_sym}0, 1{hi_sym}"
+    values = []
     for n in range(1, horizon + 1):
         v = sched.at(n)
+        values.append(v)
         below = v <= 0.0 if lo_open else v < 0.0
         above = v >= 1.0 if hi_open else v > 1.0
         if below or above:
             return ConstraintCheck(
                 f"{name}_range", "violated", f"{name}({n}) = {v} outside {bounds}"
-            )
-    return ConstraintCheck(f"{name}_range", "satisfied", f"{name}(n) in {bounds} for n <= {horizon}")
+            ), values
+    return ConstraintCheck(f"{name}_range", "satisfied", f"{name}(n) in {bounds} for n <= {horizon}"), values
 
 
-def _divergence_check(alpha: Schedule, horizon: int) -> ConstraintCheck:
-    values = alpha.values(horizon)
+def _divergence_check(values: list[float]) -> ConstraintCheck:
+    horizon = len(values)
     floor = min(values)
     partial = math.fsum(values)
     if floor >= _ALPHA_FLOOR:
@@ -106,12 +112,13 @@ def _divergence_check(alpha: Schedule, horizon: int) -> ConstraintCheck:
     )
 
 
-def _bounded_away_checks(alpha: Schedule, horizon: int, enforced: bool) -> list[ConstraintCheck]:
+def _bounded_away_checks(values: list[float], enforced: bool) -> list[ConstraintCheck]:
     # Finite horizons cannot certify a uniform bound; a sustained decay trend
     # (halving the tail does not shrink the value) is treated as the bound failing.
+    horizon = len(values)
     mid = max(1, horizon // 2)
-    lo_now, lo_mid = alpha.at(horizon), alpha.at(mid)
-    hi_now, hi_mid = 1.0 - alpha.at(horizon), 1.0 - alpha.at(mid)
+    lo_now, lo_mid = values[horizon - 1], values[mid - 1]
+    hi_now, hi_mid = 1.0 - lo_now, 1.0 - lo_mid
     checks = []
     if lo_now <= _DECAY_FACTOR * lo_mid:
         checks.append(ConstraintCheck(
@@ -123,18 +130,18 @@ def _bounded_away_checks(alpha: Schedule, horizon: int, enforced: bool) -> list[
     else:
         checks.append(ConstraintCheck(
             "alpha_bounded_below", "satisfied",
-            f"alpha(n) >= {min(alpha.values(horizon)):.6g} with no decay trend", enforced,
+            f"alpha(n) >= {min(values):.6g} with no decay trend", enforced,
         ))
     if hi_now <= _DECAY_FACTOR * hi_mid:
         checks.append(ConstraintCheck(
             "alpha_bounded_above", "violated" if enforced else "undetermined",
-            f"alpha({horizon}) = {alpha.at(horizon):.6g} is trending to 1; no upper bound below 1",
+            f"alpha({horizon}) = {lo_now:.6g} is trending to 1; no upper bound below 1",
             enforced,
         ))
     else:
         checks.append(ConstraintCheck(
             "alpha_bounded_above", "satisfied",
-            f"alpha(n) <= {max(alpha.values(horizon)):.6g} with no growth trend", enforced,
+            f"alpha(n) <= {max(values):.6g} with no growth trend", enforced,
         ))
     return checks
 
@@ -163,22 +170,19 @@ def validate_schedule(
     else:
         if alpha is None:
             raise ConfigurationError(f"scheme {scheme} requires an alpha schedule")
-        if scheme in ("mann", "ishikawa", "pm_hybrid"):
-            checks.append(_range_check("alpha", alpha, horizon, lo_open=False, hi_open=True))
-            if checks[-1].status == "satisfied":
-                checks.append(_divergence_check(alpha, horizon))
-        elif scheme == "modified_mann":
-            checks.append(_range_check("alpha", alpha, horizon, lo_open=True, hi_open=True))
-            if checks[-1].status == "satisfied":
-                checks.extend(_bounded_away_checks(alpha, horizon, enforced=True))
-        else:  # modified_pm_hybrid
-            checks.append(_range_check("alpha", alpha, horizon, lo_open=True, hi_open=True))
-            if checks[-1].status == "satisfied":
-                checks.extend(_bounded_away_checks(alpha, horizon, enforced=False))
+        # Each check reads the values the range check read, so each alpha(n) is evaluated once.
+        lo_open = scheme in POWER_SCHEMES
+        check, values = _range_check("alpha", alpha, horizon, lo_open=lo_open, hi_open=True)
+        checks.append(check)
+        if check.status == "satisfied":
+            if not lo_open:  # mann, ishikawa, pm_hybrid
+                checks.append(_divergence_check(values))
+            else:
+                checks.extend(_bounded_away_checks(values, enforced=scheme == "modified_mann"))
         if scheme == "ishikawa":
             if beta is None:
                 raise ConfigurationError("ishikawa requires a beta schedule")
-            checks.append(_range_check("beta", beta, horizon, lo_open=False, hi_open=True))
+            checks.append(_range_check("beta", beta, horizon, lo_open=False, hi_open=True)[0])
 
     enforced = [c for c in checks if c.enforced]
     if any(c.status == "violated" for c in enforced):
@@ -296,6 +300,9 @@ _STAGES = {
 }
 # Steps the trajectory array first has room for; it doubles when full.
 _CHUNK = 1024
+# Steps in the first block the update runs before testing its points; each
+# block after it is twice as long, up to _CHUNK steps.
+_BLOCK = 16
 _ONE = np.ones(1, dtype=int)
 _ONE.flags.writeable = False
 
@@ -311,12 +318,16 @@ def _inside(m: Mapping, row: np.ndarray) -> bool:
         m.space, Vector.from_array(row[0]))
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | None) -> np.ndarray | None:
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | None,
+          made: list | None = None) -> np.ndarray | None:
     """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
 
     Schedules, evaluators and domain tests run in the order that
     ``apply_power``, ``combine`` and ``domain_membership`` run them on
-    Vectors, so an error comes from the same call as it would there.  With
+    Vectors, so an error comes from the same call as it would there.  Each
+    point a stage makes, its image and then its combination, is tested with
+    ``_inside`` as it is made; with ``made``, it is appended there untested
+    instead, for the caller to test with the rest of its block.  With
     ``kept``, the first stage runs its chain through ``_chain``.
     """
     z = x
@@ -326,11 +337,15 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | No
             z = m.power_rows(np.array([n]) if power else _ONE, z)
         else:  # the first stage, and only it, keeps its images
             z, kept = _chain(m, x, n if power else 1, kept), None
-        if not _inside(m, z):
+        if made is not None:
+            made.append(z)
+        elif not _inside(m, z):
             return None
         if w is not None:
             z = (1.0 - w) * x + w * z
-            if not _inside(m, z):
+            if made is not None:
+                made.append(z)
+            elif not _inside(m, z):
                 return None
     return z
 
@@ -349,18 +364,76 @@ def _chain(m: Mapping, x: np.ndarray, k: int, kept: np.ndarray) -> np.ndarray:
     return np.array([v.coords])
 
 
+def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | None,
+                     first: int, last: int, tol: float) -> tuple[int, str, None] | None:
+    """Steps first .. last into X, with their points tested together at the end.
+
+    One ``inside_rows`` call tests every point the steps made, and one
+    ``norm_rows`` call takes their displacements, the first of which at most
+    ``tol`` ends the run at its step.  Returns the last step kept and the
+    stop reason, as ``_checked_block`` does; or None when a point is rejected
+    or anything raises, for the block to be run again checked.  The steps
+    run the operations the checked steps run, on the same rows, so a block
+    returned here has the bits a checked one would have.
+    """
+    made = []
+    try:
+        for n in range(first, last + 1):
+            X[n] = _step(m, stages, X[n - 1:n], n, None if kept is None else kept[n - 1], made)[0]
+        if not m.domain.inside_rows(m.space, np.concatenate(made)).all():
+            return None
+        if tol >= 0.0:
+            stops = np.flatnonzero(m.space.norm_rows(X[first:last + 1] - X[first - 1:last]) <= tol)
+            if len(stops):
+                return first + int(stops[0]), "tolerance", None
+    except Exception:  # the checked run of the block meets it at its own step, or never
+        return None
+    return last, "max_steps", None
+
+
+def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | None,
+                   first: int, last: int, tol: float) -> tuple[int, str, Exception | None]:
+    """Steps first .. last into X, each point tested as it is made.
+
+    Returns the last step kept, the stop reason ("max_steps" when the block
+    ran to its end) and the error a step raised, if any.
+    """
+    for n in range(first, last + 1):
+        x = X[n - 1:n]
+        try:
+            nxt = _step(m, stages, x, n, None if kept is None else kept[n - 1])
+        except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
+            nxt = None
+        except Exception as e:  # raised by run_scheme, once the records before it are computed
+            return n - 1, "max_steps", e
+        if nxt is None:
+            return n - 1, "domain_exit", None
+        X[n] = nxt[0]
+        if tol >= 0.0 and m.space.norm_rows(nxt - x)[0] <= tol:
+            return n, "tolerance", None
+    return last, "max_steps", None
+
+
 def run_scheme(config: RunConfig) -> Trajectory:
     """Execute the configured scheme and record the trajectory.
 
     The update runs step by step on rows of one float64 array, through the
-    mapping's row evaluators.  The step records are computed afterwards as
-    array columns.  On a map without a closed-form power, step n + 1 keeps
-    the images of x_n that its first stage passes, T x_n and, on a power
-    scheme, T^n x_n, and the records read them (see ``_chained_images``).
-    Both give exactly what evaluating every step on Vectors gives, errors
-    included: an error the update raises is held until the records of the
-    steps before it are computed, since those were computed, and could
-    raise, first.
+    mapping's row evaluators, in blocks of steps: 16 steps first, and each
+    block after it twice as long, up to 1024.  A block runs without domain
+    tests, and then one ``inside_rows`` call tests every point it made and
+    one ``norm_rows`` call checks the stop tolerance.  When a point is
+    rejected, or anything in the block raises, the block runs again from its
+    first step, each point tested as it is made; only that checked run ends
+    a trajectory at a domain exit or an error.  So an evaluator may be called
+    on points past an early stop in its block, and the results are dropped.
+
+    The step records are computed afterwards as array columns.  On a map
+    without a closed-form power, step n + 1 keeps the images of x_n that its
+    first stage passes, T x_n and, on a power scheme, T^n x_n, and the
+    records read them (see ``_chained_images``).  Both give exactly what
+    evaluating every step on Vectors gives, errors included: an error the
+    update raises is held until the records of the steps before it are
+    computed, since those were computed, and could raise, first.
     """
     _validate_config(config)
     m = config.mapping
@@ -374,32 +447,19 @@ def run_scheme(config: RunConfig) -> Trajectory:
         )
 
     stages = [(None if w is None else getattr(config, w), power) for w, power in _STAGES[config.scheme]]
-    tol = config.stop_tolerance
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
     kept = None if m.has_power else np.empty((len(X), 2, space.dim))  # kept[n]: T x_n, T^n x_n
-    steps, stop_reason, error = 0, "max_steps", None
-    for n in range(1, config.max_steps + 1):
-        x = X[n - 1:n]
-        try:
-            nxt = _step(m, stages, x, n, None if kept is None else kept[n - 1])
-        except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
-            nxt = None
-        except Exception as e:  # raised below, once the records before it are computed
-            error = e
-            break
-        if nxt is None:
-            stop_reason = "domain_exit"
-            break
-        if n == len(X):
-            more = min(n, config.max_steps + 1 - n)
+    steps, stop_reason, error, size = 0, "max_steps", None, _BLOCK
+    while steps < config.max_steps and stop_reason == "max_steps" and error is None:
+        if steps == len(X) - 1:  # X is full: it doubles, up to max_steps
+            more = min(steps + 1, config.max_steps - steps)
             X, kept = (A if A is None else np.concatenate((A, np.empty((more,) + A.shape[1:])))
                        for A in (X, kept))
-        X[n] = nxt[0]
-        steps = n
-        if tol >= 0.0 and space.norm_rows(nxt - x)[0] <= tol:
-            stop_reason = "tolerance"
-            break
+        last = min(steps + size, config.max_steps, len(X) - 1)  # a block ends where X is full
+        block = (m, stages, X, kept, steps + 1, last, config.stop_tolerance)
+        steps, stop_reason, error = _unchecked_block(*block) or _checked_block(*block)
+        size = min(2 * size, _CHUNK)
 
     points = X[: steps + 1]
     points.flags.writeable = False

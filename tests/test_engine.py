@@ -4,6 +4,8 @@
 as array columns.  A copy of the Vector loop it replaced is kept here as the
 reference: over generated schemes, maps, spaces and stopping rules, both must
 give the same iterates, records and stop reason, or raise the same error.
+The engine tests its points once per block of steps, so runs that stop at
+and across block boundaries are held to the same loop.
 """
 
 import math
@@ -37,7 +39,7 @@ from fixiter import (
     run_scheme,
 )
 from fixiter.mappings import CATALOG
-from fixiter.schemes import StepRecord, _validate_config
+from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _validate_config
 
 # The overflowing maps warn on their way to the error both engines raise.
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -195,7 +197,7 @@ def _config(scheme, m, seed, alpha, beta, steps, tol, x0=None):
 ENGINE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 run_args = dict(scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
                 alpha=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9),
-                steps=st.integers(1, 60), tol=st.sampled_from(TOLERANCES))
+                steps=st.integers(1, 120), tol=st.sampled_from(TOLERANCES))
 
 
 @ENGINE_SETTINGS
@@ -276,6 +278,123 @@ def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
     charged, most = APPLY_CALLS[scheme]
     assert (t.steps, t.total_applications) == (120, charged)
     assert len(calls) <= most
+
+
+def _switching(k, late, rows):
+    """x -> 0.9 x on the box [-1, 1], whose closed-form power T^n x is 0.9^n x
+    for n < k and late(n, x) from n = k on: a power scheme meets what late
+    does at step k first.  Given as rows, or as Vectors."""
+
+    def power(n, a):
+        return late(n, a) if n >= k else 0.9**n * a
+
+    space, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    if rows:
+        return Mapping("switching", space, box, None, None, MappingMeta(), apply_rows=lambda X: 0.9 * X,
+                       power_rows=lambda ns, X: np.array([power(int(n), x) for n, x in zip(ns, X)]))
+    return Mapping("switching", space, box, lambda x: Vector.from_array(0.9 * x.array),
+                   lambda n, x: Vector.from_array(power(n, x.array)), MappingMeta())
+
+
+def _leave(n, a):
+    return np.full_like(a, 2.0)
+
+
+def _refuse(n, a):
+    raise ValueError(f"T^{n} refused")
+
+
+def _switching_config(scheme, k, late, rows, tol=-1.0):
+    return _config(scheme, _switching(k, late, rows), None, 0.5, 0.5, k + 40, tol, x0=Vector((0.9,)))
+
+
+# Steps run in blocks of 16, 32, 64, ... steps, whose points are tested at
+# the end of the block: steps 1-16, 17-48, 49-112, and so on.  Step 1100 is
+# past step 1024, where the trajectory array first grows.
+@pytest.mark.parametrize("rows", [True, False])
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+@pytest.mark.parametrize("k", [16, 17, 30, 48, 49, 1100])
+def test_a_domain_exit_at_or_across_a_block_boundary(k, scheme, rows):
+    config = _switching_config(scheme, k, _leave, rows)
+    t = run_scheme(config)
+    assert (t.stop_reason, t.steps) == ("domain_exit", k - 1)
+    _assert_same(config)
+
+
+@pytest.mark.parametrize("rows", [True, False])
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+@pytest.mark.parametrize("k", [16, 48])
+def test_a_tolerance_stop_on_the_last_step_of_a_block(k, scheme, rows):
+    # T^k x = x, so step k is a step of 0.
+    config = _switching_config(scheme, k, lambda n, a: a, rows, tol=0.0)
+    t = run_scheme(config)
+    assert (t.stop_reason, t.steps) == ("tolerance", k)
+    _assert_same(config)
+
+
+@pytest.mark.parametrize("rows", [True, False])
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+def test_an_error_after_an_exit_in_its_block_does_not_surface(scheme, rows):
+    # Step 20 leaves the box; the block of steps 17-48 goes on to T^25, which raises.
+    config = _switching_config(scheme, 20, lambda n, a: _refuse(n, a) if n >= 25 else _leave(n, a), rows)
+    t = run_scheme(config)
+    assert (t.stop_reason, t.steps) == ("domain_exit", 19)
+    _assert_same(config)
+
+
+@pytest.mark.parametrize("rows", [True, False])
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+def test_an_error_before_an_exit_in_its_block_surfaces(scheme, rows):
+    # T^20 .. T^24 raise, and from step 25 on the steps would leave the box.
+    config = _switching_config(scheme, 20, lambda n, a: _refuse(n, a) if n < 25 else _leave(n, a), rows)
+    with pytest.raises(ValueError, match=r"T\^20 refused"):
+        run_scheme(config)
+    _assert_same(config)
+
+
+def _counted(m, names):
+    """m with the evaluators ``names`` counting their calls into the returned dict."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        fn = getattr(m, name)
+
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    return replace(m, **{name: counting(name) for name in names}), calls
+
+
+# ``apply`` calls of the power-less runs of APPLY_CALLS, as many as testing
+# every point as it is made calls it.
+POWERLESS_MAX_STEPS_CALLS = {"picard": 240, "mann": 7261, "ishikawa": 7381, "modified_mann": 7380,
+                             "pm_hybrid": 7381, "modified_pm_hybrid": 14640}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
+    stages = len(_STAGES[scheme])
+    # A run to max_steps calls the evaluators as a run testing every point as
+    # it is made does: once per stage a step, and twice for the records.
+    m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
+    t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
+    assert (t.stop_reason, calls) == ("max_steps", {"apply_rows": 0, "power_rows": 120 * stages + 2})
+    m, calls = _counted(replace(make_example21(0.5), power=None, power_rows=None), ("apply",))
+    run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
+    assert calls["apply"] == POWERLESS_MAX_STEPS_CALLS[scheme]
+    # An early stop at step n may also run the rest of its block, which holds
+    # at most n + 15 steps.
+    m, calls = _counted(make_example21(0.5), ("power_rows",))
+    t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 1000, 1e-12, x0=Vector((0.7,))))
+    assert t.stop_reason == "tolerance"
+    assert t.steps * stages + 2 <= calls["power_rows"] <= (2 * t.steps + 15) * stages + 2
+    if scheme in POWER_SCHEMES:  # step 30 leaves: 29 steps, one image of step 30 and the records
+        m, calls = _counted(_switching(30, _leave, rows=True), ("power_rows",))
+        t = run_scheme(replace(_switching_config(scheme, 30, _leave, rows=True), mapping=m))
+        assert t.stop_reason == "domain_exit"
+        assert 29 * stages + 3 <= calls["power_rows"] <= (29 * stages + 3) + (30 + 15) * stages
 
 
 def test_weights_past_the_validated_horizon_may_leave_the_domain():

@@ -1,10 +1,11 @@
 """Step-size and bound sequences: constructors, evaluation, serialization."""
 
 import math
+import re
 
 import pytest
 
-from fixiter import ContractError, Schedule, ScheduleError
+from fixiter import ContractError, RunConfig, Schedule, ScheduleError, Vector, make_example21, run_scheme
 
 
 def test_constant():
@@ -47,6 +48,18 @@ def test_formula():
     s = Schedule.formula(lambda n: 1.0 / n**2, "inverse_square")
     assert s.at(2) == 0.25
     assert s.values(3) == [1.0, 0.25, 1.0 / 9.0]
+
+
+@pytest.mark.parametrize("value", [1j, None, "half", [0.5]])
+def test_formula_value_that_is_not_a_real_number_raises_schedule_error(value):
+    s = Schedule.formula(lambda n: value, "bad")
+    message = f"formula schedule is not a real number at n = 3: {value!r}"
+    with pytest.raises(ScheduleError, match=re.escape(message)) as raised:
+        s.at(3)
+    assert isinstance(raised.value.__cause__, (TypeError, ValueError))
+    config = RunConfig("mann", make_example21(0.5), Vector((0.7,)), alpha=s, max_steps=5)
+    with pytest.raises(ScheduleError, match=re.escape(message.replace("n = 3", "n = 1"))):
+        run_scheme(config)
 
 
 def test_indexing_starts_at_one():

@@ -196,6 +196,21 @@ def test_validate_schedule_verdicts():
     assert not trend.enforced
 
 
+@pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "picard"])
+def test_validate_schedule_evaluates_each_schedule_once_per_n(scheme):
+    calls = {"alpha": 0, "beta": 0}
+
+    def counted(name):
+        def fn(n):
+            calls[name] += 1
+            return 0.5
+        return Schedule.formula(fn, name)
+
+    beta = counted("beta") if scheme == "ishikawa" else None
+    assert validate_schedule(scheme, counted("alpha"), beta, horizon=3000).verdict == "satisfied"
+    assert calls == {"alpha": 3000, "beta": 3000 if beta else 0}
+
+
 def test_validate_schedule_range_boundaries():
     one = Schedule.constant(1.0)
     zero = Schedule.constant(0.0)
