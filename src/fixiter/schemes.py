@@ -364,30 +364,37 @@ def _chain(m: Mapping, x: np.ndarray, k: int, kept: np.ndarray) -> np.ndarray:
     return np.array([v.coords])
 
 
-def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | None,
-                     first: int, last: int, tol: float) -> tuple[int, str, None] | None:
+def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: int,
+                     tol: float) -> tuple[int, str, None] | None:
     """Steps first .. last into X, with their points tested together at the end.
 
     One ``inside_rows`` call tests every point the steps made, and one
     ``norm_rows`` call takes their displacements, the first of which at most
     ``tol`` ends the run at its step.  Returns the last step kept and the
     stop reason, as ``_checked_block`` does; or None when a point is rejected
-    or anything raises, for the block to be run again checked.  The steps
-    run the operations the checked steps run, on the same rows, so a block
+    or anything raises, for the block to be run again checked.  A
+    floating-point condition numpy would act on (warn of, as it does by
+    default) is only noted, and also sends the block to be run again, so a
+    block warns only at the steps its checked run reaches.  The steps run
+    the operations the checked steps run, on the same rows, so a block
     returned here has the bits a checked one would have.
     """
-    made = []
+    made, noted = [], []
+    acted_on = {k: "call" for k, v in np.geterr().items() if v != "ignore"}
     try:
-        for n in range(first, last + 1):
-            X[n] = _step(m, stages, X[n - 1:n], n, None if kept is None else kept[n - 1], made)[0]
-        if not m.domain.inside_rows(m.space, np.concatenate(made)).all():
-            return None
-        if tol >= 0.0:
-            stops = np.flatnonzero(m.space.norm_rows(X[first:last + 1] - X[first - 1:last]) <= tol)
-            if len(stops):
-                return first + int(stops[0]), "tolerance", None
+        with np.errstate(call=lambda kind, flag: noted.append(kind), **acted_on):
+            for n in range(first, last + 1):
+                X[n] = _step(m, stages, X[n - 1:n], n, None, made)[0]
+            if not m.domain.inside_rows(m.space, np.concatenate(made)).all():
+                return None
+            moves = X[first:last + 1] - X[first - 1:last]
+            stops = np.flatnonzero(m.space.norm_rows(moves) <= tol) if tol >= 0.0 else ()
     except Exception:  # the checked run of the block meets it at its own step, or never
         return None
+    if noted:
+        return None
+    if len(stops):
+        return first + int(stops[0]), "tolerance", None
     return last, "max_steps", None
 
 
@@ -422,10 +429,12 @@ def run_scheme(config: RunConfig) -> Trajectory:
     block after it twice as long, up to 1024.  A block runs without domain
     tests, and then one ``inside_rows`` call tests every point it made and
     one ``norm_rows`` call checks the stop tolerance.  When a point is
-    rejected, or anything in the block raises, the block runs again from its
-    first step, each point tested as it is made; only that checked run ends
-    a trajectory at a domain exit or an error.  So an evaluator may be called
-    on points past an early stop in its block, and the results are dropped.
+    rejected, or anything in the block raises or would make numpy warn, the
+    block runs again from its first step, each point tested as it is made;
+    only that checked run ends a trajectory at a domain exit or an error.
+    So an evaluator may be called on points past an early stop in its block,
+    and the results are dropped.  A map without a closed-form power, whose
+    T^n costs n applications, runs every block checked.
 
     The step records are computed afterwards as array columns.  On a map
     without a closed-form power, step n + 1 keeps the images of x_n that its
@@ -457,8 +466,10 @@ def run_scheme(config: RunConfig) -> Trajectory:
             X, kept = (A if A is None else np.concatenate((A, np.empty((more,) + A.shape[1:])))
                        for A in (X, kept))
         last = min(steps + size, config.max_steps, len(X) - 1)  # a block ends where X is full
-        block = (m, stages, X, kept, steps + 1, last, config.stop_tolerance)
-        steps, stop_reason, error = _unchecked_block(*block) or _checked_block(*block)
+        first, tol = steps + 1, config.stop_tolerance
+        # Without a closed-form power, a step past an early stop costs n applications.
+        ran = _unchecked_block(m, stages, X, first, last, tol) if kept is None else None
+        steps, stop_reason, error = ran or _checked_block(m, stages, X, kept, first, last, tol)
         size = min(2 * size, _CHUNK)
 
     points = X[: steps + 1]

@@ -10,6 +10,7 @@ and across block boundaries are held to the same loop.
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -262,10 +263,10 @@ def test_a_record_chain_that_raises_first_raises_in_step_order(scheme):
 
 # Mapping applications of a 120-step run from 0.7 on example21 (q = 0.5)
 # without its closed-form power: the update's own (total_applications), and
-# the most in all.  The records take T x_n and, on a power scheme, T^n x_n
+# all of them.  The records take T x_n and, on a power scheme, T^n x_n
 # from the update's chains, continue a T^n x_n from T x_n, and on picard read
 # T^n x_n = x_{2n}; built afresh, they would cost n + 1 applications a step.
-APPLY_CALLS = {"picard": (120, 241), "mann": (120, 7261), "ishikawa": (240, 7381),
+APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7381),
                "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 14640)}
 
 
@@ -275,9 +276,9 @@ def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
     calls = []
     m = replace(powerless, apply=lambda x: calls.append(x) or powerless.apply(x))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
-    charged, most = APPLY_CALLS[scheme]
+    charged, applied = APPLY_CALLS[scheme]
     assert (t.steps, t.total_applications) == (120, charged)
-    assert len(calls) <= most
+    assert len(calls) == applied
 
 
 def _switching(k, late, rows):
@@ -367,12 +368,6 @@ def _counted(m, names):
     return replace(m, **{name: counting(name) for name in names}), calls
 
 
-# ``apply`` calls of the power-less runs of APPLY_CALLS, as many as testing
-# every point as it is made calls it.
-POWERLESS_MAX_STEPS_CALLS = {"picard": 240, "mann": 7261, "ishikawa": 7381, "modified_mann": 7380,
-                             "pm_hybrid": 7381, "modified_pm_hybrid": 14640}
-
-
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
     stages = len(_STAGES[scheme])
@@ -381,9 +376,6 @@ def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
     m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
     assert (t.stop_reason, calls) == ("max_steps", {"apply_rows": 0, "power_rows": 120 * stages + 2})
-    m, calls = _counted(replace(make_example21(0.5), power=None, power_rows=None), ("apply",))
-    run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
-    assert calls["apply"] == POWERLESS_MAX_STEPS_CALLS[scheme]
     # An early stop at step n may also run the rest of its block, which holds
     # at most n + 15 steps.
     m, calls = _counted(make_example21(0.5), ("power_rows",))
@@ -395,6 +387,47 @@ def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
         t = run_scheme(replace(_switching_config(scheme, 30, _leave, rows=True), mapping=m))
         assert t.stop_reason == "domain_exit"
         assert 29 * stages + 3 <= calls["power_rows"] <= (29 * stages + 3) + (30 + 15) * stages
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_an_early_stop_without_a_closed_form_power_calls_nothing_past_it(scheme):
+    # Its T^n costs n applications, so its blocks are tested step by step: a
+    # tolerance stop at step n calls apply as often as a run of n steps does.
+    powerless = replace(make_example21(0.5), power=None, power_rows=None)
+    m, calls = _counted(powerless, ("apply",))
+    t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 1000, 1e-12, x0=Vector((0.7,))))
+    assert t.stop_reason == "tolerance"
+    stopped = calls["apply"]
+    m, calls = _counted(powerless, ("apply",))
+    run_scheme(_config(scheme, m, None, 0.5, 0.5, t.steps, -1.0, x0=Vector((0.7,))))
+    assert calls["apply"] == stopped
+
+
+def _overflow(n, a):
+    return np.full_like(a, 1e308) * 10.0
+
+
+def _leave_then_overflow(n, a):
+    return _overflow(n, a) if n >= 25 else _leave(n, a)
+
+
+@pytest.mark.parametrize("rows", [True, False])
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+def test_a_block_warns_only_where_its_checked_run_warns(scheme, rows):
+    # Step 20 leaves the box, and T^25 on would overflow in the same block:
+    # nothing warns.  T^20 on overflowing warns as the Vector loop does, and
+    # raises its error.
+    for late in (_leave_then_overflow, _overflow):
+        config = _switching_config(scheme, 20, late, rows)
+        heard = []
+        for engine in (run_scheme, _scalar_run):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                _outcome(lambda: engine(config))
+            heard.append([(w.category, str(w.message)) for w in caught])
+        assert heard[0] == heard[1]
+        assert (heard[0] == []) == (late is _leave_then_overflow)
+        _assert_same(config)
 
 
 def test_weights_past_the_validated_horizon_may_leave_the_domain():
