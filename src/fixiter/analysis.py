@@ -513,7 +513,7 @@ def certify_condition_I(
                         m.domain.sample(space, _rng(seed), sample_count)])
 
     def screen():
-        TX = m.power_rows(np.ones(len(X), dtype=int), X)
+        TX = m.apply_rows(X)
         if not (m.domain.inside_rows(space, X).all() and m.domain.inside_rows(space, TX).all()):
             return None
         return phi.rows(_fixed_set_distances(m, X)) - space.norm_rows(X - TX)

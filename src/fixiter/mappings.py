@@ -6,7 +6,7 @@ class, known fixed points, coefficient schedules, discontinuity points).
 A map gives its evaluators on points or on (k, dim) arrays of rows, and the
 other form is derived when the map is built.  Construction samples the map to
 certify that it is a self-map and that any registered power agrees with
-repeated application.
+repeated application and is T itself at n = 1.
 
 Certification of a mapping class is sampling-based and one-sided: "certified"
 means no violation was found at the given budget, never a proof.  Every
@@ -71,10 +71,10 @@ class Mapping:
     meta: MappingMeta
     parameters: tuple[tuple[str, float], ...] = ()
     # Row evaluators on (k, dim) arrays: apply_rows(X), and power_rows(ns, X)
-    # with one power index ns[i] >= 1 per row.  A map gives rows or scalars,
-    # and __post_init__ derives the missing form: scalars as one-row views of
-    # the rows, rows as loops over the scalars.  Without a closed form, power
-    # stays None and power_rows iterates each row on Vectors.
+    # with one power index ns[i] >= 1 per row and apply_rows' bits at n = 1.
+    # A map gives rows or scalars, and __post_init__ derives the other form:
+    # scalars as one-row views of the rows, rows as loops over the scalars.
+    # Without a closed form, power is None and power_rows iterates on Vectors.
     apply_rows: Callable[[np.ndarray], np.ndarray] | None = None
     power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
@@ -114,7 +114,7 @@ class Mapping:
 
 
 def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
-    """The n-th iterate T^n x; n = 0 returns x unchanged."""
+    """The n-th iterate T^n x: x itself at n = 0, and ``m.apply(x)`` at n = 1."""
     if n < 0:
         raise ContractError(f"power index must be >= 0, got {n}")
     if not m.domain.contains(m.space, x):
@@ -130,8 +130,8 @@ def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
 
 
 def _iterate(m: Mapping, n: int, x: Vector) -> Vector:
-    """T^n x for n >= 1 without domain checks: the closed-form power, or n applications."""
-    if m.power is not None:
+    """T^n x for n >= 1 without domain checks: n applications, or the closed form from n = 2."""
+    if m.power is not None and n > 1:
         return m.power(n, x)
     for _ in range(n):
         x = m.apply(x)
@@ -193,7 +193,7 @@ def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
 
 def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> np.ndarray:
     """``fn(n)`` for each entry of ``ns``, evaluated once per distinct n in Python floats."""
-    if len(ns) == 1:  # one row per step in the scheme engine, where np.unique costs most
+    if len(ns) == 1:  # one row per power stage in the scheme engine, where np.unique costs most
         return np.array([fn(int(ns[0]))], dtype=float)
     distinct, index = np.unique(ns, return_inverse=True)
     return np.array([fn(int(n)) for n in distinct], dtype=float)[index]
@@ -272,16 +272,16 @@ def build_mapping(
 ) -> Mapping:
     """Assemble a Mapping and certify its construction invariants by sampling.
 
-    A map gives ``apply``, or ``apply_rows(X)`` on a (k, dim) array of rows,
-    or both; likewise ``power`` or ``power_rows(ns, X)``, with one power index
-    ns[i] >= 1 per row.  The missing form is derived from the given one (see
-    ``Mapping``); where both are given they must agree bit for bit.
+    A map gives ``apply`` or ``apply_rows(X)`` on (k, dim) rows, or both, and
+    ``power`` or ``power_rows(ns, X)`` with power indices ns[i] >= 1; the other
+    form is derived (see ``Mapping``).  Given forms agree bit for bit, and T^1
+    is T: a closed form at n = 1 gives ``apply``'s bits, and is read from n = 2.
 
     Checks, each with a fixed internal seed so construction is reproducible:
     * the evaluator maps the domain into itself (uniform samples plus the
       deterministic probe points);
     * a registered closed-form power agrees with repeated application to
-      within 1e-10, and returns its argument unchanged at n = 0;
+      within 1e-10, returns x at n = 0, and gives apply's bits at n = 1;
     * declared metadata is coherent (schedules present and admissible for the
       declared class, listed fixed points actually fixed).
     Sampled probes are screened by the row evaluators; a probe the screen
@@ -340,6 +340,12 @@ def build_mapping(
         for x in map(Vector.from_array, xs[:5]):
             if m.power(0, x).coords != x.coords:
                 raise ContractError(f"power(0, x) must return x exactly for '{mapping_id}'")
+        same = _screen(lambda: (m.power_rows(np.ones(len(sampled), dtype=int), sampled).view(np.int64)
+                                == m.apply_rows(sampled).view(np.int64)).all(axis=1))
+        for x in map(Vector.from_array, sampled if same is None else sampled[~same]):
+            if m.power(1, x).array.tobytes() != m.apply(x).array.tobytes():
+                raise ContractError(
+                    f"closed-form power of '{mapping_id}' at n = 1 differs from apply at {x.coords}")
 
     if meta.known_fixed_points:
         for p in meta.known_fixed_points:

@@ -303,8 +303,6 @@ _CHUNK = 1024
 # Steps in the first block the update runs before testing its points; each
 # block after it is twice as long, up to _CHUNK steps.
 _BLOCK = 16
-_ONE = np.ones(1, dtype=int)
-_ONE.flags.writeable = False
 
 
 def _inside(m: Mapping, row: np.ndarray) -> bool:
@@ -322,19 +320,19 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | No
           made: list | None = None) -> np.ndarray | None:
     """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
 
-    Schedules, evaluators and domain tests run in the order that
-    ``apply_power``, ``combine`` and ``domain_membership`` run them on
-    Vectors, so an error comes from the same call as it would there.  Each
-    point a stage makes, its image and then its combination, is tested with
-    ``_inside`` as it is made; with ``made``, it is appended there untested
-    instead, for the caller to test with the rest of its block.  With
-    ``kept``, the first stage runs its chain through ``_chain``.
+    A plain T stage calls ``apply_rows``, a power stage ``power_rows``.
+    Schedules, evaluators and domain tests run in the order ``apply_power``,
+    ``combine`` and ``domain_membership`` run them on Vectors, so an error
+    comes from the same call as it would there.  Each point a stage makes,
+    its image and then its combination, is tested with ``_inside`` as it is
+    made, or with ``made`` appended there untested, for the caller to test
+    with its block.  With ``kept``, the first stage runs ``_chain``.
     """
     z = x
     for schedule, power in stages:
         w = None if schedule is None else schedule.at(n)
         if kept is None:
-            z = m.power_rows(np.array([n]) if power else _ONE, z)
+            z = m.power_rows(np.array([n]), z) if power else m.apply_rows(z)
         else:  # the first stage, and only it, keeps its images
             z, kept = _chain(m, x, n if power else 1, kept), None
         if made is not None:
@@ -506,13 +504,13 @@ def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
     """step_norm, residual_T, residual_Tn and dist_to_known_fp of every step,
     or None when an image leaves the domain or a value is not finite.
 
-    On a map with a closed-form power the images come from ``power_rows``;
-    without one, from ``_chained_images``, which reuses the update's chains.
+    The images come from ``apply_rows`` and ``power_rows`` on a map with a
+    closed form, else from ``_chained_images``, reusing the update's chains.
     """
     space, prev, cur = m.space, points[:-1], points[1:]
     ns = np.arange(1, len(points))
     if m.has_power or not len(cur):
-        images = [m.power_rows(np.ones_like(ns), cur), m.power_rows(ns, cur)]
+        images = [m.apply_rows(cur), m.power_rows(ns, cur)]
     else:
         images = _chained_images(m, points, scheme, kept)
     if not all(m.domain.inside_rows(space, T).all() for T in images):

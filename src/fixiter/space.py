@@ -248,13 +248,15 @@ class Ball:
         return self.center.dim
 
     def contains(self, space: NormedSpace, v: Vector, tol: float = TAU_DOM) -> bool:
-        return space.distance(v, self.center) <= self.radius + tol
+        with np.errstate(over="ignore"):  # a norm that overflows is inf: outside
+            return space.distance(v, self.center) <= self.radius + tol
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray, tol: float = TAU_DOM) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so
         exactly.  A row whose offset from the center is not finite reads False
         (``contains`` raises ContractError on it)."""
-        return space.norm_rows(points - self.center.array) <= self.radius + tol
+        with np.errstate(over="ignore"):
+            return space.norm_rows(points - self.center.array) <= self.radius + tol
 
     def diameter(self, space: NormedSpace) -> float:
         return 2.0 * self.radius

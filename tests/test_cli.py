@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -599,3 +600,13 @@ def test_shipped_scenarios_pass(scenario, tmp_path):
     code = cli.main(["run", str(scenario), "--output", str(tmp_path), "--quiet"])
     assert code == 0
     assert list(tmp_path.glob("*.report.json"))
+
+
+def test_an_x0_whose_norm_overflows_lies_outside_a_ball_without_a_warning(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "ishikawa_contraction.json").read_text())
+    doc["x0"] = [0.6, -1e308]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: x0 = (0.6, -1e+308) lies outside the mapping domain\n")

@@ -31,6 +31,7 @@ from fixiter import (
     Schedule,
     Vector,
     apply_power,
+    build_mapping,
     combine,
     distance_to_fixed_set,
     domain_membership,
@@ -261,13 +262,35 @@ def test_a_record_chain_that_raises_first_raises_in_step_order(scheme):
     assert outcome == _outcome(lambda: _scalar_run(config))
 
 
+def test_a_scalar_closed_form_is_the_map_itself_at_n_1():
+    # exp(n log q) is not q at n = 1 in its last bits.  T^1 is T, so every T
+    # stage and T column runs apply, as on the same map without a power.
+    # A power stage reads the closed form from step 2, so those schemes run
+    # one step, where their records match too.
+    q, space, box = 0.123, NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    scale = lambda x: Vector.from_array(q * x.array)
+    power = lambda n, x: Vector.from_array(math.exp(n * math.log(q)) * x.array)
+    closed, bare = build_mapping("expq", space, box, scale, power), build_mapping("expq", space, box, scale)
+    for scheme in SCHEMES:
+        steps = 1 if scheme in POWER_SCHEMES else 40
+        t, u = (run_scheme(_config(scheme, m, None, 0.5, 0.5, steps, -1.0, x0=Vector((0.7,))))
+                for m in (closed, bare))
+        assert t.points.tobytes() == u.points.tobytes()
+        assert [(r.step_norm, r.residual_T) for r in t.records] == [
+            (r.step_norm, r.residual_T) for r in u.records]
+        if steps == 1:
+            assert t.records == u.records
+
+
 # Mapping applications of a 120-step run from 0.7 on example21 (q = 0.5)
 # without its closed-form power: the update's own (total_applications), and
-# all of them.  The records take T x_n and, on a power scheme, T^n x_n
-# from the update's chains, continue a T^n x_n from T x_n, and on picard read
-# T^n x_n = x_{2n}; built afresh, they would cost n + 1 applications a step.
-APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7381),
-               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 14640)}
+# the calls of its scalar apply.  The second stage of ishikawa and pm_hybrid,
+# a plain T, calls the catalog apply_rows the map kept instead.  The records
+# take T x_n and, on a power scheme, T^n x_n from the update's chains,
+# continue a T^n x_n from T x_n, and on picard read T^n x_n = x_{2n}; built
+# afresh, they would cost n + 1 applications a step.
+APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7261),
+               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7261), "modified_pm_hybrid": (14520, 14640)}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -368,25 +391,34 @@ def _counted(m, names):
     return replace(m, **{name: counting(name) for name in names}), calls
 
 
+# apply_rows and power_rows calls of a 120-step run on example21: one a
+# step for each T stage and each T^n stage, and one of each for the records.
+EVALUATOR_CALLS = {"picard": (121, 1), "mann": (121, 1), "ishikawa": (241, 1),
+                   "modified_mann": (1, 121), "pm_hybrid": (241, 1), "modified_pm_hybrid": (1, 241)}
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
-    stages = len(_STAGES[scheme])
+    powers = sum(power for _, power in _STAGES[scheme])
+    stages = (len(_STAGES[scheme]) - powers, powers)  # T stages, T^n stages
     # A run to max_steps calls the evaluators as a run testing every point as
-    # it is made does: once per stage a step, and twice for the records.
+    # it is made does.
     m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
-    assert (t.stop_reason, calls) == ("max_steps", {"apply_rows": 0, "power_rows": 120 * stages + 2})
+    assert t.stop_reason == "max_steps"
+    assert (calls["apply_rows"], calls["power_rows"]) == EVALUATOR_CALLS[scheme]
     # An early stop at step n may also run the rest of its block, which holds
     # at most n + 15 steps.
-    m, calls = _counted(make_example21(0.5), ("power_rows",))
+    m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 1000, 1e-12, x0=Vector((0.7,))))
     assert t.stop_reason == "tolerance"
-    assert t.steps * stages + 2 <= calls["power_rows"] <= (2 * t.steps + 15) * stages + 2
+    for name, k in zip(("apply_rows", "power_rows"), stages):
+        assert t.steps * k + 1 <= calls[name] <= (2 * t.steps + 15) * k + 1
     if scheme in POWER_SCHEMES:  # step 30 leaves: 29 steps, one image of step 30 and the records
-        m, calls = _counted(_switching(30, _leave, rows=True), ("power_rows",))
+        m, calls = _counted(_switching(30, _leave, rows=True), ("apply_rows", "power_rows"))
         t = run_scheme(replace(_switching_config(scheme, 30, _leave, rows=True), mapping=m))
-        assert t.stop_reason == "domain_exit"
-        assert 29 * stages + 3 <= calls["power_rows"] <= (29 * stages + 3) + (30 + 15) * stages
+        assert (t.stop_reason, calls["apply_rows"]) == ("domain_exit", 1)
+        assert 29 * powers + 2 <= calls["power_rows"] <= (29 * powers + 2) + (30 + 15) * powers
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -366,6 +366,15 @@ def test_power_rows_without_a_scalar_power_is_a_closed_form():
         build_mapping("wrong", sp, box, halve, power_rows=lambda ns, X: X)
 
 
+def test_a_closed_form_given_as_rows_must_be_apply_at_n_1():
+    # exp(n log q) agrees with n-fold application to within 1e-10, but at
+    # n = 1 it is not q in the last bits, and T^1 is T.
+    sp, box, q = NormedSpace(1, 2.0), Box((-1.0,), (1.0,)), 0.123
+    with pytest.raises(ContractError, match=r"closed-form power of 'expq' at n = 1 differs from apply at \("):
+        build_mapping("expq", sp, box, apply_rows=lambda X: q * X,
+                      power_rows=lambda ns, X: np.exp(ns * math.log(q))[:, None] * X)
+
+
 def test_dropped_rows_become_per_row_adapters():
     rng = np.random.default_rng(4)
     for mapping_id in CATALOG_IDS:
@@ -378,6 +387,7 @@ def test_dropped_rows_become_per_row_adapters():
         ns = rng.integers(1, 30, size=len(X))
         assert adapted.apply_rows(X).tobytes() == m.apply_rows(X).tobytes()
         assert adapted.power_rows(ns, X).tobytes() == m.power_rows(ns, X).tobytes()
+        assert m.power_rows(np.ones(len(X), dtype=int), X).tobytes() == m.apply_rows(X).tobytes()
 
 
 def test_replace_derives_again_from_a_new_evaluator():

@@ -188,6 +188,15 @@ def test_inside_rows_equals_contains_at_the_tolerance():
             assert domain.inside_rows(sp, rows).tolist() == expected == [True, True, False, True, True]
 
 
+@pytest.mark.filterwarnings("error")
+def test_a_point_whose_norm_overflows_lies_outside_a_ball_without_a_warning():
+    far = np.array([[1e308, -1e308]])
+    for p in P_VALUES:
+        sp, ball = NormedSpace(2, p), Ball(Vector((0.0, 0.0)), 1.0)
+        assert not ball.contains(sp, Vector.from_array(far[0]))
+        assert ball.inside_rows(sp, far).tolist() == [False]
+
+
 def test_domain_sampling_stays_inside():
     rng = np.random.default_rng(0)
     sp = NormedSpace(3, 1.5)
