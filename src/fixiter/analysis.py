@@ -23,6 +23,7 @@ from .mappings import (
     Mapping,
     _certify,
     _fixed_set_distances,
+    _point_distances,
     apply_power,
     distance_to_fixed_set,
     special_points,
@@ -112,16 +113,7 @@ class Lemma21Report:
         return self.limit.estimated_limit if self.hypothesis_ok else None
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "limit": self.limit.to_dict(),
-            "recurrence_ok": self.recurrence_ok,
-            "first_violation_index": self.first_violation_index,
-            "delta_tail_sum": self.delta_tail_sum,
-            "b_tail_sum": self.b_tail_sum,
-            "summable": self.summable,
-            "estimated_limit": self.estimated_limit,
-        }
+        return {"verdict": self.verdict, **asdict(self), "estimated_limit": self.estimated_limit}
 
 
 def check_lemma21(
@@ -306,12 +298,6 @@ def _tail_max_check(name: str, values: Sequence[float], tol: float, desc: str) -
     )
 
 
-def _fixed_point_distances(traj: Trajectory, points: Sequence[Vector]) -> np.ndarray:
-    """Each iterate's distance to the nearest of ``points``; the norms are exact."""
-    space = traj.config.mapping.space
-    return np.min([space.norm_rows(traj.points - p.array) for p in points], axis=0)
-
-
 def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
     """Power-scheme convergence diagnostics on a modified_pm_hybrid run:
     the distance to each known fixed point settles, the power residual
@@ -327,7 +313,7 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
     checks: list[CheckResult] = []
     limits: dict[str, dict] = {}
     for p in m.meta.known_fixed_points:
-        dists = _fixed_point_distances(traj, [p])
+        dists = _point_distances(traj.config.mapping.space, traj.points, [p])
         lv = limit_verdict(dists)
         label = f"limit_exists_at_{p.coords}"
         limits[str(list(p.coords))] = lv.to_dict()
@@ -374,7 +360,7 @@ def verify_theorem32(traj: Trajectory, fixed_set: Sequence[Vector]) -> TheoremRe
     evidence, not refutation."""
     if not fixed_set:
         raise ContractError("theorem32 diagnostics need a nonempty fixed set")
-    dists = _fixed_point_distances(traj, list(fixed_set))
+    dists = _point_distances(traj.config.mapping.space, traj.points, fixed_set)
     start = tail_window_start(dists.size)
     liminf_est = float(dists[start:].min())
     tail_max = float(dists[start:].max())
@@ -410,6 +396,10 @@ def verify_theorem32(traj: Trajectory, fixed_set: Sequence[Vector]) -> TheoremRe
 # ---------------------------------------------------------------------------
 # coercivity condition
 
+# The parameters each gauge kind takes, in the order it serializes them.
+_GAUGE_PARAMETERS = {"linear": ("lam",), "power": ("lam", "gamma"), "table": ("grid",)}
+
+
 @dataclass(frozen=True)
 class PhiSpec:
     """Gauge function for the coercivity condition: zero at zero, positive and
@@ -423,15 +413,13 @@ class PhiSpec:
     grid: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        if self.kind == "linear":
-            if not (0.0 < self.lam < math.inf):
-                raise ContractError(f"linear gauge needs a finite lam > 0, got {self.lam}")
-        elif self.kind == "power":
-            if not (0.0 < self.lam < math.inf):
-                raise ContractError(f"power gauge needs a finite lam > 0, got {self.lam}")
-            if not (1.0 <= self.gamma < math.inf):
-                raise ContractError(f"power gauge needs a finite gamma >= 1, got {self.gamma}")
-        elif self.kind == "table":
+        if self.kind not in _GAUGE_PARAMETERS:
+            raise ContractError(f"unknown gauge kind '{self.kind}'")
+        if "lam" in _GAUGE_PARAMETERS[self.kind] and not (0.0 < self.lam < math.inf):
+            raise ContractError(f"{self.kind} gauge needs a finite lam > 0, got {self.lam}")
+        if self.kind == "power" and not (1.0 <= self.gamma < math.inf):
+            raise ContractError(f"power gauge needs a finite gamma >= 1, got {self.gamma}")
+        if self.kind == "table":
             if len(self.grid) < 2:
                 raise ContractError("table gauge needs at least two (t, value) knots")
             if not all(math.isfinite(c) for knot in self.grid for c in knot):
@@ -446,8 +434,6 @@ class PhiSpec:
                 raise ContractError("table gauge values must be nondecreasing")
             if any(v < 0.0 for v in vs):
                 raise ContractError("table gauge values must be nonnegative")
-        else:
-            raise ContractError(f"unknown gauge kind '{self.kind}'")
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -478,11 +464,10 @@ class PhiSpec:
         return np.interp(t, ts, vs)
 
     def to_dict(self) -> dict:
-        if self.kind == "linear":
-            return {"kind": "linear", "lam": self.lam}
-        if self.kind == "power":
-            return {"kind": "power", "lam": self.lam, "gamma": self.gamma}
-        return {"kind": "table", "grid": [list(g) for g in self.grid]}
+        out = {name: getattr(self, name) for name in ("kind", *_GAUGE_PARAMETERS[self.kind])}
+        if "grid" in out:
+            out["grid"] = [list(g) for g in self.grid]
+        return out
 
 
 @dataclass(frozen=True)

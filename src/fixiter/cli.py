@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analysis import (
+    _GAUGE_PARAMETERS,
     ConditionIWitness,
     PhiSpec,
     certify_condition_I,
@@ -223,34 +224,27 @@ def schedule_from_dict(obj, path: str) -> Schedule:
 def phi_from_dict(obj, path: str) -> PhiSpec:
     d = _require_dict(obj, path)
     kind = _expect_str(_get(d, "kind", path), _join(path, "kind"))
-    try:
-        if kind == "linear":
-            _reject_unknown(d, {"kind", "lam"}, path)
-            return PhiSpec("linear", lam=_expect_real(_get(d, "lam", path), _join(path, "lam")))
-        if kind == "power":
-            _reject_unknown(d, {"kind", "lam", "gamma"}, path)
-            return PhiSpec(
-                "power",
-                lam=_expect_real(_get(d, "lam", path), _join(path, "lam")),
-                gamma=_expect_real(_get(d, "gamma", path), _join(path, "gamma")),
-            )
-        if kind == "table":
-            _reject_unknown(d, {"kind", "grid"}, path)
-            grid = _expect_list(_get(d, "grid", path), _join(path, "grid"))
-            knots = []
-            for i, pair in enumerate(grid):
-                pair = _expect_list(pair, f"{path}.grid[{i}]")
-                if len(pair) != 2:
-                    raise ScenarioError(f"{path}.grid[{i}]", "expected a [t, value] pair")
-                knots.append((
-                    _expect_real(pair[0], f"{path}.grid[{i}][0]"),
-                    _expect_real(pair[1], f"{path}.grid[{i}][1]"),
-                ))
-            return PhiSpec("table", grid=tuple(knots))
+    if kind not in _GAUGE_PARAMETERS:
         raise ScenarioError(_join(path, "kind"), f"unknown gauge kind '{kind}'")
+    names = _GAUGE_PARAMETERS[kind]
+    _reject_unknown(d, {"kind", *names}, path)
+    if kind == "table":
+        grid = _expect_list(_get(d, "grid", path), _join(path, "grid"))
+        knots = []
+        for i, pair in enumerate(grid):
+            pair = _expect_list(pair, f"{path}.grid[{i}]")
+            if len(pair) != 2:
+                raise ScenarioError(f"{path}.grid[{i}]", "expected a [t, value] pair")
+            knots.append((
+                _expect_real(pair[0], f"{path}.grid[{i}][0]"),
+                _expect_real(pair[1], f"{path}.grid[{i}][1]"),
+            ))
+        params = {"grid": tuple(knots)}
+    else:
+        params = {n: _expect_real(_get(d, n, path), _join(path, n)) for n in names}
+    try:
+        return PhiSpec(kind, **params)
     except FixiterError as e:
-        if isinstance(e, ScenarioError):
-            raise
         raise ScenarioError(path, str(e)) from e
 
 

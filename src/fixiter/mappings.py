@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, FixiterError, ParameterError, ScheduleError
 from .schedules import Schedule
-from .space import Ball, Box, Domain, NormedSpace, Vector, _rng
+from .space import Ball, Box, Domain, NormedSpace, Vector, _rng, _same_dim
 
 # Absolute slack for all sampled inequality checks.
 TAU_CERT = 1e-8
@@ -144,21 +144,35 @@ def fixed_point_residual(m: Mapping, x: Vector) -> float:
 
 
 def distance_to_fixed_set(m: Mapping, x: Vector) -> Optional[float]:
-    """Distance to the known fixed-point set, or None when no set is declared."""
-    if m.meta.fixed_set_is_domain:
-        return 0.0
-    if m.meta.known_fixed_points:
-        return min(m.space.distance(x, p) for p in m.meta.known_fixed_points)
-    return None
+    """Distance to the known fixed-point set, or None when no set is declared:
+    the one-row view of ``_fixed_set_distances``."""
+    d = _fixed_set_distances(m, x.array[None])
+    return None if d is None else float(d[0])
 
 
 def _fixed_set_distances(m: Mapping, X: np.ndarray) -> np.ndarray | None:
-    """``distance_to_fixed_set`` of every row of the (k, dim) array X; the norms are exact."""
+    """``distance_to_fixed_set`` of every row of the (k, dim) array X."""
     if m.meta.fixed_set_is_domain:
         return np.zeros(len(X))
     if m.meta.known_fixed_points:
-        return np.min([m.space.norm_rows(X - p.array) for p in m.meta.known_fixed_points], axis=0)
+        return _point_distances(m.space, X, m.meta.known_fixed_points)
     return None
+
+
+def _point_distances(space: NormedSpace, X: np.ndarray, points: Iterable[Vector]) -> np.ndarray:
+    """The distance from every row of the (k, dim) array X to the nearest of
+    ``points``, by exact norms.  It refuses what ``space.distance`` refuses: a
+    point of another dimension, or a difference that is not finite."""
+    columns = []
+    for p in points:
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = X - _same_dim(X.shape[1], p).array
+        finite = np.isfinite(D).all(axis=1)
+        if not finite.all():
+            Vector.from_array(D[np.argmin(finite)])  # raises the ContractError of ``x - p``
+        space._check_dim(X.shape[1])
+        columns.append(space.norm_rows(D))
+    return np.min(columns, axis=0)
 
 
 def near_schedule_for(m: Mapping) -> Optional[Schedule]:

@@ -34,17 +34,20 @@ from .mappings import Mapping, _fixed_set_distances, _iterate, apply_power, dist
 from .schedules import Schedule
 from .space import Vector
 
-SCHEMES = (
-    "picard",
-    "mann",
-    "ishikawa",
-    "modified_mann",
-    "pm_hybrid",
-    "modified_pm_hybrid",
-)
-
+# Each scheme's update as stages run in order on z, which starts at x = x_{n-1}:
+# z <- T^k z, with k = n for a power stage and 1 otherwise, then, for a stage
+# with a weight schedule w, z <- (1 - w(n)) x + w(n) z.  The final z is x_n.
+_STAGES = {
+    "picard": ((None, False),),
+    "mann": (("alpha", False),),
+    "ishikawa": (("beta", False), ("alpha", False)),
+    "modified_mann": (("alpha", True),),
+    "pm_hybrid": (("alpha", False), (None, False)),
+    "modified_pm_hybrid": (("alpha", True), (None, True)),
+}
+SCHEMES = tuple(_STAGES)
 # Schemes whose update applies T^n rather than T.
-POWER_SCHEMES = ("modified_mann", "modified_pm_hybrid")
+POWER_SCHEMES = tuple(scheme for scheme, stages in _STAGES.items() if any(power for _, power in stages))
 
 _ALPHA_FLOOR = 1e-3
 _DECAY_FACTOR = 2.0 / 3.0
@@ -287,17 +290,6 @@ def _validate_config(config: RunConfig) -> None:
         raise ConfigurationError(f"schedule invalid for {config.scheme}: {failed}")
 
 
-# Each scheme's update as stages run in order on z, which starts at x = x_{n-1}:
-# z <- T^k z, with k = n for a power stage and 1 otherwise, then, for a stage
-# with a weight schedule w, z <- (1 - w(n)) x + w(n) z.  The final z is x_n.
-_STAGES = {
-    "picard": ((None, False),),
-    "mann": (("alpha", False),),
-    "ishikawa": (("beta", False), ("alpha", False)),
-    "modified_mann": (("alpha", True),),
-    "pm_hybrid": (("alpha", False), (None, False)),
-    "modified_pm_hybrid": (("alpha", True), (None, True)),
-}
 # Steps the trajectory array first has room for; it doubles when full.
 _CHUNK = 1024
 # Steps in the first block the update runs before testing its points; each

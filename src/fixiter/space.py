@@ -57,10 +57,10 @@ class Vector:
         return Vector(np.asarray(arr, dtype=float).tolist())
 
     def __add__(self, other: "Vector") -> "Vector":
-        return Vector.from_array(self.array + _same_dim(self, other).array)
+        return Vector.from_array(self.array + _same_dim(self.dim, other).array)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return Vector.from_array(self.array - _same_dim(self, other).array)
+        return Vector.from_array(self.array - _same_dim(self.dim, other).array)
 
     def __mul__(self, scalar: float) -> "Vector":
         return Vector.from_array(self.array * float(scalar))
@@ -75,16 +75,16 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _same_dim(x: Vector, y: Vector) -> Vector:
-    """``y``, once it has the dimension of ``x``."""
-    if x.dim != y.dim:
-        raise ContractError(f"dimension mismatch: vectors have dims {x.dim} and {y.dim}")
+def _same_dim(dim: int, y: Vector) -> Vector:
+    """``y``, once it has dimension ``dim``, that of the vector it meets."""
+    if dim != y.dim:
+        raise ContractError(f"dimension mismatch: vectors have dims {dim} and {y.dim}")
     return y
 
 
 def combine(t: float, x: Vector, y: Vector) -> Vector:
     """Convex combination (1-t)*x + t*y."""
-    return Vector.from_array((1.0 - t) * x.array + t * _same_dim(x, y).array)
+    return Vector.from_array((1.0 - t) * x.array + t * _same_dim(x.dim, y).array)
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ class NormedSpace:
         # l_p is uniformly convex exactly for 1 < p < inf.
         return 1.0 < self.p < math.inf
 
-    def _check_dim(self, v: Vector) -> None:
-        if v.dim != self.dim:
-            raise ContractError(f"dimension mismatch: space has dim {self.dim}, vector has dim {v.dim}")
+    def _check_dim(self, dim: int) -> None:
+        if dim != self.dim:
+            raise ContractError(f"dimension mismatch: space has dim {self.dim}, vector has dim {dim}")
 
     def norm(self, v: Vector) -> float:
-        self._check_dim(v)
+        self._check_dim(v.dim)
         return float(self.norm_rows(v.array[None])[0])
 
     def norm_rows(self, points: np.ndarray) -> np.ndarray:
@@ -202,19 +202,19 @@ class Box:
     def dim(self) -> int:
         return len(self.lows)
 
-    def contains(self, space: NormedSpace, v: Vector, tol: float = TAU_DOM) -> bool:
+    def contains(self, space: NormedSpace, v: Vector) -> bool:
         if v.dim != self.dim:
             raise ContractError(f"dimension mismatch: box has dim {self.dim}, vector has dim {v.dim}")
-        return all(lo - tol <= c <= hi + tol for c, lo, hi in zip(v.coords, self.lows, self.highs))
+        return all(lo - TAU_DOM <= c <= hi + TAU_DOM for c, lo, hi in zip(v.coords, self.lows, self.highs))
 
     @cached_property
     def _bounds(self) -> np.ndarray:
         return np.array([self.lows, self.highs])
 
-    def inside_rows(self, space: NormedSpace, points: np.ndarray, tol: float = TAU_DOM) -> np.ndarray:
+    def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; the comparisons are the same, so exactly."""
         lows, highs = self._bounds
-        return ((lows - tol <= points) & (points <= highs + tol)).all(axis=1)
+        return ((lows - TAU_DOM <= points) & (points <= highs + TAU_DOM)).all(axis=1)
 
     def diameter(self, space: NormedSpace) -> float:
         side = Vector(tuple(hi - lo for lo, hi in zip(self.lows, self.highs)))
@@ -247,16 +247,16 @@ class Ball:
     def dim(self) -> int:
         return self.center.dim
 
-    def contains(self, space: NormedSpace, v: Vector, tol: float = TAU_DOM) -> bool:
+    def contains(self, space: NormedSpace, v: Vector) -> bool:
         with np.errstate(over="ignore"):  # a norm that overflows is inf: outside
-            return space.distance(v, self.center) <= self.radius + tol
+            return space.distance(v, self.center) <= self.radius + TAU_DOM
 
-    def inside_rows(self, space: NormedSpace, points: np.ndarray, tol: float = TAU_DOM) -> np.ndarray:
+    def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so
         exactly.  A row whose offset from the center is not finite reads False
         (``contains`` raises ContractError on it)."""
         with np.errstate(over="ignore"):
-            return space.norm_rows(points - self.center.array) <= self.radius + tol
+            return space.norm_rows(points - self.center.array) <= self.radius + TAU_DOM
 
     def diameter(self, space: NormedSpace) -> float:
         return 2.0 * self.radius
@@ -282,9 +282,9 @@ class Ball:
 Domain = Union[Box, Ball]
 
 
-def domain_membership(domain: Domain, space: NormedSpace, v: Vector, tol: float = TAU_DOM) -> bool:
-    """Closed-set membership within absolute tolerance ``tol``."""
-    return domain.contains(space, v, tol)
+def domain_membership(domain: Domain, space: NormedSpace, v: Vector) -> bool:
+    """Closed-set membership within the absolute tolerance ``TAU_DOM``."""
+    return domain.contains(space, v)
 
 
 @dataclass(frozen=True)

@@ -265,6 +265,17 @@ def test_liminf_report_no_evidence_far_from_claimed_point():
         verify_theorem32(t, [])
 
 
+def test_liminf_report_refuses_a_point_of_another_dimension():
+    # A point is measured against the iterates as space.distance measures it,
+    # so it is not broadcast across their coordinates.
+    m = make_linear_contraction(0.5, 2)
+    t = run_scheme(RunConfig("picard", m, Vector((0.5, 0.5)), max_steps=20, stop_tolerance=-1.0))
+    with pytest.raises(ContractError, match="^dimension mismatch: vectors have dims 2 and 1$"):
+        verify_theorem32(t, [Vector((0.5,))])
+    with pytest.raises(ContractError, match="^dimension mismatch: vectors have dims 2 and 3$"):
+        verify_theorem32(t, [Vector((0.0, 0.0, 0.0))])
+
+
 # ---------------------------------------------------------------------------
 # coercivity gauges
 

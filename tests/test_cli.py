@@ -134,11 +134,22 @@ def scenario_docs(draw):
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(doc=scenario_docs())
 @example(doc=GOOD)
+@example(doc=_variant(checks=[{"name": "condition_I", "phi": {"kind": "power", "lam": 0.25, "gamma": 2.0},
+                               "samples": 500}]))
+@example(doc=_variant(checks=[{"name": "theorem33", "phi": {"kind": "table", "grid": [[0.0, 0.0], [1.0, 0.4]]},
+                               "samples": 500}]))
 def test_scenario_round_trip(doc):
     # Every scenario the parser accepts survives a dump/parse cycle, in memory and through JSON.
     s = cli.scenario_from_dict(doc)
     assert cli.scenario_from_dict(cli.scenario_to_dict(s)) == s
     assert cli.scenario_from_dict(json.loads(json.dumps(cli.scenario_to_dict(s)))) == s
+    for c in s.checks:
+        if c.phi is not None:
+            assert list(cli.check_spec_to_dict(c)["phi"]) == GAUGE_KEYS[c.phi.kind]
+
+
+# The keys of each gauge kind as a scenario writes them, in order.
+GAUGE_KEYS = {"linear": ["kind", "lam"], "power": ["kind", "lam", "gamma"], "table": ["kind", "grid"]}
 
 
 def test_scenario_defaults_applied_at_parse():
@@ -248,6 +259,19 @@ def test_run_exit_two_on_failed_check_still_writes_outputs(tmp_path):
     report = json.loads((out / "refuted.report.json").read_text())
     assert report["checks"][0]["verdict"] == "fail"
     assert (out / "refuted.trajectory.csv").exists()
+
+
+def test_an_uncertified_gauge_fails_theorem33_without_the_chain(tmp_path):
+    doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
+    for check in doc["checks"]:
+        if "phi" in check:
+            check["phi"] = {"kind": "linear", "lam": 2.0}
+    out = tmp_path / "out"
+    assert cli.main(["run", _write(tmp_path, doc), "--output", str(out), "--quiet"]) == 2
+    report = json.loads((out / f"{doc['name']}.report.json").read_text())
+    theorem33 = next(c for c in report["checks"] if c["name"] == "theorem33")
+    assert theorem33["verdict"] == "fail"
+    assert set(theorem33["details"]) == {"note", "condition_certificate"}
 
 
 def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):

@@ -262,6 +262,17 @@ def test_a_record_chain_that_raises_first_raises_in_step_order(scheme):
     assert outcome == _outcome(lambda: _scalar_run(config))
 
 
+def test_records_refuse_a_fixed_point_of_another_dimension():
+    # A directly built map checks no dimensions, so its records meet the 1-D
+    # fixed point, and refuse it as distance_to_fixed_set does.
+    plane = Mapping("plane", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)),
+                    lambda x: 0.5 * x, None, MappingMeta(known_fixed_points=(Vector((0.5,)),)))
+    config = _config("picard", plane, None, 0.5, 0.5, 3, -1.0, x0=Vector((0.9, 0.3)))
+    assert _outcome(lambda: run_scheme(config)) == (
+        "raised", ContractError, "dimension mismatch: vectors have dims 2 and 1")
+    _assert_same(config)
+
+
 def test_a_scalar_closed_form_is_the_map_itself_at_n_1():
     # exp(n log q) is not q at n = 1 in its last bits.  T^1 is T, so every T
     # stage and T column runs apply, as on the same map without a power.

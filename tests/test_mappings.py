@@ -1,6 +1,7 @@
 """Mapping catalog, construction contracts, and sampled class certification."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -325,6 +326,16 @@ def test_direct_mapping_construction_is_allowed():
                     MappingMeta(known_fixed_points=(Vector((0.0,)),)))
     with pytest.raises(ContractError, match="dimension mismatch"):
         distance_to_fixed_set(plane, Vector((0.3, 0.4)))
+
+
+def test_a_distance_to_a_fixed_point_that_overflows_raises_without_a_warning():
+    # x - p is not finite, so the distance raises what that Vector raises.
+    wide = Mapping("raw", NormedSpace(1, 2.0), Box((-1e308,), (1e308,)), lambda x: x, None,
+                   MappingMeta(known_fixed_points=(Vector((1e308,)),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractError, match=r"^vector has non-finite coordinates: \(-inf,\)$"):
+            distance_to_fixed_set(wide, Vector((-1e308,)))
 
 
 def _halving_rows(ns, X):
