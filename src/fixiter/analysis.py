@@ -24,8 +24,8 @@ from .mappings import (
     _certify,
     _fixed_set_distances,
     _point_distances,
-    apply_power,
     distance_to_fixed_set,
+    fixed_point_residual,
     special_points,
 )
 from .schemes import ConstraintCheck, RunConfig, Trajectory, run_scheme
@@ -337,7 +337,7 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
         "iterates_cauchy", [r.step_norm for r in traj.records], TAU_LIM,
         "max step displacement",
     ))
-    final_res = m.space.norm(traj.final - apply_power(m, 1, traj.final))
+    final_res = fixed_point_residual(m, traj.final)
     checks.append(CheckResult(
         name="final_point_fixed",
         passed=final_res <= TAU_FP,
@@ -505,7 +505,7 @@ def certify_condition_I(
 
     return _certify(
         "condition_I", (1, 1),
-        lambda c: phi(distance_to_fixed_set(m, c.x)) - space.norm(c.x - apply_power(m, 1, c.x)),
+        lambda c: phi(distance_to_fixed_set(m, c.x)) - fixed_point_residual(m, c.x),
         screen, sample_count, X,
     )
 

@@ -9,7 +9,8 @@ configuration for several schemes and writes ``<name>.rates.{csv,json}``.
 ``certify`` and ``modulus`` are scenario-free one-shots printing JSON.
 
 Exit codes: 0 success (all checks pass / certified), 1 validation or
-configuration failure (with a path-qualified message, nothing written),
+configuration failure (with a path-qualified message, nothing written) or an
+output directory or file that cannot be written (one message naming it),
 2 check failure or refuted certificate, 3 inconclusive certificate.
 """
 
@@ -55,6 +56,7 @@ from .schemes import (
     SCHEMES,
     RunConfig,
     Trajectory,
+    _check_scheme,
     _p_token,
     run_scheme,
     trajectory_header,
@@ -120,6 +122,14 @@ class Scenario:
     checks: tuple[CheckSpec, ...] = field(default_factory=tuple)
 
 
+def _at(path: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a library error it raises re-raised as a ScenarioError at ``path``."""
+    try:
+        return fn(*args, **kwargs)
+    except FixiterError as e:
+        raise ScenarioError(path, str(e)) from e
+
+
 def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
@@ -183,9 +193,7 @@ def _parse_p(v, path: str) -> float:
 
 def _cli_p(v, flag: str) -> float:
     # command-line values arrive as strings; scenario files use JSON numbers
-    if isinstance(v, str):
-        if v == "inf":
-            return math.inf
+    if isinstance(v, str) and v != "inf":
         try:
             v = float(v)
         except ValueError as e:
@@ -206,19 +214,14 @@ def schedule_from_dict(obj, path: str) -> Schedule:
     params = _require_dict(_get(d, "parameters", path), ppath)
     names, defaults = _SCHEDULE_KINDS[kind]
     _reject_unknown(params, set(names), ppath)
-    try:
-        if kind == "table":
-            values = _expect_list(_get(params, "values", ppath), _join(ppath, "values"))
-            return Schedule.table([_expect_real(v, f"{ppath}.values[{i}]") for i, v in enumerate(values)])
-        return getattr(Schedule, kind)(*[
-            _expect_real(_get(params, n, ppath, required=n not in defaults, default=defaults.get(n)),
-                         _join(ppath, n))
-            for n in names
-        ])
-    except FixiterError as e:
-        if isinstance(e, ScenarioError):
-            raise
-        raise ScenarioError(path, str(e)) from e
+    if kind == "table":
+        values = _expect_list(_get(params, "values", ppath), _join(ppath, "values"))
+        return _at(path, Schedule.table, [_expect_real(v, f"{ppath}.values[{i}]") for i, v in enumerate(values)])
+    return _at(path, getattr(Schedule, kind), *[
+        _expect_real(_get(params, n, ppath, required=n not in defaults, default=defaults.get(n)),
+                     _join(ppath, n))
+        for n in names
+    ])
 
 
 def phi_from_dict(obj, path: str) -> PhiSpec:
@@ -242,10 +245,7 @@ def phi_from_dict(obj, path: str) -> PhiSpec:
         params = {"grid": tuple(knots)}
     else:
         params = {n: _expect_real(_get(d, n, path), _join(path, n)) for n in names}
-    try:
-        return PhiSpec(kind, **params)
-    except FixiterError as e:
-        raise ScenarioError(path, str(e)) from e
+    return _at(path, PhiSpec, kind, **params)
 
 
 def check_from_dict(obj, path: str) -> CheckSpec:
@@ -322,8 +322,7 @@ def scenario_from_dict(doc) -> Scenario:
     ))
 
     scheme = _expect_str(_get(root, "scheme", ""), "scheme")
-    if scheme not in SCHEMES:
-        raise ScenarioError("scheme", f"unknown scheme '{scheme}'; known schemes: {SCHEMES}")
+    _at("scheme", _check_scheme, scheme)
 
     schedules = _require_dict(_get(root, "schedules", "", required=False, default={}), "schedules")
     _reject_unknown(schedules, {"alpha", "beta"}, "schedules")
@@ -363,11 +362,9 @@ def scenario_from_dict(doc) -> Scenario:
 
 def parse_scenario(path) -> Scenario:
     try:
-        raw = Path(path).read_text()
-    except OSError as e:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as e:
         raise ScenarioError(str(path), f"cannot read scenario file: {e}") from e
-    try:
-        doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise ScenarioError(str(path), f"not valid JSON: {e}") from e
     return scenario_from_dict(doc)
@@ -404,14 +401,8 @@ def scenario_to_dict(s: Scenario) -> dict:
 # scenario execution
 
 def build_mapping_for(s: Scenario) -> Mapping:
-    try:
-        space = NormedSpace(s.space_dim, s.space_p)
-    except FixiterError as e:
-        raise ScenarioError("space", str(e)) from e
-    try:
-        return get_mapping(s.mapping_id, dict(s.mapping_parameters), space)
-    except FixiterError as e:
-        raise ScenarioError("mapping", str(e)) from e
+    space = _at("space", NormedSpace, s.space_dim, s.space_p)
+    return _at("mapping", get_mapping, s.mapping_id, dict(s.mapping_parameters), space)
 
 
 def build_run_config(s: Scenario, m: Mapping) -> RunConfig:
@@ -525,10 +516,6 @@ def run_checks(
 # ---------------------------------------------------------------------------
 # output plumbing
 
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
-
-
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -543,76 +530,75 @@ def _claim_outputs(args, name: str, suffixes: tuple[str, ...]) -> list[Path]:
     return paths
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+def _write_outputs(paths: list[Path], writers) -> None:
+    """Make the output directory, then call each path's writer on the open file, one file at a
+    time; a file system error becomes a ScenarioError at the path it failed on."""
+    where = paths[0].parent
+    try:
+        where.mkdir(parents=True, exist_ok=True)
+        for where, write in zip(paths, writers):
+            with open(where, "w", newline="") as f:
+                write(f)
+    except OSError as e:
+        raise ScenarioError(str(where), f"cannot write output file: {e.strerror}") from e
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_run(args) -> int:
-    try:
-        scenario = parse_scenario(args.scenario)
-        mapping = build_mapping_for(scenario)
-        preflight_checks(scenario, mapping)
-        config = build_run_config(scenario, mapping)
+    scenario = parse_scenario(args.scenario)
+    mapping = build_mapping_for(scenario)
+    preflight_checks(scenario, mapping)
+    config = build_run_config(scenario, mapping)
 
-        csv_path, header_path, report_path = _claim_outputs(
-            args, scenario.name, ("trajectory.csv", "trajectory.json", "report.json"))
+    paths = _claim_outputs(args, scenario.name, ("trajectory.csv", "trajectory.json", "report.json"))
 
-        t0 = time.perf_counter()
-        traj = run_scheme(config)
-        run_seconds = time.perf_counter() - t0
-        results, check_timings = run_checks(scenario, mapping, traj, args.seed)
-    except FixiterError as e:
-        _err(f"{args.scenario}: {e}" if isinstance(e, ScenarioError) else str(e))
-        return 1
+    t0 = time.perf_counter()
+    traj = run_scheme(config)
+    run_seconds = time.perf_counter() - t0
+    results, check_timings = run_checks(scenario, mapping, traj, args.seed)
 
     report = {
         "scenario": scenario_to_dict(scenario),
         "checks": results,
         "timings": {"run_seconds": run_seconds, "checks": check_timings},
     }
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as f:
-        write_trajectory_csv(traj, f)
-    _write_json(header_path, trajectory_header(traj))
-    _write_json(report_path, report)
+    _write_outputs(paths, (
+        lambda f: write_trajectory_csv(traj, f),
+        lambda f: print(json.dumps(trajectory_header(traj), indent=2), file=f),
+        lambda f: print(json.dumps(report, indent=2), file=f),
+    ))
 
     _say(args, f"{scenario.name}: {traj.steps} steps, stop_reason={traj.stop_reason}")
     for r in results:
         _say(args, f"  [{r['verdict']}] {r['name']}")
-    _say(args, f"wrote {csv_path}, {header_path}, {report_path}")
+    _say(args, f"wrote {', '.join(map(str, paths))}")
     return 0 if all(r["verdict"] == "pass" for r in results) else 2
 
 
 def cmd_compare(args) -> int:
     schemes = [tok.strip() for tok in args.schemes.split(",") if tok.strip()]
-    try:
-        if not schemes:
-            raise ScenarioError("--schemes", "needs at least one scheme")
-        for scheme in schemes:
-            if scheme not in SCHEMES:
-                raise ScenarioError("--schemes", f"unknown scheme '{scheme}'; known schemes: {SCHEMES}")
-        if not 0.0 < args.target < math.inf:
-            raise ScenarioError("--target", f"must be finite and > 0, got {args.target}")
-        scenario = parse_scenario(args.scenario)
-        mapping = build_mapping_for(scenario)
-        base = build_run_config(scenario, mapping)
+    if not schemes:
+        raise ScenarioError("--schemes", "needs at least one scheme")
+    for scheme in schemes:
+        _at("--schemes", _check_scheme, scheme)
+    if not 0.0 < args.target < math.inf:
+        raise ScenarioError("--target", f"must be finite and > 0, got {args.target}")
+    scenario = parse_scenario(args.scenario)
+    mapping = build_mapping_for(scenario)
+    base = build_run_config(scenario, mapping)
 
-        csv_path, json_path = _claim_outputs(args, scenario.name, ("rates.csv", "rates.json"))
+    paths = _claim_outputs(args, scenario.name, ("rates.csv", "rates.json"))
 
-        report = compare_schemes(base, schemes, args.target)
-    except FixiterError as e:
-        _err(f"{args.scenario}: {e}" if isinstance(e, ScenarioError) else str(e))
-        return 1
-
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "w", newline="") as f:
-        csv.writer(f, lineterminator="\n").writerows(report.to_csv_rows())
-    _write_json(json_path, {"scenario": scenario_to_dict(scenario), **report.to_dict()})
+    report = compare_schemes(base, schemes, args.target)
+    _write_outputs(paths, (
+        lambda f: csv.writer(f, lineterminator="\n").writerows(report.to_csv_rows()),
+        lambda f: print(json.dumps({"scenario": scenario_to_dict(scenario), **report.to_dict()}, indent=2),
+                        file=f),
+    ))
     _say(args, report.to_text())
-    _say(args, f"wrote {csv_path}, {json_path}")
+    _say(args, f"wrote {', '.join(map(str, paths))}")
     return 0
 
 
@@ -649,30 +635,26 @@ def _parse_schedule_spec(spec: str) -> Schedule:
 
 
 def cmd_certify(args) -> int:
-    try:
-        if args.mapping not in CATALOG_IDS:
-            raise ScenarioError("mapping", f"unknown mapping '{args.mapping}'; catalog: {CATALOG_IDS}")
-        if args.class_name not in CERT_CLASSES:
-            raise ScenarioError("--class",
-                                f"unknown mapping class '{args.class_name}'; known classes: {CERT_CLASSES}")
-        dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
-        space = NormedSpace(dim, _cli_p(args.p, "--p"))
-        mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
+    if args.mapping not in CATALOG_IDS:
+        raise ScenarioError("mapping", f"unknown mapping '{args.mapping}'; catalog: {CATALOG_IDS}")
+    if args.class_name not in CERT_CLASSES:
+        raise ScenarioError("--class",
+                            f"unknown mapping class '{args.class_name}'; known classes: {CERT_CLASSES}")
+    dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
+    space = NormedSpace(dim, _cli_p(args.p, "--p"))
+    mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
 
-        key, certifier = _CERTIFIERS[args.class_name]
-        flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
-                 "L": ("--lipschitz", args.lipschitz, "constant L")}
-        for flag_key, (flag, value, noun) in flags.items():
-            if (value is None) == (flag_key == key):
-                verb = "needs a" if value is None else "takes no"
-                raise ScenarioError(flag, f"{args.class_name} {verb} {noun}")
-        bound = None if key is None else flags[key][1]
-        if key == "schedule":
-            bound = _parse_schedule_spec(bound)
-        cert = certifier(mapping, bound, args.n_max, args.samples, args.seed)
-    except FixiterError as e:
-        _err(str(e))
-        return 1
+    key, certifier = _CERTIFIERS[args.class_name]
+    flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
+             "L": ("--lipschitz", args.lipschitz, "constant L")}
+    for flag_key, (flag, value, noun) in flags.items():
+        if (value is None) == (flag_key == key):
+            verb = "needs a" if value is None else "takes no"
+            raise ScenarioError(flag, f"{args.class_name} {verb} {noun}")
+    bound = None if key is None else flags[key][1]
+    if key == "schedule":
+        bound = _parse_schedule_spec(bound)
+    cert = certifier(mapping, bound, args.n_max, args.samples, args.seed)
 
     print(json.dumps(certificate_to_dict(cert), indent=2))
     return _CERT_EXIT[cert.verdict]
@@ -689,12 +671,8 @@ def _modulus_to_dict(est: ModulusEstimate) -> dict:
 
 
 def cmd_modulus(args) -> int:
-    try:
-        space = NormedSpace(args.dim, _cli_p(args.p, "--p"))
-        est = modulus_of_convexity_estimate(space, args.epsilon, args.samples, args.seed)
-    except FixiterError as e:
-        _err(str(e))
-        return 1
+    space = NormedSpace(args.dim, _cli_p(args.p, "--p"))
+    est = modulus_of_convexity_estimate(space, args.epsilon, args.samples, args.seed)
     print(json.dumps(_modulus_to_dict(est), indent=2))
     return 0
 
@@ -771,10 +749,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.seed < 0:
-        _err(f"--seed: must be >= 0, got {args.seed}")
+    try:
+        if args.seed < 0:
+            raise FixiterError(f"--seed: must be >= 0, got {args.seed}")
+        return args.handler(args)
+    except FixiterError as e:
+        # run and compare put a scenario error at their scenario file
+        scenario = isinstance(e, ScenarioError) and getattr(args, "scenario", None)
+        print(f"error: {scenario}: {e}" if scenario else f"error: {e}", file=sys.stderr)
         return 1
-    return args.handler(args)
 
 
 def entrypoint() -> None:

@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import Mapping, _fixed_set_distances, _iterate, apply_power, distance_to_fixed_set
+from .mappings import (Mapping, _fixed_set_distances, _iterate, apply_power, distance_to_fixed_set,
+                       fixed_point_residual)
 from .schedules import Schedule
 from .space import Vector
 
@@ -51,6 +52,11 @@ POWER_SCHEMES = tuple(scheme for scheme, stages in _STAGES.items() if any(power 
 
 _ALPHA_FLOOR = 1e-3
 _DECAY_FACTOR = 2.0 / 3.0
+
+
+def _check_scheme(scheme: str) -> None:
+    if scheme not in SCHEMES:
+        raise ConfigurationError(f"unknown scheme '{scheme}'; known schemes: {SCHEMES}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +166,7 @@ def validate_schedule(
     ``undetermined``.  The overall verdict is ``violated`` when any enforced
     check fails; informational checks never affect it.
     """
-    if scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme '{scheme}'; known schemes: {SCHEMES}")
+    _check_scheme(scheme)
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
     if beta is not None and scheme != "ishikawa":
@@ -268,8 +273,7 @@ class Trajectory:
 
 
 def _validate_config(config: RunConfig) -> None:
-    if config.scheme not in SCHEMES:
-        raise ConfigurationError(f"unknown scheme '{config.scheme}'; known schemes: {SCHEMES}")
+    _check_scheme(config.scheme)
     if config.max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {config.max_steps}")
     if not math.isfinite(config.stop_tolerance):
@@ -552,7 +556,7 @@ def _scalar_records(m: Mapping, points: np.ndarray, costs: list[int]):
         yield StepRecord(
             n=n,
             step_norm=space.norm(x - prev),
-            residual_T=space.norm(x - apply_power(m, 1, x)),
+            residual_T=fixed_point_residual(m, x),
             residual_Tn=space.norm(x - apply_power(m, n, x)),
             dist_to_known_fp=distance_to_fixed_set(m, x),
             applications=cost,

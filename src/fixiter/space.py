@@ -184,7 +184,6 @@ class Box:
 
     lows: tuple[float, ...]
     highs: tuple[float, ...]
-    kind = "box"
 
     def __post_init__(self):
         lows = tuple(float(v) for v in self.lows)
@@ -237,7 +236,6 @@ class Ball:
 
     center: Vector
     radius: float
-    kind = "ball"
 
     def __post_init__(self):
         if not (self.radius >= 0.0) or not math.isfinite(self.radius):

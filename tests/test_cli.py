@@ -308,9 +308,31 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
         assert not out.exists() or list(out.iterdir()) == [], i
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "{path}"],
+    ["compare", "{path}", "--schemes", "mann", "--target", "1e-6"],
+])
+def test_an_output_directory_under_a_regular_file_exits_one_with_one_line(tmp_path, capsys, command):
+    path, afile = _write(tmp_path, GOOD), tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "out"
+    assert cli.main([a.format(path=path) for a in command] + ["--output", str(out), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: {out}: cannot write output file: Not a directory\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "scenario.json"]
+    assert afile.read_text() == ""
+
+
 def test_run_missing_file_exits_one(tmp_path, capsys):
     assert cli.main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 1
     assert "absent.json" in capsys.readouterr().err
+
+
+def test_run_a_scenario_file_that_is_not_text_exits_one_with_one_line(tmp_path, capsys):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff{}")
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_run_malformed_json_exits_one(tmp_path, capsys):
@@ -345,7 +367,15 @@ def test_compare_rejects_unknown_scheme(tmp_path, capsys):
     code = cli.main(["compare", path, "--schemes", "picard,newton",
                      "--target", "1e-6", "--output", str(tmp_path / "o"), "--quiet"])
     assert code == 1
-    assert "newton" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: --schemes: unknown scheme 'newton'; {_KNOWN_SCHEMES}\n"
+
+
+def test_compare_reports_a_library_error_without_the_scenario_path(tmp_path, capsys):
+    # Only a ScenarioError names a place in the scenario file.
+    code = cli.main(["compare", str(SCENARIO_DIR / "contraction_compare.json"), "--schemes", "ishikawa",
+                     "--target", "1e-6", "--output", str(tmp_path / "o"), "--quiet"])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: ishikawa requires a beta schedule in the base configuration\n")
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
@@ -476,6 +506,8 @@ _LIN = {"kind": "linear", "lam": 0.5}
 _GEO = {"kind": "geometric", "parameters": {"ratio": 0.5}}
 _KNOWN_CLASSES = ("known classes: ('nonexpansive', 'asymptotically_nonexpansive', "
                   "'nearly_nonexpansive', 'uniformly_lipschitz')")
+_KNOWN_SCHEMES = ("known schemes: ('picard', 'mann', 'ishikawa', 'modified_mann', 'pm_hybrid', "
+                  "'modified_pm_hybrid')")
 
 
 def _check(**spec):
@@ -541,6 +573,9 @@ _SCENARIO_FAULTS = [
     ({"scheme": "mann"}, "checks[0]: theorem31 applies to the modified_pm_hybrid scheme only"),
     ({"mapping": {"id": "identity"}, "checks": [{"name": "theorem32"}]},
      "checks[0]: theorem32 requires a mapping with known fixed points"),
+    ({"scheme": "newton"}, f"scheme: unknown scheme 'newton'; {_KNOWN_SCHEMES}"),
+    ({"mapping": {"id": "example21", "parameters": {}}}, "mapping: example21 requires parameter 'q'"),
+    ({"mapping": {"id": "example21", "parameters": {"q": 2}}}, "mapping: q must lie in (0, 1), got 2.0"),
 ]
 
 
