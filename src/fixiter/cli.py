@@ -160,6 +160,20 @@ def _expect_str(v, path: str) -> str:
     return v
 
 
+def _catalog_id(mapping_id: str, path: str) -> str:
+    """``mapping_id``, once it names a catalog mapping."""
+    if mapping_id not in CATALOG_IDS:
+        raise ScenarioError(path, f"unknown mapping '{mapping_id}'; catalog: {CATALOG_IDS}")
+    return mapping_id
+
+
+def _cert_class(name: str, path: str) -> str:
+    """``name``, once it names a mapping class."""
+    if name not in CERT_CLASSES:
+        raise ScenarioError(path, f"unknown mapping class '{name}'; known classes: {CERT_CLASSES}")
+    return name
+
+
 def _expect_int(v, path: str, minimum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ScenarioError(path, f"expected an integer, got {type(v).__name__}")
@@ -266,10 +280,8 @@ def check_from_dict(obj, path: str) -> CheckSpec:
         return CheckSpec(name=name, phi=phi, samples=samples)
 
     # certify
-    cert_class = _expect_str(_get(d, "class", path), _join(path, "class"))
-    if cert_class not in CERT_CLASSES:
-        raise ScenarioError(_join(path, "class"),
-                            f"unknown mapping class '{cert_class}'; known classes: {CERT_CLASSES}")
+    class_path = _join(path, "class")
+    cert_class = _cert_class(_expect_str(_get(d, "class", path), class_path), class_path)
     key = _CERTIFIERS[cert_class][0]
     bound = n_max = None
     if key == "schedule":
@@ -311,9 +323,7 @@ def scenario_from_dict(doc) -> Scenario:
 
     mapping = _require_dict(_get(root, "mapping", ""), "mapping")
     _reject_unknown(mapping, {"id", "parameters"}, "mapping")
-    mapping_id = _expect_str(_get(mapping, "id", "mapping"), "mapping.id")
-    if mapping_id not in CATALOG_IDS:
-        raise ScenarioError("mapping.id", f"unknown mapping '{mapping_id}'; catalog: {CATALOG_IDS}")
+    mapping_id = _catalog_id(_expect_str(_get(mapping, "id", "mapping"), "mapping.id"), "mapping.id")
     raw_params = _require_dict(
         _get(mapping, "parameters", "mapping", required=False, default={}), "mapping.parameters"
     )
@@ -360,13 +370,18 @@ def scenario_from_dict(doc) -> Scenario:
     )
 
 
+class _UnreadableScenario(ScenarioError):
+    """A scenario file that cannot be read or decoded: its path is the file's own."""
+
+
 def parse_scenario(path) -> Scenario:
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:
-        raise ScenarioError(str(path), f"cannot read scenario file: {e}") from e
+        reason = getattr(e, "strerror", None) or e
+        raise _UnreadableScenario(str(path), f"cannot read scenario file: {reason}") from e
     except json.JSONDecodeError as e:
-        raise ScenarioError(str(path), f"not valid JSON: {e}") from e
+        raise _UnreadableScenario(str(path), f"not valid JSON: {e}") from e
     return scenario_from_dict(doc)
 
 
@@ -635,11 +650,8 @@ def _parse_schedule_spec(spec: str) -> Schedule:
 
 
 def cmd_certify(args) -> int:
-    if args.mapping not in CATALOG_IDS:
-        raise ScenarioError("mapping", f"unknown mapping '{args.mapping}'; catalog: {CATALOG_IDS}")
-    if args.class_name not in CERT_CLASSES:
-        raise ScenarioError("--class",
-                            f"unknown mapping class '{args.class_name}'; known classes: {CERT_CLASSES}")
+    _catalog_id(args.mapping, "mapping")
+    _cert_class(args.class_name, "--class")
     dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
     space = NormedSpace(dim, _cli_p(args.p, "--p"))
     mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
@@ -754,8 +766,9 @@ def main(argv=None) -> int:
             raise FixiterError(f"--seed: must be >= 0, got {args.seed}")
         return args.handler(args)
     except FixiterError as e:
-        # run and compare put a scenario error at their scenario file
-        scenario = isinstance(e, ScenarioError) and getattr(args, "scenario", None)
+        # run and compare put an error inside their scenario at its file
+        scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)
+                    and getattr(args, "scenario", None))
         print(f"error: {scenario}: {e}" if scenario else f"error: {e}", file=sys.stderr)
         return 1
 

@@ -46,15 +46,27 @@ class Vector:
     def dim(self) -> int:
         return len(self.coords)
 
-    @cached_property
+    @property
     def array(self) -> np.ndarray:
-        arr = np.asarray(self.coords, dtype=float)
-        arr.flags.writeable = False
+        """``coords`` as a read-only float64 array, built on first use and then kept."""
+        arr = self.__dict__.get("_array")
+        if arr is None:
+            arr = np.asarray(self.coords, dtype=float)
+            arr.flags.writeable = False
+            self.__dict__["_array"] = arr
         return arr
 
     @staticmethod
     def from_array(arr: np.ndarray | Iterable[float]) -> "Vector":
-        return Vector(np.asarray(arr, dtype=float).tolist())
+        """The vector of ``arr``; takes and refuses what the constructor does."""
+        a = np.asarray(arr, dtype=float)
+        coords = a.tolist()
+        if a.ndim != 1 or not coords or not all(map(math.isfinite, coords)):
+            return Vector(coords)
+        # tolist() gave finite Python floats, which is all __post_init__ would check
+        v = object.__new__(Vector)
+        object.__setattr__(v, "coords", tuple(coords))
+        return v
 
     def __add__(self, other: "Vector") -> "Vector":
         return Vector.from_array(self.array + _same_dim(self.dim, other).array)

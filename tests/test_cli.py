@@ -323,23 +323,28 @@ def test_an_output_directory_under_a_regular_file_exits_one_with_one_line(tmp_pa
 
 
 def test_run_missing_file_exits_one(tmp_path, capsys):
-    assert cli.main(["run", str(tmp_path / "absent.json"), "--quiet"]) == 1
-    assert "absent.json" in capsys.readouterr().err
+    path = tmp_path / "absent.json"
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: cannot read scenario file: No such file or directory\n"
+    with pytest.raises(ScenarioError) as info:  # a library caller is told which file
+        cli.parse_scenario(path)
+    assert str(info.value) == f"{path}: cannot read scenario file: No such file or directory"
 
 
 def test_run_a_scenario_file_that_is_not_text_exits_one_with_one_line(tmp_path, capsys):
     path = tmp_path / "binary.json"
     path.write_bytes(b"\xff{}")
     assert cli.main(["run", str(path), "--quiet"]) == 1
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {path}: ") and err.count("\n") == 1
+    assert capsys.readouterr() == ("", f"error: {path}: cannot read scenario file: 'utf-8' codec can't "
+                                       "decode byte 0xff in position 0: invalid start byte\n")
 
 
 def test_run_malformed_json_exits_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert cli.main(["run", str(path), "--quiet"]) == 1
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err == (f"error: {path}: not valid JSON: Expecting property name "
+                                       "enclosed in double quotes: line 1 column 2 (char 1)\n")
 
 
 # ---------------------------------------------------------------------------

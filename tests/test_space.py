@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import stats
 
 from fixiter import (
@@ -97,6 +98,69 @@ def test_vector_boxing_errors():
         Vector(())
     with pytest.raises(ContractError, match=r"non-finite coordinates: \(1.0, inf\)"):
         Vector.from_array(np.array([1.0, np.inf]))
+
+
+BOXING_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+# Finite floats reach -0.0, subnormals and the largest magnitudes.
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+finite_vectors = arrays(np.float64, st.integers(1, 8), elements=finite_floats)
+EXTREMES = np.array([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])
+
+
+def _bits(coords) -> bytes:
+    return np.array(coords, dtype=np.float64).tobytes()
+
+
+@BOXING_SETTINGS
+@given(a=finite_vectors)
+@example(a=EXTREMES)
+def test_from_array_boxes_what_the_constructor_boxes(a):
+    for x in (a, a.tolist(), tuple(a.tolist())):
+        v = Vector.from_array(x)
+        assert v == Vector(a.tolist())
+        assert all(type(c) is float for c in v.coords)
+        assert _bits(v.coords) == a.tobytes()
+
+
+def _raised(fn, x) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        fn(x)
+    return type(info.value), str(info.value)
+
+
+@BOXING_SETTINGS
+@given(x=st.one_of(
+    arrays(np.float64, st.integers(1, 6), elements=st.floats()).filter(lambda a: not np.isfinite(a).all()),
+    arrays(np.float64, array_shapes(min_dims=0, max_dims=0) | array_shapes(min_dims=2, max_side=3),
+           elements=finite_floats),
+    st.sampled_from([np.empty(0), np.empty((0, 2)), [], ()]),
+    st.lists(st.floats(), min_size=1).filter(lambda c: not all(map(math.isfinite, c))),
+    st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=1, max_size=3),
+))
+@example(x=(1.0, math.nan))
+@example(x=[-math.inf])
+def test_from_array_refuses_what_the_constructor_refuses(x):
+    assert _raised(Vector.from_array, x) == _raised(lambda y: Vector(np.asarray(y, dtype=float).tolist()), x)
+
+
+@BOXING_SETTINGS
+@given(coords=st.lists(finite_floats, min_size=1, max_size=8))
+@example(coords=EXTREMES.tolist())
+def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
+    for v in (Vector(coords), Vector.from_array(coords)):
+        arr = v.array
+        assert v.array is arr and arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr.tobytes() == _bits(v.coords) == _bits(coords)
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+@BOXING_SETTINGS
+@given(coords=st.lists(finite_floats, min_size=1, max_size=8), from_array=st.booleans())
+def test_reading_array_leaves_equality_hash_and_repr_alone(coords, from_array):
+    v, w = Vector(coords), Vector.from_array(coords) if from_array else Vector(coords)
+    v.array
+    assert v == w and w == v and hash(v) == hash(w) and repr(v) == repr(w)
 
 
 def test_distance_is_a_metric_pointwise():
