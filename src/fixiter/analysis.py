@@ -38,14 +38,15 @@ TAU_SUM = 1e-6
 TAU_FP = 1e-8
 
 _BLOWUP = 1e12
+_TAIL_FRACTION, _TAIL_MIN_ENTRIES = 0.25, 50
 
 
-def tail_window_start(length: int, fraction: float = 0.25, min_entries: int = 50) -> int:
+def tail_window_start(length: int) -> int:
     """First index of the tail window: the last 25% of entries, widened to at
     least 50 when the record is long enough, else the whole record."""
     if length < 1:
         raise ContractError(f"window needs at least one entry, got length {length}")
-    span = max(math.ceil(fraction * length), min_entries)
+    span = max(math.ceil(_TAIL_FRACTION * length), _TAIL_MIN_ENTRIES)
     return max(length - span, 0)
 
 
@@ -61,7 +62,7 @@ class LimitVerdict:
         return asdict(self)
 
 
-def limit_verdict(values: Sequence[float], tol: float = TAU_LIM) -> LimitVerdict:
+def limit_verdict(values: Sequence[float]) -> LimitVerdict:
     """Decide convergence of a recorded sequence by tail-window oscillation."""
     arr = np.asarray(list(values), dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -72,8 +73,8 @@ def limit_verdict(values: Sequence[float], tol: float = TAU_LIM) -> LimitVerdict
     window = arr[start:]
     osc = float(window.max() - window.min())
     last = float(arr[-1])
-    if osc <= tol:
-        est = 0.0 if float(window.min()) <= tol else float(window[-1])
+    if osc <= TAU_LIM:
+        est = 0.0 if float(window.min()) <= TAU_LIM else float(window[-1])
         return LimitVerdict("converged", last, osc, est, start)
     if last > _BLOWUP and window[-1] >= 2.0 * window[0]:
         return LimitVerdict("diverged", last, osc, None, start)

@@ -192,14 +192,23 @@ def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
     """Turn an asymptotic schedule k_n >= 1 into the near-sequence (k_n - 1) * diam."""
     if diam < 0.0:
         raise ContractError(f"diameter must be >= 0, got {diam}")
+    return Schedule.formula(lambda n: (_coefficient("asymptotically_nonexpansive", k, n) - 1.0) * diam,
+                            label=f"near_from_{k.kind}")
 
-    def fn(n: int) -> float:
-        kn = k.at(n)
-        if kn < 1.0:
-            raise ScheduleError(f"asymptotic schedule must satisfy k(n) >= 1; k({n}) = {kn}")
-        return (kn - 1.0) * diam
 
-    return Schedule.formula(fn, label=f"near_from_{k.kind}")
+_SEQUENCES = {
+    "asymptotically_nonexpansive": ("k", 1.0, "asymptotic schedule must satisfy k(n) >= 1"),
+    "nearly_nonexpansive": ("a", 0.0, "near-sequence must be >= 0"),
+}
+
+
+def _coefficient(declared_class: str, s: Schedule, n: int) -> float:
+    """``s(n)``, once it is at least the floor of the sequence that ``declared_class``
+    declares.  ``_SEQUENCES`` holds each such sequence's name, floor and rule."""
+    name, floor, rule = _SEQUENCES[declared_class]
+    if (value := s.at(n)) < floor:
+        raise ScheduleError(f"{rule}; {name}({n}) = {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -372,22 +381,16 @@ def build_mapping(
 
 
 def _check_meta(space: NormedSpace, meta: MappingMeta) -> None:
-    if meta.declared_class == "asymptotically_nonexpansive":
-        if meta.k_schedule is None:
-            raise ContractError("asymptotically nonexpansive maps must declare a k schedule")
+    if meta.declared_class in _SEQUENCES:
+        name, floor, _ = _SEQUENCES[meta.declared_class]
+        s = getattr(meta, f"{name}_schedule")
+        if s is None:
+            raise ContractError(f"{meta.declared_class.replace('_', ' ')} maps must declare "
+                                f"{'an' if name == 'a' else 'a'} {name} schedule")
         for n in range(1, 101):
-            if meta.k_schedule.at(n) < 1.0:
-                raise ScheduleError(f"k({n}) = {meta.k_schedule.at(n)} < 1")
-        if meta.k_schedule.at(10_000) > 1.0 + 1e-2:
-            raise ScheduleError("k schedule does not approach 1")
-    if meta.declared_class == "nearly_nonexpansive":
-        if meta.a_schedule is None:
-            raise ContractError("nearly nonexpansive maps must declare an a schedule")
-        for n in range(1, 101):
-            if meta.a_schedule.at(n) < 0.0:
-                raise ScheduleError(f"a({n}) = {meta.a_schedule.at(n)} < 0")
-        if meta.a_schedule.at(10_000) > 1e-2:
-            raise ScheduleError("a schedule does not approach 0")
+            _coefficient(meta.declared_class, s, n)
+        if s.at(10_000) > floor + 1e-2:
+            raise ScheduleError(f"{name} schedule does not approach {floor:g}")
     if meta.lipschitz_L is not None and meta.lipschitz_L <= 0.0:
         raise ContractError(f"Lipschitz constant must be > 0, got {meta.lipschitz_L}")
     for p in meta.known_fixed_points or ():
@@ -476,12 +479,13 @@ def _certify_pairs(
     sample_count: int,
     seed: int,
 ) -> Certificate:
-    """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) =
-    ``terms(n)`` and ``violation`` is the scalar excess, on the domain extremes
-    and each (discontinuity neighbour, discontinuity) pair at every n, then on
-    seeded random (n, x, y) triples."""
+    """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) = ``terms(n)``,
+    evaluated once per n before sampling, and ``violation`` is the scalar excess, on
+    the domain extremes and each (discontinuity neighbour, discontinuity) pair at
+    every n, then on seeded random (n, x, y) triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
+    coefficients = np.array([terms(n) for n in range(1, n_max + 1)], dtype=float)
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
     pairs = [m.domain.extreme_points()] + [
@@ -500,7 +504,7 @@ def _certify_pairs(
         TX, TY = m.power_rows(N, X), m.power_rows(N, Y)
         if not all(m.domain.inside_rows(m.space, R).all() for R in (X, Y, TX, TY)):
             return None
-        c, b = _per_n(terms, N).T
+        c, b = coefficients[N - 1].T
         return m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
 
     return _certify(property_name, (1, n_max), lambda w: violation(w.n, w.x, w.y), screen,
@@ -529,12 +533,9 @@ def certify_nearly_nonexpansive(
     m: Mapping, a: Schedule, n_max: int, sample_count: int, seed: int
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= ||x - y|| + a_n for 1 <= n <= n_max."""
-    for n in range(1, n_max + 1):
-        if a.at(n) < 0.0:
-            raise ScheduleError(f"near-sequence must be >= 0; a({n}) = {a.at(n)}")
     return _certify_pairs(
         "nearly_nonexpansive", m, lambda n, x, y: nearly_nonexpansive_violation(m, a, n, x, y),
-        lambda n: (1.0, a.at(n)), n_max, sample_count, seed,
+        lambda n: (1.0, _coefficient("nearly_nonexpansive", a, n)), n_max, sample_count, seed,
     )
 
 
@@ -554,12 +555,9 @@ def certify_asymptotically_nonexpansive(
     m: Mapping, k: Schedule, n_max: int, sample_count: int, seed: int
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= k_n * ||x - y|| for 1 <= n <= n_max."""
-    for n in range(1, n_max + 1):
-        if k.at(n) < 1.0:
-            raise ScheduleError(f"asymptotic schedule must satisfy k(n) >= 1; k({n}) = {k.at(n)}")
     return _certify_pairs(
         "asymptotically_nonexpansive", m, lambda n, x, y: asymptotically_nonexpansive_violation(m, k, n, x, y),
-        lambda n: (k.at(n), 0.0), n_max, sample_count, seed,
+        lambda n: (_coefficient("asymptotically_nonexpansive", k, n), 0.0), n_max, sample_count, seed,
     )
 
 

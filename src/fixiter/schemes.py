@@ -278,10 +278,6 @@ def _validate_config(config: RunConfig) -> None:
         raise ContractError(f"max_steps must be >= 1, got {config.max_steps}")
     if not math.isfinite(config.stop_tolerance):
         raise ContractError(f"stop_tolerance must be finite, got {config.stop_tolerance}")
-    if (config.beta is not None) != (config.scheme == "ishikawa"):
-        raise ConfigurationError("beta schedule must be present exactly for the ishikawa scheme")
-    if config.scheme != "picard" and config.alpha is None:
-        raise ConfigurationError(f"scheme {config.scheme} requires an alpha schedule")
     m = config.mapping
     if config.x0.dim != m.space.dim:
         raise ContractError(f"x0 has dim {config.x0.dim}, mapping space has dim {m.space.dim}")

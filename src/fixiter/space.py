@@ -56,6 +56,9 @@ class Vector:
             self.__dict__["_array"] = arr
         return arr
 
+    def __getstate__(self) -> dict:  # copies leave out the cached array, which numpy would copy writeable
+        return {"coords": self.coords}
+
     @staticmethod
     def from_array(arr: np.ndarray | Iterable[float]) -> "Vector":
         """The vector of ``arr``; takes and refuses what the constructor does."""

@@ -1,5 +1,6 @@
 """Limit diagnostics, recurrence/collapse checkers, theorem chains, rates."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -190,6 +191,25 @@ def test_collapse_checker_antipodal_is_hypothesis_failure():
     assert rep.conclusion_ok is None
     failing = {c.name for c in rep.hypothesis_checks if c.status == "violated"}
     assert failing == {"mixture_norm_to_r"}
+
+
+def test_collapse_report_hypothesis_ok_and_dict():
+    sp = NormedSpace(2, 2.0)
+    xs = [Vector((1.0, 0.0))] * 500
+    confirmed = check_lemma22_witness([0.5] * 500, xs, xs, 1.0, sp, 500, 0.4, 0.6)
+    failed = check_lemma22_witness([0.5] * 500, xs, [Vector((-1.0, 0.0))] * 500, 1.0, sp,
+                                   500, 0.5, 0.5)
+    assert confirmed.hypothesis_ok and not failed.hypothesis_ok
+    d = confirmed.to_dict()
+    assert (d["verdict"], d["conclusion_tail_max"], d["conclusion_ok"]) == ("confirmed", 0.0, True)
+    assert [(c["name"], c["status"]) for c in d["hypothesis_checks"]] == [
+        ("limsup_x", "satisfied"), ("limsup_y", "satisfied"), ("mixture_norm_to_r", "satisfied")]
+    d = failed.to_dict()
+    assert (d["verdict"], d["conclusion_tail_max"], d["conclusion_ok"]) == ("hypothesis_failure", 2.0, None)
+    assert [(c["name"], c["status"]) for c in d["hypothesis_checks"]] == [
+        ("limsup_x", "satisfied"), ("limsup_y", "satisfied"), ("mixture_norm_to_r", "violated")]
+    assert d["hypothesis_checks"][2]["detail"].startswith("tail deviation of ||(1-t_n) x_n + t_n y_n|| from r: ")
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_collapse_checker_contract_errors():

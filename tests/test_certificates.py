@@ -335,3 +335,17 @@ def test_power_gauge_certificate_evaluates_one_candidate(monkeypatch):
     cert = certify_condition_I(m, PhiSpec("power", lam=0.5, gamma=1.0), 2000, 0)
     assert cert.sample_count == 2003
     assert len(evaluated) == 1
+
+
+@pytest.mark.parametrize("n_max", [1, 7, 20])
+@pytest.mark.parametrize("certifier, make, sequence", [
+    (certify_nearly_nonexpansive, lambda: make_example21(0.5), lambda n: 0.5**n),
+    (certify_asymptotically_nonexpansive, make_asymptotically_nonexpansive_example,
+     lambda n: 1.2 if n == 1 else 1.0),
+], ids=["example21", "asymptotic_demo"])
+def test_pair_certificate_evaluates_its_schedule_once_per_n(certifier, make, sequence, n_max):
+    calls = []
+    counted = Schedule.formula(lambda n: calls.append(n) or sequence(n))
+    cert = certifier(make(), counted, n_max, 50, 7)
+    # n = 1 ... n_max in order before sampling, then the witness's n once more
+    assert calls == [*range(1, n_max + 1), cert.witness.n]

@@ -5,13 +5,14 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixiter import cli
+from fixiter import Box, MappingMeta, NormedSpace, Vector, build_mapping, cli
 from fixiter.errors import ScenarioError
 
 GOOD = {
@@ -581,6 +582,8 @@ _SCENARIO_FAULTS = [
     ({"scheme": "newton"}, f"scheme: unknown scheme 'newton'; {_KNOWN_SCHEMES}"),
     ({"mapping": {"id": "example21", "parameters": {}}}, "mapping: example21 requires parameter 'q'"),
     ({"mapping": {"id": "example21", "parameters": {"q": 2}}}, "mapping: q must lie in (0, 1), got 2.0"),
+    ({"mapping": {"id": "identity"}, "checks": [{"name": "theorem31"}]},
+     "checks[0]: theorem31 requires a mapping with known fixed points"),
 ]
 
 
@@ -591,6 +594,21 @@ def test_scenario_error_lines_are_pinned(tmp_path, capsys, edits, message):
     assert cli.main(["run", path, "--output", str(out), "--quiet"]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("check, fixed_points, message", [
+    ("condition_I", None, "checks[0]: condition_I requires fixed-point information on the mapping"),
+    ("lemma21", (Vector((0.0,)),), "checks[0]: lemma21 requires a near-sequence (a declared a or k "
+                                  "schedule, or a nonexpansive mapping)"),
+])
+def test_preflight_refuses_a_map_without_what_the_check_needs(check, fixed_points, message):
+    halving = build_mapping("halving", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
+                            lambda x: Vector((0.5 * x.coords[0],)),
+                            meta=MappingMeta(known_fixed_points=fixed_points))
+    s = replace(cli.scenario_from_dict(GOOD), checks=(cli.CheckSpec(name=check),))
+    with pytest.raises(ScenarioError) as raised:
+        cli.preflight_checks(s, halving)
+    assert str(raised.value) == message
 
 
 _NEARLY = ["example21", "--class", "nearly_nonexpansive", "--param", "q=0.5"]

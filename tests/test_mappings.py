@@ -455,3 +455,30 @@ def test_per_row_iteration_boxes_each_row_once(monkeypatch):
     assert len(applied) == ns.sum()
     assert got[:, 1].tobytes() == X[:, 1].tobytes()
     assert got[:, 0].tolist() == [x * 0.5**n for x, n in zip(X[:, 0].tolist(), ns.tolist())]
+
+
+def _floor_message(call) -> str:
+    with pytest.raises(ScheduleError) as raised:
+        call()
+    return str(raised.value)
+
+
+def test_a_schedule_below_its_floor_raises_one_message_everywhere():
+    sp, box = NormedSpace(1, 2.0), Box((0.0,), (1.0,))
+    halve = lambda x: Vector((0.5 * x.coords[0],))
+    m = make_identity()
+
+    k = Schedule.constant(0.5)
+    expected = "asymptotic schedule must satisfy k(n) >= 1; k(1) = 0.5"
+    assert _floor_message(lambda: build_mapping(
+        "m", sp, box, halve,
+        meta=MappingMeta(declared_class="asymptotically_nonexpansive", k_schedule=k))) == expected
+    assert _floor_message(lambda: near_sequence_from_asymptotic(k, 1.0).at(1)) == expected
+    assert _floor_message(lambda: certify_asymptotically_nonexpansive(m, k, 3, 20, 1)) == expected
+
+    a = Schedule.table((0.5, -0.1))
+    expected = "near-sequence must be >= 0; a(2) = -0.1"
+    assert _floor_message(lambda: build_mapping(
+        "m", sp, box, halve,
+        meta=MappingMeta(declared_class="nearly_nonexpansive", a_schedule=a))) == expected
+    assert _floor_message(lambda: certify_nearly_nonexpansive(m, a, 3, 20, 1)) == expected

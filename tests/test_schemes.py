@@ -152,12 +152,15 @@ def test_config_validation_errors():
     m = make_linear_contraction(0.5, 1)
     with pytest.raises(ConfigurationError):
         run_scheme(RunConfig("newton", m, Vector((1.0,))))
-    with pytest.raises(ConfigurationError):
-        run_scheme(RunConfig("mann", m, Vector((1.0,))))  # alpha missing
-    with pytest.raises(ConfigurationError):
+    # A step size that is missing or misplaced raises validate_schedule's line.
+    with pytest.raises(ConfigurationError, match=r"^scheme mann requires an alpha schedule$"):
+        run_scheme(RunConfig("mann", m, Vector((1.0,))))
+    with pytest.raises(ConfigurationError, match=r"^beta schedule is only meaningful for ishikawa, not mann$"):
         run_scheme(RunConfig("mann", m, Vector((1.0,)), alpha=HALF, beta=HALF))
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"^ishikawa requires a beta schedule$"):
         run_scheme(RunConfig("ishikawa", m, Vector((1.0,)), alpha=HALF))
+    with pytest.raises(DomainError):  # x0 is checked before the step sizes
+        run_scheme(RunConfig("mann", m, Vector((3.0,))))
     with pytest.raises(ContractError):
         run_scheme(RunConfig("picard", m, Vector((1.0,)), max_steps=0))
     with pytest.raises(ContractError):

@@ -1,6 +1,8 @@
 """Geometry layer: vectors, l_p norms, domains, modulus of convexity."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -161,6 +163,24 @@ def test_reading_array_leaves_equality_hash_and_repr_alone(coords, from_array):
     v, w = Vector(coords), Vector.from_array(coords) if from_array else Vector(coords)
     v.array
     assert v == w and w == v and hash(v) == hash(w) and repr(v) == repr(w)
+
+
+_PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+
+
+@pytest.mark.parametrize("duplicate", [
+    copy.copy, copy.deepcopy,
+    *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol)) for protocol in _PROTOCOLS),
+], ids=["copy", "deepcopy", *(f"pickle{protocol}" for protocol in _PROTOCOLS)])
+def test_copies_of_a_vector_build_their_own_read_only_array(duplicate):
+    v = Vector((0.1, -2.5, 1e300))
+    v.array
+    w = duplicate(v)
+    assert w == v and hash(w) == hash(v) and w.coords == v.coords
+    assert w.array is not v.array and not w.array.flags.writeable
+    assert w.array.tobytes() == v.array.tobytes()
+    with pytest.raises(ValueError):
+        w.array[0] = 1.0
 
 
 def test_distance_is_a_metric_pointwise():
