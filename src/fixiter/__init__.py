@@ -22,7 +22,6 @@ from .analysis import (
     RateRow,
     TheoremReport,
     certify_condition_I,
-    certify_condition_witness,
     check_lemma21,
     check_lemma22_witness,
     compare_schemes,
@@ -92,9 +91,7 @@ from .space import (
     NormedSpace,
     Vector,
     combine,
-    domain_membership,
     modulus_of_convexity_estimate,
-    norm,
 )
 
 __version__ = "0.1.0"

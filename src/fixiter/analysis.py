@@ -239,11 +239,11 @@ def check_lemma22_witness(
                     "tail deviation of ||(1-t_n) x_n + t_n y_n|| from r"),
     )
     tail_max_gap = float(gaps[start:].max())
-    if all(c.status == "satisfied" for c in checks):
-        ok = tail_max_gap <= conclusion_tol
-        verdict = "confirmed" if ok else "conclusion_failure"
-        return Lemma22Report(checks, tail_max_gap, ok, verdict)
-    return Lemma22Report(checks, tail_max_gap, None, "hypothesis_failure")
+    report = Lemma22Report(checks, tail_max_gap, None, "hypothesis_failure")
+    if not report.hypothesis_ok:
+        return report
+    ok = tail_max_gap <= conclusion_tol
+    return replace(report, conclusion_ok=ok, verdict="confirmed" if ok else "conclusion_failure")
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +276,6 @@ class TheoremReport:
         }
         out.update(self.extra)
         return out
-
-    def to_text(self) -> str:
-        width = max((len(c.name) for c in self.checks), default=4)
-        lines = [f"{self.name}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            value = "-" if c.value is None else f"{c.value:.3e}"
-            lines.append(f"  {c.name.ljust(width)}  {'PASS' if c.passed else 'FAIL'}  {value}  {c.detail}")
-        return "\n".join(lines)
 
 
 def _tail_max_check(name: str, values: Sequence[float], tol: float, desc: str) -> CheckResult:
@@ -433,8 +425,6 @@ class PhiSpec:
                 raise ContractError("table gauge knots must be strictly increasing in t")
             if any(v1 > v2 for v1, v2 in zip(vs, vs[1:])):
                 raise ContractError("table gauge values must be nondecreasing")
-            if any(v < 0.0 for v in vs):
-                raise ContractError("table gauge values must be nonnegative")
 
     def __call__(self, t: float) -> float:
         if t < 0.0:
@@ -477,15 +467,12 @@ class ConditionIWitness:
     certificate: Certificate | None = None
 
 
-def certify_condition_I(
-    m: Mapping, w: ConditionIWitness | PhiSpec, sample_count: int, seed: int
-) -> Certificate:
-    """Sampled check of the coercivity bound ||x - Tx|| >= phi(d(x, F(T))).
+def certify_condition_I(m: Mapping, w: PhiSpec, sample_count: int, seed: int) -> Certificate:
+    """Sampled check of the coercivity bound ||x - Tx|| >= phi(d(x, F(T))) for the gauge ``w``.
 
     max_violation is the largest observed excess of phi(d(x, F)) over the
     residual; the verdict follows the usual certificate thresholds.
     """
-    phi = w.phi if isinstance(w, ConditionIWitness) else w
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
     if not m.has_fixed_set:
@@ -502,21 +489,13 @@ def certify_condition_I(
         TX = m.apply_rows(X)
         if not (m.domain.inside_rows(space, X).all() and m.domain.inside_rows(space, TX).all()):
             return None
-        return phi.rows(_fixed_set_distances(m, X)) - space.norm_rows(X - TX)
+        return w.rows(_fixed_set_distances(m, X)) - space.norm_rows(X - TX)
 
     return _certify(
         "condition_I", (1, 1),
-        lambda c: phi(distance_to_fixed_set(m, c.x)) - fixed_point_residual(m, c.x),
+        lambda c: w(distance_to_fixed_set(m, c.x)) - fixed_point_residual(m, c.x),
         screen, sample_count, X,
     )
-
-
-def certify_condition_witness(
-    m: Mapping, phi: PhiSpec, sample_count: int, seed: int
-) -> ConditionIWitness:
-    """Bundle a gauge with its freshly computed certificate."""
-    w = ConditionIWitness(phi=phi)
-    return replace(w, certificate=certify_condition_I(m, w, sample_count, seed))
 
 
 def verify_theorem33(traj: Trajectory, m: Mapping, w: ConditionIWitness) -> TheoremReport:
@@ -579,12 +558,6 @@ class RateReport:
 
     target_error: float
     rows: tuple[RateRow, ...]
-
-    def row(self, scheme: str) -> RateRow:
-        for r in self.rows:
-            if r.scheme == scheme:
-                return r
-        raise KeyError(scheme)
 
     def to_dict(self) -> dict:
         return asdict(self)

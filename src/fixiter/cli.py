@@ -43,6 +43,7 @@ from .mappings import (
     CATALOG_IDS,
     Certificate,
     Mapping,
+    _check_catalog_id,
     certify_asymptotically_nonexpansive,
     certify_nearly_nonexpansive,
     certify_nonexpansive,
@@ -158,13 +159,6 @@ def _expect_str(v, path: str) -> str:
     if not isinstance(v, str):
         raise ScenarioError(path, f"expected a string, got {type(v).__name__}")
     return v
-
-
-def _catalog_id(mapping_id: str, path: str) -> str:
-    """``mapping_id``, once it names a catalog mapping."""
-    if mapping_id not in CATALOG_IDS:
-        raise ScenarioError(path, f"unknown mapping '{mapping_id}'; catalog: {CATALOG_IDS}")
-    return mapping_id
 
 
 def _cert_class(name: str, path: str) -> str:
@@ -323,7 +317,8 @@ def scenario_from_dict(doc) -> Scenario:
 
     mapping = _require_dict(_get(root, "mapping", ""), "mapping")
     _reject_unknown(mapping, {"id", "parameters"}, "mapping")
-    mapping_id = _catalog_id(_expect_str(_get(mapping, "id", "mapping"), "mapping.id"), "mapping.id")
+    mapping_id = _expect_str(_get(mapping, "id", "mapping"), "mapping.id")
+    _at("mapping.id", _check_catalog_id, mapping_id)
     raw_params = _require_dict(
         _get(mapping, "parameters", "mapping", required=False, default={}), "mapping.parameters"
     )
@@ -353,10 +348,10 @@ def scenario_from_dict(doc) -> Scenario:
         raise ScenarioError("x0", f"has {len(x0)} coordinates but space.dim = {dim}")
 
     max_steps = _expect_int(
-        _get(root, "max_steps", "", required=False, default=10_000), "max_steps", minimum=1
+        _get(root, "max_steps", "", required=False, default=RunConfig.max_steps), "max_steps", minimum=1
     )
     stop_tolerance = _expect_real(
-        _get(root, "stop_tolerance", "", required=False, default=1e-12), "stop_tolerance"
+        _get(root, "stop_tolerance", "", required=False, default=RunConfig.stop_tolerance), "stop_tolerance"
     )
 
     checks = tuple(
@@ -650,7 +645,7 @@ def _parse_schedule_spec(spec: str) -> Schedule:
 
 
 def cmd_certify(args) -> int:
-    _catalog_id(args.mapping, "mapping")
+    _at("mapping", _check_catalog_id, args.mapping)
     _cert_class(args.class_name, "--class")
     dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
     space = NormedSpace(dim, _cli_p(args.p, "--p"))

@@ -428,10 +428,6 @@ class Certificate:
     witness: Witness
     verdict: str
 
-    @property
-    def certified(self) -> bool:
-        return self.verdict == "certified"
-
 
 def _certify(
     property_name: str,
@@ -719,10 +715,14 @@ CATALOG = {
 CATALOG_IDS = tuple(CATALOG)
 
 
+def _check_catalog_id(mapping_id: str) -> None:
+    if mapping_id not in CATALOG:
+        raise ParameterError(f"unknown mapping '{mapping_id}'; catalog: {CATALOG_IDS}")
+
+
 def get_mapping(mapping_id: str, parameters: dict, space: NormedSpace) -> Mapping:
     """Resolve a catalog id and parameter dict against a space."""
-    if mapping_id not in CATALOG:
-        raise ParameterError(f"unknown mapping id '{mapping_id}'; known ids: {CATALOG_IDS}")
+    _check_catalog_id(mapping_id)
     entry = CATALOG[mapping_id]
     params = dict(parameters)
     values = {}

@@ -84,9 +84,6 @@ class Schedule:
             raise ScheduleError(f"{self.kind} schedule is not finite at n = {n}: {value}")
         return value
 
-    def values(self, n_max: int) -> list[float]:
-        return [self.at(n) for n in range(1, n_max + 1)]
-
     def to_dict(self) -> dict:
         if self.kind == "formula":
             raise ScheduleError("formula schedules are not serializable to scenario files")

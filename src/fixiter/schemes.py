@@ -126,32 +126,26 @@ def _bounded_away_checks(values: list[float], enforced: bool) -> list[Constraint
     # (halving the tail does not shrink the value) is treated as the bound failing.
     horizon = len(values)
     mid = max(1, horizon // 2)
-    lo_now, lo_mid = values[horizon - 1], values[mid - 1]
-    hi_now, hi_mid = 1.0 - lo_now, 1.0 - lo_mid
+    now, then = values[horizon - 1], values[mid - 1]
+    # Each side: its name, its gap to the bound now and at mid-horizon, the
+    # wording of a trend to the bound and of the bound that held.
+    sides = (
+        ("below", now, then,
+         f"trending to 0 (vs alpha({mid}) = {then:.6g}); no positive lower bound",
+         f">= {min(values):.6g} with no decay trend"),
+        ("above", 1.0 - now, 1.0 - then,
+         "trending to 1; no upper bound below 1",
+         f"<= {max(values):.6g} with no growth trend"),
+    )
     checks = []
-    if lo_now <= _DECAY_FACTOR * lo_mid:
-        checks.append(ConstraintCheck(
-            "alpha_bounded_below", "violated" if enforced else "undetermined",
-            f"alpha({horizon}) = {lo_now:.6g} is trending to 0 "
-            f"(vs alpha({mid}) = {lo_mid:.6g}); no positive lower bound",
-            enforced,
-        ))
-    else:
-        checks.append(ConstraintCheck(
-            "alpha_bounded_below", "satisfied",
-            f"alpha(n) >= {min(values):.6g} with no decay trend", enforced,
-        ))
-    if hi_now <= _DECAY_FACTOR * hi_mid:
-        checks.append(ConstraintCheck(
-            "alpha_bounded_above", "violated" if enforced else "undetermined",
-            f"alpha({horizon}) = {lo_now:.6g} is trending to 1; no upper bound below 1",
-            enforced,
-        ))
-    else:
-        checks.append(ConstraintCheck(
-            "alpha_bounded_above", "satisfied",
-            f"alpha(n) <= {max(values):.6g} with no growth trend", enforced,
-        ))
+    for side, gap_now, gap_mid, trend, bound in sides:
+        if gap_now <= _DECAY_FACTOR * gap_mid:
+            checks.append(ConstraintCheck(
+                f"alpha_bounded_{side}", "violated" if enforced else "undetermined",
+                f"alpha({horizon}) = {now:.6g} is {trend}", enforced,
+            ))
+        else:
+            checks.append(ConstraintCheck(f"alpha_bounded_{side}", "satisfied", f"alpha(n) {bound}", enforced))
     return checks
 
 
@@ -314,7 +308,7 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | No
 
     A plain T stage calls ``apply_rows``, a power stage ``power_rows``.
     Schedules, evaluators and domain tests run in the order ``apply_power``,
-    ``combine`` and ``domain_membership`` run them on Vectors, so an error
+    ``combine`` and ``Domain.contains`` run them on Vectors, so an error
     comes from the same call as it would there.  Each point a stage makes,
     its image and then its combination, is tested with ``_inside`` as it is
     made, or with ``made`` appended there untested, for the caller to test

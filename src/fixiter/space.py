@@ -188,11 +188,6 @@ class NormedSpace:
         return np.concatenate(kept)[:count]
 
 
-def norm(space: NormedSpace, v: Vector) -> float:
-    """The l_p norm of ``v`` in ``space``."""
-    return space.norm(v)
-
-
 @dataclass(frozen=True)
 class Box:
     """Closed axis-aligned box, lows[i] <= highs[i]."""
@@ -293,11 +288,6 @@ class Ball:
 
 
 Domain = Union[Box, Ball]
-
-
-def domain_membership(domain: Domain, space: NormedSpace, v: Vector) -> bool:
-    """Closed-set membership within the absolute tolerance ``TAU_DOM``."""
-    return domain.contains(space, v)
 
 
 @dataclass(frozen=True)

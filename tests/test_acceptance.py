@@ -13,13 +13,13 @@ import pytest
 
 from conftest import record_acceptance
 from fixiter import (
+    ConditionIWitness,
     PhiSpec,
     RunConfig,
     Schedule,
     NormedSpace,
     Vector,
     certify_condition_I,
-    certify_condition_witness,
     certify_nearly_nonexpansive,
     certify_nonexpansive,
     check_lemma21,
@@ -208,7 +208,7 @@ def test_criterion_08_coercivity_and_chain():
     strong = certify_condition_I(m, PhiSpec("linear", lam=0.75), 10_000, 0)
     if strong.verdict != "refuted":
         failures.append(f"0.75t gauge: {strong.verdict}")
-    witness = certify_condition_witness(m, PhiSpec("linear", lam=0.5), 10_000, 0)
+    witness = ConditionIWitness(PhiSpec("linear", lam=0.5), weak)
     for traj in runs:
         rep = verify_theorem33(traj, m, witness)
         if not rep.passed:

@@ -18,7 +18,6 @@ from fixiter import (
     ScopeError,
     Vector,
     certify_condition_I,
-    certify_condition_witness,
     check_lemma21,
     check_lemma22_witness,
     compare_schemes,
@@ -227,6 +226,8 @@ def test_collapse_checker_contract_errors():
         check_lemma22_witness(bad_t, pts, pts, 1.0, sp, 10, 0.4, 0.6)
     with pytest.raises(ContractError):
         check_lemma22_witness(good_t, pts[:5], pts, 1.0, sp, 10, 0.4, 0.6)
+    with pytest.raises(ContractError, match="^N must be >= 1, got 0$"):
+        check_lemma22_witness(good_t, pts, pts, 1.0, sp, 0, 0.4, 0.6)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +249,12 @@ def test_power_scheme_report_rejects_other_schemes():
                              stop_tolerance=-1.0))
     with pytest.raises(ScopeError):
         verify_theorem31(t, m)
+    from fixiter import Box, build_mapping
+    bare = build_mapping("bare", NormedSpace(1, 2.0), Box((-1.0,), (1.0,)),
+                         lambda x: Vector((0.5 * x.coords[0],)))
+    t = run_scheme(RunConfig("modified_pm_hybrid", bare, Vector((0.9,)), alpha=HALF, max_steps=5))
+    with pytest.raises(ContractError, match="^theorem31 diagnostics need at least one known fixed point$"):
+        verify_theorem31(t, bare)
 
 
 def test_power_scheme_report_fails_honestly_when_truncated():
@@ -326,6 +333,8 @@ def test_gauge_validation():
         PhiSpec("sqrt")
     with pytest.raises(ContractError):
         PhiSpec("linear")(-1.0)
+    with pytest.raises(ContractError, match=r"^linear gauge is not finite at t = 1e\+308: inf$"):
+        PhiSpec("linear", lam=2.0)(1e308)
     for bad in (math.inf, math.nan):
         with pytest.raises(ContractError, match="finite"):
             PhiSpec("linear", lam=bad)
@@ -373,11 +382,14 @@ def test_coercivity_needs_fixed_point_info():
                          lambda x: Vector((0.5 * x.coords[0],)))
     with pytest.raises(ContractError):
         certify_condition_I(bare, PhiSpec("linear", lam=0.5), 100, 0)
+    with pytest.raises(ContractError, match="^sample_count must be >= 1, got 0$"):
+        certify_condition_I(make_example21(0.5), PhiSpec("linear", lam=0.5), 0, 0)
 
 
 def test_condition_witness_bundles_certificate():
     m = make_example21(0.5)
-    w = certify_condition_witness(m, PhiSpec("linear", lam=0.5), 1_000, 0)
+    phi = PhiSpec("linear", lam=0.5)
+    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
     assert w.certificate is not None
     assert w.certificate.verdict == "certified"
     assert w.phi(2.0) == 1.0
@@ -385,7 +397,8 @@ def test_condition_witness_bundles_certificate():
 
 def test_residual_to_distance_chain_passes():
     traj, m = _hybrid_run(0.9)
-    w = certify_condition_witness(m, PhiSpec("linear", lam=0.5), 1_000, 0)
+    phi = PhiSpec("linear", lam=0.5)
+    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
     rep = verify_theorem33(traj, m, w)
     assert rep.passed
     assert {c.name for c in rep.checks} == {
@@ -394,7 +407,8 @@ def test_residual_to_distance_chain_passes():
 
 def test_residual_to_distance_chain_demands_certified_witness():
     traj, m = _hybrid_run(0.9)
-    refuted = certify_condition_witness(m, PhiSpec("linear", lam=0.75), 1_000, 0)
+    phi = PhiSpec("linear", lam=0.75)
+    refuted = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
     with pytest.raises(ScopeError):
         verify_theorem33(traj, m, refuted)
     with pytest.raises(ScopeError):
@@ -409,7 +423,8 @@ def test_residual_to_distance_chain_needs_distance_records():
     t = run_scheme(RunConfig("picard", bare, Vector((1.0,)), max_steps=5,
                              stop_tolerance=-1.0))
     m21 = make_example21(0.5)
-    w = certify_condition_witness(m21, PhiSpec("linear", lam=0.5), 1_000, 0)
+    phi = PhiSpec("linear", lam=0.5)
+    w = ConditionIWitness(phi, certify_condition_I(m21, phi, 1_000, 0))
     with pytest.raises(ContractError):
         verify_theorem33(t, bare, w)
 
@@ -455,7 +470,6 @@ def test_rate_table_serialization():
     assert len(rows) == 3
     d = rep.to_dict()
     assert d["target_error"] == 1e-6
-    assert rep.row("mann").scheme == "mann"
     text = rep.to_text()
     assert "picard" in text and "mann" in text
 
@@ -482,5 +496,3 @@ def test_report_serialization_round_trip_shapes():
     assert d["name"] == "theorem31"
     assert d["passed"] is True
     assert all({"name", "passed", "value", "threshold", "detail"} <= set(c) for c in d["checks"])
-    text = rep.to_text()
-    assert "theorem31" in text

@@ -294,6 +294,21 @@ def test_screen_defers_errors_to_the_scalar_loop():
             certify()
         assert str(raised.value) == str(expected.value)
 
+    # A map that stops being a self-map once built: the condition (I) screen
+    # sees an image outside the domain, and the scalar loop raises.
+    factor = [0.5]
+    leaving = build_mapping("leaving", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
+                            lambda x: Vector((factor[0] * x.coords[0],)),
+                            meta=MappingMeta(known_fixed_points=(Vector((0.0,)),)),
+                            apply_rows=lambda X: factor[0] * X)
+    factor[0] = 4.0
+    phi = PhiSpec("linear", lam=0.5)
+    with pytest.raises(DomainError) as expected:
+        _scalar_condition_I(leaving, phi, 20, 0)
+    with pytest.raises(DomainError) as raised:
+        certify_condition_I(leaving, phi, 20, 0)
+    assert str(raised.value) == str(expected.value)
+
     # A power gauge that overflows on the box: the screen reads inf, and the
     # scalar gauge raises ContractError.
     demo = make_asymptotically_nonexpansive_example(3)

@@ -346,6 +346,9 @@ def test_run_malformed_json_exits_one(tmp_path, capsys):
     assert cli.main(["run", str(path), "--quiet"]) == 1
     assert capsys.readouterr().err == (f"error: {path}: not valid JSON: Expecting property name "
                                        "enclosed in double quotes: line 1 column 2 (char 1)\n")
+    path.write_text("[]")
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: <root>: expected an object, got list\n")
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +377,9 @@ def test_compare_rejects_unknown_scheme(tmp_path, capsys):
                      "--target", "1e-6", "--output", str(tmp_path / "o"), "--quiet"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {path}: --schemes: unknown scheme 'newton'; {_KNOWN_SCHEMES}\n"
+    code = cli.main(["compare", path, "--schemes", ",", "--target", "1e-6", "--output", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {path}: --schemes: needs at least one scheme\n")
 
 
 def test_compare_reports_a_library_error_without_the_scenario_path(tmp_path, capsys):
@@ -584,6 +590,12 @@ _SCENARIO_FAULTS = [
     ({"mapping": {"id": "example21", "parameters": {"q": 2}}}, "mapping: q must lie in (0, 1), got 2.0"),
     ({"mapping": {"id": "identity"}, "checks": [{"name": "theorem31"}]},
      "checks[0]: theorem31 requires a mapping with known fixed points"),
+    ({"x0": 0.5}, "x0: expected a list, got float"),
+    (_check(name="condition_I", phi={"kind": "table", "grid": [[0, 0, 1]]}, samples=500),
+     "checks[0].phi.grid[0]: expected a [t, value] pair"),
+    ({"mapping": {"id": "mystery"}},
+     "mapping.id: unknown mapping 'mystery'; catalog: "
+     "('example21', 'contraction', 'identity', 'asymptotic_demo')"),
 ]
 
 
@@ -639,6 +651,9 @@ _CERTIFY_FAULTS = [
      "harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
     (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "inf"],
      "Lipschitz constant must be finite and > 0, got inf"),
+    (["example21", "--class", "nonexpansive", "--param", "q"], "--param: expected name=value, got 'q'"),
+    (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--p", "abc"],
+     "--p: expected a number or 'inf', got 'abc'"),
 ]
 
 

@@ -34,7 +34,6 @@ from fixiter import (
     build_mapping,
     combine,
     distance_to_fixed_set,
-    domain_membership,
     get_mapping,
     make_example21,
     make_linear_contraction,
@@ -71,7 +70,7 @@ def _scalar_run(config):
                 cost = 1
             elif config.scheme == "ishikawa":
                 y = combine(config.beta.at(n), x, apply_power(m, 1, x))
-                if not domain_membership(m.domain, space, y):
+                if not m.domain.contains(space, y):
                     raise DomainError("auxiliary point left the domain")
                 nxt = combine(config.alpha.at(n), x, apply_power(m, 1, y))
                 cost = 2
@@ -80,17 +79,17 @@ def _scalar_run(config):
                 cost = power_cost(n)
             elif config.scheme == "pm_hybrid":
                 y = combine(config.alpha.at(n), x, apply_power(m, 1, x))
-                if not domain_membership(m.domain, space, y):
+                if not m.domain.contains(space, y):
                     raise DomainError("auxiliary point left the domain")
                 nxt = apply_power(m, 1, y)
                 cost = 2
             else:  # modified_pm_hybrid
                 y = combine(config.alpha.at(n), x, apply_power(m, n, x))
-                if not domain_membership(m.domain, space, y):
+                if not m.domain.contains(space, y):
                     raise DomainError("auxiliary point left the domain")
                 nxt = apply_power(m, n, y)
                 cost = 2 * power_cost(n)
-            if not domain_membership(m.domain, space, nxt):
+            if not m.domain.contains(space, nxt):
                 raise DomainError("iterate left the domain")
         except DomainError:
             stop_reason = "domain_exit"
@@ -507,6 +506,7 @@ def test_trajectory_equality_and_lazy_iterates():
     assert a == b and hash(a) == hash(b)
     assert a != run_scheme(replace(config, max_steps=19))
     assert a != run_scheme(replace(config, x0=Vector((0.5, -0.25))))
+    assert a.__eq__(1) is NotImplemented and a != 1
     assert a.iterates == tuple(Vector(x) for x in a.points.tolist())
     assert a.iterates[0] == config.x0
     assert a.final == a.iterates[-1]

@@ -127,10 +127,16 @@ def test_catalog_parameter_errors():
         get_mapping("example21", {"q": 0.5, "extra": 1.0}, sp1)
     with pytest.raises(ParameterError):
         get_mapping("identity", {"q": 0.5}, NormedSpace(1, 2.0))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^unknown mapping 'no_such_map'; catalog: \('example21', "):
         get_mapping("no_such_map", {}, sp1)
     with pytest.raises(ParameterError):
         make_example21(0.5, NormedSpace(2, 2.0))  # one-dimensional by construction
+    with pytest.raises(ParameterError, match=r"^q must lie in \(0, 1\), got 1.5$"):
+        get_mapping("contraction", {"q": 1.5}, sp1)
+    with pytest.raises(ParameterError, match="^dim must be >= 1, got 0$"):
+        make_identity(0)
+    with pytest.raises(ParameterError, match="^space dim 1 != requested dim 2$"):
+        make_identity(2, sp1)
 
 
 def test_build_rejects_non_self_map():
@@ -147,6 +153,11 @@ def test_build_rejects_inconsistent_power():
         build_mapping("bad_power", sp, box,
                       lambda x: Vector((0.5 * x.coords[0],)),
                       power=lambda n, x: x)
+    # right from n = 1 on, wrong at n = 0
+    with pytest.raises(ContractError, match=r"^power\(0, x\) must return x exactly for 'bad_zero'$"):
+        build_mapping("bad_zero", sp, box,
+                      lambda x: Vector((0.5 * x.coords[0],)),
+                      power=lambda n, x: Vector((0.5 ** max(n, 1) * x.coords[0],)))
 
 
 def test_build_rejects_incoherent_metadata():
@@ -162,6 +173,14 @@ def test_build_rejects_incoherent_metadata():
         build_mapping("m", sp, box, halve,
                       meta=MappingMeta(declared_class="asymptotically_nonexpansive",
                                        k_schedule=Schedule.constant(0.9)))
+    with pytest.raises(ScheduleError, match="^k schedule does not approach 1$"):
+        build_mapping("m", sp, box, halve,
+                      meta=MappingMeta(declared_class="asymptotically_nonexpansive",
+                                       k_schedule=Schedule.constant(1.5)))
+    with pytest.raises(ContractError, match="^Lipschitz constant must be > 0, got 0.0$"):
+        build_mapping("m", sp, box, halve, meta=MappingMeta(lipschitz_L=0.0))
+    with pytest.raises(ContractError, match=r"^fixed point \(0.0, 0.0\) has wrong dimension$"):
+        build_mapping("m", sp, box, halve, meta=MappingMeta(known_fixed_points=(Vector((0.0, 0.0)),)))
     with pytest.raises(ContractError):
         build_mapping("m", sp, box, halve,
                       meta=MappingMeta(known_fixed_points=(Vector((0.5,)),)))

@@ -19,7 +19,7 @@ def test_geometric_starts_at_first_power():
     s = Schedule.geometric(0.5)
     assert s.at(1) == 0.5
     assert s.at(3) == 0.125
-    assert s.values(4) == [0.5, 0.25, 0.125, 0.0625]
+    assert [s.at(n) for n in range(1, 5)] == [0.5, 0.25, 0.125, 0.0625]
     with pytest.raises(ScheduleError):
         Schedule.geometric(math.nan)
 
@@ -47,7 +47,9 @@ def test_table_holds_last_value():
 def test_formula():
     s = Schedule.formula(lambda n: 1.0 / n**2, "inverse_square")
     assert s.at(2) == 0.25
-    assert s.values(3) == [1.0, 0.25, 1.0 / 9.0]
+    assert [s.at(n) for n in range(1, 4)] == [1.0, 0.25, 1.0 / 9.0]
+    with pytest.raises(ScheduleError, match="^formula schedule is not finite at n = 2: inf$"):
+        Schedule.formula(lambda n: math.inf if n > 1 else 0.5).at(2)
 
 
 @pytest.mark.parametrize("value", [1j, None, "half", [0.5]])

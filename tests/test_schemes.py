@@ -197,6 +197,34 @@ def test_validate_schedule_verdicts():
     assert v.verdict == "satisfied"
     trend = {c.name: c for c in v.checks}["alpha_bounded_below"]
     assert not trend.enforced
+    # a harmonic series whose log-growth shows only at a long horizon is not settled
+    v = validate_schedule("mann", Schedule.harmonic_tail(1.0, 1.0), horizon=10_000)
+    assert v.verdict == "undetermined"
+    assert v.checks[-1].status == "undetermined"
+
+
+@pytest.mark.parametrize("scheme", ["modified_mann", "modified_pm_hybrid"])
+def test_bounded_away_checks_exact_outcomes(scheme):
+    enforced = scheme == "modified_mann"
+    trend = "violated" if enforced else "undetermined"
+    below_ok = ("alpha_bounded_below", "satisfied", "alpha(n) >= 0.5 with no decay trend")
+    above_ok = ("alpha_bounded_above", "satisfied", "alpha(n) <= 0.5 with no growth trend")
+    cases = [
+        (Schedule.harmonic_tail(1.0, 1.0), [
+            ("alpha_bounded_below", trend, "alpha(500) = 0.00199601 is trending to 0 "
+             "(vs alpha(250) = 0.00398406); no positive lower bound"),
+            above_ok,
+        ]),
+        (HALF, [below_ok, above_ok]),
+        (Schedule.formula(lambda n: 1 - 1 / (n + 1)), [
+            below_ok,
+            ("alpha_bounded_above", trend, "alpha(500) = 0.998004 is trending to 1; no upper bound below 1"),
+        ]),
+    ]
+    for alpha, expected in cases:
+        checks = validate_schedule(scheme, alpha, horizon=500).checks[1:]
+        assert [(c.name, c.status, c.detail) for c in checks] == expected
+        assert all(c.enforced == enforced for c in checks)
 
 
 @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "picard"])
@@ -243,6 +271,8 @@ def test_linear_rate_oracle_factors():
         linear_rate_oracle("ishikawa", 0.5, 0.5)
     with pytest.raises(ParameterError):
         linear_rate_oracle("picard", 1.5, 0.5)
+    with pytest.raises(ParameterError, match=r"^alpha must lie in \(0, 1\), got 1.0$"):
+        linear_rate_oracle("mann", 0.5, 1.0)
     with pytest.raises(ContractError):
         linear_rate_oracle("picard", 0.5, 0.5, n=0)
 

@@ -21,10 +21,8 @@ from fixiter import (
     NormedSpace,
     Vector,
     combine,
-    domain_membership,
     make_linear_contraction,
     modulus_of_convexity_estimate,
-    norm,
 )
 from fixiter.space import _seed_pairs
 
@@ -33,12 +31,12 @@ P_VALUES = [1.0, 1.5, 2.0, 3.0, math.inf]
 
 def test_norm_hand_values():
     v = Vector((3.0, 4.0))
-    assert norm(NormedSpace(2, 2.0), v) == 5.0
-    assert norm(NormedSpace(2, 1.0), v) == 7.0
-    assert norm(NormedSpace(2, math.inf), v) == 4.0
-    assert norm(NormedSpace(2, 3.0), v) == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-15)
-    assert norm(NormedSpace(3, 2.0), Vector((0.0, 0.0, 0.0))) == 0.0
-    assert norm(NormedSpace(1, 1.5), Vector((-2.0,))) == 2.0
+    assert NormedSpace(2, 2.0).norm(v) == 5.0
+    assert NormedSpace(2, 1.0).norm(v) == 7.0
+    assert NormedSpace(2, math.inf).norm(v) == 4.0
+    assert NormedSpace(2, 3.0).norm(v) == pytest.approx(91.0 ** (1.0 / 3.0), rel=1e-15)
+    assert NormedSpace(3, 2.0).norm(Vector((0.0, 0.0, 0.0))) == 0.0
+    assert NormedSpace(1, 1.5).norm(Vector((-2.0,))) == 2.0
 
 
 def test_norm_properties_sampled():
@@ -249,6 +247,14 @@ def test_box_membership_clip_diameter():
     assert (lo, hi) == (Vector((-1.0, 0.0)), Vector((1.0, 2.0)))
     with pytest.raises(ContractError):
         Box((1.0,), (0.0,))
+    with pytest.raises(ContractError, match="^box needs matching, nonempty lower and upper bounds$"):
+        Box((0.0,), (1.0, 1.0))
+    with pytest.raises(ContractError, match="^box bounds must be finite$"):
+        Box((0.0,), (math.inf,))
+    with pytest.raises(ContractError, match="^dimension mismatch: box has dim 2, vector has dim 1$"):
+        box.contains(sp, Vector((0.0,)))
+    with pytest.raises(ContractError, match="^dimension mismatch: space has dim 2, vector has dim 1$"):
+        sp.norm(Vector((0.0,)))
 
 
 def test_ball_membership_clip_diameter():
@@ -257,8 +263,12 @@ def test_ball_membership_clip_diameter():
     assert ball.contains(sp, Vector((0.6, 0.8)))
     assert not ball.contains(sp, Vector((0.8, 0.8)))
     clipped = ball.clip(sp, Vector((3.0, 4.0)))
-    assert norm(sp, clipped) == pytest.approx(1.0)
+    assert sp.norm(clipped) == pytest.approx(1.0)
+    inside = Vector((0.3, 0.4))
+    assert ball.clip(sp, inside) is inside
     assert ball.diameter(sp) == 2.0
+    with pytest.raises(ContractError, match="^ball radius must be finite and >= 0, got -1.0$"):
+        Ball(Vector((0.0, 0.0)), -1.0)
 
 
 def test_inside_rows_equals_contains_at_the_tolerance():
@@ -289,13 +299,6 @@ def test_domain_sampling_stays_inside():
         assert pts.shape == (500, 3)
         for row in pts:
             assert dom.contains(sp, Vector.from_array(row))
-
-
-def test_domain_membership_helper():
-    sp = NormedSpace(1, 2.0)
-    box = Box((0.0,), (1.0,))
-    assert domain_membership(box, sp, Vector((0.5,)))
-    assert not domain_membership(box, sp, Vector((2.0,)))
 
 
 HILBERT = {0.0: 0.0, 0.5: 1.0 - math.sqrt(1.0 - 0.25 / 4.0),
@@ -384,11 +387,11 @@ def test_modulus_witness_reproduces_estimate():
     sp = NormedSpace(2, 3.0)
     est = modulus_of_convexity_estimate(sp, 1.0, 5_000, 0)
     x, y = est.best_witness
-    assert norm(sp, x) <= 1.0 + 1e-9
-    assert norm(sp, y) <= 1.0 + 1e-9
+    assert sp.norm(x) <= 1.0 + 1e-9
+    assert sp.norm(y) <= 1.0 + 1e-9
     assert sp.distance(x, y) >= 1.0 - 1e-9
     mid = combine(0.5, x, y)
-    assert 1.0 - norm(sp, mid) == pytest.approx(est.estimate, abs=1e-12)
+    assert 1.0 - sp.norm(mid) == pytest.approx(est.estimate, abs=1e-12)
 
 
 def test_modulus_errors():
