@@ -134,11 +134,8 @@ def check_lemma21(
         if (arr < 0.0).any():
             raise ContractError(f"sequence {name} contains negative entries")
 
-    first_violation: int | None = None
-    for i in range(N - 1):
-        if aa[i + 1] > (1.0 + dd[i]) * aa[i] + bb[i] + 1e-12:
-            first_violation = i + 1
-            break
+    violations = np.flatnonzero(aa[1:] > (1.0 + dd[:-1]) * aa[:-1] + bb[:-1] + 1e-12)
+    first_violation = int(violations[0]) + 1 if len(violations) else None
     recurrence_ok = first_violation is None
 
     start = tail_window_start(N)
@@ -319,15 +316,15 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
         ))
 
     checks.append(_tail_max_check(
-        "power_residual_vanishes", [r.residual_Tn for r in traj.records], TAU_REG,
+        "power_residual_vanishes", traj.residual_Tn, TAU_REG,
         "max ||x_n - T^n x_n||",
     ))
     checks.append(_tail_max_check(
-        "residual_vanishes", [r.residual_T for r in traj.records], TAU_REG,
+        "residual_vanishes", traj.residual_T, TAU_REG,
         "max ||x_n - T x_n||",
     ))
     checks.append(_tail_max_check(
-        "iterates_cauchy", [r.step_norm for r in traj.records], TAU_LIM,
+        "iterates_cauchy", traj.step_norm, TAU_LIM,
         "max step displacement",
     ))
     final_res = fixed_point_residual(m, traj.final)
@@ -508,21 +505,18 @@ def verify_theorem33(traj: Trajectory, m: Mapping, w: ConditionIWitness) -> Theo
             "theorem33 diagnostics need a certified coercivity witness; "
             f"got {'no certificate' if w.certificate is None else w.certificate.verdict}"
         )
-    residuals = [r.residual_T for r in traj.records]
-    dists = []
-    for r in traj.records:
-        if r.dist_to_known_fp is None:
-            raise ContractError("trajectory records carry no distance to the fixed-point set")
-        dists.append(r.dist_to_known_fp)
+    residuals, dists = traj.residual_T, traj.dist_to_known_fp
+    if None in dists:
+        raise ContractError("trajectory records carry no distance to the fixed-point set")
 
     checks = [_tail_max_check("residual_tail_vanishes", residuals, TAU_REG, "max ||x_n - T x_n||")]
     worst_gap = -math.inf
     worst_n = None
-    for rec, res, d in zip(traj.records, residuals, dists):
+    for n, (res, d) in enumerate(zip(residuals, dists), start=1):
         gap = w.phi(d) - res
         if gap > worst_gap:
             worst_gap = gap
-            worst_n = rec.n
+            worst_n = n
     checks.append(CheckResult(
         name="gauge_dominated_by_residual",
         passed=worst_gap <= TAU_CERT,
@@ -601,11 +595,9 @@ def compare_schemes(base: RunConfig, schemes: Sequence[str], target_error: float
             raise ConfigurationError("ishikawa requires a beta schedule in the base configuration")
         cfg = replace(base, scheme=scheme, beta=base.beta if scheme == "ishikawa" else None)
         traj = run_scheme(cfg)
-        dists = [distance_to_fixed_set(base.mapping, cfg.x0)] + [r.dist_to_known_fp for r in traj.records]
+        dists = [distance_to_fixed_set(base.mapping, cfg.x0), *traj.dist_to_known_fp]
         steps = next((i for i, d in enumerate(dists) if d <= target_error), None)
-        apps_to_target = (
-            None if steps is None else sum(r.applications for r in traj.records[:steps])
-        )
+        apps_to_target = None if steps is None else sum(traj.applications[:steps])
         rows.append(RateRow(
             scheme=scheme,
             steps_to_target=steps,

@@ -469,10 +469,8 @@ def certificate_to_dict(cert: Certificate) -> dict:
 def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     near = near_schedule_for(m)
     alpha = traj.config.alpha
-    a = [distance_to_fixed_set(m, traj.config.x0)]
-    a.extend(rec.dist_to_known_fp for rec in traj.records)
-    b = [(1.0 + (alpha.at(rec.n) if alpha is not None else 0.0)) * near.at(rec.n)
-         for rec in traj.records]
+    a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
+    b = [(1.0 + (alpha.at(n) if alpha is not None else 0.0)) * near.at(n) for n in range(1, traj.steps + 1)]
     b.append(0.0)
     delta = [0.0] * len(a)
     report = check_lemma21(a, b, delta, len(a))

@@ -21,11 +21,11 @@ below is exact, so even a step of 0.0 stops a run with the default tolerance.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -160,6 +160,13 @@ def validate_schedule(
     ``undetermined``.  The overall verdict is ``violated`` when any enforced
     check fails; informational checks never affect it.
     """
+    return _schedule_verdict(scheme, alpha, beta, horizon)[0]
+
+
+def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None,
+                      horizon: int) -> tuple[ScheduleVerdict, dict[str, list[float]]]:
+    """``validate_schedule``'s verdict, and the values of each schedule its
+    range checks read, by the schedule's name."""
     _check_scheme(scheme)
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
@@ -167,6 +174,7 @@ def validate_schedule(
         raise ConfigurationError(f"beta schedule is only meaningful for ishikawa, not {scheme}")
 
     checks: list[ConstraintCheck] = []
+    read: dict[str, list[float]] = {}
     if scheme == "picard":
         checks.append(ConstraintCheck("no_schedule_needed", "satisfied", "picard uses no step sizes"))
     else:
@@ -174,17 +182,18 @@ def validate_schedule(
             raise ConfigurationError(f"scheme {scheme} requires an alpha schedule")
         # Each check reads the values the range check read, so each alpha(n) is evaluated once.
         lo_open = scheme in POWER_SCHEMES
-        check, values = _range_check("alpha", alpha, horizon, lo_open=lo_open, hi_open=True)
+        check, read["alpha"] = _range_check("alpha", alpha, horizon, lo_open=lo_open, hi_open=True)
         checks.append(check)
         if check.status == "satisfied":
             if not lo_open:  # mann, ishikawa, pm_hybrid
-                checks.append(_divergence_check(values))
+                checks.append(_divergence_check(read["alpha"]))
             else:
-                checks.extend(_bounded_away_checks(values, enforced=scheme == "modified_mann"))
+                checks.extend(_bounded_away_checks(read["alpha"], enforced=scheme == "modified_mann"))
         if scheme == "ishikawa":
             if beta is None:
                 raise ConfigurationError("ishikawa requires a beta schedule")
-            checks.append(_range_check("beta", beta, horizon, lo_open=False, hi_open=True)[0])
+            check, read["beta"] = _range_check("beta", beta, horizon, lo_open=False, hi_open=True)
+            checks.append(check)
 
     enforced = [c for c in checks if c.enforced]
     if any(c.status == "violated" for c in enforced):
@@ -193,7 +202,7 @@ def validate_schedule(
         verdict = "undetermined"
     else:
         verdict = "satisfied"
-    return ScheduleVerdict(scheme=scheme, verdict=verdict, checks=tuple(checks))
+    return ScheduleVerdict(scheme=scheme, verdict=verdict, checks=tuple(checks)), read
 
 
 @dataclass(frozen=True)
@@ -219,35 +228,47 @@ class StepRecord:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Iterates x_0 .. x_N plus one record per step n = 1 .. N.
+    """Iterates x_0 .. x_N plus the record columns of steps n = 1 .. N.
 
     ``points`` holds the iterates as the rows of one read-only (N + 1, dim)
-    float64 array; ``iterates`` boxes them into Vectors on first use.
-    Record n describes the step that produced x_n: the displacement from
-    x_{n-1}, the residuals ||x_n - T x_n|| and ||x_n - T^n x_n|| (the power
-    index is the step's own n), the distance to the known fixed-point set when
-    one is declared, and the number of mapping applications the scheme update
-    spent (diagnostics are not counted).
+    float64 array; ``iterates`` boxes them into Vectors on first use.  Entry
+    n - 1 of each column describes the step that produced x_n: the
+    displacement from x_{n-1} (``step_norm``), the residuals ||x_n - T x_n||
+    and ||x_n - T^n x_n|| (the power index is the step's own n), the distance
+    to the known fixed-point set, None when no set is declared, and the
+    number of mapping applications the scheme update spent (diagnostics are
+    not counted).  ``records`` boxes the columns into StepRecords on first use.
     """
 
     config: RunConfig
     points: np.ndarray
-    records: tuple[StepRecord, ...]
+    step_norm: tuple[float, ...]
+    residual_T: tuple[float, ...]
+    residual_Tn: tuple[float, ...]
+    dist_to_known_fp: tuple[float | None, ...]
+    applications: tuple[int, ...]
     stop_reason: str  # tolerance | max_steps | domain_exit
+
+    def _key(self) -> tuple:
+        return (self.config, self.step_norm, self.residual_T, self.residual_Tn, self.dist_to_known_fp,
+                self.applications, self.stop_reason)
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
             return NotImplemented
-        return ((self.config, self.records, self.stop_reason)
-                == (other.config, other.records, other.stop_reason)
-                and np.array_equal(self.points, other.points))
+        return self._key() == other._key() and np.array_equal(self.points, other.points)
 
     def __hash__(self):
-        return hash((self.config, self.records, self.stop_reason))
+        return hash(self._key())
 
     @cached_property
     def iterates(self) -> tuple[Vector, ...]:
         return tuple(Vector(x) for x in self.points.tolist())
+
+    @cached_property
+    def records(self) -> tuple[StepRecord, ...]:
+        return tuple(StepRecord(n, *fields) for n, fields in enumerate(zip(
+            self.step_norm, self.residual_T, self.residual_Tn, self.dist_to_known_fp, self.applications), 1))
 
     @property
     def scheme(self) -> str:
@@ -255,7 +276,7 @@ class Trajectory:
 
     @property
     def steps(self) -> int:
-        return len(self.records)
+        return len(self.step_norm)
 
     @property
     def final(self) -> Vector:
@@ -263,10 +284,12 @@ class Trajectory:
 
     @property
     def total_applications(self) -> int:
-        return sum(r.applications for r in self.records)
+        return sum(self.applications)
 
 
-def _validate_config(config: RunConfig) -> None:
+def _validate_config(config: RunConfig) -> dict[str, list[float]]:
+    """Refuse a configuration ``run_scheme`` cannot run; return the values of
+    each schedule the schedule checks read, for n <= min(max_steps, 10 000)."""
     _check_scheme(config.scheme)
     if config.max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {config.max_steps}")
@@ -278,10 +301,11 @@ def _validate_config(config: RunConfig) -> None:
     if not m.domain.contains(m.space, config.x0):
         raise DomainError(f"x0 = {config.x0.coords} lies outside the mapping domain")
     horizon = min(config.max_steps, 10_000)
-    verdict = validate_schedule(config.scheme, config.alpha, config.beta, horizon)
+    verdict, read = _schedule_verdict(config.scheme, config.alpha, config.beta, horizon)
     if not verdict.ok:
         failed = "; ".join(c.detail for c in verdict.checks if c.status == "violated" and c.enforced)
         raise ConfigurationError(f"schedule invalid for {config.scheme}: {failed}")
+    return read
 
 
 # Steps the trajectory array first has room for; it doubles when full.
@@ -312,11 +336,12 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | No
     comes from the same call as it would there.  Each point a stage makes,
     its image and then its combination, is tested with ``_inside`` as it is
     made, or with ``made`` appended there untested, for the caller to test
-    with its block.  With ``kept``, the first stage runs ``_chain``.
+    with its block.  With ``kept``, the first stage runs ``_chain``.  A
+    weight w(n) is read from the stage's values for n up to their length.
     """
     z = x
-    for schedule, power in stages:
-        w = None if schedule is None else schedule.at(n)
+    for schedule, values, power in stages:
+        w = None if schedule is None else values[n - 1] if n <= len(values) else schedule.at(n)
         if kept is None:
             z = m.power_rows(np.array([n]), z) if power else m.apply_rows(z)
         else:  # the first stage, and only it, keeps its images
@@ -408,7 +433,9 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | N
 def run_scheme(config: RunConfig) -> Trajectory:
     """Execute the configured scheme and record the trajectory.
 
-    The update runs step by step on rows of one float64 array, through the
+    Each schedule is evaluated once per n: the weights of steps n <=
+    min(max_steps, 10 000) are the values the schedule checks read.  The
+    update runs step by step on rows of one float64 array, through the
     mapping's row evaluators, in blocks of steps: 16 steps first, and each
     block after it twice as long, up to 1024.  A block runs without domain
     tests, and then one ``inside_rows`` call tests every point it made and
@@ -428,7 +455,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
     update raises is held until the records of the steps before it are
     computed, since those were computed, and could raise, first.
     """
-    _validate_config(config)
+    read = _validate_config(config)
     m = config.mapping
     space = m.space
     if config.scheme == "modified_pm_hybrid" and not space.uniformly_convex:
@@ -439,7 +466,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
             stacklevel=2,
         )
 
-    stages = [(None if w is None else getattr(config, w), power) for w, power in _STAGES[config.scheme]]
+    # Each stage: its weight schedule, the values of it the checks read, and whether it applies T^n.
+    stages = [(None, (), power) if w is None else (getattr(config, w), read[w], power)
+              for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
     kept = None if m.has_power else np.empty((len(X), 2, space.dim))  # kept[n]: T x_n, T^n x_n
@@ -458,18 +487,17 @@ def run_scheme(config: RunConfig) -> Trajectory:
 
     points = X[: steps + 1]
     points.flags.writeable = False
-    fixed = sum(not power for _, power in stages)
+    fixed = sum(not power for _, _, power in stages)
     powered = len(stages) - fixed
     costs = [fixed + powered * (1 if m.has_power else n) for n in range(1, steps + 1)]
-    records = _records(m, points, costs, config.scheme, kept)
+    columns = _records(m, points, config.scheme, kept)
     if error is not None:
         raise error
-    return Trajectory(config=config, points=points, records=records, stop_reason=stop_reason)
+    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason)
 
 
-def _records(m: Mapping, points: np.ndarray, costs: list[int], scheme: str,
-             kept: np.ndarray | None) -> tuple[StepRecord, ...]:
-    """The step records of a trajectory, as array columns; when a column
+def _records(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarray | None) -> list[list]:
+    """The record columns of a trajectory, computed as arrays; when a column
     cannot be computed that way, step by step on Vectors, which raises the
     first error in step order."""
     try:
@@ -477,12 +505,7 @@ def _records(m: Mapping, points: np.ndarray, costs: list[int], scheme: str,
             columns = _record_columns(m, points, scheme, kept)
     except Exception:  # the step-by-step path raises it, in step order
         columns = None
-    if columns is None:
-        return tuple(_scalar_records(m, points, costs))
-    return tuple(
-        StepRecord(n=n, step_norm=s, residual_T=r1, residual_Tn=rn, dist_to_known_fp=d, applications=c)
-        for n, s, r1, rn, d, c in zip(range(1, len(points)), *columns, costs)
-    )
+    return _scalar_records(m, points) if columns is None else columns
 
 
 def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
@@ -538,19 +561,17 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarra
     return [T, np.concatenate((kept[1:first, 1], rest))]
 
 
-def _scalar_records(m: Mapping, points: np.ndarray, costs: list[int]):
-    """The step records evaluated one step at a time on Vectors."""
+def _scalar_records(m: Mapping, points: np.ndarray) -> list[list]:
+    """The record columns evaluated one step at a time on Vectors."""
     space = m.space
     xs = [Vector(x) for x in points.tolist()]
-    for n, (prev, x, cost) in enumerate(zip(xs, xs[1:], costs), start=1):
-        yield StepRecord(
-            n=n,
-            step_norm=space.norm(x - prev),
-            residual_T=fixed_point_residual(m, x),
-            residual_Tn=space.norm(x - apply_power(m, n, x)),
-            dist_to_known_fp=distance_to_fixed_set(m, x),
-            applications=cost,
-        )
+    columns = [[], [], [], []]
+    for n, (prev, x) in enumerate(zip(xs, xs[1:]), start=1):
+        row = (space.norm(x - prev), fixed_point_residual(m, x), space.norm(x - apply_power(m, n, x)),
+               distance_to_fixed_set(m, x))
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
 
 
 def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float:
@@ -581,29 +602,27 @@ def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(value: float | None) -> str:
-    # repr gives the shortest decimal that round-trips, stable across platforms
-    return "" if value is None else repr(float(value))
+def _csv_columns(traj: Trajectory) -> list:
+    """Each CSV column: its header cell, then one cell per step.  Floats are
+    written with repr, the shortest decimal that round-trips, stable across
+    platforms; an unknown distance is an empty cell."""
+    xs = traj.points[1:]
+    cells = {"n": map(str, range(1, traj.steps + 1))}
+    cells.update((f"x_{i}", map(repr, xs[:, i].tolist())) for i in range(xs.shape[1]))
+    cells.update((name, map(repr, getattr(traj, name))) for name in ("step_norm", "residual_T", "residual_Tn"))
+    cells["dist_to_known_fp"] = ("" if d is None else repr(d) for d in traj.dist_to_known_fp)
+    return [chain((name,), column) for name, column in cells.items()]
 
 
 def trajectory_csv_rows(traj: Trajectory) -> list[list[str]]:
-    dim = traj.config.mapping.space.dim
-    header = ["n"] + [f"x_{i}" for i in range(dim)] + [
-        "step_norm", "residual_T", "residual_Tn", "dist_to_known_fp",
-    ]
-    rows = [header]
-    for rec, x in zip(traj.records, traj.points[1:].tolist()):
-        rows.append(
-            [str(rec.n)] + [_fmt(c) for c in x]
-            + [_fmt(rec.step_norm), _fmt(rec.residual_T), _fmt(rec.residual_Tn),
-               _fmt(rec.dist_to_known_fp)]
-        )
-    return rows
+    return [list(row) for row in zip(*_csv_columns(traj))]
 
 
 def write_trajectory_csv(traj: Trajectory, fileobj) -> None:
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerows(trajectory_csv_rows(traj))
+    """Write the rows of ``trajectory_csv_rows`` as ``csv.writer`` writes them
+    with Unix line endings: no cell needs quoting, so each row is its cells
+    joined by commas."""
+    fileobj.write("\n".join(map(",".join, zip(*_csv_columns(traj)))) + "\n")
 
 
 def _p_token(p: float) -> float | str:

@@ -21,6 +21,8 @@ from .errors import ContractError, InfeasibleError
 TAU_DOM = 1e-9
 
 _BALL_BATCH = 4096
+# The smallest normal float: a sum of |x_i|**p below it has lost precision or underflowed.
+_TINY = float(np.finfo(float).tiny)
 # Rejection from the cube serves the unit ball while it keeps at least this share
 # of its draws; below it the exact sampler runs, whose draws do not grow with
 # dimension.  At or above one half the loop cannot spin, and every ball stream
@@ -134,7 +136,10 @@ class NormedSpace:
         Each row's norm is reduced from that row alone, so it has the same bits
         whatever stack the row sits in, and ``norm`` is the one-row case.  The
         rows are copied to C order first; for p outside {1, 2, inf} the root is
-        taken per row by ``math.pow``.
+        taken per row by ``math.pow``, and a row whose sum of |x_i|**p
+        underflows below the smallest normal float or overflows is taken
+        again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
+        row's largest |x_i|.
         """
         X = np.ascontiguousarray(points, dtype=float)
         if self.p == 2.0:
@@ -143,9 +148,21 @@ class NormedSpace:
             return np.add.reduce(np.abs(X), axis=1)
         if self.p == math.inf:
             return np.abs(X).max(axis=1)
-        sums = np.add.reduce(np.abs(X) ** self.p, axis=1)
-        root = 1.0 / self.p
-        return np.array([math.pow(s, root) for s in sums.tolist()], dtype=float)
+        A, root = np.abs(X), 1.0 / self.p
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.add.reduce(A ** self.p, axis=1)
+        listed = sums.tolist()
+        norms = np.array([math.pow(s, root) for s in listed], dtype=float)
+        # A NaN at the head of the list fails this test, and min and max skip one
+        # elsewhere, so no lost row is missed; a NaN row keeps its NaN.
+        if listed and not (_TINY <= min(listed) and max(listed) < math.inf):
+            peak = A.max(axis=1)
+            # A zero row keeps its 0, and a row with an inf entry its inf.
+            lost = ~((sums >= _TINY) & (sums < math.inf)) & (peak > 0.0) & (peak < math.inf)
+            with np.errstate(over="ignore", under="ignore"):
+                scaled = np.add.reduce((A[lost] / peak[lost, None]) ** self.p, axis=1)
+                norms[lost] = peak[lost] * np.array([math.pow(s, root) for s in scaled.tolist()])
+        return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
         return self.norm(x - y)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixiter import (
     ConditionIWitness,
@@ -122,6 +124,15 @@ def test_recurrence_checker_reports_first_violation():
     assert rep.first_violation_index == 2
 
 
+def _first_violation_loop(a, b, d, n):
+    """The first violation as check_lemma21 found it with a loop over numpy scalars."""
+    aa, bb, dd = (np.asarray(list(v), dtype=float)[:n] for v in (a, b, d))
+    for i in range(n - 1):
+        if aa[i + 1] > (1.0 + dd[i]) * aa[i] + bb[i] + 1e-12:
+            return i + 1
+    return None
+
+
 def test_recurrence_checker_fuzzed_violation_indices():
     rng = np.random.default_rng(123)
     for _ in range(100):
@@ -130,13 +141,26 @@ def test_recurrence_checker_fuzzed_violation_indices():
         b = rng.uniform(0.0, 0.5, n)
         d = rng.uniform(0.0, 0.2, n)
         rep = check_lemma21(a, b, d, n)
-        expect = None
-        for i in range(n - 1):
-            if a[i + 1] > (1.0 + d[i]) * a[i] + b[i] + 1e-12:
-                expect = i + 1
-                break
+        expect = _first_violation_loop(a, b, d, n)
         assert rep.first_violation_index == expect
         assert rep.recurrence_ok == (expect is None)
+
+
+entries = st.floats(0.0, 4.0) | st.sampled_from([0.0, 1e-12, 1.0])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(a=st.lists(entries, min_size=2, max_size=40), b=st.lists(entries, min_size=40, max_size=40),
+       d=st.lists(entries, min_size=40, max_size=40), decay=st.booleans())
+def test_recurrence_checker_finds_the_loops_first_violation(a, b, d, decay):
+    # With decay, a is made nonincreasing, so the recurrence holds throughout.
+    if decay:
+        a = sorted(a, reverse=True)
+    n = len(a)
+    expect = _first_violation_loop(a, b, d, n)
+    assert expect is None or not decay
+    rep = check_lemma21(a, b, d, n)
+    assert (rep.first_violation_index, rep.recurrence_ok) == (expect, expect is None)
 
 
 def test_recurrence_checker_input_validation():

@@ -425,6 +425,15 @@ def test_certify_exit_codes(capsys):
     assert cert["verdict"] == "inconclusive"
 
 
+def test_certify_sees_a_violation_whose_power_sums_underflow(capsys):
+    # At p = 1e4 every |x|**p below 1 underflows; the scaled norm still sees
+    # |Tx - Ty| = 0.5 against |x - y| = 1e-6 at the discontinuity.
+    assert cli.main(["certify", "example21", "--param", "q=0.5", "--p", "1e4", "--class", "nonexpansive",
+                     "--samples", "1000"]) == 2
+    cert = json.loads(capsys.readouterr().out)
+    assert (cert["verdict"], cert["max_violation"]) == ("refuted", 0.49999849999999996)
+
+
 def test_certify_with_schedule_spec(capsys):
     code = cli.main(["certify", "example21", "--class", "nearly_nonexpansive",
                      "--param", "q=0.5", "--schedule", "geometric:0.5",
@@ -675,6 +684,14 @@ def test_modulus_reports_estimate(capsys):
     # Rejection from the cube would keep 1 draw in 3.5e10 here.
     assert cli.main(["modulus", "--p", "2", "--dim", "25", "--epsilon", "1.0", "--samples", "10"]) == 0
     assert len(json.loads(capsys.readouterr().out)["best_witness"]["x"]) == 25
+
+
+def test_modulus_at_a_huge_p_reads_its_flat_faces_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["modulus", "--epsilon", "0.5", "--p", "1e308", "--samples", "1000"]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["estimate"], err) == (0.0, "")
 
 
 def test_modulus_infeasible_epsilon_exits_one(capsys):

@@ -8,9 +8,12 @@ The engine tests its points once per block of steps, so runs that stop at
 and across block boundaries are held to the same loop.
 """
 
+import csv
+import io
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -38,6 +41,8 @@ from fixiter import (
     make_example21,
     make_linear_contraction,
     run_scheme,
+    trajectory_csv_rows,
+    write_trajectory_csv,
 )
 from fixiter.mappings import CATALOG
 from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _validate_config
@@ -510,3 +515,117 @@ def test_trajectory_equality_and_lazy_iterates():
     assert a.iterates == tuple(Vector(x) for x in a.points.tolist())
     assert a.iterates[0] == config.x0
     assert a.final == a.iterates[-1]
+
+
+# ---------------------------------------------------------------------------
+# record columns: the CSV, equality and schedule reads
+
+def _record_rows(traj):
+    """The CSV rows built from the boxed records, one row at a time, as the
+    writer built them before the trajectory kept its records as columns."""
+    fmt = lambda value: "" if value is None else repr(float(value))
+    dim = traj.config.mapping.space.dim
+    rows = [["n"] + [f"x_{i}" for i in range(dim)] + [
+        "step_norm", "residual_T", "residual_Tn", "dist_to_known_fp"]]
+    for rec, x in zip(traj.records, traj.points[1:].tolist()):
+        rows.append([str(rec.n)] + [fmt(c) for c in x] + [
+            fmt(rec.step_norm), fmt(rec.residual_T), fmt(rec.residual_Tn), fmt(rec.dist_to_known_fp)])
+    return rows
+
+
+@st.composite
+def csv_runs(draw):
+    """A run on a scaling map in a generated space: one that stays in its box,
+    one that leaves it at step 1 (no records), or one whose points are so
+    large that their l_2 norms overflow, so its records are computed step by
+    step on Vectors."""
+    kind = draw(st.sampled_from(["inside", "exit", "huge"]))
+    p = 2.0 if kind == "huge" else draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
+    space = NormedSpace(draw(st.integers(1, 3)), p)
+    rows, power, known = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    if kind == "huge":
+        m = _scaling(kind, space, 0.5, rows, power, bound=1e300, known=known)
+        x0 = Vector((1e200,) * space.dim)
+    else:
+        factor = draw(st.floats(0.1, 0.9)) if kind == "inside" else 3.0
+        m = _scaling(kind, space, factor, rows, power, known=known)
+        x0 = Vector.from_array(np.linspace(0.9, 0.5, space.dim))
+    scheme = draw(st.sampled_from(SCHEMES))
+    steps = draw(st.integers(1, 60))
+    return kind, run_scheme(_config(scheme, m, None, 0.5, 0.5, steps, -1.0, x0=x0))
+
+
+@ENGINE_SETTINGS
+@given(run=csv_runs())
+def test_csv_is_what_csv_writer_writes_of_the_record_rows(run):
+    kind, t = run
+    if kind == "exit":
+        assert (t.steps, t.stop_reason) == (0, "domain_exit")
+    if kind == "huge":
+        assert math.isinf(t.step_norm[0])
+    rows = trajectory_csv_rows(t)
+    assert rows == _record_rows(t)
+    buf, ref = io.StringIO(), io.StringIO()
+    write_trajectory_csv(t, buf)
+    csv.writer(ref, lineterminator="\n").writerows(rows)
+    assert buf.getvalue() == ref.getvalue()
+
+
+def test_trajectories_are_equal_exactly_when_their_records_are():
+    m = make_linear_contraction(0.5, 2)
+    config = RunConfig("mann", m, Vector((0.5, 0.25)), alpha=Schedule.constant(0.5), max_steps=20,
+                       stop_tolerance=-1.0)
+    t = run_scheme(config)
+    bumped = lambda column, value: column[:3] + (value,) + column[4:]
+    points = t.points.copy()
+    points[5, 1] += 1e-3
+    others = [
+        run_scheme(config), replace(t), replace(t, points=points),
+        run_scheme(replace(config, max_steps=19)), run_scheme(replace(config, x0=Vector((0.5, -0.25)))),
+        replace(t, stop_reason="tolerance"), replace(t, config=replace(config, stop_tolerance=-2.0)),
+        replace(t, step_norm=bumped(t.step_norm, 1.0)), replace(t, residual_T=bumped(t.residual_T, 1.0)),
+        replace(t, residual_Tn=bumped(t.residual_Tn, 1.0)),
+        replace(t, dist_to_known_fp=bumped(t.dist_to_known_fp, None)),
+        replace(t, applications=bumped(t.applications, 2)),
+        replace(t, step_norm=bumped(t.step_norm, t.step_norm[3] + 0.0)),
+    ]
+    old_key = lambda u: (u.config, u.records, u.stop_reason)
+    for u in others:
+        same = old_key(u) == old_key(t) and np.array_equal(u.points, t.points)
+        assert (u == t) == same
+        if same:
+            assert hash(u) == hash(t)
+    assert sum(u == t for u in others) == 3  # the rerun, the copy and the equal float
+
+
+def _counting_schedules(calls, names):
+    """A formula schedule of constant value 0.5 for each name, counting its evaluations."""
+    return {name: Schedule.formula(lambda n, name=name: calls.update([name]) or 0.5) for name in names}
+
+
+@pytest.mark.parametrize("max_steps", [3000, 10_050])
+@pytest.mark.parametrize("scheme", SCHEMES[1:])
+def test_a_run_evaluates_each_schedule_once_per_step(scheme, max_steps):
+    # The schedule checks read n <= min(max_steps, 10000), and the steps read
+    # those values; a step past that horizon evaluates its own.
+    calls = Counter()
+    names = ("alpha", "beta") if scheme == "ishikawa" else ("alpha",)
+    config = RunConfig(scheme, make_linear_contraction(0.5, 1), Vector((0.5,)),
+                       max_steps=max_steps, stop_tolerance=-1.0, **_counting_schedules(calls, names))
+    assert run_scheme(config).steps == max_steps
+    assert calls == dict.fromkeys(names, max_steps)
+
+
+def test_a_schedule_that_raises_past_the_horizon_raises_at_its_step():
+    def alpha(n):
+        if n > 10_000:
+            raise ValueError(f"no alpha at n = {n}")
+        return 0.5
+
+    m, sizes = make_linear_contraction(0.5, 1), []
+    counted = replace(m, apply_rows=lambda X: sizes.append(len(X)) or m.apply_rows(X))
+    config = RunConfig("mann", counted, Vector((0.5,)), alpha=Schedule.formula(alpha), max_steps=10_050,
+                       stop_tolerance=-1.0)
+    with pytest.raises(ValueError, match="no alpha at n = 10001"):
+        run_scheme(config)
+    assert sizes[-1] == 10_000  # the T x_n column of the 10000 steps before it

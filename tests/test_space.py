@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,42 @@ def test_norm_rows_equals_norm_bit_for_bit(p, dim, rows, offset, row_step, col_s
         halves = np.concatenate((sp.norm_rows(X[:split]), sp.norm_rows(X[split:])))
     assert got.shape == (rows,)
     assert got.tobytes() == alone.tobytes() == scalar.tobytes() == halves.tobytes()
+
+
+# Magnitudes spread evenly over the exponents from 1e-320 to 1e308, so the
+# sum of |x_i|**p underflows for some rows and overflows for others.
+spread_floats = st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0, 9.99),
+                          st.integers(-320, 307), st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.builds(lambda k: 1.0 + 2.0 ** -k, st.integers(1, 52)),
+                   st.sampled_from([3.0, 100.0, 1e4, 1e308])),
+       rows=st.lists(st.lists(spread_floats, min_size=1, max_size=4), min_size=1, max_size=4))
+@example(p=1e4, rows=[[0.999999, 1e-300], [1.0, 0.5]])
+@example(p=1e308, rows=[[1.0000000000000002, 0.25], [5e-324, 5e-324]])
+def test_norm_rows_keep_a_row_whose_power_sum_underflows_or_overflows(p, rows):
+    # The rows of each dim are stacked in a space of that dim; numpy warns of nothing.
+    for dim in {len(r) for r in rows}:
+        X = np.array([r for r in rows if len(r) == dim])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            norms = NormedSpace(dim, p).norm_rows(X)
+        peaks = np.abs(X).max(axis=1)
+        with np.errstate(over="ignore", under="ignore"):
+            sums = np.add.reduce(np.abs(X) ** p, axis=1)
+        rescaled = ~((sums >= np.finfo(float).tiny) & (sums < math.inf))
+        # A row whose sum is a normal float keeps the bits of the unscaled root.
+        assert norms[~rescaled].tolist() == [math.pow(s, 1.0 / p) for s in sums[~rescaled].tolist()]
+        if dim == 1:
+            # A rescaled row is |x| exactly; a kept row is math.pow(|x|**p, 1/p).
+            assert np.array_equal(norms[rescaled], peaks[rescaled])
+            assert np.allclose(norms, peaks, rtol=1e-12, atol=0.0)
+        assert np.all(norms >= peaks * (1.0 - 1e-12))
+        # The rounding of a subnormal norm is at most half of 5e-324; the bound
+        # itself may overflow to inf.
+        with np.errstate(over="ignore"):
+            assert np.all(norms <= peaks * dim ** (1.0 / p) * (1.0 + 1e-12) + 5e-324)
 
 
 def test_norm_rows_agrees_with_numpy():
