@@ -30,19 +30,25 @@ _TINY = float(np.finfo(float).tiny)
 _REJECTION_MIN_ACCEPTANCE = 0.5
 
 
-@dataclass(frozen=True)
+def _finite(coords: tuple[float, ...] | list[float]) -> bool:
+    """Whether every coordinate is finite.  An inf or nan term makes the float
+    sum non-finite; a sum that overflows falls back to the per-term test."""
+    return math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
+
+
+@dataclass(frozen=True, init=False)
 class Vector:
     """A point with finite real coordinates, dimension >= 1."""
 
     coords: tuple[float, ...]
 
-    def __post_init__(self):
-        coords = tuple(map(float, self.coords))
-        if len(coords) == 0:
+    def __init__(self, coords: Iterable[float]):
+        coords = tuple(map(float, coords))
+        if not coords:
             raise ContractError("vector must have dimension >= 1")
-        if not all(map(math.isfinite, coords)):
+        if not _finite(coords):
             raise ContractError(f"vector has non-finite coordinates: {coords}")
-        object.__setattr__(self, "coords", coords)
+        self.__dict__["coords"] = coords
 
     @property
     def dim(self) -> int:
@@ -50,11 +56,12 @@ class Vector:
 
     @property
     def array(self) -> np.ndarray:
-        """``coords`` as a read-only float64 array, built on first use and then kept."""
+        """``coords`` as a read-only float64 array: ``from_array`` keeps one from
+        birth, and the constructor's vectors build it on first use and keep it."""
         arr = self.__dict__.get("_array")
         if arr is None:
             arr = np.asarray(self.coords, dtype=float)
-            arr.flags.writeable = False
+            arr.setflags(write=False)
             self.__dict__["_array"] = arr
         return arr
 
@@ -66,11 +73,15 @@ class Vector:
         """The vector of ``arr``; takes and refuses what the constructor does."""
         a = np.asarray(arr, dtype=float)
         coords = a.tolist()
-        if a.ndim != 1 or not coords or not all(map(math.isfinite, coords)):
+        if a.ndim != 1 or not coords or not _finite(coords):
             return Vector(coords)
-        # tolist() gave finite Python floats, which is all __post_init__ would check
+        # tolist() gave finite Python floats, which is all __init__ would check.
+        # The vector keeps a read-only copy as its array: the caller may still write ``arr``.
+        own = a.copy()
+        own.setflags(write=False)
         v = object.__new__(Vector)
-        object.__setattr__(v, "coords", tuple(coords))
+        v.__dict__["coords"] = tuple(coords)
+        v.__dict__["_array"] = own
         return v
 
     def __add__(self, other: "Vector") -> "Vector":

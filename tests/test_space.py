@@ -1,6 +1,7 @@
 """Geometry layer: vectors, l_p norms, domains, modulus of convexity."""
 
 import copy
+import dataclasses
 import math
 import pickle
 import warnings
@@ -142,15 +143,43 @@ BOXING_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True, da
 finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 finite_vectors = arrays(np.float64, st.integers(1, 8), elements=finite_floats)
 EXTREMES = np.array([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])
+# Finite coordinates whose float sum overflows: the finiteness test falls back
+# from the sum to each term and accepts them.
+SUM_OVERFLOWS = [(1.7e308, 1.7e308), (-1.7e308, -1.7e308)]
+# A non-finite term makes the sum non-finite, wherever it sits.
+NON_FINITE = [(1.7e308, 1.7e308, math.nan), (math.inf, -math.inf), (math.nan,)]
 
 
 def _bits(coords) -> bytes:
     return np.array(coords, dtype=np.float64).tobytes()
 
 
+@pytest.mark.parametrize("box", [Vector, Vector.from_array], ids=["init", "from_array"])
+@pytest.mark.parametrize("coords", NON_FINITE, ids=["overflow_then_nan", "inf_minus_inf", "nan"])
+def test_every_non_finite_term_is_refused_with_its_message(box, coords):
+    with pytest.raises(ContractError) as info:
+        box(coords)
+    assert str(info.value) == f"vector has non-finite coordinates: {coords}"
+
+
+def test_vector_keeps_its_dataclass_surface():
+    v = Vector(coords=(0.5,))
+    assert v == Vector((0.5,)) and Vector((1, 2)).coords == (1.0, 2.0)
+    assert [f.name for f in dataclasses.fields(Vector)] == ["coords"]
+    assert dataclasses.asdict(v) == {"coords": (0.5,)}
+    assert repr(v) == "Vector(coords=(0.5,))"
+    assert dataclasses.replace(v, coords=(2.0,)) == Vector((2.0,))
+    with pytest.raises(ContractError, match=r"^vector has non-finite coordinates: \(1.0, inf\)$"):
+        dataclasses.replace(v, coords=(1.0, math.inf))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        v.coords = (1.0,)
+
+
 @BOXING_SETTINGS
 @given(a=finite_vectors)
 @example(a=EXTREMES)
+@example(a=np.array(SUM_OVERFLOWS[0]))
+@example(a=np.array(SUM_OVERFLOWS[1]))
 def test_from_array_boxes_what_the_constructor_boxes(a):
     for x in (a, a.tolist(), tuple(a.tolist())):
         v = Vector.from_array(x)
@@ -176,6 +205,9 @@ def _raised(fn, x) -> tuple[type, str]:
 ))
 @example(x=(1.0, math.nan))
 @example(x=[-math.inf])
+@example(x=NON_FINITE[0])
+@example(x=NON_FINITE[1])
+@example(x=NON_FINITE[2])
 def test_from_array_refuses_what_the_constructor_refuses(x):
     assert _raised(Vector.from_array, x) == _raised(lambda y: Vector(np.asarray(y, dtype=float).tolist()), x)
 
@@ -183,6 +215,8 @@ def test_from_array_refuses_what_the_constructor_refuses(x):
 @BOXING_SETTINGS
 @given(coords=st.lists(finite_floats, min_size=1, max_size=8))
 @example(coords=EXTREMES.tolist())
+@example(coords=list(SUM_OVERFLOWS[0]))
+@example(coords=list(SUM_OVERFLOWS[1]))
 def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
     for v in (Vector(coords), Vector.from_array(coords)):
         arr = v.array
@@ -190,6 +224,17 @@ def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
         assert arr.tobytes() == _bits(v.coords) == _bits(coords)
         with pytest.raises(ValueError):
             arr[0] = 1.0
+
+
+def test_from_array_keeps_its_own_array_from_birth():
+    # The input array, a row view and a strided column all stay the caller's to write.
+    big = np.arange(12.0).reshape(3, 4)
+    for a in (np.array([0.25, -1.5]), big[1], big[:, 2]):
+        want = a.tolist()
+        v = Vector.from_array(a)
+        assert "_array" in vars(v) and not np.shares_memory(a, v.array)
+        a[:] = 7.0
+        assert list(v.coords) == v.array.tolist() == want
 
 
 @BOXING_SETTINGS
