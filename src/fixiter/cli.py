@@ -69,13 +69,14 @@ SCHEMA_VERSION = 1
 CHECK_NAMES = ("lemma21", "theorem31", "theorem32", "theorem33", "condition_I", "certify")
 # Per mapping class: the key of the bound it is checked against ("schedule" for
 # a_n or k_n, "L" for a constant, None for no bound), which is also the key in
-# a scenario's certify check, and its certifier, called as
-# (mapping, bound, n_max, samples, seed).  A class with a bound also takes n_max.
+# a scenario's certify check, and the name of its certifier in this module.
+# ``_certify`` looks the name up on each call, so a wrapper put on a certifier
+# after import sees every certificate.  A class with a bound also takes n_max.
 _CERTIFIERS = {
-    "nonexpansive": (None, lambda m, _bound, _n_max, samples, seed: certify_nonexpansive(m, samples, seed)),
-    "asymptotically_nonexpansive": ("schedule", certify_asymptotically_nonexpansive),
-    "nearly_nonexpansive": ("schedule", certify_nearly_nonexpansive),
-    "uniformly_lipschitz": ("L", certify_uniform_lipschitz),
+    "nonexpansive": (None, "certify_nonexpansive"),
+    "asymptotically_nonexpansive": ("schedule", "certify_asymptotically_nonexpansive"),
+    "nearly_nonexpansive": ("schedule", "certify_nearly_nonexpansive"),
+    "uniformly_lipschitz": ("L", "certify_uniform_lipschitz"),
 }
 CERT_CLASSES = tuple(_CERTIFIERS)
 # Per schedule kind: its parameter names, in the order ``--schedule`` takes
@@ -478,6 +479,12 @@ def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     return passed, report.to_dict()
 
 
+def _certify(cert_class: str, m: Mapping, bound, n_max: int | None, samples: int, seed: int) -> Certificate:
+    key, name = _CERTIFIERS[cert_class]
+    certifier = globals()[name]
+    return certifier(m, samples, seed) if key is None else certifier(m, bound, n_max, samples, seed)
+
+
 def run_checks(
     s: Scenario, m: Mapping, traj: Trajectory, seed: int
 ) -> tuple[list[dict], list[dict]]:
@@ -510,7 +517,7 @@ def run_checks(
                 details = report.to_dict()
                 details["condition_certificate"] = certificate_to_dict(cert)
         else:
-            cert = _CERTIFIERS[c.cert_class][1](m, c.bound, c.n_max, c.samples, seed)
+            cert = _certify(c.cert_class, m, c.bound, c.n_max, c.samples, seed)
             passed, details = cert.verdict == "certified", certificate_to_dict(cert)
         results.append({
             "name": c.name,
@@ -649,7 +656,7 @@ def cmd_certify(args) -> int:
     space = NormedSpace(dim, _cli_p(args.p, "--p"))
     mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
 
-    key, certifier = _CERTIFIERS[args.class_name]
+    key = _CERTIFIERS[args.class_name][0]
     flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
              "L": ("--lipschitz", args.lipschitz, "constant L")}
     for flag_key, (flag, value, noun) in flags.items():
@@ -659,7 +666,7 @@ def cmd_certify(args) -> int:
     bound = None if key is None else flags[key][1]
     if key == "schedule":
         bound = _parse_schedule_spec(bound)
-    cert = certifier(mapping, bound, args.n_max, args.samples, args.seed)
+    cert = _certify(args.class_name, mapping, bound, args.n_max, args.samples, args.seed)
 
     print(json.dumps(certificate_to_dict(cert), indent=2))
     return _CERT_EXIT[cert.verdict]
@@ -698,62 +705,89 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+def _run_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scenario", help="path to a scenario JSON file")
+    p.add_argument("--output", default=".", help="directory for output files (default .)")
+    p.add_argument("--force", action="store_true", help="overwrite existing output files")
+    _add_common(p)
+    p.set_defaults(handler=cmd_run)
+
+
+def _compare_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("scenario", help="path to a scenario JSON file (used as the base configuration)")
+    p.add_argument("--schemes", required=True,
+                   help="comma-separated scheme list, e.g. picard,mann,pm_hybrid")
+    p.add_argument("--target", type=float, required=True,
+                   help="error target for steps-to-target accounting")
+    p.add_argument("--output", default=".", help="directory for output files (default .)")
+    p.add_argument("--force", action="store_true", help="overwrite existing output files")
+    _add_common(p)
+    p.set_defaults(handler=cmd_compare)
+
+
+def _certify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("mapping", help=f"catalog mapping id, one of {CATALOG_IDS}")
+    p.add_argument("--class", dest="class_name", required=True,
+                   help=f"mapping class, one of {CERT_CLASSES}")
+    p.add_argument("--param", action="append", default=[],
+                   help="mapping parameter as name=value (repeatable)")
+    p.add_argument("--schedule", default=None,
+                   help="coefficient schedule as kind:args, e.g. geometric:0.5")
+    p.add_argument("--lipschitz", type=float, default=None, help="uniform Lipschitz constant L")
+    p.add_argument("--n-max", type=int, default=_DEFAULT_CERT_N_MAX,
+                   help="largest iterate power checked (default 20)")
+    p.add_argument("--samples", type=int, default=_DEFAULT_CERT_SAMPLES,
+                   help="sampled pair budget (default 1000)")
+    p.add_argument("--dim", type=int, default=None, help="space dimension (default per mapping)")
+    p.add_argument("--p", default=2.0, help="norm exponent, a number or 'inf' (default 2)")
+    _add_common(p)
+    p.set_defaults(handler=cmd_certify)
+
+
+def _modulus_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--p", default=2.0, help="norm exponent, a number or 'inf' (default 2)")
+    p.add_argument("--dim", type=int, default=2, help="space dimension (default 2)")
+    p.add_argument("--epsilon", type=float, required=True, help="separation parameter in [0, 2]")
+    p.add_argument("--samples", type=int, default=100_000,
+                   help="sampled pair budget (default 100000)")
+    _add_common(p)
+    p.set_defaults(handler=cmd_modulus)
+
+
+# Per subcommand: its line in the top-level help and the function that adds its arguments.
+_COMMANDS = {
+    "run": ("execute a scenario file and its checks", _run_arguments),
+    "compare": ("run several schemes from one scenario and tabulate speed", _compare_arguments),
+    "certify": ("certify a catalog mapping against a mapping class", _certify_arguments),
+    "modulus": ("estimate the modulus of convexity of an l_p space", _modulus_arguments),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fixiter",
         description="Fixed-point iteration runner, certifier, and diagnostics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="execute a scenario file and its checks")
-    p_run.add_argument("scenario", help="path to a scenario JSON file")
-    p_run.add_argument("--output", default=".", help="directory for output files (default .)")
-    p_run.add_argument("--force", action="store_true", help="overwrite existing output files")
-    _add_common(p_run)
-    p_run.set_defaults(handler=cmd_run)
-
-    p_cmp = sub.add_parser("compare", help="run several schemes from one scenario and tabulate speed")
-    p_cmp.add_argument("scenario", help="path to a scenario JSON file (used as the base configuration)")
-    p_cmp.add_argument("--schemes", required=True,
-                       help="comma-separated scheme list, e.g. picard,mann,pm_hybrid")
-    p_cmp.add_argument("--target", type=float, required=True,
-                       help="error target for steps-to-target accounting")
-    p_cmp.add_argument("--output", default=".", help="directory for output files (default .)")
-    p_cmp.add_argument("--force", action="store_true", help="overwrite existing output files")
-    _add_common(p_cmp)
-    p_cmp.set_defaults(handler=cmd_compare)
-
-    p_cert = sub.add_parser("certify", help="certify a catalog mapping against a mapping class")
-    p_cert.add_argument("mapping", help=f"catalog mapping id, one of {CATALOG_IDS}")
-    p_cert.add_argument("--class", dest="class_name", required=True,
-                        help=f"mapping class, one of {CERT_CLASSES}")
-    p_cert.add_argument("--param", action="append", default=[],
-                        help="mapping parameter as name=value (repeatable)")
-    p_cert.add_argument("--schedule", default=None,
-                        help="coefficient schedule as kind:args, e.g. geometric:0.5")
-    p_cert.add_argument("--lipschitz", type=float, default=None, help="uniform Lipschitz constant L")
-    p_cert.add_argument("--n-max", type=int, default=_DEFAULT_CERT_N_MAX,
-                        help="largest iterate power checked (default 20)")
-    p_cert.add_argument("--samples", type=int, default=_DEFAULT_CERT_SAMPLES,
-                        help="sampled pair budget (default 1000)")
-    p_cert.add_argument("--dim", type=int, default=None, help="space dimension (default per mapping)")
-    p_cert.add_argument("--p", default=2.0, help="norm exponent, a number or 'inf' (default 2)")
-    _add_common(p_cert)
-    p_cert.set_defaults(handler=cmd_certify)
-
-    p_mod = sub.add_parser("modulus", help="estimate the modulus of convexity of an l_p space")
-    p_mod.add_argument("--p", default=2.0, help="norm exponent, a number or 'inf' (default 2)")
-    p_mod.add_argument("--dim", type=int, default=2, help="space dimension (default 2)")
-    p_mod.add_argument("--epsilon", type=float, required=True, help="separation parameter in [0, 2]")
-    p_mod.add_argument("--samples", type=int, default=100_000,
-                       help="sampled pair budget (default 100000)")
-    _add_common(p_mod)
-    p_mod.set_defaults(handler=cmd_modulus)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building only the parser of the command that
+    ``argv`` starts with: ``build_parser()`` hands that command's parser, named
+    ``fixiter <command>``, the rest of ``argv``, so it parses, helps and errs the same."""
+    if argv and argv[0] in _COMMANDS:
+        parser = _Parser(prog=f"fixiter {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0])
+        return parser.parse_args(argv[1:])
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.seed < 0:
             raise FixiterError(f"--seed: must be >= 0, got {args.seed}")

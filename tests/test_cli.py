@@ -724,3 +724,86 @@ def test_an_x0_whose_norm_overflows_lies_outside_a_ball_without_a_warning(tmp_pa
         code = cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr() == ("", "error: x0 = (0.6, -1e+308) lies outside the mapping domain\n")
+
+
+# ---------------------------------------------------------------------------
+# parsing and dispatch
+
+def _parsed(capsys, parse, argv):
+    """The namespace ``parse(argv)`` returns, or its exit code, with what it printed."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exited:
+        result = exited.code
+    return result, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "s.json"],
+    ["run", "s.json", "--output", "out", "--force", "--seed", "3", "--quiet"],
+    ["compare", "s.json", "--schemes", "picard,mann", "--target", "1e-6"],
+    ["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5", "--param", "r=1",
+     "--schedule", "geometric:0.5", "--n-max", "5", "--samples", "200", "--dim", "1", "--p", "inf"],
+    ["certify", "identity", "--cl", "nonexpansive", "--lipschitz", "1.5"],
+    ["modulus", "--epsilon", "1", "--dim", "3"],
+    ["run", "--", "-s.json"], ["certify", "identity", "--class=nonexpansive", "--param=a=1"],
+    # usage errors
+    ["run"], ["run", "s.json", "extra"], ["run", "s.json", "--bogus", "1"], ["compare", "s.json"],
+    ["certify", "example21"], ["certify", "example21", "--class"], ["modulus", "--epsilon", "x"],
+    ["modulus", "--epsilon", "1", "--seed", "-"], [], ["bogus"], ["--seed", "1", "run", "s.json"],
+    # help
+    ["run", "--help"], ["compare", "-h"], ["certify", "--help"], ["modulus", "-h"], ["--help"],
+    ["-h", "run"],
+])
+def test_main_parses_each_command_line_as_build_parser_does(capsys, argv):
+    expected = _parsed(capsys, cli.build_parser().parse_args, argv)
+    assert _parsed(capsys, cli._parse_args, argv) == expected
+    assert expected[0] != 2  # a usage error exits 1, as every other error does
+
+
+def _outcome(capsys, argv):
+    """Exit code, stdout, stderr and every file in the ``--output`` directory after one ``main``
+    call; a report's wall-clock timings are the only bytes that may differ from call to call."""
+    code = cli.main(argv)
+    files = {}
+    out = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
+    for path in sorted(out.glob("*")) if out else ():
+        if path.name.endswith(".report.json"):
+            files[path.name] = {**json.loads(path.read_text()), "timings": None}
+        else:
+            files[path.name] = path.read_bytes()
+    return code, *capsys.readouterr(), files
+
+
+def test_a_certify_without_param_reads_the_same_after_one_with_param(capsys):
+    plain = ["certify", "identity", "--class", "nonexpansive", "--samples", "20"]
+    first = _outcome(capsys, plain)
+    _outcome(capsys, ["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5",
+                      "--schedule", "geometric:0.5", "--n-max", "5", "--samples", "200"])
+    assert _outcome(capsys, plain) == first
+
+
+def _counting(monkeypatch, name, calls):
+    inner = getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+
+
+@pytest.mark.parametrize("command, handler", [
+    (["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5",
+      "--schedule", "geometric:0.5", "--samples", "200"], "cmd_certify"),
+    (["run", "{path}", "--output", "{out}", "--force"], "cmd_run"),
+])
+def test_main_finds_the_handler_and_certifier_when_it_is_called(tmp_path, capsys, monkeypatch, command, handler):
+    # GOOD's last check certifies nearly_nonexpansive, as the certify command does.
+    argv = [a.format(path=_write(tmp_path, GOOD), out=tmp_path / "out") for a in command]
+    before = _outcome(capsys, argv)
+    calls = []
+    _counting(monkeypatch, handler, calls)
+    _counting(monkeypatch, "certify_nearly_nonexpansive", calls)
+    assert _outcome(capsys, argv) == before
+    assert calls == [handler, "certify_nearly_nonexpansive"]
