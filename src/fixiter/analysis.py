@@ -193,14 +193,13 @@ def check_lemma22_witness(
     N: int,
     a_bound: float,
     b_bound: float,
-    conclusion_tol: float = TAU_LEM22,
 ) -> Lemma22Report:
     """Check the two-sequence collapse property in a uniformly convex space.
 
     Hypotheses checked over the tail window: both sequences stay norm-bounded
     by r, and the t-mixture (1 - t_n) x_n + t_n y_n has norm approaching r.
     When all hold, the gap ||x_n - y_n|| must die out; its tail max is
-    compared against ``conclusion_tol``.  A failed hypothesis yields verdict
+    compared against ``TAU_LEM22``.  A failed hypothesis yields verdict
     hypothesis_failure and no claim about the conclusion.
     """
     if not space.uniformly_convex:
@@ -239,7 +238,7 @@ def check_lemma22_witness(
     report = Lemma22Report(checks, tail_max_gap, None, "hypothesis_failure")
     if not report.hypothesis_ok:
         return report
-    ok = tail_max_gap <= conclusion_tol
+    ok = tail_max_gap <= TAU_LEM22
     return replace(report, conclusion_ok=ok, verdict="confirmed" if ok else "conclusion_failure")
 
 

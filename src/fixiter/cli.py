@@ -23,6 +23,7 @@ import math
 import re
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,12 +149,21 @@ def _reject_unknown(d: dict, allowed: set[str], path: str) -> None:
             raise ScenarioError(_join(path, str(key)), "unknown key")
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key in d:
-        return d[key]
-    if required:
-        raise ScenarioError(_join(path, key), "missing required key")
-    return default
+_REQUIRED = object()
+
+
+def _field(d: dict, path: str, key: str, read, default=_REQUIRED, **kw):
+    """``read(d[key], "<path>.<key>", **kw)``, reading ``default`` for a missing key;
+    a missing key without a default is an error at its path."""
+    at = _join(path, key)
+    if key not in d and default is _REQUIRED:
+        raise ScenarioError(at, "missing required key")
+    return read(d.get(key, default), at, **kw)
+
+
+def _entries(v, path: str, entry) -> tuple:
+    """The entries of the list ``v``, entry i read by ``entry`` at ``<path>[i]``."""
+    return tuple(entry(x, f"{path}[{i}]") for i, x in enumerate(_expect_list(v, path)))
 
 
 def _expect_str(v, path: str) -> str:
@@ -162,11 +172,17 @@ def _expect_str(v, path: str) -> str:
     return v
 
 
-def _cert_class(name: str, path: str) -> str:
+def _known(v, path: str, known, unknown) -> str:
+    """``v``, once it is a string in ``known``; ``unknown(v)`` is the message for one that is not."""
+    if _expect_str(v, path) not in known:
+        raise ScenarioError(path, unknown(v))
+    return v
+
+
+def _cert_class(name, path: str) -> str:
     """``name``, once it names a mapping class."""
-    if name not in CERT_CLASSES:
-        raise ScenarioError(path, f"unknown mapping class '{name}'; known classes: {CERT_CLASSES}")
-    return name
+    return _known(name, path, CERT_CLASSES,
+                  lambda n: f"unknown mapping class '{n}'; known classes: {CERT_CLASSES}")
 
 
 def _expect_int(v, path: str, minimum: int | None = None) -> int:
@@ -213,88 +229,64 @@ def _cli_p(v, flag: str) -> float:
 def schedule_from_dict(obj, path: str) -> Schedule:
     d = _require_dict(obj, path)
     _reject_unknown(d, {"kind", "parameters"}, path)
-    kind = _expect_str(_get(d, "kind", path), _join(path, "kind"))
-    if kind not in _SCHEDULE_KINDS:
-        raise ScenarioError(
-            _join(path, "kind"),
-            f"unknown schedule kind '{kind}'; scenario files accept {tuple(_SCHEDULE_KINDS)}",
-        )
-    ppath = _join(path, "parameters")
-    params = _require_dict(_get(d, "parameters", path), ppath)
+    kind = _field(d, path, "kind", _known, known=_SCHEDULE_KINDS, unknown=lambda k: (
+        f"unknown schedule kind '{k}'; scenario files accept {tuple(_SCHEDULE_KINDS)}"))
     names, defaults = _SCHEDULE_KINDS[kind]
+    params = _field(d, path, "parameters", _require_dict)
+    ppath = _join(path, "parameters")
     _reject_unknown(params, set(names), ppath)
     if kind == "table":
-        values = _expect_list(_get(params, "values", ppath), _join(ppath, "values"))
-        return _at(path, Schedule.table, [_expect_real(v, f"{ppath}.values[{i}]") for i, v in enumerate(values)])
+        return _at(path, Schedule.table, _field(params, ppath, "values", _entries, entry=_expect_real))
     return _at(path, getattr(Schedule, kind), *[
-        _expect_real(_get(params, n, ppath, required=n not in defaults, default=defaults.get(n)),
-                     _join(ppath, n))
-        for n in names
+        _field(params, ppath, n, _expect_real, defaults.get(n, _REQUIRED)) for n in names
     ])
+
+
+def _knot(v, path: str) -> tuple[float, float]:
+    """One ``[t, value]`` knot of a table gauge."""
+    if len(_expect_list(v, path)) != 2:
+        raise ScenarioError(path, "expected a [t, value] pair")
+    return _entries(v, path, _expect_real)
 
 
 def phi_from_dict(obj, path: str) -> PhiSpec:
     d = _require_dict(obj, path)
-    kind = _expect_str(_get(d, "kind", path), _join(path, "kind"))
-    if kind not in _GAUGE_PARAMETERS:
-        raise ScenarioError(_join(path, "kind"), f"unknown gauge kind '{kind}'")
+    kind = _field(d, path, "kind", _known, known=_GAUGE_PARAMETERS, unknown=lambda k: f"unknown gauge kind '{k}'")
     names = _GAUGE_PARAMETERS[kind]
     _reject_unknown(d, {"kind", *names}, path)
     if kind == "table":
-        grid = _expect_list(_get(d, "grid", path), _join(path, "grid"))
-        knots = []
-        for i, pair in enumerate(grid):
-            pair = _expect_list(pair, f"{path}.grid[{i}]")
-            if len(pair) != 2:
-                raise ScenarioError(f"{path}.grid[{i}]", "expected a [t, value] pair")
-            knots.append((
-                _expect_real(pair[0], f"{path}.grid[{i}][0]"),
-                _expect_real(pair[1], f"{path}.grid[{i}][1]"),
-            ))
-        params = {"grid": tuple(knots)}
+        params = {"grid": _field(d, path, "grid", _entries, entry=_knot)}
     else:
-        params = {n: _expect_real(_get(d, n, path), _join(path, n)) for n in names}
+        params = {n: _field(d, path, n, _expect_real) for n in names}
     return _at(path, PhiSpec, kind, **params)
 
 
 def check_from_dict(obj, path: str) -> CheckSpec:
     d = _require_dict(obj, path)
-    name = _expect_str(_get(d, "name", path), _join(path, "name"))
-    if name not in CHECK_NAMES:
-        raise ScenarioError(_join(path, "name"), f"unknown check '{name}'; known checks: {CHECK_NAMES}")
+    name = _field(d, path, "name", _known, known=CHECK_NAMES,
+                  unknown=lambda n: f"unknown check '{n}'; known checks: {CHECK_NAMES}")
     if name in ("lemma21", "theorem31", "theorem32"):
         _reject_unknown(d, {"name"}, path)
         return CheckSpec(name=name)
     if name in ("theorem33", "condition_I"):
         _reject_unknown(d, {"name", "phi", "samples"}, path)
-        phi = phi_from_dict(_get(d, "phi", path), _join(path, "phi"))
-        samples = _expect_int(
-            _get(d, "samples", path, required=False, default=_DEFAULT_CHECK_SAMPLES),
-            _join(path, "samples"), minimum=1,
-        )
-        return CheckSpec(name=name, phi=phi, samples=samples)
+        return CheckSpec(name=name, phi=_field(d, path, "phi", phi_from_dict),
+                         samples=_field(d, path, "samples", _expect_int, _DEFAULT_CHECK_SAMPLES, minimum=1))
 
     # certify
-    class_path = _join(path, "class")
-    cert_class = _cert_class(_expect_str(_get(d, "class", path), class_path), class_path)
+    cert_class = _field(d, path, "class", _cert_class)
     key = _CERTIFIERS[cert_class][0]
     bound = n_max = None
     if key == "schedule":
-        bound = schedule_from_dict(_get(d, key, path), _join(path, key))
+        bound = _field(d, path, key, schedule_from_dict)
     elif key == "L":
-        bound = _expect_real(_get(d, key, path), _join(path, key))
+        bound = _field(d, path, key, _expect_real)
         if bound <= 0.0:
             raise ScenarioError(_join(path, key), f"must be > 0, got {bound}")
     _reject_unknown(d, {"name", "class", "samples"} | ({key, "n_max"} if key else set()), path)
     if key is not None:
-        n_max = _expect_int(
-            _get(d, "n_max", path, required=False, default=_DEFAULT_CERT_N_MAX),
-            _join(path, "n_max"), minimum=1,
-        )
-    samples = _expect_int(
-        _get(d, "samples", path, required=False, default=_DEFAULT_CERT_SAMPLES),
-        _join(path, "samples"), minimum=1,
-    )
+        n_max = _field(d, path, "n_max", _expect_int, _DEFAULT_CERT_N_MAX, minimum=1)
+    samples = _field(d, path, "samples", _expect_int, _DEFAULT_CERT_SAMPLES, minimum=1)
     return CheckSpec(name=name, samples=samples, cert_class=cert_class, bound=bound, n_max=n_max)
 
 
@@ -304,65 +296,53 @@ def scenario_from_dict(doc) -> Scenario:
         "schema_version", "name", "space", "mapping", "scheme", "schedules",
         "x0", "max_steps", "stop_tolerance", "checks",
     }, "")
-    version = _expect_int(_get(root, "schema_version", ""), "schema_version")
+    version = _field(root, "", "schema_version", _expect_int)
     if version != SCHEMA_VERSION:
         raise ScenarioError("schema_version", f"unsupported version {version}; expected {SCHEMA_VERSION}")
-    name = _expect_str(_get(root, "name", ""), "name")
+    name = _field(root, "", "name", _expect_str)
     if not _NAME_RE.match(name):
         raise ScenarioError("name", "must be nonempty and use only letters, digits, '.', '_', '-'")
 
-    space = _require_dict(_get(root, "space", ""), "space")
+    space = _field(root, "", "space", _require_dict)
     _reject_unknown(space, {"dim", "p"}, "space")
-    dim = _expect_int(_get(space, "dim", "space"), "space.dim", minimum=1)
-    p = _parse_p(_get(space, "p", "space"), "space.p")
+    dim = _field(space, "space", "dim", _expect_int, minimum=1)
+    p = _field(space, "space", "p", _parse_p)
 
-    mapping = _require_dict(_get(root, "mapping", ""), "mapping")
+    mapping = _field(root, "", "mapping", _require_dict)
     _reject_unknown(mapping, {"id", "parameters"}, "mapping")
-    mapping_id = _expect_str(_get(mapping, "id", "mapping"), "mapping.id")
+    mapping_id = _field(mapping, "mapping", "id", _expect_str)
     _at("mapping.id", _check_catalog_id, mapping_id)
-    raw_params = _require_dict(
-        _get(mapping, "parameters", "mapping", required=False, default={}), "mapping.parameters"
-    )
+    raw_params = _field(mapping, "mapping", "parameters", _require_dict, {})
     params = tuple(sorted(
-        (str(k), _expect_real(v, f"mapping.parameters.{k}")) for k, v in raw_params.items()
+        (str(k), _field(raw_params, "mapping.parameters", k, _expect_real)) for k in raw_params
     ))
 
-    scheme = _expect_str(_get(root, "scheme", ""), "scheme")
+    scheme = _field(root, "", "scheme", _expect_str)
     _at("scheme", _check_scheme, scheme)
 
-    schedules = _require_dict(_get(root, "schedules", "", required=False, default={}), "schedules")
+    schedules = _field(root, "", "schedules", _require_dict, {})
     _reject_unknown(schedules, {"alpha", "beta"}, "schedules")
     alpha = None
     if "alpha" in schedules:
-        alpha = schedule_from_dict(schedules["alpha"], "schedules.alpha")
+        alpha = _field(schedules, "schedules", "alpha", schedule_from_dict)
     elif scheme != "picard":
         raise ScenarioError("schedules.alpha", f"scheme {scheme} requires an alpha schedule")
     beta = None
     if scheme == "ishikawa":
-        beta = schedule_from_dict(_get(schedules, "beta", "schedules"), "schedules.beta")
+        beta = _field(schedules, "schedules", "beta", schedule_from_dict)
     elif "beta" in schedules:
         raise ScenarioError("schedules.beta", "only meaningful for the ishikawa scheme")
 
-    x0_list = _expect_list(_get(root, "x0", ""), "x0")
-    x0 = tuple(_expect_real(v, f"x0[{i}]") for i, v in enumerate(x0_list))
+    x0 = _field(root, "", "x0", _entries, entry=_expect_real)
     if len(x0) != dim:
         raise ScenarioError("x0", f"has {len(x0)} coordinates but space.dim = {dim}")
 
-    max_steps = _expect_int(
-        _get(root, "max_steps", "", required=False, default=RunConfig.max_steps), "max_steps", minimum=1
-    )
-    stop_tolerance = _expect_real(
-        _get(root, "stop_tolerance", "", required=False, default=RunConfig.stop_tolerance), "stop_tolerance"
-    )
-
-    checks = tuple(
-        check_from_dict(c, f"checks[{i}]")
-        for i, c in enumerate(_expect_list(_get(root, "checks", "", required=False, default=[]), "checks"))
-    )
     return Scenario(
         name=name, space_dim=dim, space_p=p, mapping_id=mapping_id,
-        mapping_parameters=params, scheme=scheme, alpha=alpha, beta=beta,
-        x0=x0, max_steps=max_steps, stop_tolerance=stop_tolerance, checks=checks,
+        mapping_parameters=params, scheme=scheme, alpha=alpha, beta=beta, x0=x0,
+        max_steps=_field(root, "", "max_steps", _expect_int, RunConfig.max_steps, minimum=1),
+        stop_tolerance=_field(root, "", "stop_tolerance", _expect_real, RunConfig.stop_tolerance),
+        checks=_field(root, "", "checks", _entries, [], entry=check_from_dict),
     )
 
 
@@ -791,7 +771,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise FixiterError(f"--seed: must be >= 0, got {args.seed}")
-        return args.handler(args)
+        # each warning is one stderr line, without the source line that raised it
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.handler(args)
     except FixiterError as e:
         # run and compare put an error inside their scenario at its file
         scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)

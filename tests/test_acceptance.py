@@ -18,6 +18,7 @@ from fixiter import (
     RunConfig,
     Schedule,
     NormedSpace,
+    TAU_LEM22,
     Vector,
     certify_condition_I,
     certify_nearly_nonexpansive,
@@ -186,11 +187,11 @@ def test_criterion_06_recurrence_checker():
 def test_criterion_07_collapse_checker():
     sp = NormedSpace(2, 2.0)
     xs = [Vector((1.0, 0.0))] * 500
-    ys = [Vector((math.cos(1.0 / n), math.sin(1.0 / n))) for n in range(1, 501)]
+    ys = [Vector((math.cos(n ** -3.0), math.sin(n ** -3.0))) for n in range(1, 501)]
     t = [0.5] * 500
     failures = []
-    rep = check_lemma22_witness(t, xs, ys, 1.0, sp, 500, 0.5, 0.5, conclusion_tol=1e-2)
-    if rep.verdict != "confirmed" or rep.conclusion_tail_max > 1e-2:
+    rep = check_lemma22_witness(t, xs, ys, 1.0, sp, 500, 0.5, 0.5)
+    if rep.verdict != "confirmed" or rep.conclusion_tail_max > TAU_LEM22:
         failures.append(f"rotating: {rep.verdict}, tail gap {rep.conclusion_tail_max}")
     anti = check_lemma22_witness(t, xs, [Vector((-1.0, 0.0))] * 500, 1.0, sp,
                                  500, 0.5, 0.5)

@@ -193,16 +193,16 @@ def test_collapse_checker_slowly_closing_rotation():
     sp = NormedSpace(2, 2.0)
     xs = [Vector((1.0, 0.0))] * 500
     ys = [_unit(1.0 / n) for n in range(1, 501)]
-    rep = check_lemma22_witness([0.5] * 500, xs, ys, 1.0, sp, 500, 0.5, 0.5,
-                                conclusion_tol=1e-2)
-    assert rep.verdict == "confirmed"
+    rep = check_lemma22_witness([0.5] * 500, xs, ys, 1.0, sp, 500, 0.5, 0.5)
     # window starts at n = 376 where the chord is largest
     assert rep.conclusion_tail_max == pytest.approx(2.0 * math.sin(1.0 / 752.0), rel=1e-12)
-    # the same data fails a tolerance the tail has not yet reached
-    strict = check_lemma22_witness([0.5] * 500, xs, ys, 1.0, sp, 500, 0.5, 0.5,
-                                   conclusion_tol=1e-6)
-    assert strict.verdict == "conclusion_failure"
-    assert strict.conclusion_ok is False
+    # the chord has not yet fallen to TAU_LEM22
+    assert rep.verdict == "conclusion_failure"
+    assert rep.conclusion_ok is False
+    # a rotation closing as 1/n^3 has: its chord at n = 376 is about 2e-8
+    fast = check_lemma22_witness([0.5] * 500, xs, [_unit(n ** -3.0) for n in range(1, 501)],
+                                 1.0, sp, 500, 0.5, 0.5)
+    assert fast.verdict == "confirmed"
 
 
 def test_collapse_checker_antipodal_is_hypothesis_failure():

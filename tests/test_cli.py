@@ -726,6 +726,76 @@ def test_an_x0_whose_norm_overflows_lies_outside_a_ball_without_a_warning(tmp_pa
     assert capsys.readouterr() == ("", "error: x0 = (0.6, -1e+308) lies outside the mapping domain\n")
 
 
+_NOT_UNIFORMLY_CONVEX = ("warning: p = {} is not uniformly convex; convergence guarantees for "
+                         "modified_pm_hybrid assume 1 < p < inf\n")
+
+
+@pytest.mark.parametrize("scenario, p, command", [
+    ("example21_hybrid", "inf", ["run"]),
+    ("contraction_compare", 1, ["compare", "--schemes", "picard,modified_pm_hybrid", "--target", "1e-6"]),
+])
+def test_a_warning_is_one_stderr_line_and_changes_no_output(tmp_path, capsys, scenario, p, command):
+    doc = json.loads((SCENARIO_DIR / f"{scenario}.json").read_text())
+    doc["space"]["p"] = p
+    argv = [command[0], _write(tmp_path, doc), "--output", str(tmp_path / "out"), "--force", *command[1:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        silenced = _outcome(capsys, argv)
+    assert silenced[0] == 0 and silenced[2] == ""
+    code, out, err, files = _outcome(capsys, argv)
+    assert (code, out, files) == (silenced[0], silenced[1], silenced[3])
+    assert err == _NOT_UNIFORMLY_CONVEX.format(float(p))
+
+
+def _trails(node, trail=()):
+    """Each object key and list entry under ``node``, as the keys and indices that reach it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield trail + (key,)
+        yield from _trails(value, trail + (key,))
+
+
+def _key_path(trail):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in trail).lstrip(".")
+
+
+def _node(doc, trail):
+    for key in trail:
+        doc = doc[key]
+    return doc
+
+
+def _error_path(doc, trail, edit):
+    """The path of the ScenarioError that parsing ``doc`` raises once ``edit`` has changed the
+    node at ``trail`` in a copy, or None when the copy parses."""
+    doc = copy.deepcopy(doc)
+    edit(_node(doc, trail))
+    try:
+        cli.scenario_from_dict(doc)
+    except ScenarioError as e:
+        return e.path
+    return None
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_each_key_of_a_shipped_scenario_is_read_at_its_own_path(scenario):
+    doc = json.loads(scenario.read_text())
+    for trail in _trails(doc):
+        path, parent, key = _key_path(trail), trail[:-1], trail[-1]
+        # a value of the wrong type fails at exactly its own path
+        assert _error_path(doc, parent, lambda node: node.__setitem__(key, True)) == path, path
+        if isinstance(key, str):
+            # a missing key parses to its default, or fails at or under its own path
+            missing = _error_path(doc, parent, lambda node: node.pop(key))
+            assert missing is None or missing == path or missing.startswith((f"{path}.", f"{path}[")), path
+    for trail in [(), *_trails(doc)]:
+        # an unknown key fails at its own path, except in mapping.parameters, which is
+        # free-form here: get_mapping refuses a parameter its mapping does not take
+        if isinstance(_node(doc, trail), dict) and trail != ("mapping", "parameters"):
+            surprise = _key_path(trail + ("surprise",))
+            assert _error_path(doc, trail, lambda node: node.__setitem__("surprise", 1)) == surprise
+
+
 # ---------------------------------------------------------------------------
 # parsing and dispatch
 
