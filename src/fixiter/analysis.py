@@ -29,7 +29,7 @@ from .mappings import (
     special_points,
 )
 from .schemes import ConstraintCheck, RunConfig, Trajectory, run_scheme
-from .space import NormedSpace, Vector, _rng, combine
+from .space import NormedSpace, Vector, _rng, _same_dim, combine
 
 TAU_LIM = 1e-8
 TAU_REG = 1e-8
@@ -477,7 +477,7 @@ def certify_condition_I(m: Mapping, w: PhiSpec, sample_count: int, seed: int) ->
             "bound has no distance to measure"
         )
     space = m.space
-    specials = [p.coords for p in special_points(space, m.domain, m.meta)]
+    specials = [_same_dim(space.dim, p).coords for p in special_points(space, m.domain, m.meta)]
     X = np.concatenate([np.reshape(specials, (-1, space.dim)),
                         m.domain.sample(space, _rng(seed), sample_count)])
 

@@ -449,9 +449,10 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     near = near_schedule_for(m)
-    alpha = traj.config.alpha
+    alpha, read = traj.config.alpha, traj.alpha_values  # alpha(n) is read again only past the run's reads
     a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
-    b = [(1.0 + (alpha.at(n) if alpha is not None else 0.0)) * near.at(n) for n in range(1, traj.steps + 1)]
+    b = [(1.0 + (0.0 if alpha is None else read[n - 1] if n <= len(read) else alpha.at(n))) * near.at(n)
+         for n in range(1, traj.steps + 1)]
     b.append(0.0)
     delta = [0.0] * len(a)
     report = check_lemma21(a, b, delta, len(a))
@@ -775,7 +776,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.handler(args)
-    except FixiterError as e:
+    except (FixiterError, Warning) as e:  # a warning is raised under an interpreter filter of "error"
         # run and compare put an error inside their scenario at its file
         scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)
                     and getattr(args, "scenario", None))

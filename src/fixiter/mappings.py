@@ -214,12 +214,15 @@ def _coefficient(declared_class: str, s: Schedule, n: int) -> float:
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> np.ndarray:
-    """``fn(n)`` for each entry of ``ns``, evaluated once per distinct n in Python floats."""
-    if len(ns) == 1:  # one row per power stage in the scheme engine, where np.unique costs most
-        return np.array([fn(int(ns[0]))], dtype=float)
+def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> float | np.ndarray:
+    """The factor ``fn(n)`` of each row, evaluated once per distinct n in
+    Python floats, to scale rows by: a float for one row, as the scheme
+    engine's power stages pass, since a float scales a row by the same
+    products as a column; for many rows, a (k, 1) column."""
+    if len(ns) == 1:
+        return float(fn(int(ns[0])))
     distinct, index = np.unique(ns, return_inverse=True)
-    return np.array([fn(int(n)) for n in distinct], dtype=float)[index]
+    return np.array([fn(int(n)) for n in distinct], dtype=float)[index, None]
 
 
 def _derived(fn: Callable, **sources: Callable) -> Callable:
@@ -592,11 +595,16 @@ def make_example21(q: float, space: NormedSpace | None = None) -> Mapping:
         raise ParameterError(f"example21 is one-dimensional; got space dim {space.dim}")
     domain = Box((0.0,), (1.0,))
 
+    def scaled_below_one(c: float | np.ndarray, X: np.ndarray) -> np.ndarray:
+        out = c * X
+        out[X >= 1.0] = 0.0
+        return out
+
     def apply_rows(X: np.ndarray) -> np.ndarray:
-        return np.where(X >= 1.0, 0.0, q * X)
+        return scaled_below_one(q, X)
 
     def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.where(X >= 1.0, 0.0, _per_n(lambda n: q**n, ns)[:, None] * X)
+        return scaled_below_one(_per_n(lambda n: q**n, ns), X)
 
     meta = MappingMeta(
         declared_class="nearly_nonexpansive",
@@ -622,7 +630,7 @@ def make_linear_contraction(q: float, dim: int = 1, space: NormedSpace | None = 
     )
     return build_mapping("contraction", space, domain, meta=meta, parameters={"q": q, "dim": dim},
                          apply_rows=lambda X: q * X,
-                         power_rows=lambda ns, X: _per_n(lambda n: q**n, ns)[:, None] * X)
+                         power_rows=lambda ns, X: _per_n(lambda n: q**n, ns) * X)
 
 
 def make_identity(dim: int = 1, space: NormedSpace | None = None) -> Mapping:
@@ -668,7 +676,7 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
             meta=meta,
             parameters={"dim": dim},
             apply_rows=lambda X: 0.5 * X,
-            power_rows=lambda ns, X: _per_n(lambda n: 0.5**n, ns)[:, None] * X,
+            power_rows=lambda ns, X: _per_n(lambda n: 0.5**n, ns) * X,
         )
 
     lam, mu = _DEMO_EXPAND, _DEMO_SHRINK
@@ -677,15 +685,15 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
     domain = Box(tuple(lows), tuple(highs))
     origin = Vector((0.0,) * dim)
 
+    swap = np.array([1, 0] + list(range(2, dim)))
+    scale = np.array([lam] + [mu] * (dim - 1))
+
     def apply_rows(X: np.ndarray) -> np.ndarray:
-        out = mu * X
-        out[:, 0] = lam * X[:, 1]
-        out[:, 1] = mu * X[:, 0]
-        return out
+        return X.take(swap, axis=1) * scale
 
     def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
-        even = _per_n(lambda n: mu ** (2 * (n // 2)), ns)[:, None] * X
-        even[:, :2] = _per_n(lambda n: (lam * mu) ** (n // 2), ns)[:, None] * X[:, :2]
+        even = _per_n(lambda n: mu ** (2 * (n // 2)), ns) * X
+        even[:, :2] = _per_n(lambda n: (lam * mu) ** (n // 2), ns) * X[:, :2]
         return np.where((ns % 2 == 1)[:, None], apply_rows(even), even)
 
     meta = MappingMeta(

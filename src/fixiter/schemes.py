@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
@@ -248,6 +248,10 @@ class Trajectory:
     dist_to_known_fp: tuple[float | None, ...]
     applications: tuple[int, ...]
     stop_reason: str  # tolerance | max_steps | domain_exit
+    # alpha(n) for n = 1 .. min(max_steps, 10 000), the values the schedule
+    # checks read and the steps used, or () without an alpha schedule.  The
+    # config's schedule decides them, so == and hash do not read them.
+    alpha_values: tuple[float, ...] = field(default=(), repr=False)
 
     def _key(self) -> tuple:
         return (self.config, self.step_norm, self.residual_T, self.residual_Tn, self.dist_to_known_fp,
@@ -326,24 +330,25 @@ def _inside(m: Mapping, row: np.ndarray) -> bool:
         m.space, Vector.from_array(row[0]))
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int, kept: np.ndarray | None,
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int, ns: np.ndarray, kept: np.ndarray | None,
           made: list | None = None) -> np.ndarray | None:
     """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
 
-    A plain T stage calls ``apply_rows``, a power stage ``power_rows``.
-    Schedules, evaluators and domain tests run in the order ``apply_power``,
-    ``combine`` and ``Domain.contains`` run them on Vectors, so an error
-    comes from the same call as it would there.  Each point a stage makes,
-    its image and then its combination, is tested with ``_inside`` as it is
-    made, or with ``made`` appended there untested, for the caller to test
-    with its block.  With ``kept``, the first stage runs ``_chain``.  A
-    weight w(n) is read from the stage's values for n up to their length.
+    A plain T stage calls ``apply_rows``, a power stage ``power_rows`` with
+    ns, the index row [n].  Schedules, evaluators and domain tests run in
+    the order ``apply_power``, ``combine`` and ``Domain.contains`` run them
+    on Vectors, so an error comes from the same call as it would there.
+    Each point a stage makes, its image and then its combination, is tested
+    with ``_inside`` as it is made, or with ``made`` appended there untested,
+    for the caller to test with its block.  With ``kept``, the first stage
+    runs ``_chain``.  A weight w(n) is read from the stage's values for n up
+    to their length.
     """
     z = x
     for schedule, values, power in stages:
         w = None if schedule is None else values[n - 1] if n <= len(values) else schedule.at(n)
         if kept is None:
-            z = m.power_rows(np.array([n]), z) if power else m.apply_rows(z)
+            z = m.power_rows(ns, z) if power else m.apply_rows(z)
         else:  # the first stage, and only it, keeps its images
             z, kept = _chain(m, x, n if power else 1, kept), None
         if made is not None:
@@ -377,25 +382,32 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
                      tol: float) -> tuple[int, str, None] | None:
     """Steps first .. last into X, with their points tested together at the end.
 
-    One ``inside_rows`` call tests every point the steps made, and one
-    ``norm_rows`` call takes their displacements, the first of which at most
-    ``tol`` ends the run at its step.  Returns the last step kept and the
-    stop reason, as ``_checked_block`` does; or None when a point is rejected
-    or anything raises, for the block to be run again checked.  A
-    floating-point condition numpy would act on (warn of, as it does by
-    default) is only noted, and also sends the block to be run again, so a
-    block warns only at the steps its checked run reaches.  The steps run
-    the operations the checked steps run, on the same rows, so a block
-    returned here has the bits a checked one would have.
+    Each step's row is carried straight into the next step, and the block's
+    iterates are written into X once, as every k-th of the points the steps
+    made, k being the points one step makes.  One ``inside_rows`` call tests
+    every point the steps made, and one ``norm_rows`` call takes their
+    displacements, the first of which at most ``tol`` ends the run at its
+    step.  Returns the last step kept and the stop reason, as
+    ``_checked_block`` does; or None when a point is rejected or anything
+    raises, for the block to be run again checked.  A floating-point
+    condition numpy would act on (warn of, as it does by default) is only
+    noted, and also sends the block to be run again, so a block warns only
+    at the steps its checked run reaches.  The steps run the operations the
+    checked steps run, on the same rows, so a block returned here has the
+    bits a checked one would have.
     """
     made, noted = [], []
-    acted_on = {k: "call" for k, v in np.geterr().items() if v != "ignore"}
+    k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
+    acted_on = {kind: "call" for kind, v in np.geterr().items() if v != "ignore"}
     try:
         with np.errstate(call=lambda kind, flag: noted.append(kind), **acted_on):
-            for n in range(first, last + 1):
-                X[n] = _step(m, stages, X[n - 1:n], n, None, made)[0]
-            if not m.domain.inside_rows(m.space, np.concatenate(made)).all():
+            x = X[first - 1:first]
+            for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
+                x = _step(m, stages, x, n, ns, None, made)
+            P = np.concatenate(made)
+            if not m.domain.inside_rows(m.space, P).all():
                 return None
+            X[first:last + 1] = P[k - 1::k]
             moves = X[first:last + 1] - X[first - 1:last]
             stops = np.flatnonzero(m.space.norm_rows(moves) <= tol) if tol >= 0.0 else ()
     except Exception:  # the checked run of the block meets it at its own step, or never
@@ -414,10 +426,10 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | N
     Returns the last step kept, the stop reason ("max_steps" when the block
     ran to its end) and the error a step raised, if any.
     """
-    for n in range(first, last + 1):
+    for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
         x = X[n - 1:n]
         try:
-            nxt = _step(m, stages, x, n, None if kept is None else kept[n - 1])
+            nxt = _step(m, stages, x, n, ns, None if kept is None else kept[n - 1])
         except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
             nxt = None
         except Exception as e:  # raised by run_scheme, once the records before it are computed
@@ -438,8 +450,11 @@ def run_scheme(config: RunConfig) -> Trajectory:
     update runs step by step on rows of one float64 array, through the
     mapping's row evaluators, in blocks of steps: 16 steps first, and each
     block after it twice as long, up to 1024.  A block runs without domain
-    tests, and then one ``inside_rows`` call tests every point it made and
-    one ``norm_rows`` call checks the stop tolerance.  When a point is
+    tests, each step's row carried straight into the next, and then one
+    ``inside_rows`` call tests every point it made, its iterates are written
+    into the array once and one ``norm_rows`` call checks the stop
+    tolerance.  The trajectory keeps the alpha values the checks read in
+    ``alpha_values``.  When a point is
     rejected, or anything in the block raises or would make numpy warn, the
     block runs again from its first step, each point tested as it is made;
     only that checked run ends a trajectory at a domain exit or an error.
@@ -489,11 +504,12 @@ def run_scheme(config: RunConfig) -> Trajectory:
     points.flags.writeable = False
     fixed = sum(not power for _, _, power in stages)
     powered = len(stages) - fixed
-    costs = [fixed + powered * (1 if m.has_power else n) for n in range(1, steps + 1)]
+    costs = [fixed + powered] * steps if m.has_power else [fixed + powered * n for n in range(1, steps + 1)]
     columns = _records(m, points, config.scheme, kept)
     if error is not None:
         raise error
-    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason)
+    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason,
+                      tuple(read.get("alpha", ())))
 
 
 def _records(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarray | None) -> list[list]:

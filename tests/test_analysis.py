@@ -410,6 +410,16 @@ def test_coercivity_needs_fixed_point_info():
         certify_condition_I(make_example21(0.5), PhiSpec("linear", lam=0.5), 0, 0)
 
 
+@pytest.mark.parametrize("fixed_dim", [1, 4])
+def test_coercivity_refuses_a_fixed_point_of_another_dimension(fixed_dim):
+    # A directly built Mapping has no dimension checked, so the kernel checks
+    # each special point it reads.
+    m = make_linear_contraction(0.5, 2)
+    bad = replace(m, meta=replace(m.meta, known_fixed_points=(Vector((0.0,) * fixed_dim),)))
+    with pytest.raises(ContractError, match=f"^dimension mismatch: vectors have dims 2 and {fixed_dim}$"):
+        certify_condition_I(bad, PhiSpec("linear", lam=0.5), 100, 0)
+
+
 def test_condition_witness_bundles_certificate():
     m = make_example21(0.5)
     phi = PhiSpec("linear", lam=0.5)

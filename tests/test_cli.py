@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixiter import Box, MappingMeta, NormedSpace, Vector, build_mapping, cli
+from fixiter import (Box, MappingMeta, NormedSpace, RunConfig, Schedule, Vector, build_mapping, check_lemma21,
+                     cli, distance_to_fixed_set, make_linear_contraction, near_schedule_for, run_scheme)
 from fixiter.errors import ScenarioError
 
 GOOD = {
@@ -745,6 +746,64 @@ def test_a_warning_is_one_stderr_line_and_changes_no_output(tmp_path, capsys, sc
     code, out, err, files = _outcome(capsys, argv)
     assert (code, out, files) == (silenced[0], silenced[1], silenced[3])
     assert err == _NOT_UNIFORMLY_CONVEX.format(float(p))
+
+
+def test_a_warning_raised_under_an_error_filter_is_one_error_line(tmp_path, capsys):
+    doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
+    doc["space"]["p"] = "inf"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr() == ("", _NOT_UNIFORMLY_CONVEX.format("inf").replace("warning:", "error:", 1))
+    assert not (tmp_path / "out").exists()
+
+
+# Schedule.at calls of ``fixiter run`` on each shipped scenario: the schedule
+# checks read each alpha(n) once, and the lemma21 check reads them from the run.
+SCHEDULE_READS = {"asymptotic_mann": 1322, "contraction_compare": 400, "example21_hybrid": 552,
+                  "ishikawa_contraction": 600}
+
+
+@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS))
+def test_run_reads_each_alpha_value_once(tmp_path, monkeypatch, scenario):
+    calls = []
+    at = Schedule.at
+    monkeypatch.setattr(Schedule, "at", lambda self, n: calls.append(n) or at(self, n))
+    assert cli.main(["run", str(SCENARIO_DIR / f"{scenario}.json"), "--output", str(tmp_path), "--quiet"]) == 0
+    assert len(calls) == SCHEDULE_READS[scenario]
+
+
+def _lemma21_reading_alpha(m, traj):
+    """The lemma21 check reading alpha(n) from the schedule at every record: the reference."""
+    near, alpha = near_schedule_for(m), traj.config.alpha
+    a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
+    b = [(1.0 + (alpha.at(n) if alpha is not None else 0.0)) * near.at(n) for n in range(1, traj.steps + 1)]
+    report = check_lemma21(a, b + [0.0], [0.0] * len(a), len(a))
+    return report.hypothesis_ok and report.verdict == "converged", report.to_dict()
+
+
+def _long_mann_run():
+    """A mann run past the 10 000 alpha values the schedule checks read, on a map whose
+    near-sequence 1/n keeps every alpha(n) in the lemma21 sums."""
+    m = make_linear_contraction(0.5)
+    m = replace(m, meta=replace(m.meta, declared_class="nearly_nonexpansive",
+                                a_schedule=Schedule.harmonic_tail(1.0)))
+    config = RunConfig("mann", m, Vector((0.5,)), alpha=Schedule.harmonic_tail(1.0, 1.0), max_steps=10_050,
+                       stop_tolerance=-1.0)
+    return m, run_scheme(config)
+
+
+@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS) + ["mann_past_10000"])
+def test_lemma21_reads_the_alpha_values_the_schedule_gives(scenario):
+    if scenario in SCHEDULE_READS:
+        s = cli.parse_scenario(SCENARIO_DIR / f"{scenario}.json")
+        m = cli.build_mapping_for(s)
+        traj = run_scheme(cli.build_run_config(s, m))
+    else:
+        m, traj = _long_mann_run()
+        assert traj.steps > len(traj.alpha_values) == 10_000
+    assert cli._lemma21_on_trajectory(m, traj) == _lemma21_reading_alpha(m, traj)
 
 
 def _trails(node, trail=()):

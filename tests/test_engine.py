@@ -15,6 +15,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from fixiter import (
     combine,
     distance_to_fixed_set,
     get_mapping,
+    make_asymptotically_nonexpansive_example,
     make_example21,
     make_linear_contraction,
     run_scheme,
@@ -518,6 +520,62 @@ def test_trajectory_equality_and_lazy_iterates():
 
 
 # ---------------------------------------------------------------------------
+# row evaluators: one row as a step passes it, many as the records do
+
+@lru_cache(maxsize=None)
+def _catalog_map(mapping_id, dim, p, q):
+    return get_mapping(mapping_id, {"q": q} if CATALOG[mapping_id].parameters else {}, NormedSpace(dim, p))
+
+
+@st.composite
+def catalog_rows(draw):
+    """A catalog map in l_1, l_2 or l_inf, and rows around its domain (past
+    example21's jump at 1) with power indices 1 .. 40, repeats included."""
+    mapping_id = draw(st.sampled_from(CATALOG_IDS))
+    dim = 1 if mapping_id == "example21" else draw(st.integers(1, 3))
+    m = _catalog_map(mapping_id, dim, draw(st.sampled_from((1.0, 2.0, math.inf))),
+                     draw(st.sampled_from((0.05, 0.5, 0.95))))
+    k = draw(st.integers(2, 12))
+    coords = st.one_of(st.floats(-1.5, 1.5), st.sampled_from((0.0, -0.0, 1.0, -1.0)))
+    X = np.array(draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=k, max_size=k)))
+    ns = np.array(draw(st.lists(st.integers(1, 40), min_size=k, max_size=k)))
+    return m, ns, X
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=catalog_rows())
+def test_one_row_of_a_catalog_evaluator_has_the_bits_of_its_row_among_many(case):
+    # A step evaluates one row, and the record columns and certificates many:
+    # both must give every row the same bits.
+    m, ns, X = case
+    powers, images = m.power_rows(ns, X).view(np.int64), m.apply_rows(X).view(np.int64)
+    for i in range(len(X)):
+        assert (m.power_rows(ns[i:i + 1], X[i:i + 1]).view(np.int64) == powers[i]).all()
+        assert (m.apply_rows(X[i:i + 1]).view(np.int64) == images[i]).all()
+
+
+def _swap_and_scale(X, lam, mu):
+    """asymptotic_demo's T as it was written: scale every coordinate by mu,
+    then set the first two from each other.  The reference."""
+    out = mu * X
+    out[:, 0] = lam * X[:, 1]
+    out[:, 1] = mu * X[:, 0]
+    return out
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_asymptotic_demo_applies_the_swap_and_scale_it_was_written_as(dim):
+    m = make_asymptotically_nonexpansive_example(dim)
+    rng = np.random.default_rng(dim)
+    X = np.concatenate([rng.uniform(-1.5, 1.5, (200, dim)), rng.standard_normal((200, dim)) * 1e300,
+                        np.array([[np.inf, -np.inf] + [np.nan] * (dim - 2), [-0.0] * dim, [5e-324] * dim])])
+    want = _swap_and_scale(X, 1.2, 0.5).view(np.int64)
+    assert (m.apply_rows(X).view(np.int64) == want).all()
+    for x, row in zip(X, want):
+        assert (m.apply_rows(x[None]).view(np.int64) == row).all()
+
+
+# ---------------------------------------------------------------------------
 # record columns: the CSV, equality and schedule reads
 
 def _record_rows(traj):
@@ -588,6 +646,7 @@ def test_trajectories_are_equal_exactly_when_their_records_are():
         replace(t, dist_to_known_fp=bumped(t.dist_to_known_fp, None)),
         replace(t, applications=bumped(t.applications, 2)),
         replace(t, step_norm=bumped(t.step_norm, t.step_norm[3] + 0.0)),
+        replace(t, alpha_values=()),
     ]
     old_key = lambda u: (u.config, u.records, u.stop_reason)
     for u in others:
@@ -595,7 +654,9 @@ def test_trajectories_are_equal_exactly_when_their_records_are():
         assert (u == t) == same
         if same:
             assert hash(u) == hash(t)
-    assert sum(u == t for u in others) == 3  # the rerun, the copy and the equal float
+    # the rerun, the copy, the equal float and the alpha values the config's schedule decides
+    assert sum(u == t for u in others) == 4
+    assert t.alpha_values == (0.5,) * 20
 
 
 def _counting_schedules(calls, names):
