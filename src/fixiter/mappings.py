@@ -133,8 +133,9 @@ def _iterate(m: Mapping, n: int, x: Vector) -> Vector:
     """T^n x for n >= 1 without domain checks: n applications, or the closed form from n = 2."""
     if m.power is not None and n > 1:
         return m.power(n, x)
+    apply = m.apply
     for _ in range(n):
-        x = m.apply(x)
+        x = apply(x)
     return x
 
 

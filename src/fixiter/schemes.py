@@ -367,14 +367,15 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int, ns: np.ndarray, kept:
 def _chain(m: Mapping, x: np.ndarray, k: int, kept: np.ndarray) -> np.ndarray:
     """T^k of the (1, dim) row x as k calls of ``m.apply`` on Vectors, the
     calls ``power_rows`` makes on a map without a closed-form power.  Keeps
-    T x in kept[0] and T^{k-1} x in kept[1]."""
-    v = Vector.from_array(x[0])
-    for j in range(1, k + 1):
-        v = m.apply(v)
-        if j == 1:
-            kept[0] = v.coords
-        if j == k - 1:
-            kept[1] = v.coords
+    T x in kept[0] and, for k >= 2, T^{k-1} x in kept[1]."""
+    apply = m.apply
+    v = apply(Vector.from_array(x[0]))
+    kept[0] = v.coords
+    if k > 1:
+        for _ in range(k - 2):
+            v = apply(v)
+        kept[1] = v.coords
+        v = apply(v)
     return np.array([v.coords])
 
 

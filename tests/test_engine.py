@@ -47,7 +47,7 @@ from fixiter import (
     write_trajectory_csv,
 )
 from fixiter.mappings import CATALOG
-from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _validate_config
+from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _chain, _validate_config
 
 # The overflowing maps warn on their way to the error both engines raise.
 pytestmark = pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -319,6 +319,26 @@ def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
     charged, applied = APPLY_CALLS[scheme]
     assert (t.steps, t.total_applications) == (120, charged)
     assert len(calls) == applied
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 17])
+def test_a_chain_applies_k_times_and_keeps_the_first_and_the_next_to_last_image(k):
+    calls = []
+
+    def apply(x):
+        calls.append(x.coords)
+        return Vector.from_array(0.5 * x.array[::-1] + 0.25)
+
+    m = Mapping("halving_swap", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)), apply, None, MappingMeta())
+    iterates = [np.array([0.75, -0.5])]
+    for _ in range(k):
+        iterates.append(0.5 * iterates[-1][::-1] + 0.25)
+    kept = np.full((2, 2), np.nan)
+    z = _chain(m, iterates[0][None], k, kept)
+    assert calls == [tuple(x.tolist()) for x in iterates[:k]]
+    assert z.tobytes() == iterates[k].tobytes() and kept[0].tobytes() == iterates[1].tobytes()
+    # At k = 1 there is no T^{k-1} x to keep, and kept[1] is left alone.
+    assert kept[1].tobytes() == (iterates[k - 1] if k > 1 else np.full(2, np.nan)).tobytes()
 
 
 def _switching(k, late, rows):

@@ -23,6 +23,7 @@ from fixiter import (
     NormedSpace,
     Vector,
     combine,
+    make_asymptotically_nonexpansive_example,
     make_linear_contraction,
     modulus_of_convexity_estimate,
 )
@@ -145,7 +146,7 @@ finite_vectors = arrays(np.float64, st.integers(1, 8), elements=finite_floats)
 EXTREMES = np.array([-0.0, 5e-324, -2.2e-308, 1.7e308, -1.7e308])
 # Finite coordinates whose float sum overflows: the finiteness test falls back
 # from the sum to each term and accepts them.
-SUM_OVERFLOWS = [(1.7e308, 1.7e308), (-1.7e308, -1.7e308)]
+SUM_OVERFLOWS = [(1.7e308, 1.7e308), (-1.7e308, -1.7e308), (1e308, 1e308)]
 # A non-finite term makes the sum non-finite, wherever it sits.
 NON_FINITE = [(1.7e308, 1.7e308, math.nan), (math.inf, -math.inf), (math.nan,)]
 
@@ -175,17 +176,47 @@ def test_vector_keeps_its_dataclass_surface():
         v.coords = (1.0,)
 
 
+def _float_layouts(a):
+    """The coordinates of ``a`` as lists, other byte orders and strided views."""
+    return [a.copy(), a.tolist(), tuple(a.tolist()), a.astype(">f8"), np.repeat(a, 2)[::2],
+            np.stack([a, -a], axis=1)[:, 0], np.concatenate([a, a])[len(a):]]
+
+
+def _other_dtypes(a):
+    """Arrays of other dtypes with coordinates near those of ``a``: float32
+    where it holds them finitely, and int64 of the values clipped to its range."""
+    with np.errstate(over="ignore"):
+        single = a.astype(np.float32)
+    ints = np.trunc(np.clip(a, -2.0**63, 2.0**63 - 1024.0)).astype(np.int64)
+    return ([single] if np.isfinite(single).all() else []) + [ints, ints.astype(">i8")]
+
+
 @BOXING_SETTINGS
 @given(a=finite_vectors)
 @example(a=EXTREMES)
 @example(a=np.array(SUM_OVERFLOWS[0]))
 @example(a=np.array(SUM_OVERFLOWS[1]))
+@example(a=np.array(SUM_OVERFLOWS[2]))
+@example(a=np.array([2.0**53 + 1.0, -2.0**63, 3.5e38]))
 def test_from_array_boxes_what_the_constructor_boxes(a):
-    for x in (a, a.tolist(), tuple(a.tolist())):
+    layouts = _float_layouts(a)
+    for x in layouts + _other_dtypes(a):
         v = Vector.from_array(x)
-        assert v == Vector(a.tolist())
+        assert v == Vector(x)
         assert all(type(c) is float for c in v.coords)
-        assert _bits(v.coords) == a.tobytes()
+        assert _bits(v.coords) == v.array.tobytes() == np.asarray(x, dtype=float).tobytes()
+        if any(x is y for y in layouts):
+            assert _bits(v.coords) == a.tobytes()
+        # The array is the vector's own: read-only for good, and apart from the input.
+        arr = v.array
+        assert arr.dtype == np.float64 and arr.dtype.isnative and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        if isinstance(x, np.ndarray):
+            assert not np.shares_memory(arr, x)
+            before = arr.tobytes()
+            x[...] = 7
+            assert arr.tobytes() == _bits(v.coords) == before
 
 
 def _raised(fn, x) -> tuple[type, str]:
@@ -194,12 +225,24 @@ def _raised(fn, x) -> tuple[type, str]:
     return type(info.value), str(info.value)
 
 
+non_finite_vectors = arrays(np.float64, st.integers(1, 6), elements=st.floats()).filter(
+    lambda a: not np.isfinite(a).all())
+not_vectors = array_shapes(min_dims=0, max_dims=0) | array_shapes(min_dims=2, max_side=3)
+
+
 @BOXING_SETTINGS
 @given(x=st.one_of(
-    arrays(np.float64, st.integers(1, 6), elements=st.floats()).filter(lambda a: not np.isfinite(a).all()),
-    arrays(np.float64, array_shapes(min_dims=0, max_dims=0) | array_shapes(min_dims=2, max_side=3),
-           elements=finite_floats),
-    st.sampled_from([np.empty(0), np.empty((0, 2)), [], ()]),
+    non_finite_vectors,
+    # Other byte orders, float32 (which keeps inf and nan) and strided views.
+    non_finite_vectors.map(lambda a: a.astype(">f8")),
+    non_finite_vectors.map(lambda a: a.astype(np.float32)),
+    non_finite_vectors.map(lambda a: np.repeat(a, 3)[1::3]),
+    arrays(np.float64, not_vectors, elements=finite_floats),
+    arrays(np.float32, not_vectors, elements=st.floats(width=32)),
+    arrays(np.int64, not_vectors),
+    arrays(np.dtype(">f8"), not_vectors, elements=finite_floats),
+    st.sampled_from([np.empty(0), np.empty((0, 2)), [], (), np.empty(0, np.int64), np.empty(0, np.float32),
+                     np.empty(0, ">f8"), np.arange(6.0)[6:], np.arange(6.0).reshape(2, 3)[:, ::2]]),
     st.lists(st.floats(), min_size=1).filter(lambda c: not all(map(math.isfinite, c))),
     st.lists(st.lists(finite_floats, min_size=2, max_size=2), min_size=1, max_size=3),
 ))
@@ -224,6 +267,8 @@ def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
         assert arr.tobytes() == _bits(v.coords) == _bits(coords)
         with pytest.raises(ValueError):
             arr[0] = 1.0
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
 
 
 def test_from_array_keeps_its_own_array_from_birth():
@@ -353,6 +398,25 @@ def test_ball_membership_clip_diameter():
         Ball(Vector((0.0, 0.0)), -1.0)
 
 
+def _face_rows(box):
+    """Rows on each tolerant face of ``box`` and one float step to either side,
+    the other coordinates at its middle; and whether each lies inside."""
+    middle = [(lo + hi) / 2.0 for lo, hi in zip(box.lows, box.highs)]
+    rows, inside = [], []
+    for i, (lo, hi) in enumerate(zip(box.lows, box.highs)):
+        for face, out in ((lo - TAU_DOM, -math.inf), (hi + TAU_DOM, math.inf)):
+            for x, want in ((face, True), (np.nextafter(face, -out), True), (np.nextafter(face, out), False)):
+                rows.append(middle[:i] + [x] + middle[i + 1:])
+                inside.append(want)
+    return np.array(rows), inside
+
+
+# Boxes of dims 1-4, symmetric or not, one of them flat in a coordinate;
+# asymptotic_demo's have the faces +-1/1.2, which no float holds exactly.
+FACE_BOXES = [Box((-0.5,), (0.5,)), Box((-1.0, 0.0), (1.0, 2.0)), Box((-0.3, -2.5, 0.1), (0.7, 1e-3, 0.1)),
+              *(make_asymptotically_nonexpansive_example(dim).domain for dim in (2, 3, 4))]
+
+
 def test_inside_rows_equals_contains_at_the_tolerance():
     # Rows on, just inside and just outside the tolerance band of each face.
     for p in P_VALUES:
@@ -362,6 +426,11 @@ def test_inside_rows_equals_contains_at_the_tolerance():
             rows = np.array([[at], [np.nextafter(at, 0.0)], [np.nextafter(at, 1.0)], [-at], [0.0]])
             expected = [domain.contains(sp, Vector.from_array(x)) for x in rows]
             assert domain.inside_rows(sp, rows).tolist() == expected == [True, True, False, True, True]
+    for box in FACE_BOXES:
+        sp = NormedSpace(box.dim, 2.0)
+        rows, inside = _face_rows(box)
+        expected = [box.contains(sp, Vector.from_array(x)) for x in rows]
+        assert box.inside_rows(sp, rows).tolist() == expected == inside
 
 
 @pytest.mark.filterwarnings("error")
@@ -371,6 +440,58 @@ def test_a_point_whose_norm_overflows_lies_outside_a_ball_without_a_warning():
         sp, ball = NormedSpace(2, p), Ball(Vector((0.0, 0.0)), 1.0)
         assert not ball.contains(sp, Vector.from_array(far[0]))
         assert ball.inside_rows(sp, far).tolist() == [False]
+
+
+def _boundary_rows(space, bound, rng):
+    """Random rows scaled so that their norms land within 8 ulps of ``bound``.
+    A second scaling takes up the rounding of 1/p, which moves a norm of the
+    order 1e300 by hundreds of ulps at p near 1."""
+    on = rng.uniform(-1.0, 1.0, size=(24, space.dim))
+    on = on[space.norm_rows(on) > 0.0]
+    for _ in range(2):
+        on = on * (bound / space.norm_rows(on))[:, None]
+    steps = np.nextafter(1.0, 2.0) - 1.0
+    rows = np.concatenate([on * (1.0 + k * steps) for k in range(-8, 9)])
+    return rows[np.abs(space.norm_rows(rows) - bound) <= 8 * np.spacing(bound)]
+
+
+# The rows a power sum misjudges first: zero, underflowing, overflowing and non-finite.
+SPECIAL_ROWS = [0.0, -0.0, 5e-324, 1e-200, 1e-100, 0.5, 0.9999, 1e100, 1e200, 1.7e308,
+                math.inf, -math.inf, math.nan]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([1.0001, 1.5, 3.0, 7.5, 1e4]), dim=st.integers(1, 6),
+       bound=st.sampled_from([1.0, 1.0 + TAU_DOM, 0.37, 1e-3, 1e3, 1e-300, 1e300]),
+       seed=st.integers(0, 2**32 - 1),
+       special=st.lists(st.lists(st.sampled_from(SPECIAL_ROWS), min_size=6, max_size=6), max_size=4),
+       scale=st.sampled_from([1e-3, 0.3, 1.0, 2.0, 1e3]))
+def test_membership_on_power_sums_reads_what_the_norms_read(p, dim, bound, seed, special, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy warns of nothing
+        _membership_reads_what_the_norms_read(p, dim, bound, seed, special, scale)
+
+
+def _membership_reads_what_the_norms_read(p, dim, bound, seed, special, scale):
+    sp = NormedSpace(dim, p)
+    rng = np.random.default_rng(seed)
+    near = _boundary_rows(sp, bound, rng)
+    assert len(near) and 0 < np.count_nonzero(sp.norm_rows(near) <= bound) < len(near)
+    specials = np.array([row[:dim] for row in special]).reshape(-1, dim)
+    rows = np.concatenate([near, rng.uniform(-scale, scale, size=(16, dim)), np.zeros((1, dim)), specials])
+    assert sp._norms_at_most(rows, bound).tolist() == (sp.norm_rows(rows) <= bound).tolist()
+    # A ball whose tolerant bound is ``bound`` within an ulp, or TAU_DOM below
+    # it, reads so too, and what its contains reads, or False where contains
+    # refuses a non-finite row.
+    ball = Ball(Vector((0.0,) * dim), max(bound - TAU_DOM, 0.0))
+    inside = ball.inside_rows(sp, rows).tolist()
+    assert inside == (sp.norm_rows(rows) <= ball.radius + TAU_DOM).tolist()
+    for row, got in zip(rows, inside):
+        try:
+            want = ball.contains(sp, Vector.from_array(row))
+        except ContractError:
+            want = False
+        assert got == want
 
 
 def test_domain_sampling_stays_inside():
