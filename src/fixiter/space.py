@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Iterable, Union
 
 import numpy as np
@@ -24,18 +23,17 @@ TAU_DOM = 1e-9
 _BALL_BATCH = 4096
 # The smallest normal float: a sum of |x_i|**p below it has lost precision or underflowed.
 _TINY = float(np.finfo(float).tiny)
-# Half-width of the band around bound**p, relative and per unit of p, inside
-# which ``_norms_at_most`` takes the root: 1024 ulps of 1.  A normal power sum
-# s outside the band has s**(1/p) at least 1024 ln 2 ~ 710 ulps (relative) away
-# from the bound.  math.pow(s, 1/p) moves it by at most ~355 of them, the
-# rounding of 1/p scaled by |ln s| <= 709.8, and a few more for the rounding of
-# pow, bound**p and the band's ends: it stays on the same side.
-_POWER_BAND = 2.0**-42
 # Rejection from the cube serves the unit ball while it keeps at least this share
 # of its draws; below it the exact sampler runs, whose draws do not grow with
 # dimension.  At or above one half the loop cannot spin, and every ball stream
 # that a shipped output pins (dim <= 2) stays on it.
 _REJECTION_MIN_ACCEPTANCE = 0.5
+
+
+def _finite(coords: tuple[float, ...] | list[float]) -> bool:
+    """Whether every coordinate is finite.  An inf or nan term makes the float
+    sum non-finite; a sum that overflows falls back to the per-term test."""
+    return math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
 
 
 @dataclass(frozen=True, init=False)
@@ -48,9 +46,7 @@ class Vector:
         coords = tuple(map(float, coords))
         if not coords:
             raise ContractError("vector must have dimension >= 1")
-        # An inf or nan term makes the float sum non-finite; a sum that
-        # overflows falls back to the per-term test.
-        if not (math.isfinite(sum(coords)) or all(map(math.isfinite, coords))):
+        if not _finite(coords):
             raise ContractError(f"vector has non-finite coordinates: {coords}")
         self.__dict__["coords"] = coords
 
@@ -60,12 +56,13 @@ class Vector:
 
     @property
     def array(self) -> np.ndarray:
-        """``coords`` as a float64 array over a bytes copy, which numpy cannot
-        make writeable: ``from_array`` keeps one from birth, and the
-        constructor's vectors build it on first use and keep it."""
+        """``coords`` as a read-only float64 array: ``from_array`` keeps one from
+        birth, and the constructor's vectors build it on first use and keep it."""
         arr = self.__dict__.get("_array")
         if arr is None:
-            arr = self.__dict__["_array"] = np.frombuffer(np.array(self.coords).tobytes())
+            arr = np.asarray(self.coords, dtype=float)
+            arr.setflags(write=False)
+            self.__dict__["_array"] = arr
         return arr
 
     def __getstate__(self) -> dict:  # copies leave out the cached array, which numpy would copy writeable
@@ -76,7 +73,7 @@ class Vector:
         """The vector of ``arr``; takes and refuses what the constructor does."""
         a = np.asarray(arr, dtype=float)
         coords = a.tolist()
-        if a.ndim != 1 or not coords or not (math.isfinite(sum(coords)) or all(map(math.isfinite, coords))):
+        if a.ndim != 1 or not coords or not _finite(coords):
             return Vector(coords)
         # tolist() gave finite Python floats, which is all __init__ would check.
         # The vector keeps a copy as its array, read-only for good since its
@@ -153,10 +150,7 @@ class NormedSpace:
         taken per row by ``math.pow``, and a row whose sum of |x_i|**p
         underflows below the smallest normal float or overflows is taken
         again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
-        row's largest |x_i|.  Membership tests (``Ball.inside_rows``, the
-        rejection sampler) go through ``_norms_at_most``, which decides a row
-        on its power sum outside a thin band around bound**p and by these
-        norms inside it, so they read what ``norm_rows(...) <= bound`` reads.
+        row's largest |x_i|.
         """
         X = np.ascontiguousarray(points, dtype=float)
         if self.p == 2.0:
@@ -169,7 +163,7 @@ class NormedSpace:
         with np.errstate(over="ignore", under="ignore"):
             sums = np.add.reduce(A ** self.p, axis=1)
         listed = sums.tolist()
-        norms = np.fromiter(map(math.pow, listed, repeat(root)), float, len(listed))
+        norms = np.array([math.pow(s, root) for s in listed], dtype=float)
         # A NaN at the head of the list fails this test, and min and max skip one
         # elsewhere, so no lost row is missed; a NaN row keeps its NaN.
         if listed and not (_TINY <= min(listed) and max(listed) < math.inf):
@@ -178,35 +172,8 @@ class NormedSpace:
             lost = ~((sums >= _TINY) & (sums < math.inf)) & (peak > 0.0) & (peak < math.inf)
             with np.errstate(over="ignore", under="ignore"):
                 scaled = np.add.reduce((A[lost] / peak[lost, None]) ** self.p, axis=1)
-                roots = map(math.pow, scaled.tolist(), repeat(root))
-                norms[lost] = peak[lost] * np.fromiter(roots, float, len(scaled))
+                norms[lost] = peak[lost] * np.array([math.pow(s, root) for s in scaled.tolist()])
         return norms
-
-    def _norms_at_most(self, points: np.ndarray, bound: float) -> np.ndarray:
-        """``norm_rows(points) <= bound``, exactly, without a root per row.
-
-        For p outside {1, 2, inf} a row whose power sum s = sum |x_i|**p is a
-        normal float is decided on s against c = bound**p: inside below
-        c (1 - d), outside above c (1 + d), d = p * ``_POWER_BAND``.  A row in
-        that band, a row whose s is zero, subnormal, inf or NaN, and every row
-        when c (1 - d) or c (1 + d) is not a normal float, are decided by
-        ``norm_rows`` itself.
-        """
-        X = np.ascontiguousarray(points, dtype=float)
-        p = self.p
-        if p == 2.0 or p == 1.0 or p == math.inf:
-            return self.norm_rows(X) <= bound
-        with np.errstate(over="ignore", under="ignore"):
-            sums = np.add.reduce(np.abs(X) ** p, axis=1)
-            c = float(np.float64(bound) ** p)
-        lo, hi = c * (1.0 - p * _POWER_BAND), c * (1.0 + p * _POWER_BAND)
-        if not (bound > 0.0 and _TINY <= lo and hi < math.inf):
-            return self.norm_rows(X) <= bound
-        below, above = sums < lo, sums > hi
-        exact = ~(below & (sums >= _TINY) | above & (sums < math.inf))
-        if exact.any():
-            below[exact] = self.norm_rows(X[exact]) <= bound
-        return below
 
     def distance(self, x: Vector, y: Vector) -> float:
         return self.norm(x - y)
@@ -224,11 +191,8 @@ class NormedSpace:
         """Draw ``count`` points uniformly from the closed unit ball.
 
         Rejection from the cube where it keeps at least half its draws (p = inf,
-        or a low dim); for p outside {1, 2, inf} a draw is kept on its power
-        sum outside a thin band around 1 and on its exact norm inside it (see
-        ``_norms_at_most``), so it keeps what ``norm_rows(...) <= 1`` keeps.
-        Elsewhere the exact sampler of Barthe, Guedon, Mendelson and Naor
-        (Ann. Probab. 33, 2005): with g_i of density proportional to
+        or a low dim).  Elsewhere the exact sampler of Barthe, Guedon, Mendelson
+        and Naor (Ann. Probab. 33, 2005): with g_i of density proportional to
         exp(-|t|**p) and W ~ Exp(1), g / (||g||_p**p + W)**(1/p) is uniform in
         the ball.  Each g_i is drawn as U * H**(1/p), U ~ Uniform(-1, 1) and
         H ~ Gamma(1 + 1/p), the same law as |g_i|**p ~ Gamma(1/p) with a random
@@ -246,7 +210,7 @@ class NormedSpace:
         total = 0
         while total < count:
             batch = rng.uniform(-1.0, 1.0, size=(_BALL_BATCH, self.dim))
-            inside = batch[self._norms_at_most(batch, 1.0)]
+            inside = batch[self.norm_rows(batch) <= 1.0]
             kept.append(inside)
             total += len(inside)
         return np.concatenate(kept)[:count]
@@ -329,11 +293,11 @@ class Ball:
             return space.distance(v, self.center) <= self.radius + TAU_DOM
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
-        """Which rows of a (k, dim) array ``contains`` accepts; ``_norms_at_most``
-        reads what ``norm_rows`` does, so exactly.  A row whose offset from the center is not finite reads False
+        """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so
+        exactly.  A row whose offset from the center is not finite reads False
         (``contains`` raises ContractError on it)."""
         with np.errstate(over="ignore"):
-            return space._norms_at_most(points - self.center.array, self.radius + TAU_DOM)
+            return space.norm_rows(points - self.center.array) <= self.radius + TAU_DOM
 
     def diameter(self, space: NormedSpace) -> float:
         return 2.0 * self.radius

@@ -267,8 +267,6 @@ def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
         assert arr.tobytes() == _bits(v.coords) == _bits(coords)
         with pytest.raises(ValueError):
             arr[0] = 1.0
-        with pytest.raises(ValueError):
-            arr.setflags(write=True)
 
 
 def test_from_array_keeps_its_own_array_from_birth():
@@ -440,58 +438,6 @@ def test_a_point_whose_norm_overflows_lies_outside_a_ball_without_a_warning():
         sp, ball = NormedSpace(2, p), Ball(Vector((0.0, 0.0)), 1.0)
         assert not ball.contains(sp, Vector.from_array(far[0]))
         assert ball.inside_rows(sp, far).tolist() == [False]
-
-
-def _boundary_rows(space, bound, rng):
-    """Random rows scaled so that their norms land within 8 ulps of ``bound``.
-    A second scaling takes up the rounding of 1/p, which moves a norm of the
-    order 1e300 by hundreds of ulps at p near 1."""
-    on = rng.uniform(-1.0, 1.0, size=(24, space.dim))
-    on = on[space.norm_rows(on) > 0.0]
-    for _ in range(2):
-        on = on * (bound / space.norm_rows(on))[:, None]
-    steps = np.nextafter(1.0, 2.0) - 1.0
-    rows = np.concatenate([on * (1.0 + k * steps) for k in range(-8, 9)])
-    return rows[np.abs(space.norm_rows(rows) - bound) <= 8 * np.spacing(bound)]
-
-
-# The rows a power sum misjudges first: zero, underflowing, overflowing and non-finite.
-SPECIAL_ROWS = [0.0, -0.0, 5e-324, 1e-200, 1e-100, 0.5, 0.9999, 1e100, 1e200, 1.7e308,
-                math.inf, -math.inf, math.nan]
-
-
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(p=st.sampled_from([1.0001, 1.5, 3.0, 7.5, 1e4]), dim=st.integers(1, 6),
-       bound=st.sampled_from([1.0, 1.0 + TAU_DOM, 0.37, 1e-3, 1e3, 1e-300, 1e300]),
-       seed=st.integers(0, 2**32 - 1),
-       special=st.lists(st.lists(st.sampled_from(SPECIAL_ROWS), min_size=6, max_size=6), max_size=4),
-       scale=st.sampled_from([1e-3, 0.3, 1.0, 2.0, 1e3]))
-def test_membership_on_power_sums_reads_what_the_norms_read(p, dim, bound, seed, special, scale):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy warns of nothing
-        _membership_reads_what_the_norms_read(p, dim, bound, seed, special, scale)
-
-
-def _membership_reads_what_the_norms_read(p, dim, bound, seed, special, scale):
-    sp = NormedSpace(dim, p)
-    rng = np.random.default_rng(seed)
-    near = _boundary_rows(sp, bound, rng)
-    assert len(near) and 0 < np.count_nonzero(sp.norm_rows(near) <= bound) < len(near)
-    specials = np.array([row[:dim] for row in special]).reshape(-1, dim)
-    rows = np.concatenate([near, rng.uniform(-scale, scale, size=(16, dim)), np.zeros((1, dim)), specials])
-    assert sp._norms_at_most(rows, bound).tolist() == (sp.norm_rows(rows) <= bound).tolist()
-    # A ball whose tolerant bound is ``bound`` within an ulp, or TAU_DOM below
-    # it, reads so too, and what its contains reads, or False where contains
-    # refuses a non-finite row.
-    ball = Ball(Vector((0.0,) * dim), max(bound - TAU_DOM, 0.0))
-    inside = ball.inside_rows(sp, rows).tolist()
-    assert inside == (sp.norm_rows(rows) <= ball.radius + TAU_DOM).tolist()
-    for row, got in zip(rows, inside):
-        try:
-            want = ball.contains(sp, Vector.from_array(row))
-        except ContractError:
-            want = False
-        assert got == want
 
 
 def test_domain_sampling_stays_inside():
