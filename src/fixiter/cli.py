@@ -17,7 +17,6 @@ output directory or file that cannot be written (one message naming it),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import re
@@ -589,7 +588,7 @@ def cmd_compare(args) -> int:
 
     report = compare_schemes(base, schemes, args.target)
     _write_outputs(paths, (
-        lambda f: csv.writer(f, lineterminator="\n").writerows(report.to_csv_rows()),
+        lambda f: f.write("\n".join(map(",".join, report.to_csv_rows())) + "\n"),
         lambda f: print(json.dumps({"scenario": scenario_to_dict(scenario), **report.to_dict()}, indent=2),
                         file=f),
     ))

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError, FixiterError, ParameterError, ScheduleError
+from .errors import ContractError, DomainError, ParameterError, ScheduleError
 from .schedules import Schedule
 from .space import Ball, Box, Domain, NormedSpace, Vector, _rng, _same_dim
 
@@ -45,9 +45,6 @@ _POWER_SAMPLES = 100
 _POWER_N_MAX = 20
 _POWER_TOL = 1e-10
 _DISCONTINUITY_OFFSETS = (1e-3, 1e-6)
-# What a screen may raise on a row it cannot evaluate; the scalar path then
-# runs instead and raises the same error for the same candidate.
-_SCREEN_ERRORS = (FixiterError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -247,12 +244,22 @@ def _stack(vectors: Iterable[Vector], shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _screen(fn: Callable[[], object]) -> object:
-    """``fn()`` with numpy's warnings off, or None when it raises on some row."""
+    """``fn()``, an array pass, or None when the caller must take its scalar path.
+
+    The one rule of every array pass: a floating-point condition numpy would
+    act on (warn of, as it does by default) is only noted, and when ``fn``
+    raises any Exception or a condition was noted, the result is None.  The
+    scalar path then raises, warns and returns exactly what it would without
+    the array pass.
+    """
+    noted = []
+    acted_on = {kind: "call" for kind, v in np.geterr().items() if v != "ignore"}
     try:
-        with np.errstate(all="ignore"):
-            return fn()
-    except _SCREEN_ERRORS:
+        with np.errstate(call=lambda kind, flag: noted.append(kind), **acted_on):
+            result = fn()
+    except Exception:  # the scalar path meets it at its own candidate, or never
         return None
+    return None if noted else result
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +318,10 @@ def build_mapping(
       within 1e-10, returns x at n = 0, and gives apply's bits at n = 1;
     * declared metadata is coherent (schedules present and admissible for the
       declared class, listed fixed points actually fixed).
-    Sampled probes are screened by the row evaluators; a probe the screen
-    cannot clear is checked again on Vectors.
+    Sampled probes are screened by the row evaluators under ``_screen``'s
+    rule: a probe the screen cannot clear is checked again on Vectors, and
+    every probe is when the screen raises or meets a numpy condition, so the
+    probes raise and warn as they would without the screen.
     """
     if domain.dim != space.dim:
         raise ContractError(f"domain dim {domain.dim} != space dim {space.dim}")
@@ -449,9 +458,10 @@ def _certify(
     certifier has them.  ``screen()`` returns every violation as one array,
     computed by the operations of ``violation`` and so exactly, or None when
     some row lies outside the domain.  Its first maximum is the witness, which
-    ``violation`` evaluates again for ``max_violation``.  When the screen
-    fails or a value is not finite, ``violation`` evaluates every candidate in
-    order, which raises any error for the same candidate as without the
+    ``violation`` evaluates again for ``max_violation``.  When ``_screen``
+    gives None (the screen returned None, raised, or met a numpy condition)
+    or a value is not finite, ``violation`` evaluates every candidate in
+    order, which raises and warns for the same candidate as without the
     screen, and the first strict maximum is the witness.  The verdict judges
     the maximum against TAU_CERT unless fewer than 10 samples were requested.
     """

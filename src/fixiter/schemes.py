@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import (Mapping, _fixed_set_distances, _iterate, apply_power, distance_to_fixed_set,
+from .mappings import (Mapping, _fixed_set_distances, _iterate, _screen, apply_power, distance_to_fixed_set,
                        fixed_point_residual)
 from .schedules import Schedule
 from .space import Vector
@@ -389,32 +389,24 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     every point the steps made, and one ``norm_rows`` call takes their
     displacements, the first of which at most ``tol`` ends the run at its
     step.  Returns the last step kept and the stop reason, as
-    ``_checked_block`` does; or None when a point is rejected or anything
-    raises, for the block to be run again checked.  A floating-point
-    condition numpy would act on (warn of, as it does by default) is only
-    noted, and also sends the block to be run again, so a block warns only
-    at the steps its checked run reaches.  The steps run the operations the
-    checked steps run, on the same rows, so a block returned here has the
-    bits a checked one would have.
+    ``_checked_block`` does, or None when a point is rejected.  The caller
+    runs it under ``_screen``, so a block that raises or meets a numpy
+    condition is also run again checked, and warns only at the steps its
+    checked run reaches.  The steps run the operations the checked steps
+    run, on the same rows, so a block returned here has the bits a checked
+    one would have.
     """
-    made, noted = [], []
+    made = []
     k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
-    acted_on = {kind: "call" for kind, v in np.geterr().items() if v != "ignore"}
-    try:
-        with np.errstate(call=lambda kind, flag: noted.append(kind), **acted_on):
-            x = X[first - 1:first]
-            for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
-                x = _step(m, stages, x, n, ns, None, made)
-            P = np.concatenate(made)
-            if not m.domain.inside_rows(m.space, P).all():
-                return None
-            X[first:last + 1] = P[k - 1::k]
-            moves = X[first:last + 1] - X[first - 1:last]
-            stops = np.flatnonzero(m.space.norm_rows(moves) <= tol) if tol >= 0.0 else ()
-    except Exception:  # the checked run of the block meets it at its own step, or never
+    x = X[first - 1:first]
+    for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
+        x = _step(m, stages, x, n, ns, None, made)
+    P = np.concatenate(made)
+    if not m.domain.inside_rows(m.space, P).all():
         return None
-    if noted:
-        return None
+    X[first:last + 1] = P[k - 1::k]
+    moves = X[first:last + 1] - X[first - 1:last]
+    stops = np.flatnonzero(m.space.norm_rows(moves) <= tol) if tol >= 0.0 else ()
     if len(stops):
         return first + int(stops[0]), "tolerance", None
     return last, "max_steps", None
@@ -455,21 +447,24 @@ def run_scheme(config: RunConfig) -> Trajectory:
     ``inside_rows`` call tests every point it made, its iterates are written
     into the array once and one ``norm_rows`` call checks the stop
     tolerance.  The trajectory keeps the alpha values the checks read in
-    ``alpha_values``.  When a point is
-    rejected, or anything in the block raises or would make numpy warn, the
-    block runs again from its first step, each point tested as it is made;
-    only that checked run ends a trajectory at a domain exit or an error.
-    So an evaluator may be called on points past an early stop in its block,
-    and the results are dropped.  A map without a closed-form power, whose
-    T^n costs n applications, runs every block checked.
+    ``alpha_values``.  Both the block and the record columns below are array
+    passes under ``_screen``'s rule: when a point is rejected, anything
+    raises, or numpy meets a condition it would act on, the pass gives way to
+    its scalar path.  A block then runs again from its first step, each
+    point tested as it is made; only that checked run ends a trajectory at a
+    domain exit or an error.  So an evaluator may be called on points past
+    an early stop in its block, and the results are dropped.  A map without
+    a closed-form power, whose T^n costs n applications, runs every block
+    checked.
 
-    The step records are computed afterwards as array columns.  On a map
-    without a closed-form power, step n + 1 keeps the images of x_n that its
-    first stage passes, T x_n and, on a power scheme, T^n x_n, and the
-    records read them (see ``_chained_images``).  Both give exactly what
-    evaluating every step on Vectors gives, errors included: an error the
-    update raises is held until the records of the steps before it are
-    computed, since those were computed, and could raise, first.
+    The step records are computed afterwards as array columns, or else step
+    by step on Vectors.  On a map without a closed-form power, step n + 1
+    keeps the images of x_n that its first stage passes, T x_n and, on a
+    power scheme, T^n x_n, and the records read them (see
+    ``_chained_images``).  Both give exactly what evaluating every step on
+    Vectors gives, errors and warnings included: an error the update raises
+    is held until the records of the steps before it are computed, since
+    those were computed, and could raise, first.
     """
     read = _validate_config(config)
     m = config.mapping
@@ -497,7 +492,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
         last = min(steps + size, config.max_steps, len(X) - 1)  # a block ends where X is full
         first, tol = steps + 1, config.stop_tolerance
         # Without a closed-form power, a step past an early stop costs n applications.
-        ran = _unchecked_block(m, stages, X, first, last, tol) if kept is None else None
+        ran = _screen(lambda: _unchecked_block(m, stages, X, first, last, tol)) if kept is None else None
         steps, stop_reason, error = ran or _checked_block(m, stages, X, kept, first, last, tol)
         size = min(2 * size, _CHUNK)
 
@@ -506,23 +501,11 @@ def run_scheme(config: RunConfig) -> Trajectory:
     fixed = sum(not power for _, _, power in stages)
     powered = len(stages) - fixed
     costs = [fixed + powered] * steps if m.has_power else [fixed + powered * n for n in range(1, steps + 1)]
-    columns = _records(m, points, config.scheme, kept)
+    columns = _screen(lambda: _record_columns(m, points, config.scheme, kept)) or _scalar_records(m, points)
     if error is not None:
         raise error
     return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason,
                       tuple(read.get("alpha", ())))
-
-
-def _records(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarray | None) -> list[list]:
-    """The record columns of a trajectory, computed as arrays; when a column
-    cannot be computed that way, step by step on Vectors, which raises the
-    first error in step order."""
-    try:
-        with np.errstate(all="ignore"):
-            columns = _record_columns(m, points, scheme, kept)
-    except Exception:  # the step-by-step path raises it, in step order
-        columns = None
-    return _scalar_records(m, points) if columns is None else columns
 
 
 def _record_columns(m: Mapping, points: np.ndarray, scheme: str,

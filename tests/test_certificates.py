@@ -8,6 +8,7 @@ certificate that evaluating every candidate through the scalar path gives.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -273,6 +274,14 @@ def test_row_evaluators_equal_scalar_evaluators(m, seed):
     assert X.tobytes() == before.tobytes()
 
 
+def _heard(run):
+    """run()'s result and the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run()
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
 def test_screen_defers_errors_to_the_scalar_loop():
     # A declared discontinuity outside the domain makes the scalar loop raise
     # DomainError at its first pair; the screen must raise the same.
@@ -314,6 +323,40 @@ def test_screen_defers_errors_to_the_scalar_loop():
     demo = make_asymptotically_nonexpansive_example(3)
     with pytest.raises(ContractError, match="power gauge overflows"):
         certify_condition_I(demo, PhiSpec("power", lam=1.0, gamma=1e6), 50, 0)
+
+    # x / (1 + 1/x) is finite on [0, 1], but numpy warns of 1/0 at the extreme
+    # 0.  The screen notes it, and the scalar loop warns as it does alone.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the build probes warn at 0 too
+        divide = build_mapping("divide", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
+                               meta=MappingMeta(known_fixed_points=(Vector((0.0,)),)),
+                               apply_rows=lambda X: X / (1.0 + 1.0 / X))
+    heard = [_heard(lambda: certify_nonexpansive(divide, 200, 0)), _heard(lambda: _scalar_pairs(
+        "nonexpansive", divide, lambda n, x, y: uniform_lipschitz_violation(divide, 1.0, n, x, y), 1, 200, 0))]
+    assert heard[0] == heard[1]
+    assert [(category, "divide by zero" in message) for category, message in heard[0][1]] == [
+        (RuntimeWarning, True)]
+
+    # An evaluator whose error names its batch size: build_mapping raises the
+    # error of the one-row scalar call, not that of the array probe.
+    def refusing(X):
+        raise RuntimeError(f"cannot evaluate {len(X)} row(s)")
+
+    with pytest.raises(RuntimeError, match=r"^cannot evaluate 1 row\(s\)$"):
+        build_mapping("refusing", NormedSpace(1, 2.0), Box((0.0,), (1.0,)), apply_rows=refusing)
+
+    # A closed form that refuses any batch with a row past 0.9: at n = 1 the
+    # scalar path never calls it, so the certificate is the scalar loop's.
+    def edge_refusing(ns, X):
+        if (np.abs(X) > 0.9).any():
+            refusing(X)
+        return 0.5 ** ns[:, None] * X
+
+    edgy = replace(make_linear_contraction(0.5), power_rows=edge_refusing)
+    cert = certify_nonexpansive(edgy, 50, 0)
+    assert cert.verdict == "certified"
+    assert cert == _scalar_pairs(
+        "nonexpansive", edgy, lambda n, x, y: uniform_lipschitz_violation(edgy, 1.0, n, x, y), 1, 50, 0)
 
 
 def test_all_tie_certificate_confirms_one_candidate(monkeypatch, capsys):
