@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, ContractError, ScopeError
+from .errors import ContractError, ScopeError
 from .mappings import (
     TAU_CERT,
     Certificate,
@@ -590,8 +590,6 @@ def compare_schemes(base: RunConfig, schemes: Sequence[str], target_error: float
 
     rows = []
     for scheme in schemes:
-        if scheme == "ishikawa" and base.beta is None:
-            raise ConfigurationError("ishikawa requires a beta schedule in the base configuration")
         cfg = replace(base, scheme=scheme, beta=base.beta if scheme == "ishikawa" else None)
         traj = run_scheme(cfg)
         dists = [distance_to_fixed_set(base.mapping, cfg.x0), *traj.dist_to_known_fp]

@@ -30,10 +30,10 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import (Mapping, _fixed_set_distances, _iterate, _screen, apply_power, distance_to_fixed_set,
-                       fixed_point_residual)
+from .mappings import (Mapping, _fixed_set_distances, _iterate, _screen, _stack, apply_power,
+                       distance_to_fixed_set, fixed_point_residual)
 from .schedules import Schedule
-from .space import Vector
+from .space import Vector, combine
 
 # Each scheme's update as stages run in order on z, which starts at x = x_{n-1}:
 # z <- T^k z, with k = n for a power stage and 1 otherwise, then, for a stage
@@ -319,64 +319,40 @@ _CHUNK = 1024
 _BLOCK = 16
 
 
-def _inside(m: Mapping, row: np.ndarray) -> bool:
-    """Whether the domain's scalar test accepts the point in a (1, dim) row.
-
-    ``inside_rows`` decides a row it accepts; a row it rejects is built as a
-    Vector, which raises ContractError when it is not finite, and decided by
-    ``contains``.
-    """
-    return bool(m.domain.inside_rows(m.space, row)[0]) or m.domain.contains(
-        m.space, Vector.from_array(row[0]))
+def _weight(schedule: Schedule | None, values: list[float], n: int) -> float | None:
+    """w(n) of a stage's weight schedule, read from the values the checks read
+    for n up to their length, or None for a stage without one."""
+    return None if schedule is None else values[n - 1] if n <= len(values) else schedule.at(n)
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int, ns: np.ndarray, kept: np.ndarray | None,
-          made: list | None = None) -> np.ndarray | None:
-    """x_n from the (1, dim) row x = x_{n-1}, or None when a point leaves the domain.
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int, ns: np.ndarray, made: list) -> np.ndarray:
+    """x_n from the (1, dim) row x = x_{n-1}, with no point tested.
 
     A plain T stage calls ``apply_rows``, a power stage ``power_rows`` with
-    ns, the index row [n].  Schedules, evaluators and domain tests run in
-    the order ``apply_power``, ``combine`` and ``Domain.contains`` run them
-    on Vectors, so an error comes from the same call as it would there.
-    Each point a stage makes, its image and then its combination, is tested
-    with ``_inside`` as it is made, or with ``made`` appended there untested,
-    for the caller to test with its block.  With ``kept``, the first stage
-    runs ``_chain``.  A weight w(n) is read from the stage's values for n up
-    to their length.
+    ns, the index row [n].  Each point a stage makes, its image and then its
+    combination, is appended to ``made``, for the caller to test with its
+    block.
     """
     z = x
     for schedule, values, power in stages:
-        w = None if schedule is None else values[n - 1] if n <= len(values) else schedule.at(n)
-        if kept is None:
-            z = m.power_rows(ns, z) if power else m.apply_rows(z)
-        else:  # the first stage, and only it, keeps its images
-            z, kept = _chain(m, x, n if power else 1, kept), None
-        if made is not None:
-            made.append(z)
-        elif not _inside(m, z):
-            return None
+        w = _weight(schedule, values, n)
+        z = m.power_rows(ns, z) if power else m.apply_rows(z)
+        made.append(z)
         if w is not None:
             z = (1.0 - w) * x + w * z
-            if made is not None:
-                made.append(z)
-            elif not _inside(m, z):
-                return None
+            made.append(z)
     return z
 
 
-def _chain(m: Mapping, x: np.ndarray, k: int, kept: np.ndarray) -> np.ndarray:
-    """T^k of the (1, dim) row x as k calls of ``m.apply`` on Vectors, the
-    calls ``power_rows`` makes on a map without a closed-form power.  Keeps
-    T x in kept[0] and, for k >= 2, T^{k-1} x in kept[1]."""
+def _chain(m: Mapping, x: Vector, k: int) -> tuple[Vector, tuple[Vector, Vector]]:
+    """T^k x as k calls of ``m.apply``, the calls ``_iterate`` makes on a map
+    without a closed-form power, and the pair (T x, T^{k-1} x) it passes."""
     apply = m.apply
-    v = apply(Vector.from_array(x[0]))
-    kept[0] = v.coords
-    if k > 1:
-        for _ in range(k - 2):
-            v = apply(v)
-        kept[1] = v.coords
-        v = apply(v)
-    return np.array([v.coords])
+    first = v = apply(x)
+    last = x
+    for _ in range(k - 1):
+        last, v = v, apply(v)
+    return v, (first, last)
 
 
 def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: int,
@@ -392,15 +368,15 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     ``_checked_block`` does, or None when a point is rejected.  The caller
     runs it under ``_screen``, so a block that raises or meets a numpy
     condition is also run again checked, and warns only at the steps its
-    checked run reaches.  The steps run the operations the checked steps
-    run, on the same rows, so a block returned here has the bits a checked
-    one would have.
+    checked run reaches.  The row evaluators give the bits of their one-row
+    views, and a combination runs the ufuncs ``combine`` runs, so a block
+    returned here has the bits its checked run would have.
     """
     made = []
     k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
     x = X[first - 1:first]
     for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
-        x = _step(m, stages, x, n, ns, None, made)
+        x = _step(m, stages, x, n, ns, made)
     P = np.concatenate(made)
     if not m.domain.inside_rows(m.space, P).all():
         return None
@@ -412,26 +388,46 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     return last, "max_steps", None
 
 
-def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: np.ndarray | None,
-                   first: int, last: int, tol: float) -> tuple[int, str, Exception | None]:
-    """Steps first .. last into X, each point tested as it is made.
+def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: list | None, first: int, last: int,
+                   tol: float) -> tuple[int, str, Exception | None]:
+    """Steps first .. last into X on Vectors, each point tested as it is made.
 
-    Returns the last step kept, the stop reason ("max_steps" when the block
-    ran to its end) and the error a step raised, if any.
+    Each stage maps z with ``_iterate``, k = n on a power stage and 1
+    otherwise, or with ``_chain`` on the first stage of a run that keeps its
+    images, tests the image with ``contains``, and then mixes it with x by
+    ``combine`` and tests the mix: the calls a step on Vectors makes, in its
+    order.  A step kept appends its chain's pair to ``kept``.  The stop
+    tolerance reads ``norm_rows`` of the row difference, inf where it
+    overflows.  Returns the last step kept, the stop reason ("max_steps"
+    when the block ran to its end) and the error a step raised, if any.
     """
-    for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
-        x = X[n - 1:n]
+    space, contains = m.space, m.domain.contains
+    x = Vector.from_array(X[first - 1])
+    for n in range(first, last + 1):
+        z, pair = x, None
         try:
-            nxt = _step(m, stages, x, n, ns, None if kept is None else kept[n - 1])
+            for schedule, values, power in stages:
+                w = _weight(schedule, values, n)
+                if kept is not None and pair is None:  # the first stage keeps the images its chain passes
+                    z, pair = _chain(m, x, n if power else 1)
+                else:
+                    z = _iterate(m, n if power else 1, z)
+                if not contains(space, z):
+                    return n - 1, "domain_exit", None
+                if w is not None:
+                    z = combine(w, x, z)
+                    if not contains(space, z):
+                        return n - 1, "domain_exit", None
         except DomainError:  # raised by an evaluator: a domain exit, as in apply_power
-            nxt = None
+            return n - 1, "domain_exit", None
         except Exception as e:  # raised by run_scheme, once the records before it are computed
             return n - 1, "max_steps", e
-        if nxt is None:
-            return n - 1, "domain_exit", None
-        X[n] = nxt[0]
-        if tol >= 0.0 and m.space.norm_rows(nxt - x)[0] <= tol:
+        if kept is not None:
+            kept.append(pair)
+        X[n] = z.array
+        if tol >= 0.0 and space.norm_rows(X[n:n + 1] - X[n - 1:n])[0] <= tol:
             return n, "tolerance", None
+        x = z
     return last, "max_steps", None
 
 
@@ -440,9 +436,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
 
     Each schedule is evaluated once per n: the weights of steps n <=
     min(max_steps, 10 000) are the values the schedule checks read.  The
-    update runs step by step on rows of one float64 array, through the
-    mapping's row evaluators, in blocks of steps: 16 steps first, and each
-    block after it twice as long, up to 1024.  A block runs without domain
+    iterates are the rows of one float64 array, written in blocks of steps:
+    16 steps first, and each block after it twice as long, up to 1024.  A
+    block first runs through the mapping's row evaluators without domain
     tests, each step's row carried straight into the next, and then one
     ``inside_rows`` call tests every point it made, its iterates are written
     into the array once and one ``norm_rows`` call checks the stop
@@ -450,8 +446,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
     ``alpha_values``.  Both the block and the record columns below are array
     passes under ``_screen``'s rule: when a point is rejected, anything
     raises, or numpy meets a condition it would act on, the pass gives way to
-    its scalar path.  A block then runs again from its first step, each
-    point tested as it is made; only that checked run ends a trajectory at a
+    its scalar path.  A block then runs again from its first step on
+    Vectors, through ``apply``, the closed form and ``combine``, each point
+    tested as it is made; only that checked run ends a trajectory at a
     domain exit or an error.  So an evaluator may be called on points past
     an early stop in its block, and the results are dropped.  A map without
     a closed-form power, whose T^n costs n applications, runs every block
@@ -459,8 +456,8 @@ def run_scheme(config: RunConfig) -> Trajectory:
 
     The step records are computed afterwards as array columns, or else step
     by step on Vectors.  On a map without a closed-form power, step n + 1
-    keeps the images of x_n that its first stage passes, T x_n and, on a
-    power scheme, T^n x_n, and the records read them (see
+    keeps the images of x_n that its first stage passes as Vectors, T x_n
+    and, on a power scheme, T^n x_n, and the records read them (see
     ``_chained_images``).  Both give exactly what evaluating every step on
     Vectors gives, errors and warnings included: an error the update raises
     is held until the records of the steps before it are computed, since
@@ -482,17 +479,16 @@ def run_scheme(config: RunConfig) -> Trajectory:
               for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
-    kept = None if m.has_power else np.empty((len(X), 2, space.dim))  # kept[n]: T x_n, T^n x_n
+    # kept[n]: the pair step n + 1's chain passed, for the records; picard's read the iterates instead.
+    kept = None if m.has_power or config.scheme == "picard" else []
     steps, stop_reason, error, size = 0, "max_steps", None, _BLOCK
     while steps < config.max_steps and stop_reason == "max_steps" and error is None:
         if steps == len(X) - 1:  # X is full: it doubles, up to max_steps
-            more = min(steps + 1, config.max_steps - steps)
-            X, kept = (A if A is None else np.concatenate((A, np.empty((more,) + A.shape[1:])))
-                       for A in (X, kept))
+            X = np.concatenate((X, np.empty((min(steps + 1, config.max_steps - steps), space.dim))))
         last = min(steps + size, config.max_steps, len(X) - 1)  # a block ends where X is full
         first, tol = steps + 1, config.stop_tolerance
         # Without a closed-form power, a step past an early stop costs n applications.
-        ran = _screen(lambda: _unchecked_block(m, stages, X, first, last, tol)) if kept is None else None
+        ran = _screen(lambda: _unchecked_block(m, stages, X, first, last, tol)) if m.has_power else None
         steps, stop_reason, error = ran or _checked_block(m, stages, X, kept, first, last, tol)
         size = min(2 * size, _CHUNK)
 
@@ -508,8 +504,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
                       tuple(read.get("alpha", ())))
 
 
-def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
-                    kept: np.ndarray | None) -> list[list] | None:
+def _record_columns(m: Mapping, points: np.ndarray, scheme: str, kept: list | None) -> list[list] | None:
     """step_norm, residual_T, residual_Tn and dist_to_known_fp of every step,
     or None when an image leaves the domain or a value is not finite.
 
@@ -536,16 +531,16 @@ def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
     return columns
 
 
-def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarray) -> list[np.ndarray]:
+def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: list | None) -> list[np.ndarray]:
     """T x_n and T^n x_n for n = 1 .. N >= 1 on a map without a closed-form power.
 
     Each image is a chain of ``m.apply`` calls on Vectors from x_n, as
-    ``power_rows`` iterates it, so it has the same bits; a chain the update
-    already ran is not run again.  Step n + 1 kept T x_n, and on a power
-    scheme T^n x_n, in kept[n] (see ``_chain``); T x_N is applied afresh.  A
-    T^n x_n not kept continues the chain from T x_n with n - 1 applications.
-    On picard T^j x_n is x_{n+j}: the iterates are extended N applications
-    past x_N, and both images are read off them.
+    ``_iterate`` runs it, so it has the same bits; a chain the update already
+    ran is not run again.  Step n + 1 kept the pair its chain passed in
+    kept[n], T x_n and, on a power scheme, T^n x_n (see ``_chain``); T x_N is
+    applied afresh.  A T^n x_n not kept continues the chain from T x_n with
+    n - 1 applications.  On picard T^j x_n is x_{n+j}: the iterates are
+    extended N applications past x_N, and both images are read off them.
     """
     N, v = len(points) - 1, Vector.from_array(points[-1])
     if scheme == "picard":
@@ -555,10 +550,10 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: np.ndarra
             tail.append(v.coords)
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
-    T = np.concatenate((kept[1:N, 0], [m.apply(v).coords]))
+    T = [image for image, _ in kept[1:]] + [m.apply(v)]
     first = N if scheme in POWER_SCHEMES else 1  # the first n whose T^n x_n was not kept
-    rest = [_iterate(m, n - 1, Vector.from_array(T[n - 1])).coords for n in range(first, N + 1)]
-    return [T, np.concatenate((kept[1:first, 1], rest))]
+    Tn = [image for _, image in kept[1:first]] + [_iterate(m, n - 1, T[n - 1]) for n in range(first, N + 1)]
+    return [_stack(T, points[1:].shape), _stack(Tn, points[1:].shape)]
 
 
 def _scalar_records(m: Mapping, points: np.ndarray) -> list[list]:

@@ -388,7 +388,7 @@ def test_compare_reports_a_library_error_without_the_scenario_path(tmp_path, cap
     code = cli.main(["compare", str(SCENARIO_DIR / "contraction_compare.json"), "--schemes", "ishikawa",
                      "--target", "1e-6", "--output", str(tmp_path / "o"), "--quiet"])
     assert code == 1
-    assert capsys.readouterr() == ("", "error: ishikawa requires a beta schedule in the base configuration\n")
+    assert capsys.readouterr() == ("", "error: ishikawa requires a beta schedule\n")
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])

@@ -303,13 +303,14 @@ def test_a_scalar_closed_form_is_the_map_itself_at_n_1():
 
 # Mapping applications of a 120-step run from 0.7 on example21 (q = 0.5)
 # without its closed-form power: the update's own (total_applications), and
-# the calls of its scalar apply.  The second stage of ishikawa and pm_hybrid,
-# a plain T, calls the catalog apply_rows the map kept instead.  The records
-# take T x_n and, on a power scheme, T^n x_n from the update's chains,
-# continue a T^n x_n from T x_n, and on picard read T^n x_n = x_{2n}; built
-# afresh, they would cost n + 1 applications a step.
-APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7261),
-               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7261), "modified_pm_hybrid": (14520, 14640)}
+# the calls of its scalar apply.  Every stage of the checked steps calls that
+# apply, not the catalog apply_rows the map kept.  The records take T x_n
+# and, on a power scheme, T^n x_n from the update's chains, continue a T^n x_n
+# from T x_n, and on picard read T^n x_n = x_{2n}: N applications, or
+# 1 + N(N - 1)/2 on mann, ishikawa and pm_hybrid.  Built afresh, they would
+# cost n + 1 applications a step.
+APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7381),
+               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 14640)}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -332,15 +333,72 @@ def test_a_chain_applies_k_times_and_keeps_the_first_and_the_next_to_last_image(
         return Vector.from_array(0.5 * x.array[::-1] + 0.25)
 
     m = Mapping("halving_swap", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)), apply, None, MappingMeta())
-    iterates = [np.array([0.75, -0.5])]
+    iterates = [Vector((0.75, -0.5))]
     for _ in range(k):
-        iterates.append(0.5 * iterates[-1][::-1] + 0.25)
-    kept = np.full((2, 2), np.nan)
-    z = _chain(m, iterates[0][None], k, kept)
-    assert calls == [tuple(x.tolist()) for x in iterates[:k]]
-    assert z.tobytes() == iterates[k].tobytes() and kept[0].tobytes() == iterates[1].tobytes()
-    # At k = 1 there is no T^{k-1} x to keep, and kept[1] is left alone.
-    assert kept[1].tobytes() == (iterates[k - 1] if k > 1 else np.full(2, np.nan)).tobytes()
+        iterates.append(Vector.from_array(0.5 * iterates[-1].array[::-1] + 0.25))
+    z, (first, last) = _chain(m, iterates[0], k)
+    assert calls == [x.coords for x in iterates[:k]]
+    bits = lambda v: v.array.tobytes()
+    assert bits(z) == bits(iterates[k]) and bits(first) == bits(iterates[1])
+    # At k = 1, T^{k-1} x is x itself.
+    assert bits(last) == bits(iterates[k - 1])
+
+
+def _vector_scaling(factor):
+    """x -> factor * x on [0, 1], given by a scalar apply that builds its
+    Vector from a float, without a closed-form power."""
+    return Mapping("vector_scaling", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
+                   lambda x: Vector((factor * x.coords[0],)), None, MappingMeta())
+
+
+# Vector.from_array calls of a 120-step run from 0.7 on x -> 0.5 x: one per
+# checked block (steps 1-16, 17-48, 49-112 and 113-120), one per combination
+# and one for the records' x_N, and none per image.  Then of a run from 0.3
+# on x -> 2 x: the update leaves [0, 1] at an image, which is not mixed.
+# Except on modified_mann, T x_N leaves too, so the records give way to the
+# step-by-step records, which box each difference and raise DomainError at
+# T x_N.
+FROM_ARRAY_CALLS = {"picard": (5, 3), "mann": (125, 8), "ishikawa": (245, 5),
+                    "modified_mann": (125, 3), "pm_hybrid": (125, 4), "modified_pm_hybrid": (125, 4)}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_checked_steps_box_a_vector_per_block_and_per_combination(scheme, monkeypatch):
+    calls, counted = [], []
+    from_array = Vector.from_array
+    monkeypatch.setattr(Vector, "from_array", staticmethod(lambda a: calls.append(a) or from_array(a)))
+    for factor, x0 in ((0.5, 0.7), (2.0, 0.3)):
+        config = _config(scheme, _vector_scaling(factor), None, 0.5, 0.5, 120, -1.0, x0=Vector((x0,)))
+        calls.clear()
+        _outcome(lambda: run_scheme(config))
+        counted.append(len(calls))
+        _assert_same(config)
+    assert tuple(counted) == FROM_ARRAY_CALLS[scheme]
+
+
+# The point y_2 = (1 - w) x_1 + w T^k x_1 that the second stage of step 2
+# maps, on x -> 0.5 x from 0.8 with weights 0.5.
+SECOND_STAGE_POINT = {"ishikawa": 0.4125, "pm_hybrid": 0.225, "modified_pm_hybrid": 0.1875}
+
+
+@pytest.mark.parametrize("scheme", SECOND_STAGE_POINT)
+def test_a_step_that_fails_after_its_chain_keeps_nothing(scheme):
+    # T refuses y_2, so step 2 is a domain exit after its first stage ran its
+    # chain.  The records of step 1 apply T to x_1 once, and nothing more.
+    y2, calls = SECOND_STAGE_POINT[scheme], []
+
+    def halve(x):
+        calls.append(x.coords[0])
+        if abs(x.coords[0] - y2) < 1e-9:
+            raise DomainError("refused")
+        return Vector((0.5 * x.coords[0],))
+
+    m = Mapping("refusing", NormedSpace(1, 2.0), Box((0.0,), (1.0,)), halve, None, MappingMeta())
+    config = _config(scheme, m, None, 0.5, 0.5, 10, -1.0, x0=Vector((0.8,)))
+    t = run_scheme(config)
+    assert (t.stop_reason, t.steps) == ("domain_exit", 1)
+    assert calls[-2] == pytest.approx(y2) and calls[-1] == t.points[1, 0]
+    assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
 
 
 def _switching(k, late, rows):
@@ -416,18 +474,38 @@ def test_an_error_before_an_exit_in_its_block_surfaces(scheme, rows):
 
 
 def _counted(m, names):
-    """m with the evaluators ``names`` counting their calls into the returned dict."""
-    calls = dict.fromkeys(names, 0)
+    """m with the evaluators ``names`` logging their names into the returned
+    list, call by call."""
+    calls = []
 
     def counting(name):
         fn = getattr(m, name)
 
         def call(*args):
-            calls[name] += 1
+            calls.append(name)
             return fn(*args)
         return call
 
     return replace(m, **{name: counting(name) for name in names}), calls
+
+
+@pytest.mark.parametrize("scheme", POWER_SCHEMES)
+def test_a_block_pass_calls_the_row_evaluators_and_its_checked_run_apply_and_power(scheme):
+    # The map gives its evaluators on rows and on points, with the same bits,
+    # and T^n leaves the box from n = 10 on, in the middle of the first block.
+    # That block runs its 16 steps on rows, and again checked on points from
+    # step 1, where T^1 is apply; the records of a map with a closed form
+    # run on rows.
+    rows, points = _switching(10, _leave, rows=True), _switching(10, _leave, rows=False)
+    m, calls = _counted(replace(rows, apply=points.apply, power=points.power),
+                        ("apply", "power", "apply_rows", "power_rows"))
+    config = replace(_switching_config(scheme, 10, _leave, rows=True), mapping=m)
+    t = run_scheme(config)
+    assert (t.stop_reason, t.steps) == ("domain_exit", 9)
+    powers = len(_STAGES[scheme])  # every stage applies T^n
+    checked = ["apply"] * powers + ["power"] * (8 * powers + 1)  # steps 1 .. 9, and T^10 x_9 leaves
+    assert calls == ["power_rows"] * 16 * powers + checked + ["apply_rows", "power_rows"]
+    assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
 
 
 # apply_rows and power_rows calls of a 120-step run on example21: one a
@@ -445,19 +523,19 @@ def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
     m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
     assert t.stop_reason == "max_steps"
-    assert (calls["apply_rows"], calls["power_rows"]) == EVALUATOR_CALLS[scheme]
+    assert (calls.count("apply_rows"), calls.count("power_rows")) == EVALUATOR_CALLS[scheme]
     # An early stop at step n may also run the rest of its block, which holds
     # at most n + 15 steps.
     m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 1000, 1e-12, x0=Vector((0.7,))))
     assert t.stop_reason == "tolerance"
     for name, k in zip(("apply_rows", "power_rows"), stages):
-        assert t.steps * k + 1 <= calls[name] <= (2 * t.steps + 15) * k + 1
+        assert t.steps * k + 1 <= calls.count(name) <= (2 * t.steps + 15) * k + 1
     if scheme in POWER_SCHEMES:  # step 30 leaves: 29 steps, one image of step 30 and the records
         m, calls = _counted(_switching(30, _leave, rows=True), ("apply_rows", "power_rows"))
         t = run_scheme(replace(_switching_config(scheme, 30, _leave, rows=True), mapping=m))
-        assert (t.stop_reason, calls["apply_rows"]) == ("domain_exit", 1)
-        assert 29 * powers + 2 <= calls["power_rows"] <= (29 * powers + 2) + (30 + 15) * powers
+        assert (t.stop_reason, calls.count("apply_rows")) == ("domain_exit", 1)
+        assert 29 * powers + 2 <= calls.count("power_rows") <= (29 * powers + 2) + (30 + 15) * powers
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -468,10 +546,10 @@ def test_an_early_stop_without_a_closed_form_power_calls_nothing_past_it(scheme)
     m, calls = _counted(powerless, ("apply",))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 1000, 1e-12, x0=Vector((0.7,))))
     assert t.stop_reason == "tolerance"
-    stopped = calls["apply"]
+    stopped = calls.count("apply")
     m, calls = _counted(powerless, ("apply",))
     run_scheme(_config(scheme, m, None, 0.5, 0.5, t.steps, -1.0, x0=Vector((0.7,))))
-    assert calls["apply"] == stopped
+    assert calls.count("apply") == stopped
 
 
 def _overflow(n, a):
