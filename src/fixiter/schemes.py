@@ -396,7 +396,9 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: list | None, f
     otherwise, or with ``_chain`` on the first stage of a run that keeps its
     images, tests the image with ``contains``, and then mixes it with x by
     ``combine`` and tests the mix: the calls a step on Vectors makes, in its
-    order.  A step kept appends its chain's pair to ``kept``.  The stop
+    order.  A step kept appends to ``kept`` what the records read of its
+    chain: the pair it passed when the first stage is a power stage, else
+    its T x alone, as T^0 x is x itself.  The stop
     tolerance reads ``norm_rows`` of the row difference, inf where it
     overflows.  Returns the last step kept, the stop reason ("max_steps"
     when the block ran to its end) and the error a step raised, if any.
@@ -423,7 +425,7 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: list | None, f
         except Exception as e:  # raised by run_scheme, once the records before it are computed
             return n - 1, "max_steps", e
         if kept is not None:
-            kept.append(pair)
+            kept.append(pair if stages[0][2] else pair[0])
         X[n] = z.array
         if tol >= 0.0 and space.norm_rows(X[n:n + 1] - X[n - 1:n])[0] <= tol:
             return n, "tolerance", None
@@ -479,7 +481,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
               for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
-    # kept[n]: the pair step n + 1's chain passed, for the records; picard's read the iterates instead.
+    # kept[n]: what the records read of step n + 1's chain; picard's read the iterates instead.
     kept = None if m.has_power or config.scheme == "picard" else []
     steps, stop_reason, error, size = 0, "max_steps", None, _BLOCK
     while steps < config.max_steps and stop_reason == "max_steps" and error is None:
@@ -536,11 +538,12 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: list | No
 
     Each image is a chain of ``m.apply`` calls on Vectors from x_n, as
     ``_iterate`` runs it, so it has the same bits; a chain the update already
-    ran is not run again.  Step n + 1 kept the pair its chain passed in
-    kept[n], T x_n and, on a power scheme, T^n x_n (see ``_chain``); T x_N is
-    applied afresh.  A T^n x_n not kept continues the chain from T x_n with
-    n - 1 applications.  On picard T^j x_n is x_{n+j}: the iterates are
-    extended N applications past x_N, and both images are read off them.
+    ran is not run again.  Step n + 1 kept in kept[n] the T x_n its chain
+    passed, paired on a power scheme with T^n x_n (see ``_chain``); T x_N is
+    applied afresh.  Elsewhere T^n x_n continues the chain from T x_n with
+    n - 1 applications, and is stacked as it is made, not held.  On picard
+    T^j x_n is x_{n+j}: the iterates are extended N applications past x_N,
+    and both images are read off them.
     """
     N, v = len(points) - 1, Vector.from_array(points[-1])
     if scheme == "picard":
@@ -550,9 +553,12 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: list | No
             tail.append(v.coords)
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
-    T = [image for image, _ in kept[1:]] + [m.apply(v)]
-    first = N if scheme in POWER_SCHEMES else 1  # the first n whose T^n x_n was not kept
-    Tn = [image for _, image in kept[1:first]] + [_iterate(m, n - 1, T[n - 1]) for n in range(first, N + 1)]
+    if scheme in POWER_SCHEMES:
+        T = [image for image, _ in kept[1:]] + [m.apply(v)]
+        Tn = [image for _, image in kept[1:]] + [_iterate(m, N - 1, T[-1])]
+    else:
+        T = kept[1:] + [m.apply(v)]
+        Tn = (_iterate(m, n - 1, image) for n, image in enumerate(T, start=1))
     return [_stack(T, points[1:].shape), _stack(Tn, points[1:].shape)]
 
 

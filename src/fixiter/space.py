@@ -23,6 +23,8 @@ TAU_DOM = 1e-9
 _BALL_BATCH = 4096
 # The smallest normal float: a sum of |x_i|**p below it has lost precision or underflowed.
 _TINY = float(np.finfo(float).tiny)
+# Half the largest float: a sum of positive terms below it cannot round up to inf.
+_HALF_MAX = float(np.finfo(float).max) / 2.0
 # Rejection from the cube serves the unit ball while it keeps at least this share
 # of its draws; below it the exact sampler runs, whose draws do not grow with
 # dimension.  At or above one half the loop cannot spin, and every ball stream
@@ -40,6 +42,8 @@ def _finite(coords: tuple[float, ...] | list[float]) -> bool:
 class Vector:
     """A point with finite real coordinates, dimension >= 1."""
 
+    # No per-instance dict: the slots hold ``coords`` and the cached ``array``.
+    __slots__ = ("coords", "_array")
     coords: tuple[float, ...]
 
     def __init__(self, coords: Iterable[float]):
@@ -48,7 +52,7 @@ class Vector:
             raise ContractError("vector must have dimension >= 1")
         if not _finite(coords):
             raise ContractError(f"vector has non-finite coordinates: {coords}")
-        self.__dict__["coords"] = coords
+        _set_coords(self, coords)
 
     @property
     def dim(self) -> int:
@@ -58,15 +62,21 @@ class Vector:
     def array(self) -> np.ndarray:
         """``coords`` as a read-only float64 array: ``from_array`` keeps one from
         birth, and the constructor's vectors build it on first use and keep it."""
-        arr = self.__dict__.get("_array")
-        if arr is None:
+        try:
+            return self._array
+        except AttributeError:
             arr = np.asarray(self.coords, dtype=float)
             arr.setflags(write=False)
-            self.__dict__["_array"] = arr
-        return arr
+            _set_array(self, arr)
+            return arr
 
-    def __getstate__(self) -> dict:  # copies leave out the cached array, which numpy would copy writeable
+    # Copies and pickles take only coords, and build their own array: numpy
+    # would copy the cached one writeable.
+    def __getstate__(self) -> dict:
         return {"coords": self.coords}
+
+    def __setstate__(self, state: dict) -> None:
+        _set_coords(self, state["coords"])
 
     @staticmethod
     def from_array(arr: np.ndarray | Iterable[float]) -> "Vector":
@@ -79,9 +89,8 @@ class Vector:
         # The vector keeps a copy as its array, read-only for good since its
         # buffer is a bytes object: the caller may still write ``arr``.
         v = object.__new__(Vector)
-        d = v.__dict__  # two stores: a single update() builds a dict first and is slower
-        d["coords"] = tuple(coords)
-        d["_array"] = np.frombuffer(a.tobytes())
+        _set_coords(v, tuple(coords))
+        _set_array(v, np.frombuffer(a.tobytes()))
         return v
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -94,6 +103,37 @@ class Vector:
         return Vector.from_array(self.array * float(scalar))
 
     __rmul__ = __mul__
+
+
+# Writes through the slot descriptors, which the frozen dataclass's __setattr__ refuses.
+_set_coords = Vector.coords.__set__
+_set_array = Vector._array.__set__
+
+
+def _squares(X: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares, as one matrix product."""
+    return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+
+
+def _rescale_lost_rows(A: np.ndarray, sums: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
+    """``norms`` of the rows |x_i| of ``A``, each row whose sum of |x_i|**p left
+    [smallest normal float, inf) taken again as m (sum (|x_i| / m)**p)**(1/p),
+    m the row's largest |x_i|, the sum at p = 2 as ``_squares`` takes it.  A
+    zero row keeps its 0, a row with an inf entry its inf and a NaN row its
+    NaN."""
+    # Row maxima over the transposed copy: max(axis=1) is far slower on short rows.
+    peak = np.ascontiguousarray(A.T).max(axis=0)
+    rows = np.flatnonzero(~((sums >= _TINY) & (sums < math.inf)) & (peak > 0.0) & (peak < math.inf))
+    peak = peak[rows]
+    with np.errstate(over="ignore", under="ignore"):
+        Q = A[rows] / peak[:, None]
+        # np.sqrt is correctly rounded everywhere; other roots take libm's pow row by row.
+        if p == 2.0:
+            roots = np.sqrt(_squares(Q))
+        else:
+            roots = np.array([math.pow(s, 1.0 / p) for s in np.add.reduce(Q ** p, axis=1).tolist()])
+        norms[rows] = peak * roots
+    return norms
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -147,32 +187,47 @@ class NormedSpace:
         Each row's norm is reduced from that row alone, so it has the same bits
         whatever stack the row sits in, and ``norm`` is the one-row case.  The
         rows are copied to C order first; for p outside {1, 2, inf} the root is
-        taken per row by ``math.pow``, and a row whose sum of |x_i|**p
-        underflows below the smallest normal float or overflows is taken
-        again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
-        row's largest |x_i|.
+        taken per row by ``math.pow``.  For p not in {1, inf}, a row whose sum
+        of |x_i|**p underflows below the smallest normal float or overflows is
+        taken again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
+        row's largest |x_i|.  At p = 1 a sum past the largest float is the
+        true norm overflowing, and reads inf.  No case warns.
         """
         X = np.ascontiguousarray(points, dtype=float)
-        if self.p == 2.0:
-            return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-        if self.p == 1.0:
-            return np.add.reduce(np.abs(X), axis=1)
+        if not X.size:  # no rows, or rows without entries, whose norms are 0
+            return np.zeros(len(X))
         if self.p == math.inf:
             return np.abs(X).max(axis=1)
-        A, root = np.abs(X), 1.0 / self.p
+        A = np.abs(X)
+        # While every |x_i| is below (HALF_MAX / dim)**(1/p), each of a row's
+        # dim terms |x_i|**p is below HALF_MAX / dim, so its sum cannot
+        # overflow; at p = 1 and p = 2 that screen keeps the common path free
+        # of np.errstate.
+        dim, peak = X.shape[1], A.max()
+        if self.p == 1.0:
+            if peak < _HALF_MAX / dim:
+                return np.add.reduce(A, axis=1)
+            with np.errstate(over="ignore"):
+                return np.add.reduce(A, axis=1)
+        if self.p == 2.0:
+            if peak < math.sqrt(_HALF_MAX / dim):
+                sums = _squares(X)
+                # A sum below the smallest normal float is lost, unless its row is zero.
+                if sums.min() >= _TINY or peak == 0.0 or not A.compress(sums < _TINY, axis=0).any():
+                    return np.sqrt(sums)
+            else:
+                with np.errstate(over="ignore"):
+                    sums = _squares(X)
+            return _rescale_lost_rows(A, sums, np.sqrt(sums), 2.0)
+        root = 1.0 / self.p
         with np.errstate(over="ignore", under="ignore"):
             sums = np.add.reduce(A ** self.p, axis=1)
         listed = sums.tolist()
         norms = np.array([math.pow(s, root) for s in listed], dtype=float)
         # A NaN at the head of the list fails this test, and min and max skip one
-        # elsewhere, so no lost row is missed; a NaN row keeps its NaN.
-        if listed and not (_TINY <= min(listed) and max(listed) < math.inf):
-            peak = A.max(axis=1)
-            # A zero row keeps its 0, and a row with an inf entry its inf.
-            lost = ~((sums >= _TINY) & (sums < math.inf)) & (peak > 0.0) & (peak < math.inf)
-            with np.errstate(over="ignore", under="ignore"):
-                scaled = np.add.reduce((A[lost] / peak[lost, None]) ** self.p, axis=1)
-                norms[lost] = peak[lost] * np.array([math.pow(s, root) for s in scaled.tolist()])
+        # elsewhere, so no lost row is missed.
+        if not (_TINY <= min(listed) and max(listed) < math.inf):
+            return _rescale_lost_rows(A, sums, norms, self.p)
         return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
@@ -289,8 +344,13 @@ class Ball:
         return self.center.dim
 
     def contains(self, space: NormedSpace, v: Vector) -> bool:
-        with np.errstate(over="ignore"):  # a norm that overflows is inf: outside
-            return space.distance(v, self.center) <= self.radius + TAU_DOM
+        # The offset v - center on floats, unboxed, raises what boxing it
+        # raised; a norm that overflows is inf: outside.
+        offset = [a - c for a, c in zip(v.coords, _same_dim(v.dim, self.center).coords)]
+        if not _finite(offset):
+            Vector(offset)  # raises the error of an offset that overflowed
+        space._check_dim(len(offset))
+        return float(space.norm_rows(np.array([offset]))[0]) <= self.radius + TAU_DOM
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so

@@ -376,6 +376,23 @@ def test_checked_steps_box_a_vector_per_block_and_per_combination(scheme, monkey
     assert tuple(counted) == FROM_ARRAY_CALLS[scheme]
 
 
+@pytest.mark.parametrize("scheme", ["mann", "ishikawa", "pm_hybrid"])
+def test_a_run_without_a_power_holds_one_image_a_step(scheme):
+    # The records read T x_n of each step and continue T^n x_n from it, so a
+    # step keeps that one Vector, and each T^n x_n is stacked as it is made:
+    # the run peaks near 130 kB.  Holding (T x_n, x_n) pairs and a list of
+    # every T^n x_n, it peaked above 300 kB.
+    config = _config(scheme, _vector_scaling(0.999), None, 0.5, 0.5, 300, -1.0, x0=Vector((0.7,)))
+    run_scheme(config)
+    tracemalloc.start()
+    try:
+        run_scheme(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000
+
+
 # The point y_2 = (1 - w) x_1 + w T^k x_1 that the second stage of step 2
 # maps, on x -> 0.5 x from 0.8 with weights 0.5.
 SECOND_STAGE_POINT = {"ishikawa": 0.4125, "pm_hybrid": 0.225, "modified_pm_hybrid": 0.1875}
@@ -719,23 +736,29 @@ def _record_rows(traj):
 @st.composite
 def csv_runs(draw):
     """A run on a scaling map in a generated space: one that stays in its box,
-    one that leaves it at step 1 (no records), or one whose points are so
-    large that their l_2 norms overflow, so its records are computed step by
-    step on Vectors."""
+    one that leaves it at step 1 (no records), or one whose records are so
+    large that their l_2 norms overflow, so they are computed step by step on
+    Vectors."""
     kind = draw(st.sampled_from(["inside", "exit", "huge"]))
     p = 2.0 if kind == "huge" else draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
-    space = NormedSpace(draw(st.integers(1, 3)), p)
+    space = NormedSpace(draw(st.integers(2 if kind == "huge" else 1, 3)), p)
     rows, power, known = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    weight = 0.5
     if kind == "huge":
-        m = _scaling(kind, space, 0.5, rows, power, bound=1e300, known=known)
-        x0 = Vector((1e200,) * space.dim)
+        # x -> -x from the corner of a box of half-width 0.85e308: with weights
+        # 0.9, every scheme's x_1 is at least 0.8 x_0 in size, so x_1 - T x_1
+        # has finite coordinates of at least 1.36e308 and an l_2 norm past the
+        # largest float.
+        bound, weight = 0.85e308, 0.9
+        m = _scaling(kind, space, -1.0, rows, power, bound=bound, known=known)
+        x0 = Vector((bound,) * space.dim)
     else:
         factor = draw(st.floats(0.1, 0.9)) if kind == "inside" else 3.0
         m = _scaling(kind, space, factor, rows, power, known=known)
         x0 = Vector.from_array(np.linspace(0.9, 0.5, space.dim))
     scheme = draw(st.sampled_from(SCHEMES))
     steps = draw(st.integers(1, 60))
-    return kind, run_scheme(_config(scheme, m, None, 0.5, 0.5, steps, -1.0, x0=x0))
+    return kind, run_scheme(_config(scheme, m, None, weight, weight, steps, -1.0, x0=x0))
 
 
 @ENGINE_SETTINGS
@@ -745,7 +768,7 @@ def test_csv_is_what_csv_writer_writes_of_the_record_rows(run):
     if kind == "exit":
         assert (t.steps, t.stop_reason) == (0, "domain_exit")
     if kind == "huge":
-        assert math.isinf(t.step_norm[0])
+        assert math.isinf(t.residual_T[0])
     rows = trajectory_csv_rows(t)
     assert rows == _record_rows(t)
     buf, ref = io.StringIO(), io.StringIO()

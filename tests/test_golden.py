@@ -52,7 +52,7 @@ GOLDEN = {
     "run/example21_hybrid/example21-hybrid.report.json":
         (0, "3ae419ce993eed64bf2c82efe2a62a400d3f27b70ba24d96e52b1310e65e7269"),
     "run/example21_hybrid/example21-hybrid.trajectory.csv":
-        (0, "6b8d1fea7569234504e9274fd4954c17259c245f374e878a346e29d75f4ac267"),
+        (0, "2f96ed6bc14898dc9c29c4dcdce55f4df6d1ce9f1a4486c732b2e6b2b8774be1"),
     "run/example21_hybrid/example21-hybrid.trajectory.json":
         (0, "236a3e81fee89025941e3d8984c0a213f19c80b8a26fbad7bb420417578396ac"),
     "run/ishikawa_contraction/ishikawa-contraction.report.json":

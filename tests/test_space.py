@@ -91,27 +91,42 @@ spread_floats = st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0
                           st.integers(-320, 307), st.sampled_from([1.0, -1.0]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(p=st.one_of(st.builds(lambda k: 1.0 + 2.0 ** -k, st.integers(1, 52)),
+def _power_sums(p, X):
+    """Each row's sum of |x_i|**p as the unscaled norm takes it, and that norm."""
+    if p == 2.0:
+        sums = (X[:, None, :] @ X[:, :, None])[:, 0, 0]
+        return sums, np.sqrt(sums)
+    sums = np.add.reduce(np.abs(X) ** p, axis=1)
+    return sums, np.array([math.pow(s, 1.0 / p) for s in sums.tolist()])
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=st.one_of(st.sampled_from([1.0, 2.0]), st.builds(lambda k: 1.0 + 2.0 ** -k, st.integers(1, 52)),
                    st.sampled_from([3.0, 100.0, 1e4, 1e308])),
        rows=st.lists(st.lists(spread_floats, min_size=1, max_size=4), min_size=1, max_size=4))
 @example(p=1e4, rows=[[0.999999, 1e-300], [1.0, 0.5]])
 @example(p=1e308, rows=[[1.0000000000000002, 0.25], [5e-324, 5e-324]])
+@example(p=2.0, rows=[[1e-170], [1e200], [3.0]])
+@example(p=2.0, rows=[[1e-170, 1e200], [3e-170, 4e-170], [1e308, 1e308]])
+@example(p=1.0, rows=[[1e308, 1e308], [5e-324, 5e-324]])
+@example(p=2.0, rows=[[0.0, 0.0], [1e-170, -0.0], [-0.0, 1e200]])
+@example(p=3.0, rows=[[0.0, 0.0], [1e-170, -0.0]])
 def test_norm_rows_keep_a_row_whose_power_sum_underflows_or_overflows(p, rows):
     # The rows of each dim are stacked in a space of that dim; numpy warns of nothing.
     for dim in {len(r) for r in rows}:
         X = np.array([r for r in rows if len(r) == dim])
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
             norms = NormedSpace(dim, p).norm_rows(X)
         peaks = np.abs(X).max(axis=1)
         with np.errstate(over="ignore", under="ignore"):
-            sums = np.add.reduce(np.abs(X) ** p, axis=1)
-        rescaled = ~((sums >= np.finfo(float).tiny) & (sums < math.inf))
-        # A row whose sum is a normal float keeps the bits of the unscaled root.
-        assert norms[~rescaled].tolist() == [math.pow(s, 1.0 / p) for s in sums[~rescaled].tolist()]
+            sums, unscaled = _power_sums(p, X)
+        # At p = 1 a sum loses nothing: its partial sums never pass the total.
+        rescaled = ~((sums >= np.finfo(float).tiny) & (sums < math.inf)) & (p != 1.0)
+        # A row whose sum is a normal float keeps the bits of the unscaled norm.
+        assert norms[~rescaled].tobytes() == unscaled[~rescaled].tobytes()
         if dim == 1:
-            # A rescaled row is |x| exactly; a kept row is math.pow(|x|**p, 1/p).
+            # A rescaled row is |x| exactly; a kept row is the root of |x|**p.
             assert np.array_equal(norms[rescaled], peaks[rescaled])
             assert np.allclose(norms, peaks, rtol=1e-12, atol=0.0)
         assert np.all(norms >= peaks * (1.0 - 1e-12))
@@ -119,6 +134,18 @@ def test_norm_rows_keep_a_row_whose_power_sum_underflows_or_overflows(p, rows):
         # itself may overflow to inf.
         with np.errstate(over="ignore"):
             assert np.all(norms <= peaks * dim ** (1.0 / p) * (1.0 + 1e-12) + 5e-324)
+
+
+def test_l2_and_l1_norms_hold_over_the_whole_float_range():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert NormedSpace(1, 2.0).norm(Vector((1e-170,))) == 1e-170
+        assert NormedSpace(1, 2.0).norm(Vector((1e200,))) == 1e200
+        assert NormedSpace(2, 2.0).norm(Vector((3e-170, 4e-170))) == pytest.approx(5e-170, rel=1e-15)
+        assert NormedSpace(2, 2.0).norm(Vector((3e200, -4e200))) == pytest.approx(5e200, rel=1e-15)
+        assert NormedSpace(2, 2.0).norm(Vector((1e308, 1e308))) == pytest.approx(1e308 * math.sqrt(2.0))
+        # At p = 1 the sum is the norm, which does overflow: inf, without a warning.
+        assert NormedSpace(2, 1.0).norm(Vector((1e308, 1e308))) == math.inf
 
 
 def test_norm_rows_agrees_with_numpy():
@@ -269,15 +296,26 @@ def test_array_is_read_only_kept_and_bit_equal_to_coords(coords):
             arr[0] = 1.0
 
 
+def _held_array(v):
+    """The array ``v`` holds in its private slot, without building one."""
+    return Vector._array.__get__(v, Vector)
+
+
 def test_from_array_keeps_its_own_array_from_birth():
     # The input array, a row view and a strided column all stay the caller's to write.
     big = np.arange(12.0).reshape(3, 4)
     for a in (np.array([0.25, -1.5]), big[1], big[:, 2]):
         want = a.tolist()
         v = Vector.from_array(a)
-        assert "_array" in vars(v) and not np.shares_memory(a, v.array)
+        held = _held_array(v)
+        assert v.array is held and not held.flags.writeable and not np.shares_memory(a, held)
         a[:] = 7.0
         assert list(v.coords) == v.array.tolist() == want
+    # The constructor's vectors hold none until ``array`` is first read.
+    v = Vector((0.25, -1.5))
+    with pytest.raises(AttributeError):
+        _held_array(v)
+    assert v.array is _held_array(v)
 
 
 @BOXING_SETTINGS
@@ -289,12 +327,33 @@ def test_reading_array_leaves_equality_hash_and_repr_alone(coords, from_array):
 
 
 _PROTOCOLS = range(pickle.HIGHEST_PROTOCOL + 1)
+DUPLICATES = [copy.copy, copy.deepcopy,
+              *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol)) for protocol in _PROTOCOLS)]
 
 
-@pytest.mark.parametrize("duplicate", [
-    copy.copy, copy.deepcopy,
-    *(lambda v, protocol=protocol: pickle.loads(pickle.dumps(v, protocol)) for protocol in _PROTOCOLS),
-], ids=["copy", "deepcopy", *(f"pickle{protocol}" for protocol in _PROTOCOLS)])
+@BOXING_SETTINGS
+@given(coords=st.lists(finite_floats, min_size=1, max_size=8), from_array=st.booleans(),
+       read=st.booleans())
+@example(coords=EXTREMES.tolist(), from_array=True, read=False)
+def test_a_vector_has_no_instance_dict_and_every_copy_round_trips(coords, from_array, read):
+    v = Vector.from_array(coords) if from_array else Vector(coords)
+    if read:
+        v.array
+    with pytest.raises(TypeError):
+        vars(v)
+    for duplicate in DUPLICATES:
+        w = duplicate(v)
+        assert type(w) is Vector and w == v and hash(w) == hash(v) and repr(w) == repr(v)
+        assert _bits(w.coords) == _bits(v.coords) == _bits(coords)
+        with pytest.raises(AttributeError):  # a copy takes only coords
+            _held_array(w)
+        assert w.array.tobytes() == _bits(coords) and not w.array.flags.writeable
+        with pytest.raises(TypeError):
+            vars(w)
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATES,
+                         ids=["copy", "deepcopy", *(f"pickle{protocol}" for protocol in _PROTOCOLS)])
 def test_copies_of_a_vector_build_their_own_read_only_array(duplicate):
     v = Vector((0.1, -2.5, 1e300))
     v.array
@@ -394,6 +453,34 @@ def test_ball_membership_clip_diameter():
     assert ball.diameter(sp) == 2.0
     with pytest.raises(ContractError, match="^ball radius must be finite and >= 0, got -1.0$"):
         Ball(Vector((0.0, 0.0)), -1.0)
+
+
+def _boxed_contains(sp, ball, v):
+    """Ball membership as it boxes v - center as a Vector and takes its distance."""
+    with np.errstate(over="ignore"):
+        return sp.distance(v, ball.center) <= ball.radius + TAU_DOM
+
+
+@pytest.mark.filterwarnings("error")
+def test_ball_contains_boxes_no_offset_and_raises_what_boxing_it_raises(monkeypatch):
+    boxed = _boxed_contains
+    ball = Ball(Vector((1e308, 0.5)), 1.0)
+    sp = NormedSpace(2, 2.0)
+    raising = [(sp, Vector((-1e308, 0.5))), (sp, Vector((1.0,))), (NormedSpace(3, 2.0), Vector((1e308, 1.0)))]
+    for space, v in raising:
+        assert _raised(lambda u: ball.contains(space, u), v) == _raised(lambda u: boxed(space, ball, u), v)
+    assert [m for _, m in (_raised(lambda u: ball.contains(s, u), v) for s, v in raising)] == [
+        "vector has non-finite coordinates: (-inf, 0.0)", "dimension mismatch: vectors have dims 1 and 2",
+        "dimension mismatch: space has dim 3, vector has dim 2"]
+    inside = [Vector((1e308, 1.5)), Vector((1e308 - 1e292, 0.5)), Vector((0.0, 0.5)), Vector((1e308, -0.6))]
+    wanted = [boxed(sp, ball, v) for v in inside]
+    calls = []
+    from_array, init = Vector.from_array, Vector.__init__
+    monkeypatch.setattr(Vector, "from_array", staticmethod(lambda a: calls.append(a) or from_array(a)))
+    monkeypatch.setattr(Vector, "__init__", lambda self, c: calls.append(c) or init(self, c))
+    got = [ball.contains(sp, v) for v in inside]
+    assert got == wanted == [True, False, False, False] and {type(b) for b in got} == {bool}
+    assert calls == []
 
 
 def _face_rows(box):
