@@ -388,20 +388,20 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     return last, "max_steps", None
 
 
-def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: list | None, first: int, last: int,
-                   tol: float) -> tuple[int, str, Exception | None]:
+def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, list] | None, first: int,
+                   last: int, tol: float) -> tuple[int, str, Exception | None]:
     """Steps first .. last into X on Vectors, each point tested as it is made.
 
     Each stage maps z with ``_iterate``, k = n on a power stage and 1
     otherwise, or with ``_chain`` on the first stage of a run that keeps its
     images, tests the image with ``contains``, and then mixes it with x by
     ``combine`` and tests the mix: the calls a step on Vectors makes, in its
-    order.  A step kept appends to ``kept`` what the records read of its
-    chain: the pair it passed when the first stage is a power stage, else
-    its T x alone, as T^0 x is x itself.  The stop
-    tolerance reads ``norm_rows`` of the row difference, inf where it
-    overflows.  Returns the last step kept, the stop reason ("max_steps"
-    when the block ran to its end) and the error a step raised, if any.
+    order.  A step kept appends the T x its chain passed to ``kept[0]`` and,
+    when the first stage is a power stage, the chain's T^{k-1} x to
+    ``kept[1]``; elsewhere that is x itself.  The stop tolerance reads
+    ``norm_rows`` of the row difference, inf where it overflows.  Returns
+    the last step kept, the stop reason ("max_steps" when the block ran to
+    its end) and the error a step raised, if any.
     """
     space, contains = m.space, m.domain.contains
     x = Vector.from_array(X[first - 1])
@@ -425,7 +425,9 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: list | None, f
         except Exception as e:  # raised by run_scheme, once the records before it are computed
             return n - 1, "max_steps", e
         if kept is not None:
-            kept.append(pair if stages[0][2] else pair[0])
+            kept[0].append(pair[0])
+            if stages[0][2]:
+                kept[1].append(pair[1])
         X[n] = z.array
         if tol >= 0.0 and space.norm_rows(X[n:n + 1] - X[n - 1:n])[0] <= tol:
             return n, "tolerance", None
@@ -481,8 +483,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
               for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
-    # kept[n]: what the records read of step n + 1's chain; picard's read the iterates instead.
-    kept = None if m.has_power or config.scheme == "picard" else []
+    # kept[0][n], kept[1][n]: T x_n and, on a power scheme, T^n x_n, as step n + 1's
+    # chain passed them, for the records; picard's read the iterates instead.
+    kept = None if m.has_power or config.scheme == "picard" else ([], [])
     steps, stop_reason, error, size = 0, "max_steps", None, _BLOCK
     while steps < config.max_steps and stop_reason == "max_steps" and error is None:
         if steps == len(X) - 1:  # X is full: it doubles, up to max_steps
@@ -506,7 +509,8 @@ def run_scheme(config: RunConfig) -> Trajectory:
                       tuple(read.get("alpha", ())))
 
 
-def _record_columns(m: Mapping, points: np.ndarray, scheme: str, kept: list | None) -> list[list] | None:
+def _record_columns(m: Mapping, points: np.ndarray, scheme: str,
+                    kept: tuple[list, list] | None) -> list[list] | None:
     """step_norm, residual_T, residual_Tn and dist_to_known_fp of every step,
     or None when an image leaves the domain or a value is not finite.
 
@@ -533,17 +537,18 @@ def _record_columns(m: Mapping, points: np.ndarray, scheme: str, kept: list | No
     return columns
 
 
-def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: list | None) -> list[np.ndarray]:
+def _chained_images(m: Mapping, points: np.ndarray, scheme: str,
+                    kept: tuple[list, list] | None) -> list[np.ndarray]:
     """T x_n and T^n x_n for n = 1 .. N >= 1 on a map without a closed-form power.
 
     Each image is a chain of ``m.apply`` calls on Vectors from x_n, as
     ``_iterate`` runs it, so it has the same bits; a chain the update already
-    ran is not run again.  Step n + 1 kept in kept[n] the T x_n its chain
-    passed, paired on a power scheme with T^n x_n (see ``_chain``); T x_N is
-    applied afresh.  Elsewhere T^n x_n continues the chain from T x_n with
-    n - 1 applications, and is stacked as it is made, not held.  On picard
-    T^j x_n is x_{n+j}: the iterates are extended N applications past x_N,
-    and both images are read off them.
+    ran is not run again.  Step n + 1 kept in kept[0][n] the T x_n its chain
+    passed and, on a power scheme, in kept[1][n] its T^n x_n (see
+    ``_chain``); T x_N is applied afresh.  A T^n x_n not kept continues the
+    chain from T x_n with n - 1 applications, and is stacked as it is made,
+    not held.  On picard T^j x_n is x_{n+j}: the iterates are extended N
+    applications past x_N, and both images are read off them.
     """
     N, v = len(points) - 1, Vector.from_array(points[-1])
     if scheme == "picard":
@@ -553,12 +558,8 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str, kept: list | No
             tail.append(v.coords)
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
-    if scheme in POWER_SCHEMES:
-        T = [image for image, _ in kept[1:]] + [m.apply(v)]
-        Tn = [image for _, image in kept[1:]] + [_iterate(m, N - 1, T[-1])]
-    else:
-        T = kept[1:] + [m.apply(v)]
-        Tn = (_iterate(m, n - 1, image) for n, image in enumerate(T, start=1))
+    T, held = kept[0][1:] + [m.apply(v)], kept[1][1:]
+    Tn = chain(held, (_iterate(m, n - 1, T[n - 1]) for n in range(len(held) + 1, N + 1)))
     return [_stack(T, points[1:].shape), _stack(Tn, points[1:].shape)]
 
 

@@ -23,6 +23,7 @@ TAU_DOM = 1e-9
 _BALL_BATCH = 4096
 # The smallest normal float: a sum of |x_i|**p below it has lost precision or underflowed.
 _TINY = float(np.finfo(float).tiny)
+_SQRT_TINY = math.sqrt(_TINY)
 # Half the largest float: a sum of positive terms below it cannot round up to inf.
 _HALF_MAX = float(np.finfo(float).max) / 2.0
 # Rejection from the cube serves the unit ball while it keeps at least this share
@@ -198,12 +199,22 @@ class NormedSpace:
             return np.zeros(len(X))
         if self.p == math.inf:
             return np.abs(X).max(axis=1)
-        A = np.abs(X)
         # While every |x_i| is below (HALF_MAX / dim)**(1/p), each of a row's
         # dim terms |x_i|**p is below HALF_MAX / dim, so its sum cannot
         # overflow; at p = 1 and p = 2 that screen keeps the common path free
-        # of np.errstate.
-        dim, peak = X.shape[1], A.max()
+        # of np.errstate.  One row, the most common call, takes its largest
+        # |x_i| on Python floats, which skip a NaN unless it comes first (a
+        # NaN sum is NaN on every path), and at p = 2 a largest |x_i| at or
+        # above sqrt(tiny) keeps the sum normal on its own.
+        dim = X.shape[1]
+        if len(X) == 1 and self.p in (1.0, 2.0):
+            peak = max(map(abs, X.tolist()[0]))
+            if self.p == 1.0 and peak < _HALF_MAX / dim:
+                return np.add.reduce(np.abs(X), axis=1)
+            if self.p == 2.0 and _SQRT_TINY <= peak < math.sqrt(_HALF_MAX / dim):
+                return np.sqrt(_squares(X))
+        A = np.abs(X)
+        peak = np.maximum.reduce(A, axis=None)
         if self.p == 1.0:
             if peak < _HALF_MAX / dim:
                 return np.add.reduce(A, axis=1)
@@ -213,7 +224,8 @@ class NormedSpace:
             if peak < math.sqrt(_HALF_MAX / dim):
                 sums = _squares(X)
                 # A sum below the smallest normal float is lost, unless its row is zero.
-                if sums.min() >= _TINY or peak == 0.0 or not A.compress(sums < _TINY, axis=0).any():
+                if (np.minimum.reduce(sums) >= _TINY or peak == 0.0
+                        or not A.compress(sums < _TINY, axis=0).any()):
                     return np.sqrt(sums)
             else:
                 with np.errstate(over="ignore"):
@@ -231,7 +243,13 @@ class NormedSpace:
         return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
-        return self.norm(x - y)
+        """The norm of x - y.  The offset is taken on Python floats, unboxed,
+        and refused as ``x - y`` refuses it; a norm that overflows is inf."""
+        offset = [a - b for a, b in zip(x.coords, _same_dim(x.dim, y).coords)]
+        if not _finite(offset):
+            raise ContractError(f"vector has non-finite coordinates: {tuple(offset)}")
+        self._check_dim(len(offset))
+        return float(self.norm_rows(np.array([offset]))[0])
 
     def ball_acceptance(self) -> float:
         """Share of uniform cube draws that land in the unit ball: G(1+1/p)^dim / G(1+dim/p)."""
@@ -344,13 +362,8 @@ class Ball:
         return self.center.dim
 
     def contains(self, space: NormedSpace, v: Vector) -> bool:
-        # The offset v - center on floats, unboxed, raises what boxing it
-        # raised; a norm that overflows is inf: outside.
-        offset = [a - c for a, c in zip(v.coords, _same_dim(v.dim, self.center).coords)]
-        if not _finite(offset):
-            Vector(offset)  # raises the error of an offset that overflowed
-        space._check_dim(len(offset))
-        return float(space.norm_rows(np.array([offset]))[0]) <= self.radius + TAU_DOM
+        # A norm that overflows is inf: outside.
+        return space.distance(v, self.center) <= self.radius + TAU_DOM
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so

@@ -455,31 +455,41 @@ def test_ball_membership_clip_diameter():
         Ball(Vector((0.0, 0.0)), -1.0)
 
 
-def _boxed_contains(sp, ball, v):
-    """Ball membership as it boxes v - center as a Vector and takes its distance."""
+def _boxed_distance(sp, x, y):
+    """The distance as it boxes x - y as a Vector and takes its norm."""
     with np.errstate(over="ignore"):
-        return sp.distance(v, ball.center) <= ball.radius + TAU_DOM
+        return sp.norm(x - y)
 
 
 @pytest.mark.filterwarnings("error")
-def test_ball_contains_boxes_no_offset_and_raises_what_boxing_it_raises(monkeypatch):
-    boxed = _boxed_contains
+def test_distance_boxes_no_offset_and_raises_what_boxing_it_raises(monkeypatch):
     ball = Ball(Vector((1e308, 0.5)), 1.0)
     sp = NormedSpace(2, 2.0)
     raising = [(sp, Vector((-1e308, 0.5))), (sp, Vector((1.0,))), (NormedSpace(3, 2.0), Vector((1e308, 1.0)))]
     for space, v in raising:
-        assert _raised(lambda u: ball.contains(space, u), v) == _raised(lambda u: boxed(space, ball, u), v)
+        boxed = _raised(lambda u: _boxed_distance(space, u, ball.center), v)
+        assert _raised(lambda u: space.distance(u, ball.center), v) == boxed
+        assert _raised(lambda u: ball.contains(space, u), v) == boxed
     assert [m for _, m in (_raised(lambda u: ball.contains(s, u), v) for s, v in raising)] == [
         "vector has non-finite coordinates: (-inf, 0.0)", "dimension mismatch: vectors have dims 1 and 2",
         "dimension mismatch: space has dim 3, vector has dim 2"]
-    inside = [Vector((1e308, 1.5)), Vector((1e308 - 1e292, 0.5)), Vector((0.0, 0.5)), Vector((1e308, -0.6))]
-    wanted = [boxed(sp, ball, v) for v in inside]
+    points = [Vector((1e308, 1.5)), Vector((1e308 - 1e292, 0.5)), Vector((0.0, 0.5)), Vector((1e308, -0.6)),
+              Vector((-1.0, 1e308))]
+    # Offsets whose sums of squares underflow or overflow, and one without entries past 1.
+    pairs = [(v, ball.center) for v in points] + [
+        (Vector((1e-170, -3e-171)), Vector((0.0, 0.0))), (Vector((-8e307, 5.0)), Vector((8e307, 0.0))),
+        (Vector((0.25, -0.5)), Vector((0.5, 0.125)))]
+    spaces = [NormedSpace(2, p) for p in P_VALUES]
+    wanted = [[_boxed_distance(space, x, y) for x, y in pairs] for space in spaces]
     calls = []
     from_array, init = Vector.from_array, Vector.__init__
     monkeypatch.setattr(Vector, "from_array", staticmethod(lambda a: calls.append(a) or from_array(a)))
     monkeypatch.setattr(Vector, "__init__", lambda self, c: calls.append(c) or init(self, c))
-    got = [ball.contains(sp, v) for v in inside]
-    assert got == wanted == [True, False, False, False] and {type(b) for b in got} == {bool}
+    got = [[space.distance(x, y) for x, y in pairs] for space in spaces]
+    assert np.array(got).tobytes() == np.array(wanted).tobytes()
+    inside = [ball.contains(sp, v) for v in points]
+    assert inside == [d <= ball.radius + TAU_DOM for d in got[P_VALUES.index(2.0)][:len(points)]]
+    assert inside == [True, False, False, False, False] and {type(b) for b in inside} == {bool}
     assert calls == []
 
 
