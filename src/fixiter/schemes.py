@@ -371,10 +371,15 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     checked run reaches.  The row evaluators give the bits of their one-row
     views, and a combination runs the ufuncs ``combine`` runs, so a block
     returned here has the bits its checked run would have.
+
+    Without a stop tolerance, a block whose start x_{first-1} repeats
+    x_{first-2} bit for bit is one pass of ``_stationary_block`` instead.
     """
+    x = X[first - 1:first]
+    if tol < 0.0 and first > 1 and np.array_equal(x.view(np.int64), X[first - 2:first - 1].view(np.int64)):
+        return _stationary_block(m, stages, X, first, last)
     made = []
     k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
-    x = X[first - 1:first]
     for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
         x = _step(m, stages, x, n, ns, made)
     P = np.concatenate(made)
@@ -386,6 +391,41 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     if len(stops):
         return first + int(stops[0]), "tolerance", None
     return last, "max_steps", None
+
+
+def _stationary_block(m: Mapping, stages: list, X: np.ndarray, first: int,
+                      last: int) -> tuple[int, str, None] | None:
+    """Steps first .. last from the repeated iterate x* = X[first - 1], as one
+    array pass, into X up to the first step that moves.
+
+    Each stage makes one evaluator call on k rows, k = last - first + 1,
+    starting from k copies of x*: ``power_rows`` with the indices first ..
+    last on a power stage, ``apply_rows`` otherwise, then a mix with x* by a
+    (k, 1) column of weights.  So row r is step first + r taken from x*.  The
+    steps whose rows keep x*'s bits, and the first one that does not, had x*
+    as their input, so they are kept; the rows after that are dropped, as
+    the steps past an early stop are, though their weights were read.  One
+    ``inside_rows`` call tests the points of the steps kept.  Returns the
+    last step kept with "max_steps", so the next block starts after it, or
+    None when a point is rejected.
+    """
+    x = X[first - 1:first]
+    ns = np.arange(first, last + 1)
+    z = np.repeat(x, len(ns), axis=0)
+    made = []
+    for schedule, values, power in stages:
+        w = None if schedule is None else np.array([_weight(schedule, values, n) for n in ns.tolist()])[:, None]
+        z = m.power_rows(ns, z) if power else m.apply_rows(z)
+        made.append(z)
+        if w is not None:
+            z = (1.0 - w) * x + w * z
+            made.append(z)
+    moved = np.flatnonzero((z.view(np.int64) != x.view(np.int64)).any(axis=1))
+    kept = int(moved[0]) + 1 if len(moved) else len(ns)
+    if not m.domain.inside_rows(m.space, np.concatenate([P[:kept] for P in made])).all():
+        return None
+    X[first:first + kept] = z[:kept]
+    return first + kept - 1, "max_steps", None
 
 
 def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, list] | None, first: int,
@@ -454,9 +494,15 @@ def run_scheme(config: RunConfig) -> Trajectory:
     Vectors, through ``apply``, the closed form and ``combine``, each point
     tested as it is made; only that checked run ends a trajectory at a
     domain exit or an error.  So an evaluator may be called on points past
-    an early stop in its block, and the results are dropped.  A map without
-    a closed-form power, whose T^n costs n applications, runs every block
-    checked.
+    an early stop in its block, and the results are dropped.  Without a stop
+    tolerance, a block that starts from an iterate repeating the one before
+    it bit for bit, as a converged run's usually does, is one array pass
+    from that iterate, with one evaluator call per stage on as many rows as
+    the block has steps (``_stationary_block``).  It keeps the steps up to
+    the first one that moves; the rows after that one are computed and
+    dropped, as the steps past an early stop are, and a ``formula`` weight
+    may be read for them.  A map without a closed-form power, whose T^n
+    costs n applications, runs every block checked.
 
     The step records are computed afterwards as array columns, or else step
     by step on Vectors.  On a map without a closed-form power, step n + 1
@@ -607,12 +653,22 @@ def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float
 def _csv_columns(traj: Trajectory) -> list:
     """Each CSV column: its header cell, then one cell per step.  Floats are
     written with repr, the shortest decimal that round-trips, stable across
-    platforms; an unknown distance is an empty cell."""
-    xs = traj.points[1:]
-    cells = {"n": map(str, range(1, traj.steps + 1))}
-    cells.update((f"x_{i}", map(repr, xs[:, i].tolist())) for i in range(xs.shape[1]))
-    cells.update((name, map(repr, getattr(traj, name))) for name in ("step_norm", "residual_T", "residual_Tn"))
-    cells["dist_to_known_fp"] = ("" if d is None else repr(d) for d in traj.dist_to_known_fp)
+    platforms; an unknown distance is an empty cell.  Each distinct float,
+    told apart by its bits so that -0.0 and 0.0 stay apart, is formatted
+    once."""
+    names = [f"x_{i}" for i in range(traj.points.shape[1])] + ["step_norm", "residual_T", "residual_Tn"]
+    floats = [*traj.points[1:].T, traj.step_norm, traj.residual_T, traj.residual_Tn]
+    dist = traj.dist_to_known_fp
+    known = None not in dist
+    if known:
+        names.append("dist_to_known_fp")
+        floats.append(dist)
+    F = np.array(floats, dtype=float)
+    bits, inverse = np.unique(F.view(np.int64), return_inverse=True)
+    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse.reshape(F.shape)]
+    cells = {"n": map(str, range(1, traj.steps + 1)), **dict(zip(names, text.tolist()))}
+    if not known:
+        cells["dist_to_known_fp"] = ("" if d is None else repr(d) for d in dist)
     return [chain((name,), column) for name, column in cells.items()]
 
 

@@ -41,6 +41,7 @@ from fixiter import (
     get_mapping,
     make_asymptotically_nonexpansive_example,
     make_example21,
+    make_identity,
     make_linear_contraction,
     run_scheme,
     trajectory_csv_rows,
@@ -126,13 +127,19 @@ def _outcome(run):
 
 
 def _assert_same(config):
+    # Vectors compare with ==, which takes -0.0 for 0.0, so the iterates'
+    # bits are compared too.
     def array_engine():
         t = run_scheme(config)
         assert t.points.shape == (t.steps + 1, config.mapping.space.dim)
         assert not t.points.flags.writeable
-        return t.iterates, t.records, t.stop_reason
+        return t.iterates, t.records, t.stop_reason, t.points.tobytes()
 
-    assert _outcome(array_engine) == _outcome(lambda: _scalar_run(config))
+    def vector_engine():
+        iterates, records, stop_reason = _scalar_run(config)
+        return iterates, records, stop_reason, np.array([x.coords for x in iterates]).tobytes()
+
+    assert _outcome(array_engine) == _outcome(vector_engine)
 
 
 def _scaling(name, space, factor, rows, power, bound=1.0, known=True, refuse=False):
@@ -154,6 +161,31 @@ def _scaling(name, space, factor, rows, power, bound=1.0, known=True, refuse=Fal
         power_rows=(lambda ns, X: out(np.array([factor**int(n) for n in ns])[:, None] * X))
         if rows and power else None,
     )
+
+
+def _switching(k, late, rows):
+    """x -> 0.9 x on the box [-1, 1], whose closed-form power T^n x is 0.9^n x
+    for n < k and late(n, x) from n = k on: a power scheme meets what late
+    does at step k first.  Given as rows, or as Vectors."""
+
+    def power(n, a):
+        return late(n, a) if n >= k else 0.9**n * a
+
+    space, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    if rows:
+        return Mapping("switching", space, box, None, None, MappingMeta(), apply_rows=lambda X: 0.9 * X,
+                       power_rows=lambda ns, X: np.array([power(int(n), x) for n, x in zip(ns, X)]))
+    return Mapping("switching", space, box, lambda x: Vector.from_array(0.9 * x.array),
+                   lambda n, x: Vector.from_array(power(n, x.array)), MappingMeta())
+
+
+def _leave(n, a):
+    return np.full_like(a, 2.0)
+
+
+def _kick(n, a):
+    """Past k = 40: T^40 x = x + 0.25, and T^n x = 0.9^n x again after it."""
+    return a + 0.25 if n == 40 else 0.9**n * a
 
 
 @st.composite
@@ -210,11 +242,37 @@ run_args = dict(scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
                 steps=st.integers(1, 120), tol=st.sampled_from(TOLERANCES))
 
 
+def _repeating(scheme, m, seed=0, alpha=0.5, x0=None):
+    """An example run of 120 steps without a stop tolerance, whose iterates
+    come to repeat, so that its later blocks start from a repeated iterate."""
+    return example(scheme=scheme, m=m, seed=seed, alpha=alpha, beta=0.5, steps=120, tol=-1.0, x0=x0)
+
+
+ORIGIN = Vector((0.0,))
+
+
 @ENGINE_SETTINGS
-@example(scheme="picard", m=make_linear_contraction(0.5, 2), seed=0, alpha=0.5, beta=0.5, steps=60, tol=1e-9)
-@given(m=catalog_maps(), **run_args)
-def test_array_engine_equals_vector_engine(scheme, m, seed, alpha, beta, steps, tol):
-    _assert_same(_config(scheme, m, seed, alpha, beta, steps, tol))
+@example(scheme="picard", m=make_linear_contraction(0.5, 2), seed=0, alpha=0.5, beta=0.5, steps=60, tol=1e-9,
+         x0=None)
+# Every point is fixed; mann's mix (1 - w) x + w x moves the last bit at step 1.
+@_repeating("picard", make_identity(2))
+@_repeating("mann", make_identity(2), seed=4, alpha=0.3)
+# The iterates reach 0 and repeat it: by step 112 on modified_mann, by step 48 on modified_pm_hybrid.
+@_repeating("modified_mann", make_example21(0.05), alpha=0.999)
+@_repeating("modified_pm_hybrid", make_example21(0.05))
+@_repeating("modified_mann", make_linear_contraction(0.05, 2), alpha=0.999)
+@_repeating("modified_pm_hybrid", make_linear_contraction(0.05, 2))
+# T^n 0 = 0 up to n = 40, so the block of steps 17-48 starts from a repeated 0.
+# At step 40 the run leaves the box, or moves on from 0.25 and runs on.
+@_repeating("modified_mann", _switching(40, _leave, rows=True), x0=ORIGIN)
+@_repeating("modified_pm_hybrid", _switching(40, _leave, rows=False), x0=ORIGIN)
+@_repeating("modified_mann", _switching(40, _kick, rows=False), x0=ORIGIN)
+@_repeating("modified_pm_hybrid", _switching(40, _kick, rows=True), x0=ORIGIN)
+# x -> -x from 0 alternates between 0.0 and -0.0, which are not repeats.
+@_repeating("picard", _scaling("reflection", NormedSpace(1, 2.0), -1.0, rows=True, power=True), x0=ORIGIN)
+@given(m=catalog_maps(), x0=st.none(), **run_args)
+def test_array_engine_equals_vector_engine(scheme, m, seed, alpha, beta, steps, tol, x0):
+    _assert_same(_config(scheme, m, seed, alpha, beta, steps, tol, x0=x0))
 
 
 @ENGINE_SETTINGS
@@ -435,26 +493,6 @@ def test_a_step_that_fails_after_its_chain_keeps_nothing(scheme):
     assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
 
 
-def _switching(k, late, rows):
-    """x -> 0.9 x on the box [-1, 1], whose closed-form power T^n x is 0.9^n x
-    for n < k and late(n, x) from n = k on: a power scheme meets what late
-    does at step k first.  Given as rows, or as Vectors."""
-
-    def power(n, a):
-        return late(n, a) if n >= k else 0.9**n * a
-
-    space, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
-    if rows:
-        return Mapping("switching", space, box, None, None, MappingMeta(), apply_rows=lambda X: 0.9 * X,
-                       power_rows=lambda ns, X: np.array([power(int(n), x) for n, x in zip(ns, X)]))
-    return Mapping("switching", space, box, lambda x: Vector.from_array(0.9 * x.array),
-                   lambda n, x: Vector.from_array(power(n, x.array)), MappingMeta())
-
-
-def _leave(n, a):
-    return np.full_like(a, 2.0)
-
-
 def _refuse(n, a):
     raise ValueError(f"T^{n} refused")
 
@@ -542,18 +580,22 @@ def test_a_block_pass_calls_the_row_evaluators_and_its_checked_run_apply_and_pow
     assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
 
 
-# apply_rows and power_rows calls of a 120-step run on example21: one a
-# step for each T stage and each T^n stage, and one of each for the records.
+# apply_rows and power_rows calls of a 120-step run on example21: one a step
+# for each T stage and each T^n stage until the iterate repeats, then one per
+# stage per block, and one of each for the records.  Only modified_pm_hybrid
+# repeats: its iterates reach 0 at step 45, so the blocks of steps 49-112 and
+# 113-120 make two calls each.
 EVALUATOR_CALLS = {"picard": (121, 1), "mann": (121, 1), "ishikawa": (241, 1),
-                   "modified_mann": (1, 121), "pm_hybrid": (241, 1), "modified_pm_hybrid": (1, 241)}
+                   "modified_mann": (1, 121), "pm_hybrid": (241, 1), "modified_pm_hybrid": (1, 101)}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_evaluator_calls_past_an_early_stop_are_at_most_one_block(scheme):
     powers = sum(power for _, power in _STAGES[scheme])
     stages = (len(_STAGES[scheme]) - powers, powers)  # T stages, T^n stages
-    # A run to max_steps calls the evaluators as a run testing every point as
-    # it is made does.
+    # A run to max_steps calls the evaluators once per stage per step, as a
+    # run testing every point as it is made does, until the iterate repeats;
+    # then once per stage per block.
     m, calls = _counted(make_example21(0.5), ("apply_rows", "power_rows"))
     t = run_scheme(_config(scheme, m, None, 0.5, 0.5, 120, -1.0, x0=Vector((0.7,))))
     assert t.stop_reason == "max_steps"
@@ -753,10 +795,12 @@ def _record_rows(traj):
 @st.composite
 def csv_runs(draw):
     """A run on a scaling map in a generated space: one that stays in its box,
-    one that leaves it at step 1 (no records), or one whose records are so
+    one that leaves it at step 1 (no records), one whose records are so
     large that their l_2 norms overflow, so they are computed step by step on
-    Vectors."""
-    kind = draw(st.sampled_from(["inside", "exit", "huge"]))
+    Vectors, or one of the identity from -0, whose iterates are -0.0 and whose
+    records 0.0.  Each kind is drawn with and without a known fixed point, so
+    with and without empty distance cells."""
+    kind = draw(st.sampled_from(["inside", "exit", "huge", "zeros"]))
     p = 2.0 if kind == "huge" else draw(st.sampled_from([1.0, 2.0, 3.0, math.inf]))
     space = NormedSpace(draw(st.integers(2 if kind == "huge" else 1, 3)), p)
     rows, power, known = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
@@ -769,6 +813,9 @@ def csv_runs(draw):
         bound, weight = 0.85e308, 0.9
         m = _scaling(kind, space, -1.0, rows, power, bound=bound, known=known)
         x0 = Vector((bound,) * space.dim)
+    elif kind == "zeros":
+        m = _scaling(kind, space, 1.0, rows, power, known=known)
+        x0 = Vector((-0.0,) * space.dim)
     else:
         factor = draw(st.floats(0.1, 0.9)) if kind == "inside" else 3.0
         m = _scaling(kind, space, factor, rows, power, known=known)
@@ -787,6 +834,8 @@ def test_csv_is_what_csv_writer_writes_of_the_record_rows(run):
     if kind == "huge":
         assert math.isinf(t.residual_T[0])
     rows = trajectory_csv_rows(t)
+    if kind == "zeros":  # -0.0 and 0.0 are equal floats, written apart
+        assert {"-0.0", "0.0"} <= set(rows[1])
     assert rows == _record_rows(t)
     buf, ref = io.StringIO(), io.StringIO()
     write_trajectory_csv(t, buf)
