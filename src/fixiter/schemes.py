@@ -319,14 +319,25 @@ _CHUNK = 1024
 _BLOCK = 16
 
 
-def _weight(schedule: Schedule | None, values: list[float], n: int) -> float | None:
+def _weight(schedule: Schedule | None, values: list[float],
+            n: int | np.ndarray) -> float | np.ndarray | None:
     """w(n) of a stage's weight schedule, read from the values the checks read
-    for n up to their length, or None for a stage without one."""
-    return None if schedule is None else values[n - 1] if n <= len(values) else schedule.at(n)
+    for n up to their length, or None for a stage without one.  For an index
+    array n, the (len(n), 1) column of the weights at its indices."""
+    if schedule is None:
+        return None
+    if type(n) is int:
+        return values[n - 1] if n <= len(values) else schedule.at(n)
+    column = []
+    for i in n.tolist():  # a loop, not a comprehension, so that no local is a cell on the scalar path
+        column.append(values[i - 1] if i <= len(values) else schedule.at(i))
+    return np.array(column)[:, None]
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int, ns: np.ndarray, made: list) -> np.ndarray:
-    """x_n from the (1, dim) row x = x_{n-1}, with no point tested.
+def _step(m: Mapping, stages: list, x: np.ndarray, n: int | np.ndarray, ns: np.ndarray,
+          made: list) -> np.ndarray:
+    """x_n from the (1, dim) row x = x_{n-1}, with no point tested, or the
+    rows of a repeated-iterate block (see ``_unchecked_block``).
 
     A plain T stage calls ``apply_rows``, a power stage ``power_rows`` with
     ns, the index row [n].  Each point a stage makes, its image and then its
@@ -372,17 +383,28 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     views, and a combination runs the ufuncs ``combine`` runs, so a block
     returned here has the bits its checked run would have.
 
-    Without a stop tolerance, a block whose start x_{first-1} repeats
-    x_{first-2} bit for bit is one pass of ``_stationary_block`` instead.
+    Without a stop tolerance, a block whose start x* = x_{first-1} repeats
+    x_{first-2} bit for bit is a repeated-iterate block: one ``_step`` on as
+    many copies of x* as the block has steps, with the index column first ..
+    last, so that row r is step first + r taken from x*.  The steps whose
+    rows keep x*'s bits, and the first one that does not, had x* as their
+    input, so the block keeps them and ends there; the rows after that are
+    dropped, as the steps past an early stop are, though their weights were
+    read.
     """
     x = X[first - 1:first]
-    if tol < 0.0 and first > 1 and np.array_equal(x.view(np.int64), X[first - 2:first - 1].view(np.int64)):
-        return _stationary_block(m, stages, X, first, last)
     made = []
     k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
-    for n, ns in zip(range(first, last + 1), np.arange(first, last + 1)[:, None]):
-        x = _step(m, stages, x, n, ns, made)
-    P = np.concatenate(made)
+    ns = np.arange(first, last + 1)
+    if tol < 0.0 and first > 1 and np.array_equal(x.view(np.int64), X[first - 2:first - 1].view(np.int64)):
+        z = _step(m, stages, np.repeat(x, len(ns), 0), ns, ns, made)
+        moved = np.flatnonzero((z.view(np.int64) != x.view(np.int64)).any(axis=1))
+        last = first + int(moved[0]) if len(moved) else last
+        P = np.stack(made, axis=1)[:last - first + 1].reshape(-1, X.shape[1])  # step-major, as row steps append them
+    else:
+        for n, row in zip(range(first, last + 1), ns[:, None]):
+            x = _step(m, stages, x, n, row, made)
+        P = np.concatenate(made)
     if not m.domain.inside_rows(m.space, P).all():
         return None
     X[first:last + 1] = P[k - 1::k]
@@ -391,41 +413,6 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     if len(stops):
         return first + int(stops[0]), "tolerance", None
     return last, "max_steps", None
-
-
-def _stationary_block(m: Mapping, stages: list, X: np.ndarray, first: int,
-                      last: int) -> tuple[int, str, None] | None:
-    """Steps first .. last from the repeated iterate x* = X[first - 1], as one
-    array pass, into X up to the first step that moves.
-
-    Each stage makes one evaluator call on k rows, k = last - first + 1,
-    starting from k copies of x*: ``power_rows`` with the indices first ..
-    last on a power stage, ``apply_rows`` otherwise, then a mix with x* by a
-    (k, 1) column of weights.  So row r is step first + r taken from x*.  The
-    steps whose rows keep x*'s bits, and the first one that does not, had x*
-    as their input, so they are kept; the rows after that are dropped, as
-    the steps past an early stop are, though their weights were read.  One
-    ``inside_rows`` call tests the points of the steps kept.  Returns the
-    last step kept with "max_steps", so the next block starts after it, or
-    None when a point is rejected.
-    """
-    x = X[first - 1:first]
-    ns = np.arange(first, last + 1)
-    z = np.repeat(x, len(ns), axis=0)
-    made = []
-    for schedule, values, power in stages:
-        w = None if schedule is None else np.array([_weight(schedule, values, n) for n in ns.tolist()])[:, None]
-        z = m.power_rows(ns, z) if power else m.apply_rows(z)
-        made.append(z)
-        if w is not None:
-            z = (1.0 - w) * x + w * z
-            made.append(z)
-    moved = np.flatnonzero((z.view(np.int64) != x.view(np.int64)).any(axis=1))
-    kept = int(moved[0]) + 1 if len(moved) else len(ns)
-    if not m.domain.inside_rows(m.space, np.concatenate([P[:kept] for P in made])).all():
-        return None
-    X[first:first + kept] = z[:kept]
-    return first + kept - 1, "max_steps", None
 
 
 def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, list] | None, first: int,
@@ -496,13 +483,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
     domain exit or an error.  So an evaluator may be called on points past
     an early stop in its block, and the results are dropped.  Without a stop
     tolerance, a block that starts from an iterate repeating the one before
-    it bit for bit, as a converged run's usually does, is one array pass
-    from that iterate, with one evaluator call per stage on as many rows as
-    the block has steps (``_stationary_block``).  It keeps the steps up to
-    the first one that moves; the rows after that one are computed and
-    dropped, as the steps past an early stop are, and a ``formula`` weight
-    may be read for them.  A map without a closed-form power, whose T^n
-    costs n applications, runs every block checked.
+    it bit for bit, as a converged run's usually does, is a repeated-iterate
+    block (see ``_unchecked_block``).  A map without a closed-form power,
+    whose T^n costs n applications, runs every block checked.
 
     The step records are computed afterwards as array columns, or else step
     by step on Vectors.  On a map without a closed-form power, step n + 1

@@ -9,6 +9,7 @@ and across block boundaries are held to the same loop.
 """
 
 import csv
+import gc
 import io
 import math
 import tracemalloc
@@ -188,6 +189,11 @@ def _kick(n, a):
     return a + 0.25 if n == 40 else 0.9**n * a
 
 
+def _flip(n, a):
+    """Past k = 40: T^40 x = -x, and T^n x = 0.9^n x again after it."""
+    return -a if n == 40 else 0.9**n * a
+
+
 @st.composite
 def catalog_maps(draw):
     """A catalog map in a generated l_p space: as built, without its row
@@ -226,12 +232,17 @@ def _start(m, seed):
     return Vector.from_array(m.domain.sample(m.space, rng, 1)[0] * 0.99)
 
 
+def _weights(w):
+    return w if isinstance(w, Schedule) else Schedule.constant(w)
+
+
 def _config(scheme, m, seed, alpha, beta, steps, tol, x0=None):
-    """A run from x0, or from a point drawn with ``seed``."""
+    """A run from x0, or from a point drawn with ``seed``; a weight that is
+    not a Schedule is a constant one."""
     return RunConfig(
         scheme, m, _start(m, seed) if x0 is None else x0,
-        alpha=None if scheme == "picard" else Schedule.constant(alpha),
-        beta=Schedule.constant(beta) if scheme == "ishikawa" else None,
+        alpha=None if scheme == "picard" else _weights(alpha),
+        beta=_weights(beta) if scheme == "ishikawa" else None,
         max_steps=steps, stop_tolerance=tol,
     )
 
@@ -242,13 +253,14 @@ run_args = dict(scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
                 steps=st.integers(1, 120), tol=st.sampled_from(TOLERANCES))
 
 
-def _repeating(scheme, m, seed=0, alpha=0.5, x0=None):
+def _repeating(scheme, m, seed=0, alpha=0.5, x0=None, beta=0.5):
     """An example run of 120 steps without a stop tolerance, whose iterates
     come to repeat, so that its later blocks start from a repeated iterate."""
-    return example(scheme=scheme, m=m, seed=seed, alpha=alpha, beta=0.5, steps=120, tol=-1.0, x0=x0)
+    return example(scheme=scheme, m=m, seed=seed, alpha=alpha, beta=beta, steps=120, tol=-1.0, x0=x0)
 
 
 ORIGIN = Vector((0.0,))
+HARMONIC = Schedule.harmonic_tail(1.0, 1.0)
 
 
 @ENGINE_SETTINGS
@@ -268,6 +280,18 @@ ORIGIN = Vector((0.0,))
 @_repeating("modified_pm_hybrid", _switching(40, _leave, rows=False), x0=ORIGIN)
 @_repeating("modified_mann", _switching(40, _kick, rows=False), x0=ORIGIN)
 @_repeating("modified_pm_hybrid", _switching(40, _kick, rows=True), x0=ORIGIN)
+# Or T^40 0 is -0.0, equal to 0 but not a repeat: x_40 = -0.0, and the steps
+# after it keep -0.0, where steps from 0 make 0.
+@_repeating("modified_pm_hybrid", _switching(40, _flip, rows=True), x0=ORIGIN)
+# The identity mixed by the weights 1 / (n + 1) keeps its iterate for some
+# steps and moves its last bit at others; mann, pm_hybrid and ishikawa make 2,
+# 3 and 4 points a step.  From (0.6, -0.3) the blocks of steps 17-48 and
+# 86-120 start from a repeated iterate and move at steps 21 and 89; from
+# (0.33, 0.9), ishikawa moves at step 17, the first step of its block.
+@_repeating("mann", make_identity(2), alpha=HARMONIC, x0=Vector((0.6, -0.3)))
+@_repeating("pm_hybrid", make_identity(2), alpha=HARMONIC, x0=Vector((0.6, -0.3)))
+@_repeating("ishikawa", make_identity(2), alpha=HARMONIC, beta=HARMONIC, x0=Vector((0.6, -0.3)))
+@_repeating("ishikawa", make_identity(2), alpha=HARMONIC, beta=HARMONIC, x0=Vector((0.33, 0.9)))
 # x -> -x from 0 alternates between 0.0 and -0.0, which are not repeats.
 @_repeating("picard", _scaling("reflection", NormedSpace(1, 2.0), -1.0, rows=True, power=True), x0=ORIGIN)
 @given(m=catalog_maps(), x0=st.none(), **run_args)
@@ -435,8 +459,14 @@ def test_checked_steps_box_a_vector_per_block_and_per_combination(scheme, monkey
 
 
 def _traced_peak(config):
-    """The tracemalloc peak of a run of ``config``, after one untraced run."""
+    """The tracemalloc peak of a run of ``config``, after one untraced run.
+
+    A full collection first empties CPython's free lists: a tuple the run
+    frees into its free list stays traced, and one it takes from there was
+    not, so otherwise the peak would hang on what earlier code left there.
+    """
     run_scheme(config)
+    gc.collect()
     tracemalloc.start()
     try:
         run_scheme(config)
@@ -626,6 +656,22 @@ def test_an_early_stop_without_a_closed_form_power_calls_nothing_past_it(scheme)
     m, calls = _counted(powerless, ("apply",))
     run_scheme(_config(scheme, m, None, 0.5, 0.5, t.steps, -1.0, x0=Vector((0.7,))))
     assert calls.count("apply") == stopped
+
+
+def test_a_repeated_iterate_block_reads_its_weights_past_the_checked_horizon():
+    # The checks read alpha(n) for n <= 10 000.  The identity keeps every
+    # iterate at alpha = 0.5, so the block of steps 9224-10100 starts from a
+    # repeated iterate; it reads alpha(n) past 10 000 from the schedule and
+    # moves at step 10001, where alpha is 0.3.  Steps 1-16 and 10002-10100
+    # make one call each, each repeated-iterate block one, and the records
+    # one; a block rerun checked would make one a step.
+    alpha = Schedule.formula(lambda n: 0.5 if n <= 10_000 else 0.3)
+    config = RunConfig("mann", make_identity(2), Vector((0.1, 0.7)), alpha=alpha, max_steps=10_100,
+                       stop_tolerance=-1.0)
+    m, calls = _counted(config.mapping, ("apply_rows",))
+    run_scheme(replace(config, mapping=m))
+    assert len(calls) == 134
+    _assert_same(config)
 
 
 def _overflow(n, a):
