@@ -111,7 +111,10 @@ class Mapping:
 
 
 def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
-    """The n-th iterate T^n x: x itself at n = 0, and ``m.apply(x)`` at n = 1."""
+    """The n-th iterate T^n x: x itself at n = 0, and ``m.apply(x)`` at n = 1.
+
+    Without a closed form, T^n x is a chain of ``m.apply`` calls that stops
+    at the first image with its input's bits (see ``_iterate``)."""
     if n < 0:
         raise ContractError(f"power index must be >= 0, got {n}")
     if not m.domain.contains(m.space, x):
@@ -127,13 +130,29 @@ def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
 
 
 def _iterate(m: Mapping, n: int, x: Vector) -> Vector:
-    """T^n x for n >= 1 without domain checks: n applications, or the closed form from n = 2."""
+    """T^n x without domain checks: the closed form from n = 2, or a chain of
+    n calls of ``m.apply``, which is x itself at n = 0.
+
+    The chain stops at the first image with its input's bits, a fixed point,
+    which is then T^k x for every k left.  fixiter assumes that ``apply``
+    depends only on the bits of its input: the records' reuse of the
+    update's chains rests on it too.  So a chain costs up to n calls, and
+    one call from a fixed point.
+    """
     if m.power is not None and n > 1:
         return m.power(n, x)
     apply = m.apply
     for _ in range(n):
-        x = apply(x)
+        v = apply(x)
+        if _same_bits(v, x):
+            return v
+        x = v
     return x
+
+
+def _same_bits(u: Vector, v: Vector) -> bool:
+    """Whether u and v have the same bits: -0.0 and 0.0 differ."""
+    return u.coords == v.coords and u.array.tobytes() == v.array.tobytes()
 
 
 def fixed_point_residual(m: Mapping, x: Vector) -> float:
@@ -239,8 +258,14 @@ def _stale(fn: Callable | None, fields: dict) -> bool:
         for name, source in sources.items())
 
 
-def _stack(vectors: Iterable[Vector], shape: tuple[int, ...]) -> np.ndarray:
-    return np.array([v.coords for v in vectors], dtype=float).reshape(shape)
+def _stack(vectors: Iterable[Vector], shape: tuple[int, int]) -> np.ndarray:
+    """The (k, dim) array ``shape`` of the vectors' coords, filled as the
+    vectors come, so none is held; a vector of another dim raises."""
+    k, dim = shape
+    # A vector of another dim goes to _same_dim, which raises.
+    coords = itertools.chain.from_iterable(
+        v.coords if len(v.coords) == dim else _same_dim(dim, v).coords for v in vectors)
+    return np.fromiter(coords, dtype=float, count=k * dim).reshape(shape)
 
 
 def _screen(fn: Callable[[], object]) -> object:

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import (Mapping, _fixed_set_distances, _iterate, _screen, _stack, apply_power,
+from .mappings import (Mapping, _fixed_set_distances, _iterate, _same_bits, _screen, _stack, apply_power,
                        distance_to_fixed_set, fixed_point_residual)
 from .schedules import Schedule
 from .space import Vector, combine
@@ -236,8 +236,10 @@ class Trajectory:
     displacement from x_{n-1} (``step_norm``), the residuals ||x_n - T x_n||
     and ||x_n - T^n x_n|| (the power index is the step's own n), the distance
     to the known fixed-point set, None when no set is declared, and the
-    number of mapping applications the scheme update spent (diagnostics are
-    not counted).  ``records`` boxes the columns into StepRecords on first use.
+    mapping applications the scheme charges for the update, n for each T^n
+    without a closed form: not the ``apply`` calls made, as a chain stops
+    at a fixed point (diagnostics are not counted).  ``records`` boxes the
+    columns into StepRecords on first use.
     """
 
     config: RunConfig
@@ -356,12 +358,16 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int | np.ndarray, ns: np.n
 
 
 def _chain(m: Mapping, x: Vector, k: int) -> tuple[Vector, tuple[Vector, Vector]]:
-    """T^k x as k calls of ``m.apply``, the calls ``_iterate`` makes on a map
-    without a closed-form power, and the pair (T x, T^{k-1} x) it passes."""
+    """T^k x as a chain of ``m.apply`` calls, the calls ``_iterate`` makes on
+    a map without a closed-form power, and the pair (T x, T^{k-1} x) it
+    passes.  The chain stops at the first image with its input's bits, which
+    is then both T^{k-1} x and T^k x."""
     apply = m.apply
     first = v = apply(x)
     last = x
     for _ in range(k - 1):
+        if _same_bits(v, last):
+            break
         last, v = v, apply(v)
     return v, (first, last)
 
@@ -577,14 +583,18 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str,
     ``_chain``); T x_N is applied afresh.  A T^n x_n not kept continues the
     chain from T x_n with n - 1 applications, and is stacked as it is made,
     not held.  On picard T^j x_n is x_{n+j}: the iterates are extended N
-    applications past x_N, and both images are read off them.
+    steps past x_N by one chain, which stops as ``_chain`` does, and both
+    images are read off them.
     """
     N, v = len(points) - 1, Vector.from_array(points[-1])
     if scheme == "picard":
         tail = []
         for _ in range(N):
-            v = m.apply(v)
+            v, last = m.apply(v), v
             tail.append(v.coords)
+            if _same_bits(v, last):  # a fixed point: the rest of the tail repeats it
+                tail += [v.coords] * (N - len(tail))
+                break
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
     T, held = kept[0][1:] + [m.apply(v)], kept[1][1:]

@@ -37,6 +37,7 @@ from fixiter import (
     Vector,
     apply_power,
     build_mapping,
+    certify_uniform_lipschitz,
     combine,
     distance_to_fixed_set,
     get_mapping,
@@ -48,7 +49,8 @@ from fixiter import (
     trajectory_csv_rows,
     write_trajectory_csv,
 )
-from fixiter.mappings import CATALOG
+from fixiter import mappings, schemes
+from fixiter.mappings import CATALOG, _iterate
 from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _chain, _validate_config
 
 # The overflowing maps warn on their way to the error both engines raise, and
@@ -390,9 +392,13 @@ def test_a_scalar_closed_form_is_the_map_itself_at_n_1():
 # and, on a power scheme, T^n x_n from the update's chains, continue a T^n x_n
 # from T x_n, and on picard read T^n x_n = x_{2n}: N applications, or
 # 1 + N(N - 1)/2 on mann, ishikawa and pm_hybrid.  Built afresh, they would
-# cost n + 1 applications a step.
+# cost n + 1 applications a step.  A chain stops at the first image with its
+# input's bits, while the charge stays n per T^n: only modified_pm_hybrid's
+# iterates reach the fixed point 0 (x_45 = 0), and from there each of its
+# chains costs one call, so its 14520 charged applications take 2217 calls.
+# The others stay above 0 through step 120 and every chain runs in full.
 APPLY_CALLS = {"picard": (120, 240), "mann": (120, 7261), "ishikawa": (240, 7381),
-               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 14640)}
+               "modified_mann": (7260, 7380), "pm_hybrid": (240, 7381), "modified_pm_hybrid": (14520, 2217)}
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -406,24 +412,138 @@ def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
     assert len(calls) == applied
 
 
+# Power-less maps on [-1, 1]^2, each with a start x and the first j with
+# T^{j+1} x = T^j x bit for bit (None when no chain of 17 meets one), so a
+# chain of k applications makes min(k, j + 1) calls.  halving_swap nears its
+# fixed point (0.5, 0.5) without reaching it; clamp reaches 0 at T^3 x, or
+# starts there; negate sends -0.0 to 0.0 and back, equal by value at every
+# link with other bits; signed_zero sends -0.0 to 0.0, which it fixes.
+CHAIN_MAPS = {
+    "halving_swap": (lambda a: 0.5 * a[::-1] + 0.25, (0.75, -0.5), None),
+    "clamp": (lambda a: np.maximum(a - 0.25, 0.0), (0.6, 0.3), 3),
+    "clamp_at_fixed_point": (lambda a: np.maximum(a - 0.25, 0.0), (0.0, 0.0), 0),
+    "negate": (lambda a: -a, (-0.0, 0.0), None),
+    "signed_zero": (lambda a: 0.5 * a + 0.0, (-0.0, -0.0), 1),
+}
+
+
+def _chain_cases(k):
+    """For each of CHAIN_MAPS: its power-less Mapping, which records the bits
+    of every input it is applied to in ``calls``, the start x, the plain
+    k-fold loop's x, T x, ..., T^k x, and the calls a chain of k makes."""
+    box = Box((-1.0, -1.0), (1.0, 1.0))
+    for name, (fn, start, j) in CHAIN_MAPS.items():
+        calls = []
+        apply = lambda x, fn=fn, calls=calls: calls.append(x.array.tobytes()) or Vector.from_array(fn(x.array))
+        images = [Vector(start)]
+        for _ in range(k):
+            images.append(Vector.from_array(fn(images[-1].array)))
+        yield (name, Mapping(name, NormedSpace(2, 2.0), box, apply, None, MappingMeta()), calls, images,
+               k if j is None else min(k, j + 1))
+
+
+def _bits(v):
+    return v.array.tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 17])
 def test_a_chain_applies_k_times_and_keeps_the_first_and_the_next_to_last_image(k):
-    calls = []
+    # A chain stops at the first image with its input's bits, and still
+    # returns the plain loop's T^k x and its pair (T x, T^{k-1} x).
+    for name, m, calls, images, made in _chain_cases(k):
+        z, (first, last) = _chain(m, images[0], k)
+        assert calls == [_bits(x) for x in images[:made]], name
+        assert _bits(z) == _bits(images[k]) and _bits(first) == _bits(images[1]), name
+        # At k = 1, T^{k-1} x is x itself.
+        assert _bits(last) == _bits(images[k - 1]), name
 
-    def apply(x):
-        calls.append(x.coords)
-        return Vector.from_array(0.5 * x.array[::-1] + 0.25)
 
-    m = Mapping("halving_swap", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)), apply, None, MappingMeta())
-    iterates = [Vector((0.75, -0.5))]
-    for _ in range(k):
-        iterates.append(Vector.from_array(0.5 * iterates[-1].array[::-1] + 0.25))
-    z, (first, last) = _chain(m, iterates[0], k)
-    assert calls == [x.coords for x in iterates[:k]]
-    bits = lambda v: v.array.tobytes()
-    assert bits(z) == bits(iterates[k]) and bits(first) == bits(iterates[1])
-    # At k = 1, T^{k-1} x is x itself.
-    assert bits(last) == bits(iterates[k - 1])
+@pytest.mark.parametrize("k", [1, 2, 3, 17])
+def test_iterate_and_apply_power_stop_a_chain_at_a_fixed_point(k):
+    for name, m, calls, images, made in _chain_cases(k):
+        for power in (_iterate, apply_power):
+            calls.clear()
+            assert _bits(power(m, k, images[0])) == _bits(images[k]), name
+            assert calls == [_bits(x) for x in images[:made]], name
+        # The row form a map without a closed-form power derives iterates each row.
+        calls.clear()
+        rows = m.power_rows(np.array([k, 1]), np.stack([images[0].array, images[0].array]))
+        assert rows.tobytes() == _bits(images[k]) + _bits(images[1]), name
+        assert len(calls) == made + 1, name
+
+
+def test_picards_record_tail_stops_at_a_fixed_point():
+    # clamp reaches 0 at x_3, so a 10-step picard run makes 10 update calls,
+    # and the records' tail T x_10, ..., T^10 x_10 one, from the fixed point.
+    (_, m, calls, x, _), = (case for case in _chain_cases(20) if case[0] == "clamp")
+    t = run_scheme(_config("picard", m, None, 0.5, 0.5, 10, -1.0, x0=x[0]))
+    assert t.points.tobytes() == b"".join(map(_bits, x[:11]))
+    assert t.residual_T == tuple(m.space.norm(x[n] - x[n + 1]) for n in range(1, 11))
+    assert t.residual_Tn == tuple(m.space.norm(x[n] - x[2 * n]) for n in range(1, 11))
+    assert len(calls) == 11
+
+
+def _plain_iterate(m, n, x):
+    """``_iterate`` as the n-fold loop that never stops early."""
+    if m.power is not None and n > 1:
+        return m.power(n, x)
+    for _ in range(n):
+        x = m.apply(x)
+    return x
+
+
+def _plain_chain(m, x, k):
+    """``_chain`` as the k-fold loop that never stops early."""
+    first = v = m.apply(x)
+    last = x
+    for _ in range(k - 1):
+        last, v = v, m.apply(v)
+    return v, (first, last)
+
+
+@st.composite
+def fixing_maps(draw):
+    """Maps without a closed-form power whose iterates reach their fixed point
+    0 exactly: example21; a clamp of each |x_i| by c towards 0, which keeps
+    the sign, so a negative coordinate ends at the fixed point -0.0; and
+    x -> -q x, which sends -0.0 to 0.0 and 0.0 to -0.0, equal by value but
+    never with the same bits."""
+    kind = draw(st.sampled_from(["example21", "clamp", "negate"]))
+    q = draw(st.floats(0.05, 0.95))
+    if kind == "example21":
+        return replace(make_example21(q), power=None, power_rows=None)
+    dim = draw(st.integers(1, 2))
+    c = draw(st.floats(0.01, 0.3))
+    fn = (lambda a: np.copysign(np.maximum(np.abs(a) - c, 0.0), a)) if kind == "clamp" else (lambda a: -q * a)
+    return Mapping(kind, NormedSpace(dim, draw(st.sampled_from(P_VALUES))), Box((-1.0,) * dim, (1.0,) * dim),
+                   lambda x: Vector.from_array(fn(x.array)), None,
+                   MappingMeta(known_fixed_points=(Vector((0.0,) * dim),)))
+
+
+@ENGINE_SETTINGS
+@given(m=fixing_maps(), scheme=st.sampled_from(SCHEMES), seed=st.integers(0, 2**32 - 1),
+       alpha=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9), steps=st.integers(1, 80),
+       zero=st.sampled_from([None, 0.0, -0.0]), n_max=st.integers(1, 30))
+def test_chains_that_stop_at_a_fixed_point_change_no_output(m, scheme, seed, alpha, beta, steps, zero, n_max):
+    # The same run and certificate with every chain loop the plain n-fold
+    # loop: _iterate (apply_power, the derived power_rows and the checked
+    # steps), _chain, and picard's record tail, whose stop test is _same_bits.
+    x0 = None if zero is None else Vector((zero,) * m.space.dim)
+    config = _config(scheme, m, seed, alpha, beta, steps, -1.0, x0=x0)
+
+    def outputs():
+        t = run_scheme(config)
+        return (t.points.tobytes(), t.step_norm, t.residual_T, t.residual_Tn, t.dist_to_known_fp,
+                t.applications, t.stop_reason, certify_uniform_lipschitz(m, 1.0, n_max, 20, seed))
+
+    stopping = _outcome(outputs)
+    assert stopping[0] == "ok", stopping
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mappings, "_iterate", _plain_iterate)
+        mp.setattr(schemes, "_iterate", _plain_iterate)
+        mp.setattr(schemes, "_chain", _plain_chain)
+        mp.setattr(schemes, "_same_bits", lambda u, v: False)
+        assert stopping == _outcome(outputs)
 
 
 def _vector_scaling(factor):

@@ -36,7 +36,7 @@ from fixiter import (
     near_schedule_for,
     near_sequence_from_asymptotic,
 )
-from fixiter.mappings import special_points, uniform_lipschitz_violation
+from fixiter.mappings import _screen, special_points, uniform_lipschitz_violation
 
 
 def test_scaling_with_jump_hand_values():
@@ -418,6 +418,20 @@ def test_dropped_rows_become_per_row_adapters():
         assert adapted.apply_rows(X).tobytes() == m.apply_rows(X).tobytes()
         assert adapted.power_rows(ns, X).tobytes() == m.power_rows(ns, X).tobytes()
         assert m.power_rows(np.ones(len(X), dtype=int), X).tobytes() == m.apply_rows(X).tobytes()
+
+
+def test_derived_rows_refuse_an_image_of_another_dim():
+    # On a plane, images of dims 1 and 3 hold the four numbers of two rows,
+    # yet neither is a row: the derived row evaluators raise, so an array
+    # pass gives way to the scalar path.
+    wrong = Mapping("wrong_dims", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)),
+                    lambda x: Vector((0.0,) * (1 if x.coords[0] < 0 else 3)), None, MappingMeta())
+    X = np.array([[-0.5, 0.0], [0.5, 0.0]])
+    with pytest.raises(ContractError, match="^dimension mismatch: vectors have dims 2 and 1$"):
+        wrong.apply_rows(X)
+    with pytest.raises(ContractError, match="^dimension mismatch: vectors have dims 2 and 3$"):
+        wrong.power_rows(np.array([2, 2]), X[::-1])
+    assert _screen(lambda: wrong.apply_rows(X)) is None
 
 
 def test_replace_derives_again_from_a_new_evaluator():
