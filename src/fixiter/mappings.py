@@ -114,7 +114,7 @@ def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
     """The n-th iterate T^n x: x itself at n = 0, and ``m.apply(x)`` at n = 1.
 
     Without a closed form, T^n x is a chain of ``m.apply`` calls that stops
-    at the first image with its input's bits (see ``_iterate``)."""
+    at the first image with its input's bits (see ``_chain``)."""
     if n < 0:
         raise ContractError(f"power index must be >= 0, got {n}")
     if not m.domain.contains(m.space, x):
@@ -130,24 +130,36 @@ def apply_power(m: Mapping, n: int, x: Vector) -> Vector:
 
 
 def _iterate(m: Mapping, n: int, x: Vector) -> Vector:
-    """T^n x without domain checks: the closed form from n = 2, or a chain of
-    n calls of ``m.apply``, which is x itself at n = 0.
-
-    The chain stops at the first image with its input's bits, a fixed point,
-    which is then T^k x for every k left.  fixiter assumes that ``apply``
-    depends only on the bits of its input: the records' reuse of the
-    update's chains rests on it too.  So a chain costs up to n calls, and
-    one call from a fixed point.
-    """
+    """T^n x without domain checks: the closed form from n = 2, else the
+    ``_chain`` of n calls of ``m.apply``, and x itself at n = 0."""
     if m.power is not None and n > 1:
         return m.power(n, x)
+    return _chain(m, x, n)[2] if n else x
+
+
+def _chain(m: Mapping, x: Vector, k: int,
+           keep: Callable[[Vector], object] | None = None) -> tuple[Vector, Vector, Vector]:
+    """T x, T^{k-1} x and T^k x as a chain of k >= 1 calls of ``m.apply``
+    from x, each image it makes passed to ``keep`` when given.
+
+    Every chain of ``apply`` calls in fixiter runs here.  It stops at the
+    first image with its input's bits, a fixed point, which is then T^j x for
+    every j left.  fixiter assumes that ``apply`` depends only on the bits of
+    its input: the records' reuse of the update's chains rests on it too.  So
+    a chain costs up to k calls, and one call from a fixed point.
+    """
     apply = m.apply
-    for _ in range(n):
-        v = apply(x)
-        if _same_bits(v, x):
-            return v
-        x = v
-    return x
+    first = v = apply(x)
+    last = x
+    if keep is not None:
+        keep(v)
+    for _ in range(k - 1):
+        if _same_bits(v, last):
+            break
+        last, v = v, apply(v)
+        if keep is not None:
+            keep(v)
+    return first, last, v
 
 
 def _same_bits(u: Vector, v: Vector) -> bool:
@@ -389,9 +401,8 @@ def build_mapping(
 
         agree = _screen(agreeing)
         for row, n in zip(xs, ns) if agree is None else zip(xs[~agree], ns[~agree]):
-            x = iterated = Vector.from_array(row)
-            for _ in range(int(n)):
-                iterated = m.apply(iterated)
+            x = Vector.from_array(row)
+            iterated = _chain(m, x, int(n))[2]
             gap = space.distance(m.power(int(n), x), iterated)
             if gap > _POWER_TOL:
                 raise ContractError(

@@ -30,7 +30,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
-from .mappings import (Mapping, _fixed_set_distances, _iterate, _same_bits, _screen, _stack, apply_power,
+from .mappings import (Mapping, _chain, _fixed_set_distances, _iterate, _screen, _stack, apply_power,
                        distance_to_fixed_set, fixed_point_residual)
 from .schedules import Schedule
 from .space import Vector, combine
@@ -357,21 +357,6 @@ def _step(m: Mapping, stages: list, x: np.ndarray, n: int | np.ndarray, ns: np.n
     return z
 
 
-def _chain(m: Mapping, x: Vector, k: int) -> tuple[Vector, tuple[Vector, Vector]]:
-    """T^k x as a chain of ``m.apply`` calls, the calls ``_iterate`` makes on
-    a map without a closed-form power, and the pair (T x, T^{k-1} x) it
-    passes.  The chain stops at the first image with its input's bits, which
-    is then both T^{k-1} x and T^k x."""
-    apply = m.apply
-    first = v = apply(x)
-    last = x
-    for _ in range(k - 1):
-        if _same_bits(v, last):
-            break
-        last, v = v, apply(v)
-    return v, (first, last)
-
-
 def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: int,
                      tol: float) -> tuple[int, str, None] | None:
     """Steps first .. last into X, with their points tested together at the end.
@@ -444,7 +429,7 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, li
             for schedule, values, power in stages:
                 w = _weight(schedule, values, n)
                 if kept is not None and pair is None:  # the first stage keeps the images its chain passes
-                    z, pair = _chain(m, x, n if power else 1)
+                    *pair, z = _chain(m, x, n if power else 1)
                 else:
                     z = _iterate(m, n if power else 1, z)
                 if not contains(space, z):
@@ -583,18 +568,13 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str,
     ``_chain``); T x_N is applied afresh.  A T^n x_n not kept continues the
     chain from T x_n with n - 1 applications, and is stacked as it is made,
     not held.  On picard T^j x_n is x_{n+j}: the iterates are extended N
-    steps past x_N by one chain, which stops as ``_chain`` does, and both
-    images are read off them.
+    steps past x_N by one ``_chain``, and both images are read off them.
     """
     N, v = len(points) - 1, Vector.from_array(points[-1])
     if scheme == "picard":
         tail = []
-        for _ in range(N):
-            v, last = m.apply(v), v
-            tail.append(v.coords)
-            if _same_bits(v, last):  # a fixed point: the rest of the tail repeats it
-                tail += [v.coords] * (N - len(tail))
-                break
+        _chain(m, v, N, lambda image: tail.append(image.coords))
+        tail += tail[-1:] * (N - len(tail))  # a chain stopped at a fixed point, which the rest repeats
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
     T, held = kept[0][1:] + [m.apply(v)], kept[1][1:]

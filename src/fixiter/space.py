@@ -23,9 +23,6 @@ TAU_DOM = 1e-9
 _BALL_BATCH = 4096
 # The smallest normal float: a sum of |x_i|**p below it has lost precision or underflowed.
 _TINY = float(np.finfo(float).tiny)
-_SQRT_TINY = math.sqrt(_TINY)
-# Half the largest float: a sum of positive terms below it cannot round up to inf.
-_HALF_MAX = float(np.finfo(float).max) / 2.0
 # Rejection from the cube serves the unit ball while it keeps at least this share
 # of its draws; below it the exact sampler runs, whose draws do not grow with
 # dimension.  At or above one half the loop cannot spin, and every ball stream
@@ -187,59 +184,33 @@ class NormedSpace:
 
         Each row's norm is reduced from that row alone, so it has the same bits
         whatever stack the row sits in, and ``norm`` is the one-row case.  The
-        rows are copied to C order first; for p outside {1, 2, inf} the root is
-        taken per row by ``math.pow``.  For p not in {1, inf}, a row whose sum
-        of |x_i|**p underflows below the smallest normal float or overflows is
+        rows are copied to C order first.  For p < inf the sums of |x_i|**p
+        are taken under one ``np.errstate`` that ignores overflow and
+        underflow: at p = 1 the sum is the norm, inf past the largest float;
+        at p = 2 the root is ``np.sqrt``, elsewhere ``math.pow`` per row.  A
+        row whose sum then lies outside [smallest normal float, inf), or is
+        NaN, is lost, and unless every lost row is zero, each lost row is
         taken again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
-        row's largest |x_i|.  At p = 1 a sum past the largest float is the
-        true norm overflowing, and reads inf.  No case warns.
+        row's largest |x_i| (see ``_rescale_lost_rows``).  No case warns.
         """
         X = np.ascontiguousarray(points, dtype=float)
         if not X.size:  # no rows, or rows without entries, whose norms are 0
             return np.zeros(len(X))
         if self.p == math.inf:
             return np.abs(X).max(axis=1)
-        # While every |x_i| is below (HALF_MAX / dim)**(1/p), each of a row's
-        # dim terms |x_i|**p is below HALF_MAX / dim, so its sum cannot
-        # overflow; at p = 1 and p = 2 that screen keeps the common path free
-        # of np.errstate.  One row, the most common call, takes its largest
-        # |x_i| on Python floats, which skip a NaN unless it comes first (a
-        # NaN sum is NaN on every path), and at p = 2 a largest |x_i| at or
-        # above sqrt(tiny) keeps the sum normal on its own.
-        dim = X.shape[1]
-        if len(X) == 1 and self.p in (1.0, 2.0):
-            peak = max(map(abs, X.tolist()[0]))
-            if self.p == 1.0 and peak < _HALF_MAX / dim:
-                return np.add.reduce(np.abs(X), axis=1)
-            if self.p == 2.0 and _SQRT_TINY <= peak < math.sqrt(_HALF_MAX / dim):
-                return np.sqrt(_squares(X))
-        A = np.abs(X)
-        peak = np.maximum.reduce(A, axis=None)
-        if self.p == 1.0:
-            if peak < _HALF_MAX / dim:
-                return np.add.reduce(A, axis=1)
-            with np.errstate(over="ignore"):
-                return np.add.reduce(A, axis=1)
-        if self.p == 2.0:
-            if peak < math.sqrt(_HALF_MAX / dim):
-                sums = _squares(X)
-                # A sum below the smallest normal float is lost, unless its row is zero.
-                if (np.minimum.reduce(sums) >= _TINY or peak == 0.0
-                        or not A.compress(sums < _TINY, axis=0).any()):
-                    return np.sqrt(sums)
-            else:
-                with np.errstate(over="ignore"):
-                    sums = _squares(X)
-            return _rescale_lost_rows(A, sums, np.sqrt(sums), 2.0)
-        root = 1.0 / self.p
         with np.errstate(over="ignore", under="ignore"):
-            sums = np.add.reduce(A ** self.p, axis=1)
-        listed = sums.tolist()
-        norms = np.array([math.pow(s, root) for s in listed], dtype=float)
-        # A NaN at the head of the list fails this test, and min and max skip one
-        # elsewhere, so no lost row is missed.
-        if not (_TINY <= min(listed) and max(listed) < math.inf):
-            return _rescale_lost_rows(A, sums, norms, self.p)
+            if self.p == 1.0:
+                return np.add.reduce(np.abs(X), axis=1)
+            if self.p == 2.0:
+                sums = _squares(X)
+                norms = np.sqrt(sums)
+            else:
+                root = 1.0 / self.p
+                sums = np.add.reduce(np.abs(X) ** self.p, axis=1)
+                norms = np.array([math.pow(s, root) for s in sums.tolist()], dtype=float)
+        lost = ~((sums >= _TINY) & (sums < math.inf))
+        if lost.any() and X.compress(lost, axis=0).any():
+            return _rescale_lost_rows(np.abs(X), sums, norms, self.p)
         return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
@@ -332,8 +303,10 @@ class Box:
         return ((lows <= points) & (points <= highs)).all(axis=1)
 
     def diameter(self, space: NormedSpace) -> float:
-        side = Vector(tuple(hi - lo for lo, hi in zip(self.lows, self.highs)))
-        return space.norm(side)
+        """The norm of highs - lows, taken on floats: inf when a width passes the largest float."""
+        side = [hi - lo for lo, hi in zip(self.lows, self.highs)]
+        space._check_dim(len(side))
+        return float(space.norm_rows(np.array([side]))[0])
 
     def sample(self, space: NormedSpace, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lows, self.highs, size=(count, self.dim))

@@ -50,8 +50,8 @@ from fixiter import (
     write_trajectory_csv,
 )
 from fixiter import mappings, schemes
-from fixiter.mappings import CATALOG, _iterate
-from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _chain, _validate_config
+from fixiter.mappings import CATALOG, _chain, _iterate
+from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _validate_config
 
 # The overflowing maps warn on their way to the error both engines raise, and
 # the dividing map warns of 1/0.
@@ -451,7 +451,7 @@ def test_a_chain_applies_k_times_and_keeps_the_first_and_the_next_to_last_image(
     # A chain stops at the first image with its input's bits, and still
     # returns the plain loop's T^k x and its pair (T x, T^{k-1} x).
     for name, m, calls, images, made in _chain_cases(k):
-        z, (first, last) = _chain(m, images[0], k)
+        first, last, z = _chain(m, images[0], k)
         assert calls == [_bits(x) for x in images[:made]], name
         assert _bits(z) == _bits(images[k]) and _bits(first) == _bits(images[1]), name
         # At k = 1, T^{k-1} x is x itself.
@@ -483,22 +483,14 @@ def test_picards_record_tail_stops_at_a_fixed_point():
     assert len(calls) == 11
 
 
-def _plain_iterate(m, n, x):
-    """``_iterate`` as the n-fold loop that never stops early."""
-    if m.power is not None and n > 1:
-        return m.power(n, x)
-    for _ in range(n):
-        x = m.apply(x)
-    return x
-
-
-def _plain_chain(m, x, k):
+def _plain_chain(m, x, k, keep=None):
     """``_chain`` as the k-fold loop that never stops early."""
-    first = v = m.apply(x)
-    last = x
-    for _ in range(k - 1):
-        last, v = v, m.apply(v)
-    return v, (first, last)
+    images = [x]
+    for _ in range(k):
+        images.append(m.apply(images[-1]))
+        if keep is not None:
+            keep(images[-1])
+    return images[1], images[-2], images[-1]
 
 
 @st.composite
@@ -525,9 +517,9 @@ def fixing_maps(draw):
        alpha=st.floats(0.1, 0.9), beta=st.floats(0.1, 0.9), steps=st.integers(1, 80),
        zero=st.sampled_from([None, 0.0, -0.0]), n_max=st.integers(1, 30))
 def test_chains_that_stop_at_a_fixed_point_change_no_output(m, scheme, seed, alpha, beta, steps, zero, n_max):
-    # The same run and certificate with every chain loop the plain n-fold
-    # loop: _iterate (apply_power, the derived power_rows and the checked
-    # steps), _chain, and picard's record tail, whose stop test is _same_bits.
+    # The same run and certificate with _chain, which runs every chain of
+    # apply calls (apply_power, the derived power_rows, the checked steps and
+    # picard's record tail), the plain k-fold loop.
     x0 = None if zero is None else Vector((zero,) * m.space.dim)
     config = _config(scheme, m, seed, alpha, beta, steps, -1.0, x0=x0)
 
@@ -539,10 +531,9 @@ def test_chains_that_stop_at_a_fixed_point_change_no_output(m, scheme, seed, alp
     stopping = _outcome(outputs)
     assert stopping[0] == "ok", stopping
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mappings, "_iterate", _plain_iterate)
-        mp.setattr(schemes, "_iterate", _plain_iterate)
+        # schemes binds the same function at import.
+        mp.setattr(mappings, "_chain", _plain_chain)
         mp.setattr(schemes, "_chain", _plain_chain)
-        mp.setattr(schemes, "_same_bits", lambda u, v: False)
         assert stopping == _outcome(outputs)
 
 

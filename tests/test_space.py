@@ -76,7 +76,8 @@ def test_norm_rows_equals_norm_bit_for_bit(p, dim, rows, offset, row_step, col_s
         X = np.asfortranarray(X)
     sp = NormedSpace(dim, p)
     split = int(rng.integers(0, rows + 1))
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = sp.norm_rows(X)
         alone = np.array([sp.norm_rows(X[i:i + 1])[0] for i in range(rows)])
         scalar = np.array([sp.norm(Vector.from_array(x)) for x in X])
@@ -146,6 +147,52 @@ def test_l2_and_l1_norms_hold_over_the_whole_float_range():
         assert NormedSpace(2, 2.0).norm(Vector((1e308, 1e308))) == pytest.approx(1e308 * math.sqrt(2.0))
         # At p = 1 the sum is the norm, which does overflow: inf, without a warning.
         assert NormedSpace(2, 1.0).norm(Vector((1e308, 1e308))) == math.inf
+
+
+# Rows with an inf or a NaN entry, first or not, beside signed zeros, a row
+# whose power sums underflow and one whose sum at p = 1 overflows.
+NON_FINITE_ROWS = [(math.inf, 1.0), (1.0, -math.inf), (-math.inf, -0.0), (math.nan, 1.0), (1.0, math.nan),
+                   (math.nan, math.inf), (-math.inf, math.nan), (1e-170, math.nan), (math.nan, 1e308),
+                   (0.0, -0.0), (-0.0, -0.0), (1e-170, -0.0), (1e-170, -1e-170), (1e308, 1e308), (1e308, -1.0)]
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_norm_rows_of_non_finite_rows(p):
+    # A row with a NaN reads NaN, one with an inf and no NaN reads inf, and a
+    # zero row 0.0, each with the same bits alone as stacked, and nothing warns.
+    X = np.array(NON_FINITE_ROWS)
+    sp = NormedSpace(2, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = sp.norm_rows(X)
+        alone = np.array([sp.norm_rows(X[i:i + 1])[0] for i in range(len(X))])
+    assert stacked.tobytes() == alone.tobytes()
+    for row, norm in zip(NON_FINITE_ROWS, stacked.tolist()):
+        peak = max(map(abs, row))
+        if any(map(math.isnan, row)):
+            assert math.isnan(norm), row
+        elif peak == math.inf:
+            assert norm == math.inf, row
+        elif peak == 0.0:
+            assert _bits([norm]) == _bits([0.0]), row
+        else:
+            # Blue's scaled norm on Python floats; at p = 1 that of (1e308, 1e308) overflows.
+            want = peak if p == math.inf else peak * sum((abs(x) / peak) ** p for x in row) ** (1.0 / p)
+            assert norm == pytest.approx(want, rel=1e-15), row
+
+
+def test_a_box_too_wide_for_a_float_has_an_infinite_diameter():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in P_VALUES:
+            assert Box((-1e308,), (1e308,)).diameter(NormedSpace(1, p)) == math.inf
+            assert Box((-1e308, 0.0), (1e308, 1.0)).diameter(NormedSpace(2, p)) == math.inf
+            # A finite width has the bits of the norm of the box's side.
+            box = Box((-1.0, 0.25, -3e-170), (0.5, 7.0, 1e-170))
+            side = Vector(tuple(hi - lo for lo, hi in zip(box.lows, box.highs)))
+            assert _bits([box.diameter(NormedSpace(3, p))]) == _bits([NormedSpace(3, p).norm(side)])
+    with pytest.raises(ContractError, match="^dimension mismatch: space has dim 2, vector has dim 1$"):
+        Box((0.0,), (1.0,)).diameter(NormedSpace(2, 2.0))
 
 
 def test_norm_rows_agrees_with_numpy():
