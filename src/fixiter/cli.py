@@ -775,11 +775,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
             return args.handler(args)
-    except (FixiterError, Warning) as e:  # a warning is raised under an interpreter filter of "error"
+    # a warning is raised under an interpreter filter of "error"; an array too large to allocate
+    # raises MemoryError
+    except (FixiterError, Warning, MemoryError) as e:
         # run and compare put an error inside their scenario at its file
         scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)
                     and getattr(args, "scenario", None))
-        print(f"error: {scenario}: {e}" if scenario else f"error: {e}", file=sys.stderr)
+        message = str(e) or "out of memory"  # a MemoryError may carry no message
+        print(f"error: {scenario}: {message}" if scenario else f"error: {message}", file=sys.stderr)
         return 1
 
 

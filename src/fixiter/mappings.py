@@ -211,7 +211,10 @@ def near_schedule_for(m: Mapping) -> Optional[Schedule]:
     if m.meta.a_schedule is not None:
         return m.meta.a_schedule
     if m.meta.k_schedule is not None:
-        return near_sequence_from_asymptotic(m.meta.k_schedule, m.domain.diameter(m.space))
+        try:
+            return near_sequence_from_asymptotic(m.meta.k_schedule, m.domain.diameter(m.space))
+        except ContractError as e:
+            raise ContractError(f"mapping '{m.mapping_id}' on {m.domain}: {e}") from None
     if m.meta.declared_class == "nonexpansive":
         return Schedule.constant(0.0)
     return None
@@ -219,8 +222,8 @@ def near_schedule_for(m: Mapping) -> Optional[Schedule]:
 
 def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
     """Turn an asymptotic schedule k_n >= 1 into the near-sequence (k_n - 1) * diam."""
-    if diam < 0.0:
-        raise ContractError(f"diameter must be >= 0, got {diam}")
+    if not 0.0 <= diam < math.inf:
+        raise ContractError(f"diameter must be finite and >= 0, got {diam}")
     return Schedule.formula(lambda n: (_coefficient("asymptotically_nonexpansive", k, n) - 1.0) * diam,
                             label=f"near_from_{k.kind}")
 
@@ -440,8 +443,8 @@ def _check_meta(space: NormedSpace, meta: MappingMeta) -> None:
             _coefficient(meta.declared_class, s, n)
         if s.at(10_000) > floor + 1e-2:
             raise ScheduleError(f"{name} schedule does not approach {floor:g}")
-    if meta.lipschitz_L is not None and meta.lipschitz_L <= 0.0:
-        raise ContractError(f"Lipschitz constant must be > 0, got {meta.lipschitz_L}")
+    if meta.lipschitz_L is not None and not 0.0 < meta.lipschitz_L < math.inf:
+        raise ContractError(f"Lipschitz constant must be finite and > 0, got {meta.lipschitz_L}")
     for p in meta.known_fixed_points or ():
         if p.dim != space.dim:
             raise ContractError(f"fixed point {p.coords} has wrong dimension")

@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
@@ -443,27 +445,6 @@ def test_certify_with_schedule_spec(capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "certified"
 
 
-def test_certify_argument_errors(capsys):
-    assert cli.main(["certify", "mystery", "--class", "nonexpansive"]) == 1
-    assert cli.main(["certify", "example21", "--class", "bogus",
-                     "--param", "q=0.5"]) == 1
-    assert cli.main(["certify", "example21", "--class", "nearly_nonexpansive",
-                     "--param", "q=0.5"]) == 1  # schedule missing
-    assert cli.main(["certify", "example21", "--class", "nonexpansive",
-                     "--param", "q=oops"]) == 1
-    capsys.readouterr()
-    nearly = ["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5"]
-    for argv in (
-        nearly + ["--schedule", "geometric:2", "--n-max", "1100"],  # overflows
-        nearly + ["--schedule", "harmonic_tail:inf"],
-        nearly + ["--schedule", "harmonic_tail:nan"],
-        ["certify", "contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5",
-         "--lipschitz", "inf"],
-    ):
-        assert cli.main(argv) == 1
-        assert capsys.readouterr().err.startswith("error: ")
-
-
 @pytest.mark.parametrize("argv, error", [
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--schedule", "geometric:0.5"],
      "--schedule: nonexpansive takes no coefficient schedule"),
@@ -481,7 +462,7 @@ def test_certify_refuses_a_bound_its_class_does_not_take(capsys, argv, error):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["certify", "example21", "--param", "q=0.5"], "the following arguments are required: --class"),
+    (["certify", "example21", "--param", "q=0.5"],"the following arguments are required: --class"),
     (["certify", "example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "x"],
      "argument --samples: invalid int value: 'x'"),
 ])
@@ -664,6 +645,14 @@ _CERTIFY_FAULTS = [
     (["example21", "--class", "nonexpansive", "--param", "q"], "--param: expected name=value, got 'q'"),
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--p", "abc"],
      "--p: expected a number or 'inf', got 'abc'"),
+    (_NEARLY + ["--schedule", "harmonic_tail:inf"],
+     "harmonic_tail schedule needs a finite scale and offset, got inf, 0.0"),
+    (_NEARLY + ["--schedule", "harmonic_tail:nan"],
+     "harmonic_tail schedule needs a finite scale and offset, got nan, 0.0"),
+    (_NEARLY + ["--schedule", "geometric:2", "--n-max", "1100"], "geometric schedule overflows at n = 1024"),
+    # Each coefficient floor has one message, whichever check meets it first.
+    (["asymptotic_demo", "--class", "asymptotically_nonexpansive", "--schedule", "constant:0.5"],
+     "asymptotic schedule must satisfy k(n) >= 1; k(1) = 0.5"),
 ]
 
 
@@ -688,11 +677,26 @@ def test_modulus_reports_estimate(capsys):
 
 
 def test_modulus_at_a_huge_p_reads_its_flat_faces_without_a_warning(capsys):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(["modulus", "--epsilon", "0.5", "--p", "1e308", "--samples", "1000"]) == 0
+    assert cli.main(["modulus", "--epsilon", "0.5", "--p", "1e308", "--samples", "1000"]) == 0
     out, err = capsys.readouterr()
     assert (json.loads(out)["estimate"], err) == (0.0, "")
+
+
+# numpy raises MemoryError with the first message for a sample array it cannot
+# allocate; the interpreter raises one without a message.
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 1.49 GiB for an array with shape (100000000, 2) and data type float64", None),
+    ("", "out of memory"),
+])
+@pytest.mark.parametrize("argv", [["modulus", "--epsilon", "0.5"],
+                                  ["certify", "contraction", "--param", "q=0.5", "--class", "nonexpansive"]])
+def test_an_allocation_that_fails_is_one_error_line(monkeypatch, capsys, argv, message, line):
+    def unit_ball_points(self, rng, count):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(NormedSpace, "unit_ball_points", unit_ball_points)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {line or message}\n")
 
 
 def test_modulus_infeasible_epsilon_exits_one(capsys):
@@ -720,10 +724,7 @@ def test_shipped_scenarios_pass(scenario, tmp_path):
 def test_an_x0_whose_norm_overflows_lies_outside_a_ball_without_a_warning(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "ishikawa_contraction.json").read_text())
     doc["x0"] = [0.6, -1e308]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")])
-    assert code == 1
+    assert cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")]) == 1
     assert capsys.readouterr() == ("", "error: x0 = (0.6, -1e+308) lies outside the mapping domain\n")
 
 
@@ -731,6 +732,7 @@ _NOT_UNIFORMLY_CONVEX = ("warning: p = {} is not uniformly convex; convergence g
                          "modified_pm_hybrid assume 1 < p < inf\n")
 
 
+@pytest.mark.filterwarnings("default")
 @pytest.mark.parametrize("scenario, p, command", [
     ("example21_hybrid", "inf", ["run"]),
     ("contraction_compare", 1, ["compare", "--schemes", "picard,modified_pm_hybrid", "--target", "1e-6"]),
@@ -748,15 +750,72 @@ def test_a_warning_is_one_stderr_line_and_changes_no_output(tmp_path, capsys, sc
     assert err == _NOT_UNIFORMLY_CONVEX.format(float(p))
 
 
+def _python(*args):
+    """Exit code and stderr of ``python *args`` in a new interpreter that imports this fixiter."""
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return done.returncode, done.stderr
+
+
 def test_a_warning_raised_under_an_error_filter_is_one_error_line(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
     doc["space"]["p"] = "inf"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")])
-    assert code == 1
-    assert capsys.readouterr() == ("", _NOT_UNIFORMLY_CONVEX.format("inf").replace("warning:", "error:", 1))
+    path, out = _write(tmp_path, doc), str(tmp_path / "out")
+    error = _NOT_UNIFORMLY_CONVEX.format("inf").replace("warning:", "error:", 1)
+    # pytest's filter of "error" (pyproject.toml), and then the interpreter's flag
+    assert cli.main(["run", path, "--output", out]) == 1
+    assert capsys.readouterr() == ("", error)
     assert not (tmp_path / "out").exists()
+    assert _python("-W", "error", "-m", "fixiter.cli", "run", path, "--output", out) == (1, error)
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_module_runs_as_a_script_through_its_main_guard():
+    assert _python("-m", "fixiter.cli", "certify", "identity", "--class", "nonexpansive", "--samples", "5") == (3, "")
+
+
+# An array pass that meets a numpy condition gives way to the scalar path, which
+# warns; no shipped input pays for that path.  So under the error filter each of
+# these runs exits 0: the six-scheme compare, every norm path past l_2 and l_inf
+# (p = 1, p near 1 and a generic p), and the power and table gauges.
+_GAUGES = {"power": {"kind": "power", "lam": 0.25, "gamma": 2}, "table": {"kind": "table", "grid": [[0, 0], [1, 0.4]]}}
+_QUIET_RUNS = {
+    "compare_six": ["compare", "{scenarios}/ishikawa_contraction.json", "--schemes", ",".join(cli.SCHEMES),
+                    "--target", "1e-6", "--output", "{out}"],
+    "certify_p1": ["certify", "contraction", "--param", "q=0.5", "--class", "nonexpansive", "--p", "1", "--dim", "3"],
+    "certify_p3": ["certify", "contraction", "--param", "q=0.5", "--class", "uniformly_lipschitz", "--lipschitz", "1",
+                   "--p", "3", "--dim", "2"],
+    "modulus_p1": ["modulus", "--epsilon", "0.5", "--p", "1", "--dim", "4", "--samples", "2000"],
+    "modulus_p1.0001": ["modulus", "--epsilon", "0.5", "--p", "1.0001", "--dim", "3", "--samples", "2000"],
+    "power_gauge": ["run", "{power}", "--output", "{out}"],
+    "table_gauge": ["run", "{table}", "--output", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", _QUIET_RUNS.values(), ids=_QUIET_RUNS)
+def test_each_norm_path_and_gauge_exits_zero_with_an_empty_stderr(tmp_path, capsys, argv):
+    paths = {"scenarios": SCENARIO_DIR, "out": tmp_path / "out"}
+    doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
+    for kind, phi in _GAUGES.items():
+        checks = [{**c, "phi": phi} if "phi" in c else c for c in doc["checks"]]
+        paths[kind] = _write(tmp_path, {**doc, "checks": checks}, f"{kind}.json")
+    assert cli.main([a.format(**paths) for a in argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scenario", ["example21_hybrid", "ishikawa_contraction"])
+def test_a_5000_step_run_begins_with_the_200_step_runs_csv(tmp_path, scenario):
+    # example21_hybrid's iterates reach 0 at step 45 and repeat it, and
+    # ishikawa_contraction's long run takes 1927 steps in blocks from a
+    # repeated iterate, at 4 points a step.
+    doc = json.loads((SCENARIO_DIR / f"{scenario}.json").read_text())
+    csv = {}
+    for steps in (200, 5000):
+        out = tmp_path / str(steps)
+        assert cli.main(["run", _write(tmp_path, {**doc, "max_steps": steps}), "--output", str(out), "--quiet"]) == 0
+        csv[steps], = (path.read_bytes() for path in out.glob("*.trajectory.csv"))
+    assert b"".join(csv[5000].splitlines(keepends=True)[:201]) == csv[200]
 
 
 # Schedule.at calls of ``fixiter run`` on each shipped scenario: the schedule

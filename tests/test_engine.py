@@ -412,6 +412,27 @@ def test_records_reuse_the_updates_chains_without_a_closed_form_power(scheme):
     assert len(calls) == applied
 
 
+def test_a_20000_step_run_stops_its_chains_at_the_fixed_point_within_a_call_budget():
+    # From step 45 on, each chain of a run from 0.7 starts at the fixed point
+    # 0, so 20000 steps make a few calls a step, where full chains would make
+    # about 4e8.  Past 10^5 calls apply raises, so a lost stop fails at once.
+    powerless = replace(make_example21(0.5), power=None, power_rows=None)
+    calls = 0
+
+    def apply(x):
+        nonlocal calls
+        calls += 1
+        if calls > 10**5:
+            raise RuntimeError("more than 10^5 apply calls")
+        return powerless.apply(x)
+
+    m = replace(powerless, apply=apply)
+    run = lambda steps: run_scheme(_config("modified_pm_hybrid", m, None, 0.5, 0.5, steps, -1.0, x0=Vector((0.7,))))
+    long = run(20_000)
+    assert (long.steps, calls) == (20_000, 41977)
+    assert long.points[:241].tobytes() == run(240).points.tobytes()
+
+
 # Power-less maps on [-1, 1]^2, each with a start x and the first j with
 # T^{j+1} x = T^j x bit for bit (None when no chain of 17 meets one), so a
 # chain of k applications makes min(k, j + 1) calls.  halving_swap nears its

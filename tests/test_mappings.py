@@ -177,8 +177,9 @@ def test_build_rejects_incoherent_metadata():
         build_mapping("m", sp, box, halve,
                       meta=MappingMeta(declared_class="asymptotically_nonexpansive",
                                        k_schedule=Schedule.constant(1.5)))
-    with pytest.raises(ContractError, match="^Lipschitz constant must be > 0, got 0.0$"):
-        build_mapping("m", sp, box, halve, meta=MappingMeta(lipschitz_L=0.0))
+    for L in (0.0, math.inf, math.nan):
+        with pytest.raises(ContractError, match=f"^Lipschitz constant must be finite and > 0, got {L}$"):
+            build_mapping("m", sp, box, halve, meta=MappingMeta(lipschitz_L=L))
     with pytest.raises(ContractError, match=r"^fixed point \(0.0, 0.0\) has wrong dimension$"):
         build_mapping("m", sp, box, halve, meta=MappingMeta(known_fixed_points=(Vector((0.0, 0.0)),)))
     with pytest.raises(ContractError):
@@ -303,6 +304,13 @@ def test_near_schedule_selection():
     bare = build_mapping("bare", sp, Box((-1.0,), (1.0,)),
                          lambda x: Vector((0.5 * x.coords[0],)))
     assert near_schedule_for(bare) is None
+    # On a domain of infinite diameter, (k(n) - 1) * diam would read inf at k(1) = 1.2, and nan where k(n) = 1.
+    wide = Mapping("wide", sp, Box((-1e308,), (1e308,)), lambda x: x, None,
+                   MappingMeta(declared_class="asymptotically_nonexpansive", k_schedule=Schedule.table([1.2, 1.0])))
+    with pytest.raises(ContractError) as raised:
+        near_schedule_for(wide)
+    assert str(raised.value) == ("mapping 'wide' on Box(lows=(-1e+308,), highs=(1e+308,)): "
+                                 "diameter must be finite and >= 0, got inf")
 
 
 def test_near_sequence_from_asymptotic_values():
@@ -315,8 +323,9 @@ def test_near_sequence_from_asymptotic_values():
     assert a.at(4) == 0.5
     with pytest.raises(ScheduleError):
         near_sequence_from_asymptotic(Schedule.constant(0.9), 1.0).at(1)
-    with pytest.raises(ContractError):
-        near_sequence_from_asymptotic(Schedule.constant(1.0), -1.0)
+    for diam in (-1.0, math.inf, math.nan):
+        with pytest.raises(ContractError, match=f"^diameter must be finite and >= 0, got {diam}$"):
+            near_sequence_from_asymptotic(Schedule.constant(1.0), diam)
 
 
 def test_special_points_cover_jump_neighborhood():
