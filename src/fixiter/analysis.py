@@ -326,7 +326,7 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
         "iterates_cauchy", traj.step_norm, TAU_LIM,
         "max step displacement",
     ))
-    final_res = fixed_point_residual(m, traj.final)
+    final_res = traj.residual_T[-1]
     checks.append(CheckResult(
         name="final_point_fixed",
         passed=final_res <= TAU_FP,

@@ -288,15 +288,17 @@ def _screen(fn: Callable[[], object]) -> object:
 
     The one rule of every array pass: a floating-point condition numpy would
     act on (warn of, as it does by default) is only noted, and when ``fn``
-    raises any Exception or a condition was noted, the result is None.  The
-    scalar path then raises, warns and returns exactly what it would without
-    the array pass.
+    raises any Exception but MemoryError or a condition was noted, the result
+    is None.  The scalar path then raises, warns and returns exactly what it
+    would without the array pass.
     """
     noted = []
     acted_on = {kind: "call" for kind, v in np.geterr().items() if v != "ignore"}
     try:
         with np.errstate(call=lambda kind, flag: noted.append(kind), **acted_on):
             result = fn()
+    except MemoryError:  # the scalar path would redo the pass one candidate at a time
+        raise
     except Exception:  # the scalar path meets it at its own candidate, or never
         return None
     return None if noted else result
@@ -522,16 +524,16 @@ def _certify(
 def _certify_pairs(
     property_name: str,
     m: Mapping,
-    violation: Callable[[int, Vector, Vector], float],
     terms: Callable[[int], tuple[float, float]],
     n_max: int,
     sample_count: int,
     seed: int,
 ) -> Certificate:
     """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) = ``terms(n)``,
-    evaluated once per n before sampling, and ``violation`` is the scalar excess, on
-    the domain extremes and each (discontinuity neighbour, discontinuity) pair at
-    every n, then on seeded random (n, x, y) triples."""
+    evaluated once per n before sampling into the table that both the screen
+    and ``_pair_excess`` read, on the domain extremes and each (discontinuity
+    neighbour, discontinuity) pair at every n, then on seeded random (n, x, y)
+    triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
     coefficients = np.array([terms(n) for n in range(1, n_max + 1)], dtype=float)
@@ -556,26 +558,30 @@ def _certify_pairs(
         c, b = coefficients[N - 1].T
         return m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
 
-    return _certify(property_name, (1, n_max), lambda w: violation(w.n, w.x, w.y), screen,
-                    sample_count, X, Y, N)
+    table = coefficients.tolist()
+    return _certify(property_name, (1, n_max), lambda w: _pair_excess(m, w.n, w.x, w.y, *table[w.n - 1]),
+                    screen, sample_count, X, Y, N)
+
+
+def _pair_excess(m: Mapping, n: int, x: Vector, y: Vector, c: float, b: float) -> float:
+    """Excess of ||T^n x - T^n y|| over c * ||x - y|| + b."""
+    lhs = m.space.norm(apply_power(m, n, x) - apply_power(m, n, y))
+    return lhs - c * m.space.distance(x, y) - b
 
 
 def nearly_nonexpansive_violation(m: Mapping, a: Schedule, n: int, x: Vector, y: Vector) -> float:
     """Excess of ||T^n x - T^n y|| over ||x - y|| + a_n."""
-    lhs = m.space.norm(apply_power(m, n, x) - apply_power(m, n, y))
-    return lhs - m.space.distance(x, y) - a.at(n)
+    return _pair_excess(m, n, x, y, 1.0, a.at(n))
 
 
 def uniform_lipschitz_violation(m: Mapping, L: float, n: int, x: Vector, y: Vector) -> float:
     """Excess of ||T^n x - T^n y|| over L * ||x - y||."""
-    lhs = m.space.norm(apply_power(m, n, x) - apply_power(m, n, y))
-    return lhs - L * m.space.distance(x, y)
+    return _pair_excess(m, n, x, y, L, 0.0)
 
 
 def asymptotically_nonexpansive_violation(m: Mapping, k: Schedule, n: int, x: Vector, y: Vector) -> float:
     """Excess of ||T^n x - T^n y|| over k_n * ||x - y||."""
-    lhs = m.space.norm(apply_power(m, n, x) - apply_power(m, n, y))
-    return lhs - k.at(n) * m.space.distance(x, y)
+    return _pair_excess(m, n, x, y, k.at(n), 0.0)
 
 
 def certify_nearly_nonexpansive(
@@ -583,9 +589,8 @@ def certify_nearly_nonexpansive(
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= ||x - y|| + a_n for 1 <= n <= n_max."""
     return _certify_pairs(
-        "nearly_nonexpansive", m, lambda n, x, y: nearly_nonexpansive_violation(m, a, n, x, y),
-        lambda n: (1.0, _coefficient("nearly_nonexpansive", a, n)), n_max, sample_count, seed,
-    )
+        "nearly_nonexpansive", m, lambda n: (1.0, _coefficient("nearly_nonexpansive", a, n)),
+        n_max, sample_count, seed)
 
 
 def certify_uniform_lipschitz(
@@ -594,10 +599,7 @@ def certify_uniform_lipschitz(
     """Sampled check of ||T^n x - T^n y|| <= L * ||x - y|| for 1 <= n <= n_max."""
     if not 0.0 < L < math.inf:
         raise ParameterError(f"Lipschitz constant must be finite and > 0, got {L}")
-    return _certify_pairs(
-        "uniformly_lipschitz", m, lambda n, x, y: uniform_lipschitz_violation(m, L, n, x, y),
-        lambda n: (L, 0.0), n_max, sample_count, seed,
-    )
+    return _certify_pairs("uniformly_lipschitz", m, lambda n: (L, 0.0), n_max, sample_count, seed)
 
 
 def certify_asymptotically_nonexpansive(
@@ -605,17 +607,13 @@ def certify_asymptotically_nonexpansive(
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= k_n * ||x - y|| for 1 <= n <= n_max."""
     return _certify_pairs(
-        "asymptotically_nonexpansive", m, lambda n, x, y: asymptotically_nonexpansive_violation(m, k, n, x, y),
-        lambda n: (_coefficient("asymptotically_nonexpansive", k, n), 0.0), n_max, sample_count, seed,
-    )
+        "asymptotically_nonexpansive", m, lambda n: (_coefficient("asymptotically_nonexpansive", k, n), 0.0),
+        n_max, sample_count, seed)
 
 
 def certify_nonexpansive(m: Mapping, sample_count: int, seed: int) -> Certificate:
     """Sampled check of the single-application bound ||Tx - Ty|| <= ||x - y||."""
-    return _certify_pairs(
-        "nonexpansive", m, lambda n, x, y: uniform_lipschitz_violation(m, 1.0, n, x, y),
-        lambda n: (1.0, 0.0), 1, sample_count, seed,
-    )
+    return _certify_pairs("nonexpansive", m, lambda n: (1.0, 0.0), 1, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------

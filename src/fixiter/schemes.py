@@ -78,21 +78,19 @@ class ScheduleVerdict:
         return self.verdict != "violated"
 
 
-def _range_check(name: str, sched: Schedule, horizon: int, lo_open: bool,
-                 hi_open: bool) -> tuple[ConstraintCheck, list[float]]:
-    """The range check of sched(n) for n <= horizon, and the values it read:
-    all ``horizon`` of them when it is satisfied, up to the first violation
-    otherwise."""
+def _range_check(name: str, sched: Schedule, horizon: int,
+                 lo_open: bool) -> tuple[ConstraintCheck, list[float]]:
+    """The range check of sched(n) for n <= horizon, open at 1, and the values
+    it read: all ``horizon`` of them when it is satisfied, up to the first
+    violation otherwise."""
     lo_sym = "(" if lo_open else "["
-    hi_sym = ")" if hi_open else "]"
-    bounds = f"{lo_sym}0, 1{hi_sym}"
+    bounds = f"{lo_sym}0, 1)"
     values = []
     for n in range(1, horizon + 1):
         v = sched.at(n)
         values.append(v)
         below = v <= 0.0 if lo_open else v < 0.0
-        above = v >= 1.0 if hi_open else v > 1.0
-        if below or above:
+        if below or v >= 1.0:
             return ConstraintCheck(
                 f"{name}_range", "violated", f"{name}({n}) = {v} outside {bounds}"
             ), values
@@ -182,7 +180,7 @@ def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None
             raise ConfigurationError(f"scheme {scheme} requires an alpha schedule")
         # Each check reads the values the range check read, so each alpha(n) is evaluated once.
         lo_open = scheme in POWER_SCHEMES
-        check, read["alpha"] = _range_check("alpha", alpha, horizon, lo_open=lo_open, hi_open=True)
+        check, read["alpha"] = _range_check("alpha", alpha, horizon, lo_open=lo_open)
         checks.append(check)
         if check.status == "satisfied":
             if not lo_open:  # mann, ishikawa, pm_hybrid
@@ -192,7 +190,7 @@ def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None
         if scheme == "ishikawa":
             if beta is None:
                 raise ConfigurationError("ishikawa requires a beta schedule")
-            check, read["beta"] = _range_check("beta", beta, horizon, lo_open=False, hi_open=True)
+            check, read["beta"] = _range_check("beta", beta, horizon, lo_open=False)
             checks.append(check)
 
     enforced = [c for c in checks if c.enforced]

@@ -214,13 +214,10 @@ class NormedSpace:
         return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
-        """The norm of x - y.  The offset is taken on Python floats, unboxed,
-        and refused as ``x - y`` refuses it; a norm that overflows is inf."""
-        offset = [a - b for a, b in zip(x.coords, _same_dim(x.dim, y).coords)]
-        if not _finite(offset):
-            raise ContractError(f"vector has non-finite coordinates: {tuple(offset)}")
-        self._check_dim(len(offset))
-        return float(self.norm_rows(np.array([offset]))[0])
+        """The norm of x - y, which refuses an offset that is not finite; a
+        norm that overflows is inf.  Nothing warns."""
+        with np.errstate(over="ignore"):
+            return self.norm(x - y)
 
     def ball_acceptance(self) -> float:
         """Share of uniform cube draws that land in the unit ball: G(1+1/p)^dim / G(1+dim/p)."""
@@ -309,6 +306,9 @@ class Box:
         return float(space.norm_rows(np.array([side]))[0])
 
     def sample(self, space: NormedSpace, rng: np.random.Generator, count: int) -> np.ndarray:
+        # numpy refuses a width past the largest float, and warns as it computes it.
+        if not all(math.isfinite(hi - lo) for lo, hi in zip(self.lows, self.highs)):
+            raise ContractError(f"cannot sample {self}: a side is wider than the largest float")
         return rng.uniform(self.lows, self.highs, size=(count, self.dim))
 
     def extreme_points(self) -> tuple[Vector, Vector]:

@@ -23,6 +23,7 @@ from fixiter import (
     check_lemma21,
     check_lemma22_witness,
     compare_schemes,
+    fixed_point_residual,
     limit_verdict,
     make_example21,
     make_identity,
@@ -285,6 +286,9 @@ def test_power_scheme_report_fails_honestly_when_truncated():
     traj, m = _hybrid_run(0.9, max_steps=3)
     rep = verify_theorem31(traj, m)
     assert not rep.passed
+    # The final residual is the last record's, which is the final point's own.
+    final = next(c for c in rep.checks if c.name == "final_point_fixed")
+    assert final.value == fixed_point_residual(m, traj.final) != traj.residual_T[-2]
 
 
 def test_liminf_report_consistent_on_converging_run():

@@ -366,12 +366,13 @@ def test_all_tie_certificate_confirms_one_candidate(monkeypatch, capsys):
     from fixiter import cli
 
     confirmed = []
+    excess = fixiter.mappings._pair_excess
 
     def counting(*args):
         confirmed.append(args)
-        return uniform_lipschitz_violation(*args)
+        return excess(*args)
 
-    monkeypatch.setattr(fixiter.mappings, "uniform_lipschitz_violation", counting)
+    monkeypatch.setattr(fixiter.mappings, "_pair_excess", counting)
     assert cli.main(["certify", "identity", "--class", "nonexpansive", "--dim", "2"]) == 0
     assert '"sample_count": 1001' in capsys.readouterr().out
     assert len(confirmed) == 1
@@ -404,6 +405,6 @@ def test_power_gauge_certificate_evaluates_one_candidate(monkeypatch):
 def test_pair_certificate_evaluates_its_schedule_once_per_n(certifier, make, sequence, n_max):
     calls = []
     counted = Schedule.formula(lambda n: calls.append(n) or sequence(n))
-    cert = certifier(make(), counted, n_max, 50, 7)
-    # n = 1 ... n_max in order before sampling, then the witness's n once more
-    assert calls == [*range(1, n_max + 1), cert.witness.n]
+    certifier(make(), counted, n_max, 50, 7)
+    # n = 1 ... n_max in order before sampling; the witness reads the table they filled
+    assert calls == [*range(1, n_max + 1)]

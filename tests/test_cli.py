@@ -699,6 +699,22 @@ def test_an_allocation_that_fails_is_one_error_line(monkeypatch, capsys, argv, m
     assert capsys.readouterr() == ("", f"error: {line or message}\n")
 
 
+def test_an_array_pass_that_runs_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # The certificate screen's norms fail to allocate.  The scalar path would
+    # redo the pass one candidate at a time, so the error ends the command.
+    norm_rows = NormedSpace.norm_rows
+
+    def failing_past_100_rows(self, points):
+        if len(points) > 100:
+            raise MemoryError()
+        return norm_rows(self, points)
+
+    monkeypatch.setattr(NormedSpace, "norm_rows", failing_past_100_rows)
+    argv = ["certify", "example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "5000"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 def test_modulus_infeasible_epsilon_exits_one(capsys):
     assert cli.main(["modulus", "--p", "2", "--dim", "2", "--epsilon", "2.5"]) == 1
     assert "2.5" in capsys.readouterr().err
@@ -820,7 +836,7 @@ def test_a_5000_step_run_begins_with_the_200_step_runs_csv(tmp_path, scenario):
 
 # Schedule.at calls of ``fixiter run`` on each shipped scenario: the schedule
 # checks read each alpha(n) once, and the lemma21 check reads them from the run.
-SCHEDULE_READS = {"asymptotic_mann": 1322, "contraction_compare": 400, "example21_hybrid": 552,
+SCHEDULE_READS = {"asymptotic_mann": 1321, "contraction_compare": 400, "example21_hybrid": 551,
                   "ishikawa_contraction": 600}
 
 

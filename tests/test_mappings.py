@@ -366,6 +366,14 @@ def test_a_distance_to_a_fixed_point_that_overflows_raises_without_a_warning():
             distance_to_fixed_set(wide, Vector((-1e308,)))
 
 
+def test_a_box_wider_than_the_largest_float_is_refused_before_sampling():
+    # numpy would warn of the overflowing width, then raise a bare OverflowError.
+    with pytest.raises(ContractError) as raised:
+        build_mapping("wide", NormedSpace(1, 2.0), Box((-1e308,), (1e308,)), apply_rows=lambda X: X)
+    assert str(raised.value) == ("cannot sample Box(lows=(-1e+308,), highs=(1e+308,)): "
+                                 "a side is wider than the largest float")
+
+
 def _halving_rows(ns, X):
     if (ns < 1).any():
         raise AssertionError(f"power rows take indices >= 1, got {ns}")
