@@ -23,13 +23,12 @@ from .mappings import (
     Mapping,
     _certify,
     _fixed_set_distances,
-    _point_distances,
     distance_to_fixed_set,
     fixed_point_residual,
     special_points,
 )
 from .schemes import ConstraintCheck, RunConfig, Trajectory, run_scheme
-from .space import NormedSpace, Vector, _rng, _same_dim, combine
+from .space import NormedSpace, Vector, _point_distances, _rng, _same_dim, combine
 
 TAU_LIM = 1e-8
 TAU_REG = 1e-8

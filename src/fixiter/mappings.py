@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ContractError, DomainError, ParameterError, ScheduleError
 from .schedules import Schedule
-from .space import Ball, Box, Domain, NormedSpace, Vector, _rng, _same_dim
+from .space import Ball, Box, Domain, NormedSpace, Vector, _point_distances, _rng, _same_dim
 
 # Absolute slack for all sampled inequality checks.
 TAU_CERT = 1e-8
@@ -186,22 +186,6 @@ def _fixed_set_distances(m: Mapping, X: np.ndarray) -> np.ndarray | None:
     if m.meta.known_fixed_points:
         return _point_distances(m.space, X, m.meta.known_fixed_points)
     return None
-
-
-def _point_distances(space: NormedSpace, X: np.ndarray, points: Iterable[Vector]) -> np.ndarray:
-    """The distance from every row of the (k, dim) array X to the nearest of
-    ``points``, by exact norms.  It refuses what ``space.distance`` refuses: a
-    point of another dimension, or a difference that is not finite."""
-    columns = []
-    for p in points:
-        with np.errstate(over="ignore", invalid="ignore"):
-            D = X - _same_dim(X.shape[1], p).array
-        finite = np.isfinite(D).all(axis=1)
-        if not finite.all():
-            Vector.from_array(D[np.argmin(finite)])  # raises the ContractError of ``x - p``
-        space._check_dim(X.shape[1])
-        columns.append(space.norm_rows(D))
-    return np.min(columns, axis=0)
 
 
 def near_schedule_for(m: Mapping) -> Optional[Schedule]:
@@ -536,9 +520,9 @@ def _certify_pairs(
     triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
-    coefficients = np.array([terms(n) for n in range(1, n_max + 1)], dtype=float)
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
+    coefficients = np.array([terms(n) for n in range(1, n_max + 1)], dtype=float)
     pairs = [m.domain.extreme_points()] + [
         (neighbor, d) for d in m.meta.discontinuities
         for neighbor in _discontinuity_neighbors(m.space, m.domain, d)

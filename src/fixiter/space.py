@@ -113,27 +113,6 @@ def _squares(X: np.ndarray) -> np.ndarray:
     return (X[:, None, :] @ X[:, :, None])[:, 0, 0]
 
 
-def _rescale_lost_rows(A: np.ndarray, sums: np.ndarray, norms: np.ndarray, p: float) -> np.ndarray:
-    """``norms`` of the rows |x_i| of ``A``, each row whose sum of |x_i|**p left
-    [smallest normal float, inf) taken again as m (sum (|x_i| / m)**p)**(1/p),
-    m the row's largest |x_i|, the sum at p = 2 as ``_squares`` takes it.  A
-    zero row keeps its 0, a row with an inf entry its inf and a NaN row its
-    NaN."""
-    # Row maxima over the transposed copy: max(axis=1) is far slower on short rows.
-    peak = np.ascontiguousarray(A.T).max(axis=0)
-    rows = np.flatnonzero(~((sums >= _TINY) & (sums < math.inf)) & (peak > 0.0) & (peak < math.inf))
-    peak = peak[rows]
-    with np.errstate(over="ignore", under="ignore"):
-        Q = A[rows] / peak[:, None]
-        # np.sqrt is correctly rounded everywhere; other roots take libm's pow row by row.
-        if p == 2.0:
-            roots = np.sqrt(_squares(Q))
-        else:
-            roots = np.array([math.pow(s, 1.0 / p) for s in np.add.reduce(Q ** p, axis=1).tolist()])
-        norms[rows] = peak * roots
-    return norms
-
-
 def _rng(seed: int) -> np.random.Generator:
     """The sampler stream of ``seed``, which must be >= 0."""
     if seed < 0:
@@ -189,9 +168,9 @@ class NormedSpace:
         underflow: at p = 1 the sum is the norm, inf past the largest float;
         at p = 2 the root is ``np.sqrt``, elsewhere ``math.pow`` per row.  A
         row whose sum then lies outside [smallest normal float, inf), or is
-        NaN, is lost, and unless every lost row is zero, each lost row is
-        taken again as Blue's scaled norm m (sum (|x_i| / m)**p)**(1/p), m the
-        row's largest |x_i| (see ``_rescale_lost_rows``).  No case warns.
+        NaN, is lost, and unless every lost row is zero, each lost row with a
+        positive, finite largest |x_i| = m is taken again as Blue's scaled norm
+        m * norm_rows(|x| / m).  No case warns.
         """
         X = np.ascontiguousarray(points, dtype=float)
         if not X.size:  # no rows, or rows without entries, whose norms are 0
@@ -210,14 +189,18 @@ class NormedSpace:
                 norms = np.array([math.pow(s, root) for s in sums.tolist()], dtype=float)
         lost = ~((sums >= _TINY) & (sums < math.inf))
         if lost.any() and X.compress(lost, axis=0).any():
-            return _rescale_lost_rows(np.abs(X), sums, norms, self.p)
+            A = np.abs(X)
+            # Row maxima over the transposed copy: max(axis=1) is far slower on short rows.
+            peak = np.ascontiguousarray(A.T).max(axis=0)
+            rows = np.flatnonzero(lost & (peak > 0.0) & (peak < math.inf))
+            # A row scaled by its largest |x_i| sums to [1, dim]: the inner call keeps its norms.
+            with np.errstate(over="ignore", under="ignore"):
+                norms[rows] = peak[rows] * self.norm_rows(A[rows] / peak[rows, None])
         return norms
 
     def distance(self, x: Vector, y: Vector) -> float:
-        """The norm of x - y, which refuses an offset that is not finite; a
-        norm that overflows is inf.  Nothing warns."""
-        with np.errstate(over="ignore"):
-            return self.norm(x - y)
+        """The norm of x - y: the one-row view of ``_point_distances``."""
+        return float(_point_distances(self, x.array[None], (y,))[0])
 
     def ball_acceptance(self) -> float:
         """Share of uniform cube draws that land in the unit ball: G(1+1/p)^dim / G(1+dim/p)."""
@@ -255,6 +238,23 @@ class NormedSpace:
             kept.append(inside)
             total += len(inside)
         return np.concatenate(kept)[:count]
+
+
+def _point_distances(space: NormedSpace, X: np.ndarray, points: Iterable[Vector]) -> np.ndarray:
+    """The distance from every row of the (k, dim) array X to the nearest of
+    ``points``, by exact norms; a norm that overflows is inf.  It refuses a
+    point of another dimension, or a difference that is not finite, with the
+    ContractError of ``x - p``.  Nothing warns."""
+    nearest = None
+    for p in points:
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = X - _same_dim(X.shape[1], p).array
+        if not np.isfinite(D).all():  # raise the ContractError of ``x - p``
+            Vector.from_array(D[np.argmin(np.isfinite(D).all(axis=1))])
+        space._check_dim(X.shape[1])
+        d = space.norm_rows(D)
+        nearest = d if nearest is None else np.minimum(nearest, d)
+    return nearest
 
 
 @dataclass(frozen=True)
@@ -335,15 +335,13 @@ class Ball:
         return self.center.dim
 
     def contains(self, space: NormedSpace, v: Vector) -> bool:
-        # A norm that overflows is inf: outside.
-        return space.distance(v, self.center) <= self.radius + TAU_DOM
+        return bool(self.inside_rows(space, v.array[None])[0])
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
-        """Which rows of a (k, dim) array ``contains`` accepts; ``norm_rows`` is exact, so
-        exactly.  A row whose offset from the center is not finite reads False
-        (``contains`` raises ContractError on it)."""
-        with np.errstate(over="ignore"):
-            return space.norm_rows(points - self.center.array) <= self.radius + TAU_DOM
+        """Which rows of a (k, dim) array lie within the radius, plus TAU_DOM, of
+        the center.  A norm that overflows is inf, outside; an offset that is
+        not finite raises ContractError."""
+        return _point_distances(space, points, (self.center,)) <= self.radius + TAU_DOM
 
     def diameter(self, space: NormedSpace) -> float:
         return 2.0 * self.radius

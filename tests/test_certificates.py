@@ -408,3 +408,8 @@ def test_pair_certificate_evaluates_its_schedule_once_per_n(certifier, make, seq
     certifier(make(), counted, n_max, 50, 7)
     # n = 1 ... n_max in order before sampling; the witness reads the table they filled
     assert calls == [*range(1, n_max + 1)]
+    # A zero sample count is refused before the table is built.
+    calls.clear()
+    with pytest.raises(ContractError, match="^sample_count must be >= 1, got 0$"):
+        certifier(make(), counted, n_max, 0, 7)
+    assert calls == []

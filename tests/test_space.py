@@ -112,6 +112,10 @@ def _power_sums(p, X):
 @example(p=1.0, rows=[[1e308, 1e308], [5e-324, 5e-324]])
 @example(p=2.0, rows=[[0.0, 0.0], [1e-170, -0.0], [-0.0, 1e200]])
 @example(p=3.0, rows=[[0.0, 0.0], [1e-170, -0.0]])
+# Rescaled rows whose norm passes the largest float, or is subnormal.
+@example(p=1.5, rows=[[1.7e308, 1.7e308], [1e-320, 0.0], [1e-200, 3e-201]])
+@example(p=2.0, rows=[[1.7e308, 1.7e308], [1e-320, 0.0], [1e-200, 3e-201]])
+@example(p=3.0, rows=[[1.7e308, 1.7e308], [1e-320, 0.0], [1e-200, 3e-201]])
 def test_norm_rows_keep_a_row_whose_power_sum_underflows_or_overflows(p, rows):
     # The rows of each dim are stacked in a space of that dim; numpy warns of nothing.
     for dim in {len(r) for r in rows}:
@@ -517,6 +521,7 @@ def test_distance_is_the_boxed_norm_and_raises_what_boxing_it_raises():
         boxed = _raised(lambda u: _boxed_distance(space, u, ball.center), v)
         assert _raised(lambda u: space.distance(u, ball.center), v) == boxed
         assert _raised(lambda u: ball.contains(space, u), v) == boxed
+        assert _raised(lambda u: ball.inside_rows(space, u.array[None]), v) == boxed
     assert [m for _, m in (_raised(lambda u: ball.contains(s, u), v) for s, v in raising)] == [
         "vector has non-finite coordinates: (-inf, 0.0)", "dimension mismatch: vectors have dims 1 and 2",
         "dimension mismatch: space has dim 3, vector has dim 2"]
