@@ -154,17 +154,13 @@ def _chain(m: Mapping, x: Vector, k: int,
     if keep is not None:
         keep(v)
     for _ in range(k - 1):
-        if _same_bits(v, last):
+        # The same bits: equal coords, then equal bytes, where -0.0 and 0.0 differ.
+        if v.coords == last.coords and v.array.tobytes() == last.array.tobytes():
             break
         last, v = v, apply(v)
         if keep is not None:
             keep(v)
     return first, last, v
-
-
-def _same_bits(u: Vector, v: Vector) -> bool:
-    """Whether u and v have the same bits: -0.0 and 0.0 differ."""
-    return u.coords == v.coords and u.array.tobytes() == v.array.tobytes()
 
 
 def fixed_point_residual(m: Mapping, x: Vector) -> float:
@@ -487,8 +483,9 @@ def _certify(
     gives None (the screen returned None, raised, or met a numpy condition)
     or a value is not finite, ``violation`` evaluates every candidate in
     order, which raises and warns for the same candidate as without the
-    screen, and the first strict maximum is the witness.  The verdict judges
-    the maximum against TAU_CERT unless fewer than 10 samples were requested.
+    screen, and the first strict maximum is the witness; a certificate with no
+    violation above -inf has none and is refused.  The verdict judges the
+    maximum against TAU_CERT unless fewer than 10 samples were requested.
     """
     violations = _screen(screen)
     exact = violations is not None and np.isfinite(violations).all()
@@ -500,7 +497,9 @@ def _certify(
         v = violation(w)
         if v > best:
             best, best_witness = v, w
-    assert best_witness is not None
+    if best_witness is None:
+        raise ContractError(
+            f"{property_name}: every sampled violation is -inf or nan, so no candidate is a witness")
     verdict = "inconclusive" if requested < 10 else "refuted" if best > TAU_CERT else "certified"
     return Certificate(property_name, n_range, len(X), best, best_witness, verdict)
 

@@ -576,7 +576,7 @@ def _chained_images(m: Mapping, points: np.ndarray, scheme: str,
         X = np.concatenate((points, tail))
         return [X[2:N + 2], X[2::2]]
     T, held = kept[0][1:] + [m.apply(v)], kept[1][1:]
-    Tn = chain(held, (_iterate(m, n - 1, T[n - 1]) for n in range(len(held) + 1, N + 1)))
+    Tn = chain(held, (_chain(m, T[n - 1], n - 1)[2] if n > 1 else T[0] for n in range(len(held) + 1, N + 1)))
     return [_stack(T, points[1:].shape), _stack(Tn, points[1:].shape)]
 
 

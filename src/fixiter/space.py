@@ -29,11 +29,12 @@ _TINY = float(np.finfo(float).tiny)
 # that a shipped output pins (dim <= 2) stays on it.
 _REJECTION_MIN_ACCEPTANCE = 0.5
 
-
-def _finite(coords: tuple[float, ...] | list[float]) -> bool:
-    """Whether every coordinate is finite.  An inf or nan term makes the float
-    sum non-finite; a sum that overflows falls back to the per-term test."""
-    return math.isfinite(sum(coords)) or all(map(math.isfinite, coords))
+# Read on every point that Vector and from_array box.  Coordinates are finite
+# when their float sum is (an inf or nan term makes it not), or else term by term.
+_isfinite = math.isfinite
+_new = object.__new__
+_frombuffer = np.frombuffer
+_FLOAT64 = np.dtype(float)
 
 
 @dataclass(frozen=True, init=False)
@@ -46,10 +47,11 @@ class Vector:
 
     def __init__(self, coords: Iterable[float]):
         coords = tuple(map(float, coords))
-        if not coords:
-            raise ContractError("vector must have dimension >= 1")
-        if not _finite(coords):
-            raise ContractError(f"vector has non-finite coordinates: {coords}")
+        if not (coords and _isfinite(sum(coords))):
+            if not coords:
+                raise ContractError("vector must have dimension >= 1")
+            if not all(map(_isfinite, coords)):
+                raise ContractError(f"vector has non-finite coordinates: {coords}")
         _set_coords(self, coords)
 
     @property
@@ -79,16 +81,17 @@ class Vector:
     @staticmethod
     def from_array(arr: np.ndarray | Iterable[float]) -> "Vector":
         """The vector of ``arr``; takes and refuses what the constructor does."""
-        a = np.asarray(arr, dtype=float)
+        # An exact float64 ndarray is what np.asarray would return unchanged.
+        a = arr if type(arr) is np.ndarray and arr.dtype == _FLOAT64 else np.asarray(arr, dtype=float)
         coords = a.tolist()
-        if a.ndim != 1 or not coords or not _finite(coords):
+        if a.ndim != 1 or not coords or not (_isfinite(sum(coords)) or all(map(_isfinite, coords))):
             return Vector(coords)
         # tolist() gave finite Python floats, which is all __init__ would check.
         # The vector keeps a copy as its array, read-only for good since its
         # buffer is a bytes object: the caller may still write ``arr``.
-        v = object.__new__(Vector)
+        v = _new(Vector)
         _set_coords(v, tuple(coords))
-        _set_array(v, np.frombuffer(a.tobytes()))
+        _set_array(v, _frombuffer(a.tobytes()))
         return v
 
     def __add__(self, other: "Vector") -> "Vector":

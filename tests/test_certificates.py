@@ -47,6 +47,7 @@ from fixiter import (
 )
 from fixiter.mappings import (
     CATALOG,
+    _certify,
     _discontinuity_neighbors,
     asymptotically_nonexpansive_violation,
     nearly_nonexpansive_violation,
@@ -147,6 +148,19 @@ def test_every_sampler_refuses_a_negative_seed():
         with pytest.raises(ContractError, match=r"^seed must be >= 0, got -1$"):
             sample(-1)
         assert sample(0) == sample(0)
+
+
+def test_a_certificate_whose_every_violation_is_minus_inf_is_refused():
+    # L * ||x - y|| overflows on every candidate, so no violation exceeds -inf.
+    m = make_asymptotically_nonexpansive_example(40)
+    with pytest.raises(ContractError, match="^uniformly_lipschitz: every sampled violation is -inf or nan, "):
+        certify_uniform_lipschitz(m, 1e308, 20, 10, 0)
+
+
+@pytest.mark.parametrize("value", [-math.inf, math.nan])
+def test_the_kernel_refuses_a_certificate_without_a_witness(value):
+    with pytest.raises(ContractError, match="^probe: every sampled violation is -inf or nan, "):
+        _certify("probe", (1, 1), lambda w: value, lambda: None, 10, np.zeros((3, 1)))
 
 
 

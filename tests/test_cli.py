@@ -58,6 +58,8 @@ def _variant(**edits):
 
 
 _DROP = object()
+# The error of a certificate on which L * ||x - y|| overflows for every candidate.
+_NO_WITNESS = "uniformly_lipschitz: every sampled violation is -inf or nan, so no candidate is a witness"
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +303,11 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
     bad = [(doc, "") for doc in bad] + [
         (_variant(checks=[{"name": "condition_I", "phi": phi, "samples": 500}]), f": {where}: must be finite")
         for where, phi in gauges.items()
+    ] + [
+        (_variant(mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 40, "p": 2},
+                  x0=[0.5] + [0.0] * 39, scheme="mann", max_steps=20,
+                  checks=[{"name": "certify", "class": "uniformly_lipschitz", "L": 1e308, "n_max": 5,
+                           "samples": 10}]), _NO_WITNESS),
     ]
     for i, (doc, where) in enumerate(bad):
         out = tmp_path / f"out{i}"
@@ -653,6 +660,8 @@ _CERTIFY_FAULTS = [
     # Each coefficient floor has one message, whichever check meets it first.
     (["asymptotic_demo", "--class", "asymptotically_nonexpansive", "--schedule", "constant:0.5"],
      "asymptotic schedule must satisfy k(n) >= 1; k(1) = 0.5"),
+    (["asymptotic_demo", "--class", "uniformly_lipschitz", "--lipschitz", "1e308", "--samples", "10",
+      "--dim", "40"], _NO_WITNESS),
 ]
 
 

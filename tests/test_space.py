@@ -254,10 +254,15 @@ def test_vector_keeps_its_dataclass_surface():
         v.coords = (1.0,)
 
 
+class _Subarray(np.ndarray):
+    """A float64 ndarray that is not exactly an ndarray."""
+
+
 def _float_layouts(a):
-    """The coordinates of ``a`` as lists, other byte orders and strided views."""
+    """The coordinates of ``a`` as lists, other byte orders, strided views and
+    a subclass view."""
     return [a.copy(), a.tolist(), tuple(a.tolist()), a.astype(">f8"), np.repeat(a, 2)[::2],
-            np.stack([a, -a], axis=1)[:, 0], np.concatenate([a, a])[len(a):]]
+            np.stack([a, -a], axis=1)[:, 0], np.concatenate([a, a])[len(a):], a.copy().view(_Subarray)]
 
 
 def _other_dtypes(a):
@@ -295,6 +300,15 @@ def test_from_array_boxes_what_the_constructor_boxes(a):
             before = arr.tobytes()
             x[...] = 7
             assert arr.tobytes() == _bits(v.coords) == before
+
+
+def test_from_array_boxes_a_read_only_input():
+    ro = EXTREMES.copy()
+    ro.setflags(write=False)
+    v = Vector.from_array(ro)
+    assert v == Vector(ro)
+    assert _bits(v.coords) == v.array.tobytes() == ro.tobytes()
+    assert not v.array.flags.writeable and not np.shares_memory(v.array, ro)
 
 
 def _raised(fn, x) -> tuple[type, str]:
