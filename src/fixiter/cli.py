@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -465,40 +466,43 @@ def _certify(cert_class: str, m: Mapping, bound, n_max: int | None, samples: int
     return certifier(m, samples, seed) if key is None else certifier(m, bound, n_max, samples, seed)
 
 
+def _check(c: CheckSpec, m: Mapping, traj: Trajectory, seed: int) -> tuple[bool, dict]:
+    """One check's pass flag and details."""
+    if c.name == "lemma21":
+        return _lemma21_on_trajectory(m, traj)
+    if c.name == "theorem31":
+        report = verify_theorem31(traj, m)
+        return report.passed, report.to_dict()
+    if c.name == "theorem32":
+        report = verify_theorem32(traj, m.meta.known_fixed_points)
+        return report.passed, report.to_dict()
+    if c.name == "condition_I":
+        cert = certify_condition_I(m, c.phi, c.samples, seed)
+        return cert.verdict == "certified", certificate_to_dict(cert)
+    if c.name == "theorem33":
+        cert = certify_condition_I(m, c.phi, c.samples, seed)
+        if cert.verdict != "certified":
+            return False, {
+                "note": "coercivity witness not certified; the chain does not apply",
+                "condition_certificate": certificate_to_dict(cert),
+            }
+        report = verify_theorem33(traj, m, ConditionIWitness(phi=c.phi, certificate=cert))
+        details = report.to_dict()
+        details["condition_certificate"] = certificate_to_dict(cert)
+        return report.passed, details
+    cert = _certify(c.cert_class, m, c.bound, c.n_max, c.samples, seed)
+    return cert.verdict == "certified", certificate_to_dict(cert)
+
+
 def run_checks(
     s: Scenario, m: Mapping, traj: Trajectory, seed: int
 ) -> tuple[list[dict], list[dict]]:
     results = []
     timings = []
-    for c in s.checks:
+    for i, c in enumerate(s.checks):
         t0 = time.perf_counter()
-        if c.name == "lemma21":
-            passed, details = _lemma21_on_trajectory(m, traj)
-        elif c.name == "theorem31":
-            report = verify_theorem31(traj, m)
-            passed, details = report.passed, report.to_dict()
-        elif c.name == "theorem32":
-            report = verify_theorem32(traj, m.meta.known_fixed_points)
-            passed, details = report.passed, report.to_dict()
-        elif c.name == "condition_I":
-            cert = certify_condition_I(m, c.phi, c.samples, seed)
-            passed, details = cert.verdict == "certified", certificate_to_dict(cert)
-        elif c.name == "theorem33":
-            cert = certify_condition_I(m, c.phi, c.samples, seed)
-            if cert.verdict != "certified":
-                passed = False
-                details = {
-                    "note": "coercivity witness not certified; the chain does not apply",
-                    "condition_certificate": certificate_to_dict(cert),
-                }
-            else:
-                report = verify_theorem33(traj, m, ConditionIWitness(phi=c.phi, certificate=cert))
-                passed = report.passed
-                details = report.to_dict()
-                details["condition_certificate"] = certificate_to_dict(cert)
-        else:
-            cert = _certify(c.cert_class, m, c.bound, c.n_max, c.samples, seed)
-            passed, details = cert.verdict == "certified", certificate_to_dict(cert)
+        # an error inside a check is placed at that check, as a parse error is
+        passed, details = _at(f"checks[{i}]", _check, c, m, traj, seed)
         results.append({
             "name": c.name,
             "verdict": "pass" if passed else "fail",
@@ -774,7 +778,15 @@ def main(argv=None) -> int:
         # each warning is one stderr line, without the source line that raised it
         with warnings.catch_warnings():
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
-            return args.handler(args)
+            code = args.handler(args)
+            sys.stdout.flush()  # a closed stdout raises here, not at exit
+            return code
+    # the reader of stdout went away; stdout then points at devnull, so the flush at exit cannot raise
+    except BrokenPipeError as e:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {e.strerror}", file=sys.stderr)
+        return 1
     # a warning is raised under an interpreter filter of "error"; an array too large to allocate
     # raises MemoryError
     except (FixiterError, Warning, MemoryError) as e:

@@ -22,6 +22,7 @@ below is exact, so even a step of 0.0 stops a run with the default tolerance.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -621,6 +622,33 @@ def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float
 # ---------------------------------------------------------------------------
 # serialization
 
+# orjson writes repr's shortest round-trip digits (Ryu) in another notation: an
+# exponent without sign or leading zero ("1e16", "1.5e-7"), and positional
+# digits down to 1e-5 where repr turns scientific below 1e-4.
+_EXP_SIGN = re.compile(rb"e(\d)")
+_EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")
+_REPR_BAND = (9e-6, 2e-4)
+
+
+def _float_texts(a: np.ndarray) -> list[str]:
+    """repr of each float in the 1-D float64 array ``a``, in order, from one
+    orjson pass.  Non-finite values (orjson's null) and the band where the two
+    notations part are formatted with repr itself."""
+    import orjson
+
+    if not a.size:
+        return []
+    s = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    texts = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", s)).decode().split(",")
+    mag = np.abs(a)
+    lo, hi = _REPR_BAND
+    with np.errstate(invalid="ignore"):
+        back = ~np.isfinite(a) | ((mag >= lo) & (mag < hi))
+    for i in np.flatnonzero(back).tolist():
+        texts[i] = repr(float(a[i]))
+    return texts
+
+
 def _csv_columns(traj: Trajectory) -> list:
     """Each CSV column: its header cell, then one cell per step.  Floats are
     written with repr, the shortest decimal that round-trips, stable across
@@ -636,7 +664,7 @@ def _csv_columns(traj: Trajectory) -> list:
         floats.append(dist)
     F = np.array(floats, dtype=float)
     bits, inverse = np.unique(F.view(np.int64), return_inverse=True)
-    text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)[inverse.reshape(F.shape)]
+    text = np.array(_float_texts(bits.view(float)), dtype=object)[inverse.reshape(F.shape)]
     cells = {"n": map(str, range(1, traj.steps + 1)), **dict(zip(names, text.tolist()))}
     if not known:
         cells["dist_to_known_fp"] = ("" if d is None else repr(d) for d in dist)

@@ -280,6 +280,20 @@ def test_an_uncertified_gauge_fails_theorem33_without_the_chain(tmp_path):
     assert set(theorem33["details"]) == {"note", "condition_certificate"}
 
 
+# Scenarios that parse but whose first check raises, by the message it raises.
+_CHECK_ERRORS = {
+    # d(x, F) > 1 on this box, so the gauge t**1e6 overflows
+    "power gauge overflows at t = 1.6414763002993509": _variant(
+        mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 3, "p": 2}, x0=[0.8, 0.5, -0.6],
+        scheme="mann", checks=[{"name": "condition_I", "phi": {"kind": "power", "lam": 1, "gamma": 1e6},
+                                "samples": 500}]),
+    _NO_WITNESS: _variant(
+        mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 40, "p": 2}, x0=[0.5] + [0.0] * 39,
+        scheme="mann", max_steps=20,
+        checks=[{"name": "certify", "class": "uniformly_lipschitz", "L": 1e308, "n_max": 5, "samples": 10}]),
+}
+
+
 def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
     bad = [
         _variant(schema_version=99),
@@ -288,11 +302,6 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
         _variant(scheme="mann"),  # theorem31 check demands the power hybrid
         _variant(checks=[{"name": "theorem33", "phi": {"kind": "linear", "lam": 0.5},
                           "samples": 500, "n_max": 3}]),
-        # d(x, F) > 1 on this box, so the gauge t**1e6 overflows
-        _variant(mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 3, "p": 2},
-                 x0=[0.8, 0.5, -0.6], scheme="mann",
-                 checks=[{"name": "condition_I", "phi": {"kind": "power", "lam": 1, "gamma": 1e6},
-                          "samples": 500}]),
     ]
     # Non-finite gauges, written as the Infinity and NaN tokens JSON readers accept.
     gauges = {
@@ -303,12 +312,7 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
     bad = [(doc, "") for doc in bad] + [
         (_variant(checks=[{"name": "condition_I", "phi": phi, "samples": 500}]), f": {where}: must be finite")
         for where, phi in gauges.items()
-    ] + [
-        (_variant(mapping={"id": "asymptotic_demo", "parameters": {}}, space={"dim": 40, "p": 2},
-                  x0=[0.5] + [0.0] * 39, scheme="mann", max_steps=20,
-                  checks=[{"name": "certify", "class": "uniformly_lipschitz", "L": 1e308, "n_max": 5,
-                           "samples": 10}]), _NO_WITNESS),
-    ]
+    ] + [(doc, f": checks[0]: {message}") for message, doc in _CHECK_ERRORS.items()]
     for i, (doc, where) in enumerate(bad):
         out = tmp_path / f"out{i}"
         path = _write(tmp_path, doc, f"bad{i}.json")
@@ -317,6 +321,13 @@ def test_run_invalid_scenarios_exit_one_without_outputs(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and where in err, (i, err)
         assert not out.exists() or list(out.iterdir()) == [], i
+
+
+@pytest.mark.parametrize("message", _CHECK_ERRORS, ids=["condition_I", "certify"])
+def test_an_error_inside_a_check_is_placed_at_its_file_and_check(tmp_path, capsys, message):
+    path = _write(tmp_path, _CHECK_ERRORS[message])
+    assert cli.main(["run", path, "--output", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: checks[0]: {message}\n")
 
 
 @pytest.mark.parametrize("command", [
@@ -775,11 +786,11 @@ def test_a_warning_is_one_stderr_line_and_changes_no_output(tmp_path, capsys, sc
     assert err == _NOT_UNIFORMLY_CONVEX.format(float(p))
 
 
-def _python(*args):
+def _python(*args, stdout=subprocess.PIPE):
     """Exit code and stderr of ``python *args`` in a new interpreter that imports this fixiter."""
     paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
     return done.returncode, done.stderr
 
 
@@ -798,6 +809,22 @@ def test_a_warning_raised_under_an_error_filter_is_one_error_line(tmp_path, caps
 
 def test_the_module_runs_as_a_script_through_its_main_guard():
     assert _python("-m", "fixiter.cli", "certify", "identity", "--class", "nonexpansive", "--samples", "5") == (3, "")
+
+
+def test_importing_the_cli_leaves_orjson_to_the_first_csv_write():
+    assert _python("-c", "import sys, fixiter.cli; sys.exit('orjson' in sys.modules)") == (0, "")
+
+
+def test_a_closed_stdout_is_one_error_line():
+    read, write = os.pipe()
+    os.close(read)  # closed before the command writes, so its first write meets a broken pipe
+    try:
+        code, err = _python("-m", "fixiter.cli", "certify", "identity", "--class", "nonexpansive", "--samples", "5",
+                            stdout=write)
+    finally:
+        os.close(write)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 # An array pass that meets a numpy condition gives way to the scalar path, which

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fixiter import (
     Box,
@@ -30,6 +32,7 @@ from fixiter import (
     validate_schedule,
     write_trajectory_csv,
 )
+from fixiter.schemes import _float_texts
 
 HALF = Schedule.constant(0.5)
 
@@ -337,6 +340,42 @@ def test_csv_writer_uses_unix_line_endings():
     text = buf.getvalue()
     assert "\r" not in text
     assert text.endswith("\n")
+
+
+def _reprs(a):
+    return [repr(v) for v in a.tolist()]
+
+
+FLOAT_TEXT_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+@FLOAT_TEXT_SETTINGS
+@given(st.lists(st.integers(-2**63, 2**63 - 1), max_size=50))
+def test_float_texts_are_repr_of_every_bit_pattern(bits):
+    a = np.array(bits, dtype=np.int64).view(float)
+    assert _float_texts(a) == _reprs(a)
+
+
+@FLOAT_TEXT_SETTINGS
+@given(st.lists(st.floats(), max_size=50))
+def test_float_texts_are_repr_of_any_float(values):
+    a = np.array(values, dtype=float)
+    assert _float_texts(a) == _reprs(a)
+
+
+def test_float_texts_are_repr_across_the_bands_where_notations_part():
+    decades = np.array([float(f"1e{k}") for k in range(-325, 309)])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    rng = np.random.default_rng(0)
+    a = np.concatenate([
+        decades, np.nextafter(decades, -np.inf), np.nextafter(decades, np.inf),
+        powers, np.nextafter(powers, 0.0),
+        rng.uniform(9e-6, 2e-4, 20000), rng.uniform(1e15, 1e17, 20000),
+        [0.0, math.inf, math.nan, 5e-324, np.finfo(float).max],
+    ])
+    a = np.concatenate([a, -a])
+    assert _float_texts(a) == _reprs(a)
+    assert _float_texts(np.empty(0)) == []
 
 
 def test_trajectory_header_echoes_config():

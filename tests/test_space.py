@@ -322,12 +322,19 @@ non_finite_vectors = arrays(np.float64, st.integers(1, 6), elements=st.floats())
 not_vectors = array_shapes(min_dims=0, max_dims=0) | array_shapes(min_dims=2, max_side=3)
 
 
+def _single(a):
+    """``a`` as float32.  A value past float32's range becomes inf, and ``a`` is
+    already non-finite."""
+    with np.errstate(over="ignore"):
+        return a.astype(np.float32)
+
+
 @BOXING_SETTINGS
 @given(x=st.one_of(
     non_finite_vectors,
     # Other byte orders, float32 (which keeps inf and nan) and strided views.
     non_finite_vectors.map(lambda a: a.astype(">f8")),
-    non_finite_vectors.map(lambda a: a.astype(np.float32)),
+    non_finite_vectors.map(_single),
     non_finite_vectors.map(lambda a: np.repeat(a, 3)[1::3]),
     arrays(np.float64, not_vectors, elements=finite_floats),
     arrays(np.float32, not_vectors, elements=st.floats(width=32)),
