@@ -27,6 +27,8 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
     _GAUGE_PARAMETERS,
     ConditionIWitness,
@@ -448,12 +450,12 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
-    near = near_schedule_for(m)
-    alpha, read = traj.config.alpha, traj.alpha_values  # alpha(n) is read again only past the run's reads
+    steps, alpha, read = traj.steps, traj.config.alpha, traj.alpha_values
+    b = near_schedule_for(m).values(1, steps)
+    if alpha is not None:  # alpha(n) is read again only past the run's reads
+        b = (1.0 + np.concatenate((read[:steps], alpha.values(len(read) + 1, max(steps, len(read)))))) * b
     a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
-    b = [(1.0 + (0.0 if alpha is None else read[n - 1] if n <= len(read) else alpha.at(n))) * near.at(n)
-         for n in range(1, traj.steps + 1)]
-    b.append(0.0)
+    b = [*b.tolist(), 0.0]
     delta = [0.0] * len(a)
     report = check_lemma21(a, b, delta, len(a))
     passed = report.hypothesis_ok and report.verdict == "converged"

@@ -201,11 +201,16 @@ def near_schedule_for(m: Mapping) -> Optional[Schedule]:
 
 
 def near_sequence_from_asymptotic(k: Schedule, diam: float) -> Schedule:
-    """Turn an asymptotic schedule k_n >= 1 into the near-sequence (k_n - 1) * diam."""
+    """Turn an asymptotic schedule k_n >= 1 into the near-sequence (k_n - 1) * diam: a
+    formula schedule whose ``values`` reads k's."""
     if not 0.0 <= diam < math.inf:
         raise ContractError(f"diameter must be finite and >= 0, got {diam}")
-    return Schedule.formula(lambda n: (_coefficient("asymptotically_nonexpansive", k, n) - 1.0) * diam,
-                            label=f"near_from_{k.kind}")
+
+    def rows(first: int, last: int) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return (_coefficients("asymptotically_nonexpansive", k, first, last) - 1.0) * diam
+
+    return Schedule("formula", (("label", f"near_from_{k.kind}"),), lambda n: rows(n, n)[0], rows)
 
 
 _SEQUENCES = {
@@ -214,13 +219,15 @@ _SEQUENCES = {
 }
 
 
-def _coefficient(declared_class: str, s: Schedule, n: int) -> float:
-    """``s(n)``, once it is at least the floor of the sequence that ``declared_class``
-    declares.  ``_SEQUENCES`` holds each such sequence's name, floor and rule."""
+def _coefficients(declared_class: str, s: Schedule, first: int, last: int) -> np.ndarray:
+    """``s(n)`` for n = first .. last, once each is at least the floor of the sequence that
+    ``declared_class`` declares; no n past the first below it is read.  ``_SEQUENCES``
+    holds each such sequence's name, floor and rule."""
     name, floor, rule = _SEQUENCES[declared_class]
-    if (value := s.at(n)) < floor:
-        raise ScheduleError(f"{rule}; {name}({n}) = {value}")
-    return value
+    values = s.values(first, last, until=lambda v: v < floor)
+    if len(values) and values[-1] < floor:
+        raise ScheduleError(f"{rule}; {name}({first + len(values) - 1}) = {values[-1].item()}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> float | np.ndarray:
     if len(ns) == 1:
         return float(fn(int(ns[0])))
     distinct, index = np.unique(ns, return_inverse=True)
-    return np.array([fn(int(n)) for n in distinct], dtype=float)[index, None]
+    return np.array([fn(n) for n in distinct.tolist()], dtype=float)[index, None]
 
 
 def _derived(fn: Callable, **sources: Callable) -> Callable:
@@ -421,8 +428,7 @@ def _check_meta(space: NormedSpace, meta: MappingMeta) -> None:
         if s is None:
             raise ContractError(f"{meta.declared_class.replace('_', ' ')} maps must declare "
                                 f"{'an' if name == 'a' else 'a'} {name} schedule")
-        for n in range(1, 101):
-            _coefficient(meta.declared_class, s, n)
+        _coefficients(meta.declared_class, s, 1, 100)
         if s.at(10_000) > floor + 1e-2:
             raise ScheduleError(f"{name} schedule does not approach {floor:g}")
     if meta.lipschitz_L is not None and not 0.0 < meta.lipschitz_L < math.inf:
@@ -507,21 +513,22 @@ def _certify(
 def _certify_pairs(
     property_name: str,
     m: Mapping,
-    terms: Callable[[int], tuple[float, float]],
+    terms: Callable[[int], tuple],
     n_max: int,
     sample_count: int,
     seed: int,
 ) -> Certificate:
-    """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) = ``terms(n)``,
-    evaluated once per n before sampling into the table that both the screen
-    and ``_pair_excess`` read, on the domain extremes and each (discontinuity
+    """Check ||T^n x - T^n y|| <= c_n ||x - y|| + b_n, where (c_n, b_n) for n <= n_max,
+    floats or arrays, are ``terms(n_max)``, read before sampling into the table that both
+    the screen and ``_pair_excess`` read, on the domain extremes and each (discontinuity
     neighbour, discontinuity) pair at every n, then on seeded random (n, x, y)
     triples."""
     if n_max < 1:
         raise ContractError(f"n_max must be >= 1, got {n_max}")
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
-    coefficients = np.array([terms(n) for n in range(1, n_max + 1)], dtype=float)
+    coefficients = np.empty((n_max, 2))
+    coefficients[:, 0], coefficients[:, 1] = terms(n_max)
     pairs = [m.domain.extreme_points()] + [
         (neighbor, d) for d in m.meta.discontinuities
         for neighbor in _discontinuity_neighbors(m.space, m.domain, d)
@@ -541,8 +548,8 @@ def _certify_pairs(
         c, b = coefficients[N - 1].T
         return m.space.norm_rows(TX - TY) - c * m.space.norm_rows(X - Y) - b
 
-    table = coefficients.tolist()
-    return _certify(property_name, (1, n_max), lambda w: _pair_excess(m, w.n, w.x, w.y, *table[w.n - 1]),
+    return _certify(property_name, (1, n_max),
+                    lambda w: _pair_excess(m, w.n, w.x, w.y, *coefficients[w.n - 1].tolist()),
                     screen, sample_count, X, Y, N)
 
 
@@ -572,7 +579,7 @@ def certify_nearly_nonexpansive(
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= ||x - y|| + a_n for 1 <= n <= n_max."""
     return _certify_pairs(
-        "nearly_nonexpansive", m, lambda n: (1.0, _coefficient("nearly_nonexpansive", a, n)),
+        "nearly_nonexpansive", m, lambda n_max: (1.0, _coefficients("nearly_nonexpansive", a, 1, n_max)),
         n_max, sample_count, seed)
 
 
@@ -582,7 +589,7 @@ def certify_uniform_lipschitz(
     """Sampled check of ||T^n x - T^n y|| <= L * ||x - y|| for 1 <= n <= n_max."""
     if not 0.0 < L < math.inf:
         raise ParameterError(f"Lipschitz constant must be finite and > 0, got {L}")
-    return _certify_pairs("uniformly_lipschitz", m, lambda n: (L, 0.0), n_max, sample_count, seed)
+    return _certify_pairs("uniformly_lipschitz", m, lambda n_max: (L, 0.0), n_max, sample_count, seed)
 
 
 def certify_asymptotically_nonexpansive(
@@ -590,13 +597,14 @@ def certify_asymptotically_nonexpansive(
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= k_n * ||x - y|| for 1 <= n <= n_max."""
     return _certify_pairs(
-        "asymptotically_nonexpansive", m, lambda n: (_coefficient("asymptotically_nonexpansive", k, n), 0.0),
+        "asymptotically_nonexpansive", m,
+        lambda n_max: (_coefficients("asymptotically_nonexpansive", k, 1, n_max), 0.0),
         n_max, sample_count, seed)
 
 
 def certify_nonexpansive(m: Mapping, sample_count: int, seed: int) -> Certificate:
     """Sampled check of the single-application bound ||Tx - Ty|| <= ||x - y||."""
-    return _certify_pairs("nonexpansive", m, lambda n: (1.0, 0.0), 1, sample_count, seed)
+    return _certify_pairs("nonexpansive", m, lambda n_max: (1.0, 0.0), 1, sample_count, seed)
 
 
 # ---------------------------------------------------------------------------

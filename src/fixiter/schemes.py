@@ -86,15 +86,15 @@ def _range_check(name: str, sched: Schedule, horizon: int,
     violation otherwise."""
     lo_sym = "(" if lo_open else "["
     bounds = f"{lo_sym}0, 1)"
-    values = []
-    for n in range(1, horizon + 1):
-        v = sched.at(n)
-        values.append(v)
-        below = v <= 0.0 if lo_open else v < 0.0
-        if below or v >= 1.0:
-            return ConstraintCheck(
-                f"{name}_range", "violated", f"{name}({n}) = {v} outside {bounds}"
-            ), values
+
+    def outside(v):  # of a value, or elementwise of an array of them
+        return (v <= 0.0 if lo_open else v < 0.0) | (v >= 1.0)
+
+    values = sched.values(1, horizon, until=outside).tolist()
+    if outside(values[-1]):
+        return ConstraintCheck(
+            f"{name}_range", "violated", f"{name}({len(values)}) = {values[-1]} outside {bounds}"
+        ), values
     return ConstraintCheck(f"{name}_range", "satisfied", f"{name}(n) in {bounds} for n <= {horizon}"), values
 
 
@@ -324,15 +324,15 @@ def _weight(schedule: Schedule | None, values: list[float],
             n: int | np.ndarray) -> float | np.ndarray | None:
     """w(n) of a stage's weight schedule, read from the values the checks read
     for n up to their length, or None for a stage without one.  For an index
-    array n, the (len(n), 1) column of the weights at its indices."""
+    array n, ascending by 1, the (len(n), 1) column of the weights at its
+    indices."""
     if schedule is None:
         return None
     if type(n) is int:
         return values[n - 1] if n <= len(values) else schedule.at(n)
-    column = []
-    for i in n.tolist():  # a loop, not a comprehension, so that no local is a cell on the scalar path
-        column.append(values[i - 1] if i <= len(values) else schedule.at(i))
-    return np.array(column)[:, None]
+    first, last, known = int(n[0]), int(n[-1]), len(values)
+    past = schedule.values(max(first, known + 1), max(last, known))
+    return np.concatenate((values[first - 1:last], past))[:, None]
 
 
 def _step(m: Mapping, stages: list, x: np.ndarray, n: int | np.ndarray, ns: np.ndarray,

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fixiter import (Box, MappingMeta, NormedSpace, RunConfig, Schedule, Vector, build_mapping, check_lemma21,
-                     cli, distance_to_fixed_set, make_linear_contraction, near_schedule_for, run_scheme)
+                     cli, distance_to_fixed_set, make_asymptotically_nonexpansive_example, make_linear_contraction,
+                     near_schedule_for, run_scheme)
 from fixiter.errors import ScenarioError
 
 GOOD = {
@@ -870,19 +871,36 @@ def test_a_5000_step_run_begins_with_the_200_step_runs_csv(tmp_path, scenario):
     assert b"".join(csv[5000].splitlines(keepends=True)[:201]) == csv[200]
 
 
-# Schedule.at calls of ``fixiter run`` on each shipped scenario: the schedule
-# checks read each alpha(n) once, and the lemma21 check reads them from the run.
-SCHEDULE_READS = {"asymptotic_mann": 1321, "contraction_compare": 400, "example21_hybrid": 551,
+# Per-n schedule reads of ``fixiter run`` on each shipped scenario, one per
+# value that Schedule.at or Schedule.values returns to a caller outside
+# schedules.py: the schedule checks read each alpha(n) once, and the lemma21
+# check reads them from the run.  asymptotic_mann also reads k(n) for n <= 100
+# and k(10 000) in build_mapping, its near-sequence for lemma21 and the
+# certificate's k(n) for n <= 20.
+SCHEDULE_READS = {"asymptotic_mann": 921, "contraction_compare": 400, "example21_hybrid": 551,
                   "ishikawa_contraction": 600}
 
 
 @pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS))
 def test_run_reads_each_alpha_value_once(tmp_path, monkeypatch, scenario):
-    calls = []
-    at = Schedule.at
-    monkeypatch.setattr(Schedule, "at", lambda self, n: calls.append(n) or at(self, n))
+    reads, depth = [], [0]
+
+    def counted(method, size):
+        def read(self, *args, **kwargs):
+            depth[0] += 1
+            try:
+                got = method(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+            if depth[0] == 0:  # not a read that values, or a derived schedule, makes for its caller
+                reads.append(size(got))
+            return got
+        return read
+
+    monkeypatch.setattr(Schedule, "at", counted(Schedule.at, lambda got: 1))
+    monkeypatch.setattr(Schedule, "values", counted(Schedule.values, len))
     assert cli.main(["run", str(SCENARIO_DIR / f"{scenario}.json"), "--output", str(tmp_path), "--quiet"]) == 0
-    assert len(calls) == SCHEDULE_READS[scenario]
+    assert sum(reads) == SCHEDULE_READS[scenario]
 
 
 def _lemma21_reading_alpha(m, traj):
@@ -905,12 +923,19 @@ def _long_mann_run():
     return m, run_scheme(config)
 
 
-@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS) + ["mann_past_10000"])
+@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS) + ["mann_past_10000"]
+                         + [f"asymptotic_demo_dim{dim}" for dim in (1, 2, 3)])
 def test_lemma21_reads_the_alpha_values_the_schedule_gives(scenario):
     if scenario in SCHEDULE_READS:
         s = cli.parse_scenario(SCENARIO_DIR / f"{scenario}.json")
         m = cli.build_mapping_for(s)
         traj = run_scheme(cli.build_run_config(s, m))
+    elif scenario.startswith("asymptotic_demo"):
+        # The near-sequence (k(n) - 1) * diam, read as one array, against near.at(n).
+        dim = int(scenario[-1])
+        m = make_asymptotically_nonexpansive_example(dim)
+        traj = run_scheme(RunConfig("mann", m, Vector((0.5,) * dim), alpha=Schedule.harmonic_tail(1.0, 1.0),
+                                    max_steps=300, stop_tolerance=-1.0))
     else:
         m, traj = _long_mann_run()
         assert traj.steps > len(traj.alpha_values) == 10_000
