@@ -248,8 +248,8 @@ def check_lemma22_witness(
 class CheckResult:
     name: str
     passed: bool
-    value: float | None
-    threshold: float | None
+    value: float
+    threshold: float
     detail: str
 
     def to_dict(self) -> dict:
@@ -273,17 +273,20 @@ class TheoremReport:
         return out
 
 
+def _at_most(name: str, value: float, threshold: float, detail: str) -> CheckResult:
+    """The check that ``value`` is at most ``threshold``: every theorem check's pass rule."""
+    return CheckResult(name, value <= threshold, value, threshold, detail)
+
+
+def _report(name: str, checks: Sequence[CheckResult], **extra) -> TheoremReport:
+    """The report over ``checks``, which passes when every one of them does."""
+    return TheoremReport(name, all(c.passed for c in checks), tuple(checks), extra)
+
+
 def _tail_max_check(name: str, values: Sequence[float], tol: float, desc: str) -> CheckResult:
     arr = np.asarray(list(values), dtype=float)
     start = tail_window_start(arr.size)
-    tail_max = float(arr[start:].max())
-    return CheckResult(
-        name=name,
-        passed=tail_max <= tol,
-        value=tail_max,
-        threshold=tol,
-        detail=f"{desc} over entries {start}..{arr.size - 1}",
-    )
+    return _at_most(name, float(arr[start:].max()), tol, f"{desc} over entries {start}..{arr.size - 1}")
 
 
 def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
@@ -303,42 +306,18 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
     for p in m.meta.known_fixed_points:
         dists = _point_distances(traj.config.mapping.space, traj.points, [p])
         lv = limit_verdict(dists)
-        label = f"limit_exists_at_{p.coords}"
         limits[str(list(p.coords))] = lv.to_dict()
-        checks.append(CheckResult(
-            name=label,
-            passed=lv.verdict == "converged",
-            value=lv.tail_oscillation,
-            threshold=TAU_LIM,
-            detail=f"tail oscillation of the distance to {p.coords}; verdict {lv.verdict}",
-        ))
+        # limit_verdict says converged exactly when this check passes
+        checks.append(_at_most(f"limit_exists_at_{p.coords}", lv.tail_oscillation, TAU_LIM,
+                               f"tail oscillation of the distance to {p.coords}; verdict {lv.verdict}"))
 
-    checks.append(_tail_max_check(
-        "power_residual_vanishes", traj.residual_Tn, TAU_REG,
-        "max ||x_n - T^n x_n||",
-    ))
-    checks.append(_tail_max_check(
-        "residual_vanishes", traj.residual_T, TAU_REG,
-        "max ||x_n - T x_n||",
-    ))
-    checks.append(_tail_max_check(
-        "iterates_cauchy", traj.step_norm, TAU_LIM,
-        "max step displacement",
-    ))
-    final_res = traj.residual_T[-1]
-    checks.append(CheckResult(
-        name="final_point_fixed",
-        passed=final_res <= TAU_FP,
-        value=final_res,
-        threshold=TAU_FP,
-        detail=f"||x_N - T x_N|| at x_N = {traj.final.coords}",
-    ))
-    return TheoremReport(
-        name="theorem31",
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-        extra={"limits": limits},
-    )
+    checks += [
+        _tail_max_check("power_residual_vanishes", traj.residual_Tn, TAU_REG, "max ||x_n - T^n x_n||"),
+        _tail_max_check("residual_vanishes", traj.residual_T, TAU_REG, "max ||x_n - T x_n||"),
+        _tail_max_check("iterates_cauchy", traj.step_norm, TAU_LIM, "max step displacement"),
+        _at_most("final_point_fixed", traj.residual_T[-1], TAU_FP, f"||x_N - T x_N|| at x_N = {traj.final.coords}"),
+    ]
+    return _report("theorem31", checks, limits=limits)
 
 
 def verify_theorem32(traj: Trajectory, fixed_set: Sequence[Vector]) -> TheoremReport:
@@ -353,32 +332,23 @@ def verify_theorem32(traj: Trajectory, fixed_set: Sequence[Vector]) -> TheoremRe
     liminf_est = float(dists[start:].min())
     tail_max = float(dists[start:].max())
     if liminf_est <= TAU_LIM:
-        consistent = tail_max <= TAU_LIM
-        verdict = "consistent" if consistent else "inconsistent"
-        detail = (
-            "liminf d(x_n, F) vanishes and the full tail follows" if consistent
-            else "liminf d(x_n, F) vanishes but the tail does not"
-        )
+        follows = tail_max <= TAU_LIM
+        verdict = "consistent" if follows else "inconsistent"
         checks = (
-            CheckResult("liminf_vanishes", True, liminf_est, TAU_LIM,
-                        f"window minimum of d(x_n, F) over entries {start}..{dists.size - 1}"),
-            CheckResult("distance_tail_vanishes", consistent, tail_max, TAU_LIM, detail),
+            _at_most("liminf_vanishes", liminf_est, TAU_LIM,
+                     f"window minimum of d(x_n, F) over entries {start}..{dists.size - 1}"),
+            _at_most("distance_tail_vanishes", tail_max, TAU_LIM,
+                     "liminf d(x_n, F) vanishes " + ("and the full tail follows" if follows
+                                                     else "but the tail does not")),
         )
-        passed = consistent
     else:
         verdict = "no_evidence"
         checks = (
-            CheckResult("liminf_vanishes", False, liminf_est, TAU_LIM,
-                        "window minimum of d(x_n, F) stays away from zero; "
-                        "no convergence evidence at this horizon (not a refutation)"),
+            _at_most("liminf_vanishes", liminf_est, TAU_LIM,
+                     "window minimum of d(x_n, F) stays away from zero; "
+                     "no convergence evidence at this horizon (not a refutation)"),
         )
-        passed = False
-    return TheoremReport(
-        name="theorem32",
-        passed=passed,
-        checks=checks,
-        extra={"verdict": verdict, "liminf_estimate": liminf_est, "tail_max": tail_max},
-    )
+    return _report("theorem32", checks, verdict=verdict, liminf_estimate=liminf_est, tail_max=tail_max)
 
 
 # ---------------------------------------------------------------------------
@@ -515,19 +485,10 @@ def verify_theorem33(traj: Trajectory, m: Mapping, w: ConditionIWitness) -> Theo
         if gap > worst_gap:
             worst_gap = gap
             worst_n = n
-    checks.append(CheckResult(
-        name="gauge_dominated_by_residual",
-        passed=worst_gap <= TAU_CERT,
-        value=worst_gap,
-        threshold=TAU_CERT,
-        detail=f"max over steps of phi(d(x_n, F)) - ||x_n - T x_n||, worst at step {worst_n}",
-    ))
+    checks.append(_at_most("gauge_dominated_by_residual", worst_gap, TAU_CERT,
+                           f"max over steps of phi(d(x_n, F)) - ||x_n - T x_n||, worst at step {worst_n}"))
     checks.append(_tail_max_check("distance_tail_vanishes", dists, TAU_LIM, "max d(x_n, F)"))
-    return TheoremReport(
-        name="theorem33",
-        passed=all(c.passed for c in checks),
-        checks=tuple(checks),
-    )
+    return _report("theorem33", checks)
 
 
 # ---------------------------------------------------------------------------

@@ -683,12 +683,22 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress informational output")
 
 
+# Each character str.splitlines breaks at, as its escape.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
+def _stderr_line(text: str) -> None:
+    """Print ``text`` to stderr as one line, whatever input it quotes."""
+    print(text.translate(_LINE_BREAKS), file=sys.stderr)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one ``error:`` line and exits 1, where
     argparse prints its usage and exits 2, the code of a refuted property."""
 
     def error(self, message: str):
-        self.exit(1, f"error: {message}\n")
+        _stderr_line(f"error: {message}")
+        self.exit(1)
 
 
 def _run_arguments(p: argparse.ArgumentParser) -> None:
@@ -779,7 +789,7 @@ def main(argv=None) -> int:
             raise FixiterError(f"--seed: must be >= 0, got {args.seed}")
         # each warning is one stderr line, without the source line that raised it
         with warnings.catch_warnings():
-            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            warnings.showwarning = lambda message, *_: _stderr_line(f"warning: {message}")
             code = args.handler(args)
             sys.stdout.flush()  # a closed stdout raises here, not at exit
             return code
@@ -787,7 +797,7 @@ def main(argv=None) -> int:
     except BrokenPipeError as e:
         with open(os.devnull, "w") as devnull:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
-        print(f"error: cannot write to stdout: {e.strerror}", file=sys.stderr)
+        _stderr_line(f"error: cannot write to stdout: {e.strerror}")
         return 1
     # a warning is raised under an interpreter filter of "error"; an array too large to allocate
     # raises MemoryError
@@ -796,7 +806,7 @@ def main(argv=None) -> int:
         scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)
                     and getattr(args, "scenario", None))
         message = str(e) or "out of memory"  # a MemoryError may carry no message
-        print(f"error: {scenario}: {message}" if scenario else f"error: {message}", file=sys.stderr)
+        _stderr_line(f"error: {scenario}: {message}" if scenario else f"error: {message}")
         return 1
 
 

@@ -284,22 +284,19 @@ class Box:
         return len(self.lows)
 
     @cached_property
-    def _faces(self) -> tuple[tuple[float, ...], tuple[float, ...], np.ndarray, np.ndarray]:
-        """The tolerant faces lows - TAU_DOM and highs + TAU_DOM, as tuples for
-        ``contains`` and as arrays of the same floats for ``inside_rows``."""
-        lows = tuple(lo - TAU_DOM for lo in self.lows)
-        highs = tuple(hi + TAU_DOM for hi in self.highs)
-        return lows, highs, np.array(lows), np.array(highs)
+    def _faces(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """The tolerant faces lows - TAU_DOM and highs + TAU_DOM."""
+        return tuple(lo - TAU_DOM for lo in self.lows), tuple(hi + TAU_DOM for hi in self.highs)
 
     def contains(self, space: NormedSpace, v: Vector) -> bool:
         if v.dim != self.dim:
             raise ContractError(f"dimension mismatch: box has dim {self.dim}, vector has dim {v.dim}")
-        lows, highs, _, _ = self._faces
+        lows, highs = self._faces
         return all(lo <= c <= hi for c, lo, hi in zip(v.coords, lows, highs))
 
     def inside_rows(self, space: NormedSpace, points: np.ndarray) -> np.ndarray:
         """Which rows of a (k, dim) array ``contains`` accepts; the comparisons are the same, so exactly."""
-        _, _, lows, highs = self._faces
+        lows, highs = self._faces
         return ((lows <= points) & (points <= highs)).all(axis=1)
 
     def diameter(self, space: NormedSpace) -> float:

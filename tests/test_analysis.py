@@ -10,6 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixiter import (
+    TAU_CERT,
+    TAU_FP,
+    TAU_LIM,
+    TAU_REG,
     ConditionIWitness,
     ConfigurationError,
     ContractError,
@@ -329,6 +333,88 @@ def test_liminf_report_refuses_a_point_of_another_dimension():
         verify_theorem32(t, [Vector((0.5,))])
     with pytest.raises(ContractError, match="^dimension mismatch: vectors have dims 2 and 3$"):
         verify_theorem32(t, [Vector((0.0, 0.0, 0.0))])
+
+
+# ---------------------------------------------------------------------------
+# verdicts at their thresholds: a check passes when its value is at most its
+# threshold and fails one float above it, and its report follows it
+
+def _at_or_above(threshold, above):
+    return float(np.nextafter(threshold, math.inf)) if above else threshold
+
+
+def _with_last(column, value):
+    return (*column[:-1], value)
+
+
+def _assert_verdict(rep, name, value, threshold, above):
+    check = next(c for c in rep.checks if c.name == name)
+    assert (check.value, check.threshold, check.passed) == (value, threshold, not above)
+    assert rep.passed is (not above)
+    assert rep.to_dict()["passed"] is rep.passed
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_a_tail_max_check_passes_at_its_threshold(above):
+    traj, m = _hybrid_run(0.9)
+    value = _at_or_above(TAU_REG, above)
+    rep = verify_theorem31(replace(traj, residual_Tn=_with_last(traj.residual_Tn, value)), m)
+    _assert_verdict(rep, "power_residual_vanishes", value, TAU_REG, above)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_the_final_point_check_passes_at_its_threshold(above):
+    traj, m = _hybrid_run(0.9)
+    value = _at_or_above(TAU_FP, above)
+    rep = verify_theorem31(replace(traj, residual_T=_with_last(traj.residual_T, value)), m)
+    _assert_verdict(rep, "final_point_fixed", value, TAU_FP, above)
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_a_limit_check_passes_at_its_threshold_exactly_when_the_limit_converges(above):
+    traj, m = _hybrid_run(0.9)
+    value = _at_or_above(TAU_LIM, above)
+    points = np.zeros_like(traj.points)
+    points[-1] = value
+    rep = verify_theorem31(replace(traj, points=points), m)
+    _assert_verdict(rep, "limit_exists_at_(0.0,)", value, TAU_LIM, above)
+    assert rep.extra["limits"]["[0.0]"]["verdict"] == ("undetermined" if above else "converged")
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_the_liminf_check_passes_at_its_threshold(above):
+    traj, _ = _hybrid_run(0.9)
+    value = _at_or_above(TAU_LIM, above)
+    rep = verify_theorem32(replace(traj, points=np.full_like(traj.points, value)), [Vector((0.0,))])
+    _assert_verdict(rep, "liminf_vanishes", value, TAU_LIM, above)
+    assert rep.extra["verdict"] == ("no_evidence" if above else "consistent")
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_the_distance_tail_check_passes_at_its_threshold(above):
+    traj, _ = _hybrid_run(0.9)
+    value = _at_or_above(TAU_LIM, above)
+    points = np.full_like(traj.points, TAU_LIM)
+    points[-1] = value
+    rep = verify_theorem32(replace(traj, points=points), [Vector((0.0,))])
+    assert rep.checks[0].passed
+    _assert_verdict(rep, "distance_tail_vanishes", value, TAU_LIM, above)
+    assert rep.extra["verdict"] == ("inconsistent" if above else "consistent")
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["at", "above"])
+def test_the_gauge_check_passes_at_its_threshold(above):
+    # phi(d) - ||x_1 - T x_1|| is 0.5 * 2 TAU_CERT - 0 at step 1, before the
+    # tail windows, where every other step's excess is below it.
+    traj, m = _hybrid_run(0.9)
+    phi = PhiSpec("linear", lam=0.5)
+    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
+    value = _at_or_above(TAU_CERT, above)
+    records = replace(traj, residual_T=(0.0, *traj.residual_T[1:]),
+                      dist_to_known_fp=(2.0 * value, *traj.dist_to_known_fp[1:]))
+    rep = verify_theorem33(records, m, w)
+    _assert_verdict(rep, "gauge_dominated_by_residual", value, TAU_CERT, above)
+    assert rep.checks[1].detail.endswith("worst at step 1")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Command-line interface: scenario parsing, exit codes, files, determinism."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -484,6 +487,7 @@ def test_certify_refuses_a_bound_its_class_does_not_take(capsys, argv, error):
     (["certify", "example21", "--param", "q=0.5"],"the following arguments are required: --class"),
     (["certify", "example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "x"],
      "argument --samples: invalid int value: 'x'"),
+    (["certify", "identity", "--class", "nonexpansive", "a\u2028b"], "unrecognized arguments: a\\u2028b"),
 ])
 def test_usage_errors_exit_one_with_one_error_line(monkeypatch, capsys, argv, error):
     # argparse alone prints its usage and exits 2, the code of a refuted property.
@@ -606,6 +610,7 @@ _SCENARIO_FAULTS = [
     ({"mapping": {"id": "mystery"}},
      "mapping.id: unknown mapping 'mystery'; catalog: "
      "('example21', 'contraction', 'identity', 'asymptotic_demo')"),
+    ({"scheme": "mann\nishikawa"}, f"scheme: unknown scheme 'mann\\nishikawa'; {_KNOWN_SCHEMES}"),
 ]
 
 
@@ -674,6 +679,10 @@ _CERTIFY_FAULTS = [
      "asymptotic schedule must satisfy k(n) >= 1; k(1) = 0.5"),
     (["asymptotic_demo", "--class", "uniformly_lipschitz", "--lipschitz", "1e308", "--samples", "10",
       "--dim", "40"], _NO_WITNESS),
+    # A line break in the input is written as its escape, so the error stays one line.
+    (["x\ny", "--class", "nonexpansive"],
+     "mapping: unknown mapping 'x\\ny'; catalog: ('example21', 'contraction', 'identity', 'asymptotic_demo')"),
+    (["identity", "--class", "nonexpansive", "--p", "1\x1e"], "--p: expected a number or 'inf', got '1\\x1e'"),
 ]
 
 
@@ -1072,3 +1081,168 @@ def test_main_finds_the_handler_and_certifier_when_it_is_called(tmp_path, capsys
     _counting(monkeypatch, "certify_nearly_nonexpansive", calls)
     assert _outcome(capsys, argv) == before
     assert calls == [handler, "certify_nearly_nonexpansive"]
+
+
+# ---------------------------------------------------------------------------
+# the console contract under fuzzed input: every command line ends in a known
+# exit code, an error is one stderr line and anything else there is a warning
+
+def _console(argv):
+    """Exit code and stderr of one ``main`` call, usage errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exited:
+            code = exited.code
+    return code, err.getvalue()
+
+
+def _assert_console_contract(argv):
+    code, err = _console(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    lines = err.splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("error:") and err.endswith("\n"), (argv, err)
+    else:
+        assert all(line.startswith("warning:") for line in lines), (argv, err)
+
+
+def test_a_scenario_path_with_a_line_break_is_one_error_line():
+    # Each character str.splitlines breaks at is written as its escape.
+    assert _console(["run", "no\rsuch.json"]) == (
+        1, "error: no\\rsuch.json: cannot read scenario file: No such file or directory\n")
+
+
+# The largest size each key of a fuzzed input may take, so that every run stays small;
+# unbounded work is a separate matter.
+_SIZE_BOUNDS = {"max_steps": 300, "samples": 10_000, "n_max": 50, "dim": 50}
+_SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
+_ODD_VALUES = st.one_of(
+    st.floats(width=64),  # nan, infinities and magnitudes up to the largest float
+    st.integers(min_value=-2**70, max_value=2**70),
+    st.sampled_from([None, True, False, "", "inf", "-inf", "nan", "0.5", [], {}]),
+    st.text(max_size=4),
+    st.lists(st.floats(width=64), max_size=3),
+    st.dictionaries(st.sampled_from(["q", "value", "kind", "name"]), st.floats(width=64), max_size=2),
+)
+# Names a scenario may hold, each group the names one key takes.
+_NAME_GROUPS = (cli.SCHEMES, cli.CATALOG_IDS, cli.CERT_CLASSES, ("constant", "geometric", "harmonic_tail", "table"),
+                ("linear", "power", "table"), ("lemma21", "theorem31", "theorem32", "theorem33", "condition_I", "certify"))
+_NUMBERS = st.one_of(st.integers(min_value=-2, max_value=60), st.floats(min_value=-2.0, max_value=2.0),
+                     st.floats(width=64))
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _values_like(value):
+    """Values to put in place of ``value``: mostly of its own kind, else anything."""
+    if _is_number(value):
+        return st.one_of(_NUMBERS, _ODD_VALUES)
+    names = next((group for group in _NAME_GROUPS if value in group), ())
+    return st.one_of(st.sampled_from(names), _ODD_VALUES) if names else _ODD_VALUES
+
+
+def _bounded(node):
+    """``node`` with every number under a key of ``_SIZE_BOUNDS`` cut to its bound."""
+    if isinstance(node, list):
+        return [_bounded(v) for v in node]
+    if not isinstance(node, dict):
+        return node
+    return {k: _SIZE_BOUNDS[k] if k in _SIZE_BOUNDS and _is_number(v) and v > _SIZE_BOUNDS[k] else _bounded(v)
+            for k, v in node.items()}
+
+
+@st.composite
+def mutated_scenarios(draw):
+    doc = copy.deepcopy(_SHIPPED[draw(st.sampled_from(sorted(_SHIPPED)))])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        # most edits scale a number, which often leaves a scenario that runs
+        action = draw(st.sampled_from(["scale"] * 3 + ["leaf", "any", "drop", "add"]))
+        # checks first and schema_version last, as hypothesis favours the first entries
+        trails = [trail for trail in reversed(list(_trails(doc)))
+                  if action == "any" or not isinstance(_node(doc, trail), (dict, list))]
+        if action == "scale":
+            trails = [trail for trail in trails if _is_number(_node(doc, trail))]
+        trail = draw(st.sampled_from(trails))
+        node, key = _node(doc, trail[:-1]), trail[-1]
+        if action == "scale":
+            node[key] *= draw(st.sampled_from([0, -1, 0.5, 1.5, 2, 1e3, 1e-300, 1e300]))
+        elif action == "drop" and trail != ("max_steps",):  # the default, 10 000 steps, passes the bound
+            del node[key]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["surprise", "p", "dim", "radius", "samples", "beta"]))] = draw(_ODD_VALUES)
+        else:
+            node[key] = draw(_values_like(node[key]))
+    return _bounded(doc)
+
+
+@pytest.mark.filterwarnings("default")
+@settings(max_examples=150, deadline=5_000, derandomize=True, database=None)
+@given(doc=mutated_scenarios())
+def test_a_mutated_shipped_scenario_keeps_the_console_contract(doc):
+    with tempfile.TemporaryDirectory() as out:
+        path = Path(out) / "scenario.json"
+        path.write_text(json.dumps(doc))
+        _assert_console_contract(["run", str(path), "--output", str(Path(out) / "results")])
+
+
+# Command lines that exit 0, 2 or 3 as they stand, to be mutated.
+_COMMAND_LINES = [
+    ["certify", "contraction", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "500"],
+    ["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5", "--schedule", "geometric:0.5",
+     "--n-max", "20", "--samples", "500"],
+    ["certify", "asymptotic_demo", "--class", "asymptotically_nonexpansive", "--schedule", "table:1.2,1",
+     "--n-max", "20", "--samples", "500"],
+    ["certify", "identity", "--class", "uniformly_lipschitz", "--lipschitz", "1", "--dim", "3", "--samples", "500"],
+    ["modulus", "--epsilon", "0.5", "--p", "3", "--dim", "3", "--samples", "1000"],
+]
+_NUMBER_TEXTS = st.one_of(_NUMBERS.map(str), st.sampled_from(["inf", "-inf", "nan", "x", "", "1e308", "-0.0"]))
+
+
+def _count_texts(bound):
+    return st.one_of(st.integers(min_value=-2, max_value=bound).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+_OPTION_TEXTS = {
+    "--class": st.sampled_from([*cli.CERT_CLASSES, "bogus"]),
+    "--param": st.builds("{}={}".format, st.sampled_from(["q", "a", "z"]), _NUMBER_TEXTS),
+    "--schedule": st.builds(lambda kind, args: f"{kind}:{','.join(args)}",
+                            st.sampled_from(["constant", "geometric", "harmonic_tail", "table", "cubic", ""]),
+                            st.lists(_NUMBER_TEXTS, max_size=3)),
+    "--lipschitz": _NUMBER_TEXTS,
+    "--n-max": _count_texts(_SIZE_BOUNDS["n_max"]),
+    "--dim": _count_texts(_SIZE_BOUNDS["dim"]),
+    "--samples": _count_texts(_SIZE_BOUNDS["samples"]),
+    "--p": st.one_of(_NUMBER_TEXTS, st.just("abc")),
+    "--epsilon": _NUMBER_TEXTS,
+    "--seed": _count_texts(10),
+}
+
+
+@st.composite
+def mutated_command_lines(draw):
+    argv = list(draw(st.sampled_from(_COMMAND_LINES)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        flags = [i for i, arg in enumerate(argv) if arg.startswith("--")]
+        action = draw(st.sampled_from(["set", "set", "drop", "add", "mapping"]))
+        at = draw(st.sampled_from(flags))
+        if action == "set" and argv[at] in _OPTION_TEXTS:
+            argv[at + 1] = draw(_OPTION_TEXTS[argv[at]])
+        elif action == "drop" and argv[at] != "--samples":  # modulus's default, 100 000, passes the bound
+            del argv[at:at + 2]
+        elif action == "add":
+            flag = draw(st.sampled_from(sorted(_OPTION_TEXTS)))
+            argv += [flag, draw(_OPTION_TEXTS[flag])]
+        elif action == "mapping" and argv[0] == "certify":
+            argv[1] = draw(st.sampled_from([*cli.CATALOG_IDS, "mystery", "--class"]))
+    return argv
+
+
+@pytest.mark.filterwarnings("default")
+@settings(max_examples=150, deadline=5_000, derandomize=True, database=None)
+@given(argv=mutated_command_lines())
+def test_a_mutated_certify_or_modulus_command_line_keeps_the_console_contract(argv):
+    _assert_console_contract(argv)

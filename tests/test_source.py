@@ -39,3 +39,29 @@ def test_schedules_are_read_per_n_only_inside_schedule_values():
     found = [f"{path.relative_to(SOURCE)}:{line}" for path in sorted(SOURCE.rglob("*.py"))
              for line in _per_n_reads(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+# The one function allowed to construct each theorem-check type.
+_VERDICT_BUILDERS = {"CheckResult": "_at_most", "TheoremReport": "_report"}
+
+
+def _stated_verdicts(node, function=None):
+    """The lines of the ``CheckResult(`` and ``TheoremReport(`` calls under
+    ``node`` made outside the one helper that builds each."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        function = getattr(node, "name", "<lambda>")
+    if isinstance(node, ast.Call):
+        called = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if called in _VERDICT_BUILDERS and function != _VERDICT_BUILDERS[called]:
+            yield node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _stated_verdicts(child, function)
+
+
+def test_theorem_checks_and_reports_are_built_only_by_their_pass_rules():
+    # _at_most passes a check exactly when its value is at most its threshold,
+    # and _report passes a report exactly when all its checks pass; a verdict
+    # written out by hand beside its numbers could drift from them.
+    found = [f"{path.relative_to(SOURCE)}:{line}" for path in sorted(SOURCE.rglob("*.py"))
+             for line in _stated_verdicts(ast.parse(path.read_text(), str(path)))]
+    assert found == []
