@@ -61,6 +61,7 @@ from .schemes import (
     RunConfig,
     Trajectory,
     _check_scheme,
+    _check_start,
     _p_token,
     run_scheme,
     trajectory_header,
@@ -335,21 +336,14 @@ def scenario_from_dict(doc) -> Scenario:
     elif "beta" in schedules:
         raise ScenarioError("schedules.beta", "only meaningful for the ishikawa scheme")
 
-    x0 = _field(root, "", "x0", _entries, entry=_expect_real)
-    if len(x0) != dim:
-        raise ScenarioError("x0", f"has {len(x0)} coordinates but space.dim = {dim}")
-
     return Scenario(
         name=name, space_dim=dim, space_p=p, mapping_id=mapping_id,
-        mapping_parameters=params, scheme=scheme, alpha=alpha, beta=beta, x0=x0,
+        mapping_parameters=params, scheme=scheme, alpha=alpha, beta=beta,
+        x0=_field(root, "", "x0", _entries, entry=_expect_real),
         max_steps=_field(root, "", "max_steps", _expect_int, RunConfig.max_steps, minimum=1),
         stop_tolerance=_field(root, "", "stop_tolerance", _expect_real, RunConfig.stop_tolerance),
         checks=_field(root, "", "checks", _entries, [], entry=check_from_dict),
     )
-
-
-class _UnreadableScenario(ScenarioError):
-    """A scenario file that cannot be read or decoded: its path is the file's own."""
 
 
 def parse_scenario(path) -> Scenario:
@@ -357,9 +351,9 @@ def parse_scenario(path) -> Scenario:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as e:
         reason = getattr(e, "strerror", None) or e
-        raise _UnreadableScenario(str(path), f"cannot read scenario file: {reason}") from e
+        raise ScenarioError(str(path), f"cannot read scenario file: {reason}") from e
     except json.JSONDecodeError as e:
-        raise _UnreadableScenario(str(path), f"not valid JSON: {e}") from e
+        raise ScenarioError(str(path), f"not valid JSON: {e}") from e
     return scenario_from_dict(doc)
 
 
@@ -399,38 +393,30 @@ def build_mapping_for(s: Scenario) -> Mapping:
 
 
 def build_run_config(s: Scenario, m: Mapping) -> RunConfig:
-    return RunConfig(
+    config = RunConfig(
         scheme=s.scheme,
         mapping=m,
-        x0=Vector(s.x0),
+        x0=_at("x0", Vector, s.x0),
         alpha=s.alpha,
         beta=s.beta,
         max_steps=s.max_steps,
         stop_tolerance=s.stop_tolerance,
     )
+    _at("x0", _check_start, config)
+    return config
 
 
 def preflight_checks(s: Scenario, m: Mapping) -> None:
     """Reject checks whose preconditions the scenario cannot meet, before any
-    work happens, so validation failures never leave partial outputs."""
+    work happens, so validation failures never leave partial outputs.  Every
+    catalog map declares a fixed-point set and a near-sequence, which lemma21,
+    theorem33 and condition_I read, so no scenario can lack them."""
     for i, c in enumerate(s.checks):
         path = f"checks[{i}]"
-        if c.name == "theorem31":
-            if s.scheme != "modified_pm_hybrid":
-                raise ScenarioError(path, "theorem31 applies to the modified_pm_hybrid scheme only")
-            if not m.meta.known_fixed_points:
-                raise ScenarioError(path, "theorem31 requires a mapping with known fixed points")
-        elif c.name == "theorem32":
-            if not m.meta.known_fixed_points:
-                raise ScenarioError(path, "theorem32 requires a mapping with known fixed points")
-        elif c.name in ("theorem33", "condition_I", "lemma21"):
-            if not m.has_fixed_set:
-                raise ScenarioError(path, f"{c.name} requires fixed-point information on the mapping")
-            if c.name == "lemma21" and near_schedule_for(m) is None:
-                raise ScenarioError(
-                    path, "lemma21 requires a near-sequence (a declared a or k schedule, "
-                    "or a nonexpansive mapping)"
-                )
+        if c.name == "theorem31" and s.scheme != "modified_pm_hybrid":
+            raise ScenarioError(path, "theorem31 applies to the modified_pm_hybrid scheme only")
+        if c.name in ("theorem31", "theorem32") and not m.meta.known_fixed_points:
+            raise ScenarioError(path, f"{c.name} requires a mapping with known fixed points")
 
 
 def certificate_to_dict(cert: Certificate) -> dict:
@@ -458,8 +444,7 @@ def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     b = [*b.tolist(), 0.0]
     delta = [0.0] * len(a)
     report = check_lemma21(a, b, delta, len(a))
-    passed = report.hypothesis_ok and report.verdict == "converged"
-    return passed, report.to_dict()
+    return report.verdict == "converged", report.to_dict()
 
 
 def _certify(cert_class: str, m: Mapping, bound, n_max: int | None, samples: int, seed: int) -> Certificate:
@@ -625,9 +610,9 @@ def _parse_schedule_spec(spec: str) -> Schedule:
         raise ScenarioError("--schedule", f"non-numeric argument in '{spec}'") from e
     names, defaults = _SCHEDULE_KINDS.get(kind, ((), {}))
     if kind == "table" and values:
-        return Schedule.table(values)
+        return _at("--schedule", Schedule.table, values)
     if kind != "table" and names and len(names) - len(defaults) <= len(values) <= len(names):
-        return getattr(Schedule, kind)(*values, *[defaults[n] for n in names[len(values):]])
+        return _at("--schedule", getattr(Schedule, kind), *values, *[defaults[n] for n in names[len(values):]])
     raise ScenarioError(
         "--schedule",
         f"cannot parse '{spec}'; expected kind:args like constant:0.5, geometric:0.5, "
@@ -639,8 +624,8 @@ def cmd_certify(args) -> int:
     _at("mapping", _check_catalog_id, args.mapping)
     _cert_class(args.class_name, "--class")
     dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
-    space = NormedSpace(dim, _cli_p(args.p, "--p"))
-    mapping = get_mapping(args.mapping, _parse_cli_params(args.param), space)
+    space = _at("--dim", NormedSpace, dim, _cli_p(args.p, "--p"))
+    mapping = _at("mapping", get_mapping, args.mapping, _parse_cli_params(args.param), space)
 
     key = _CERTIFIERS[args.class_name][0]
     flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
@@ -669,7 +654,7 @@ def _modulus_to_dict(est: ModulusEstimate) -> dict:
 
 
 def cmd_modulus(args) -> int:
-    space = NormedSpace(args.dim, _cli_p(args.p, "--p"))
+    space = _at("--dim", NormedSpace, args.dim, _cli_p(args.p, "--p"))
     est = modulus_of_convexity_estimate(space, args.epsilon, args.samples, args.seed)
     print(json.dumps(_modulus_to_dict(est), indent=2))
     return 0
@@ -802,11 +787,12 @@ def main(argv=None) -> int:
     # a warning is raised under an interpreter filter of "error"; an array too large to allocate
     # raises MemoryError
     except (FixiterError, Warning, MemoryError) as e:
-        # run and compare put an error inside their scenario at its file
-        scenario = (isinstance(e, ScenarioError) and not isinstance(e, _UnreadableScenario)
-                    and getattr(args, "scenario", None))
         message = str(e) or "out of memory"  # a MemoryError may carry no message
-        _stderr_line(f"error: {scenario}: {message}" if scenario else f"error: {message}")
+        # run and compare name their scenario file once: an error at the file itself already does
+        scenario = getattr(args, "scenario", None)
+        if scenario is not None and getattr(e, "path", None) != scenario:
+            message = f"{scenario}: {message}"
+        _stderr_line(f"error: {message}")
         return 1
 
 

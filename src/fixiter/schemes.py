@@ -292,6 +292,15 @@ class Trajectory:
         return sum(self.applications)
 
 
+def _check_start(config: RunConfig) -> None:
+    """Refuse a start point of another dim than the mapping's space, or outside its domain."""
+    m = config.mapping
+    if config.x0.dim != m.space.dim:
+        raise ContractError(f"x0 has dim {config.x0.dim}, mapping space has dim {m.space.dim}")
+    if not m.domain.contains(m.space, config.x0):
+        raise DomainError(f"x0 = {config.x0.coords} lies outside the mapping domain")
+
+
 def _validate_config(config: RunConfig) -> dict[str, list[float]]:
     """Refuse a configuration ``run_scheme`` cannot run; return the values of
     each schedule the schedule checks read, for n <= min(max_steps, 10 000)."""
@@ -300,11 +309,7 @@ def _validate_config(config: RunConfig) -> dict[str, list[float]]:
         raise ContractError(f"max_steps must be >= 1, got {config.max_steps}")
     if not math.isfinite(config.stop_tolerance):
         raise ContractError(f"stop_tolerance must be finite, got {config.stop_tolerance}")
-    m = config.mapping
-    if config.x0.dim != m.space.dim:
-        raise ContractError(f"x0 has dim {config.x0.dim}, mapping space has dim {m.space.dim}")
-    if not m.domain.contains(m.space, config.x0):
-        raise DomainError(f"x0 = {config.x0.coords} lies outside the mapping domain")
+    _check_start(config)
     horizon = min(config.max_steps, 10_000)
     verdict, read = _schedule_verdict(config.scheme, config.alpha, config.beta, horizon)
     if not verdict.ok:

@@ -17,10 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fixiter import (Box, MappingMeta, NormedSpace, RunConfig, Schedule, Vector, build_mapping, check_lemma21,
-                     cli, distance_to_fixed_set, make_asymptotically_nonexpansive_example, make_linear_contraction,
+from fixiter import (NormedSpace, RunConfig, Schedule, Vector, check_lemma21, cli, distance_to_fixed_set,
+                     get_mapping, make_asymptotically_nonexpansive_example, make_linear_contraction,
                      near_schedule_for, run_scheme)
-from fixiter.errors import ScenarioError
+from fixiter.errors import ParameterError, ScenarioError
 
 GOOD = {
     "schema_version": 1,
@@ -186,7 +186,6 @@ def test_scenario_parse_failures_cite_the_offending_path():
         (_variant(schedules={"alpha": {"kind": "constant", "parameters": {"value": 0.5}},
                              "beta": {"kind": "constant", "parameters": {"value": 0.5}}}),
          "schedules.beta"),
-        (_variant(x0=[0.9, 0.1]), "x0"),
         (_variant(x0=["near one"]), "x0[0]"),
         (_variant(max_steps=True), "max_steps"),
         (_variant(max_steps=0), "max_steps"),
@@ -199,6 +198,13 @@ def test_scenario_parse_failures_cite_the_offending_path():
         with pytest.raises(ScenarioError) as err:
             cli.scenario_from_dict(doc)
         assert needle in str(err.value), needle
+
+
+def test_an_x0_of_another_dim_is_refused_at_x0_when_the_run_is_built():
+    s = cli.scenario_from_dict(_variant(x0=[0.9, 0.1]))
+    with pytest.raises(ScenarioError) as err:
+        cli.build_run_config(s, cli.build_mapping_for(s))
+    assert str(err.value) == "x0: x0 has dim 2, mapping space has dim 1"
 
 
 def test_schedule_from_dict_rejects_unknown_kind():
@@ -407,12 +413,13 @@ def test_compare_rejects_unknown_scheme(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {path}: --schemes: needs at least one scheme\n")
 
 
-def test_compare_reports_a_library_error_without_the_scenario_path(tmp_path, capsys):
-    # Only a ScenarioError names a place in the scenario file.
-    code = cli.main(["compare", str(SCENARIO_DIR / "contraction_compare.json"), "--schemes", "ishikawa",
+def test_compare_names_its_scenario_file_on_a_library_error(tmp_path, capsys):
+    # An error that names no place in the scenario file still names the file.
+    path = SCENARIO_DIR / "contraction_compare.json"
+    code = cli.main(["compare", str(path), "--schemes", "ishikawa",
                      "--target", "1e-6", "--output", str(tmp_path / "o"), "--quiet"])
     assert code == 1
-    assert capsys.readouterr() == ("", "error: ishikawa requires a beta schedule\n")
+    assert capsys.readouterr() == ("", f"error: {path}: ishikawa requires a beta schedule\n")
 
 
 @pytest.mark.parametrize("target", ["nan", "inf", "0", "-1"])
@@ -521,7 +528,8 @@ def test_certify_takes_n_max_for_every_class(capsys):
 def test_every_subcommand_refuses_a_negative_seed(tmp_path, capsys, command):
     path, out = _write(tmp_path, GOOD), tmp_path / "out"
     assert cli.main([a.format(path=path, out=out) for a in command] + ["--seed", "-1"]) == 1
-    assert capsys.readouterr() == ("", "error: --seed: must be >= 0, got -1\n")
+    scenario = f"{path}: " if command[0] in ("run", "compare") else ""
+    assert capsys.readouterr() == ("", f"error: {scenario}--seed: must be >= 0, got -1\n")
     assert not out.exists()
 
 
@@ -611,6 +619,9 @@ _SCENARIO_FAULTS = [
      "mapping.id: unknown mapping 'mystery'; catalog: "
      "('example21', 'contraction', 'identity', 'asymptotic_demo')"),
     ({"scheme": "mann\nishikawa"}, f"scheme: unknown scheme 'mann\\nishikawa'; {_KNOWN_SCHEMES}"),
+    ({"x0": [0.9, 0.1]}, "x0: x0 has dim 2, mapping space has dim 1"),
+    ({"scheme": "mann", "checks": [], **_alpha("constant", value=-0.5)},
+     "schedule invalid for mann: alpha(1) = -0.5 outside [0, 1)"),
 ]
 
 
@@ -623,19 +634,27 @@ def test_scenario_error_lines_are_pinned(tmp_path, capsys, edits, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("check, fixed_points, message", [
-    ("condition_I", None, "checks[0]: condition_I requires fixed-point information on the mapping"),
-    ("lemma21", (Vector((0.0,)),), "checks[0]: lemma21 requires a near-sequence (a declared a or k "
-                                  "schedule, or a nonexpansive mapping)"),
-])
-def test_preflight_refuses_a_map_without_what_the_check_needs(check, fixed_points, message):
-    halving = build_mapping("halving", NormedSpace(1, 2.0), Box((0.0,), (1.0,)),
-                            lambda x: Vector((0.5 * x.coords[0],)),
-                            meta=MappingMeta(known_fixed_points=fixed_points))
-    s = replace(cli.scenario_from_dict(GOOD), checks=(cli.CheckSpec(name=check),))
-    with pytest.raises(ScenarioError) as raised:
-        cli.preflight_checks(s, halving)
-    assert str(raised.value) == message
+@pytest.mark.parametrize("command", [["run"], ["compare", "--schemes", "mann", "--target", "1e-6"]])
+def test_an_x0_outside_the_domain_is_refused_at_x0_before_any_work(tmp_path, capsys, command):
+    path, out = _write(tmp_path, _variant(x0=[5.0])), tmp_path / "out"
+    assert cli.main([command[0], path, "--output", str(out), *command[1:]]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: x0: x0 = (5.0,) lies outside the mapping domain\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mapping_id", cli.CATALOG_IDS)
+def test_every_catalog_map_declares_a_fixed_set_and_a_near_sequence(mapping_id):
+    # lemma21, theorem33 and condition_I read both, and preflight does not check them.
+    entry = cli.CATALOG[mapping_id]
+    built = []
+    for dim in (1, 2, 3):
+        try:
+            m = get_mapping(mapping_id, dict.fromkeys(entry.parameters, 0.5), NormedSpace(dim, 2.0))
+        except ParameterError:  # example21 is one-dimensional
+            continue
+        built.append(dim)
+        assert m.has_fixed_set and near_schedule_for(m) is not None, dim
+    assert entry.default_dim in built
 
 
 _NEARLY = ["example21", "--class", "nearly_nonexpansive", "--param", "q=0.5"]
@@ -663,16 +682,16 @@ _CERTIFY_FAULTS = [
     (_NEARLY + ["--schedule", "table:"], f"--schedule: cannot parse 'table:'; {_CANNOT_PARSE}"),
     (_NEARLY + ["--schedule", "geometric:x"], "--schedule: non-numeric argument in 'geometric:x'"),
     (_NEARLY + ["--schedule", "harmonic_tail:1,-1"],
-     "harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
+     "--schedule: harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
     (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "inf"],
      "Lipschitz constant must be finite and > 0, got inf"),
     (["example21", "--class", "nonexpansive", "--param", "q"], "--param: expected name=value, got 'q'"),
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--p", "abc"],
      "--p: expected a number or 'inf', got 'abc'"),
     (_NEARLY + ["--schedule", "harmonic_tail:inf"],
-     "harmonic_tail schedule needs a finite scale and offset, got inf, 0.0"),
+     "--schedule: harmonic_tail schedule needs a finite scale and offset, got inf, 0.0"),
     (_NEARLY + ["--schedule", "harmonic_tail:nan"],
-     "harmonic_tail schedule needs a finite scale and offset, got nan, 0.0"),
+     "--schedule: harmonic_tail schedule needs a finite scale and offset, got nan, 0.0"),
     (_NEARLY + ["--schedule", "geometric:2", "--n-max", "1100"], "geometric schedule overflows at n = 1024"),
     # Each coefficient floor has one message, whichever check meets it first.
     (["asymptotic_demo", "--class", "asymptotically_nonexpansive", "--schedule", "constant:0.5"],
@@ -683,6 +702,13 @@ _CERTIFY_FAULTS = [
     (["x\ny", "--class", "nonexpansive"],
      "mapping: unknown mapping 'x\\ny'; catalog: ('example21', 'contraction', 'identity', 'asymptotic_demo')"),
     (["identity", "--class", "nonexpansive", "--p", "1\x1e"], "--p: expected a number or 'inf', got '1\\x1e'"),
+    # A value one flag alone feeds to the library is refused at that flag.
+    (["identity", "--class", "nonexpansive", "--dim", "0"], "--dim: space dimension must be >= 1, got 0"),
+    (_NEARLY + ["--schedule", "geometric:inf"], "--schedule: geometric schedule needs a finite ratio, got inf"),
+    # The mapping's parameters and its space both feed the catalog, so its errors are at the mapping.
+    (["example21", "--class", "nonexpansive", "--param", "q=2"], "mapping: q must lie in (0, 1), got 2.0"),
+    (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--dim", "2"],
+     "mapping: example21 is one-dimensional; got space dim 2"),
 ]
 
 
@@ -745,6 +771,11 @@ def test_an_array_pass_that_runs_out_of_memory_is_one_error_line(monkeypatch, ca
     assert capsys.readouterr() == ("", "error: out of memory\n")
 
 
+def test_modulus_refuses_a_dim_at_its_flag(capsys):
+    assert cli.main(["modulus", "--epsilon", "1", "--dim", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: --dim: space dimension must be >= 1, got 0\n")
+
+
 def test_modulus_infeasible_epsilon_exits_one(capsys):
     assert cli.main(["modulus", "--p", "2", "--dim", "2", "--epsilon", "2.5"]) == 1
     assert "2.5" in capsys.readouterr().err
@@ -770,8 +801,9 @@ def test_shipped_scenarios_pass(scenario, tmp_path):
 def test_an_x0_whose_norm_overflows_lies_outside_a_ball_without_a_warning(tmp_path, capsys):
     doc = json.loads((SCENARIO_DIR / "ishikawa_contraction.json").read_text())
     doc["x0"] = [0.6, -1e308]
-    assert cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr() == ("", "error: x0 = (0.6, -1e+308) lies outside the mapping domain\n")
+    path = _write(tmp_path, doc)
+    assert cli.main(["run", path, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr() == ("", f"error: {path}: x0: x0 = (0.6, -1e+308) lies outside the mapping domain\n")
 
 
 _NOT_UNIFORMLY_CONVEX = ("warning: p = {} is not uniformly convex; convergence guarantees for "
@@ -808,7 +840,7 @@ def test_a_warning_raised_under_an_error_filter_is_one_error_line(tmp_path, caps
     doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
     doc["space"]["p"] = "inf"
     path, out = _write(tmp_path, doc), str(tmp_path / "out")
-    error = _NOT_UNIFORMLY_CONVEX.format("inf").replace("warning:", "error:", 1)
+    error = _NOT_UNIFORMLY_CONVEX.format("inf").replace("warning:", f"error: {path}:", 1)
     # pytest's filter of "error" (pyproject.toml), and then the interpreter's flag
     assert cli.main(["run", path, "--output", out]) == 1
     assert capsys.readouterr() == ("", error)
@@ -1104,6 +1136,8 @@ def _assert_console_contract(argv):
     lines = err.splitlines()
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("error:") and err.endswith("\n"), (argv, err)
+        if argv[0] in ("run", "compare"):  # every error of a scenario command names its file
+            assert lines[0].startswith(f"error: {argv[1]}: "), (argv, err)
     else:
         assert all(line.startswith("warning:") for line in lines), (argv, err)
 
