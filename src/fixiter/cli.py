@@ -533,10 +533,13 @@ def _write_outputs(paths: list[Path], writers) -> None:
 # subcommands
 
 def cmd_run(args) -> int:
+    start = time.perf_counter()
     scenario = parse_scenario(args.scenario)
+    parsed = time.perf_counter()
     mapping = build_mapping_for(scenario)
     preflight_checks(scenario, mapping)
     config = build_run_config(scenario, mapping)
+    built = time.perf_counter()
 
     paths = _claim_outputs(args, scenario.name, ("trajectory.csv", "trajectory.json", "report.json"))
 
@@ -545,16 +548,16 @@ def cmd_run(args) -> int:
     run_seconds = time.perf_counter() - t0
     results, check_timings = run_checks(scenario, mapping, traj, args.seed)
 
-    report = {
-        "scenario": scenario_to_dict(scenario),
-        "checks": results,
-        "timings": {"run_seconds": run_seconds, "checks": check_timings},
-    }
-    _write_outputs(paths, (
+    timings = {"parse_seconds": parsed - start, "build_seconds": built - parsed, "run_seconds": run_seconds,
+               "checks": check_timings}
+    report = {"scenario": scenario_to_dict(scenario), "checks": results, "timings": timings}
+    t0 = time.perf_counter()
+    _write_outputs(paths[:2], (
         lambda f: write_trajectory_csv(traj, f),
         lambda f: print(json.dumps(trajectory_header(traj), indent=2), file=f),
-        lambda f: print(json.dumps(report, indent=2), file=f),
     ))
+    timings["write_seconds"] = time.perf_counter() - t0  # the report cannot time its own write
+    _write_outputs(paths[2:], (lambda f: print(json.dumps(report, indent=2), file=f),))
 
     _say(args, f"{scenario.name}: {traj.steps} steps, stop_reason={traj.stop_reason}")
     for r in results:

@@ -733,6 +733,8 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
     def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
         even = _per_n(lambda n: mu ** (2 * (n // 2)), ns) * X
         even[:, :2] = _per_n(lambda n: (lam * mu) ** (n // 2), ns) * X[:, :2]
+        if len(ns) == 1:  # the row np.where would pick, without the other
+            return apply_rows(even) if ns[0] % 2 else even
         return np.where((ns % 2 == 1)[:, None], apply_rows(even), even)
 
     meta = MappingMeta(

@@ -22,7 +22,6 @@ below is exact, so even a step of 0.0 stops a run with the default tolerance.
 from __future__ import annotations
 
 import math
-import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -325,80 +324,77 @@ _CHUNK = 1024
 _BLOCK = 16
 
 
-def _weight(schedule: Schedule | None, values: list[float],
-            n: int | np.ndarray) -> float | np.ndarray | None:
+def _weight(schedule: Schedule | None, values: list[float], n: int) -> float | None:
     """w(n) of a stage's weight schedule, read from the values the checks read
-    for n up to their length, or None for a stage without one.  For an index
-    array n, ascending by 1, the (len(n), 1) column of the weights at its
-    indices."""
+    for n up to their length, or None for a stage without one."""
     if schedule is None:
         return None
-    if type(n) is int:
-        return values[n - 1] if n <= len(values) else schedule.at(n)
-    first, last, known = int(n[0]), int(n[-1]), len(values)
-    past = schedule.values(max(first, known + 1), max(last, known))
-    return np.concatenate((values[first - 1:last], past))[:, None]
+    return values[n - 1] if n <= len(values) else schedule.at(n)
 
 
-def _step(m: Mapping, stages: list, x: np.ndarray, n: int | np.ndarray, ns: np.ndarray,
-          made: list) -> np.ndarray:
-    """x_n from the (1, dim) row x = x_{n-1}, with no point tested, or the
-    rows of a repeated-iterate block (see ``_unchecked_block``).
-
-    A plain T stage calls ``apply_rows``, a power stage ``power_rows`` with
-    ns, the index row [n].  Each point a stage makes, its image and then its
-    combination, is appended to ``made``, for the caller to test with its
-    block.
-    """
-    z = x
-    for schedule, values, power in stages:
-        w = _weight(schedule, values, n)
-        z = m.power_rows(ns, z) if power else m.apply_rows(z)
-        made.append(z)
-        if w is not None:
-            z = (1.0 - w) * x + w * z
-            made.append(z)
-    return z
+def _weights(schedule: Schedule, values: list[float], first: int, last: int) -> np.ndarray:
+    """w(n) for n = first .. last as one array, read as ``_weight`` reads them."""
+    known = len(values)
+    return np.concatenate((values[first - 1:last], schedule.values(max(first, known + 1), max(last, known))))
 
 
 def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: int,
                      tol: float) -> tuple[int, str, None] | None:
     """Steps first .. last into X, with their points tested together at the end.
 
-    Each step's row is carried straight into the next step, and the block's
-    iterates are written into X once, as every k-th of the points the steps
-    made, k being the points one step makes.  One ``inside_rows`` call tests
-    every point the steps made, and one ``norm_rows`` call takes their
-    displacements, the first of which at most ``tol`` ends the run at its
-    step.  Returns the last step kept and the stop reason, as
-    ``_checked_block`` does, or None when a point is rejected.  The caller
-    runs it under ``_screen``, so a block that raises or meets a numpy
-    condition is also run again checked, and warns only at the steps its
-    checked run reaches.  The row evaluators give the bits of their one-row
-    views, and a combination runs the ufuncs ``combine`` runs, so a block
-    returned here has the bits its checked run would have.
+    Each weighted stage's weights w(n) and 1 - w(n) are read once for the
+    block.  Each step's (1, dim) row is carried straight into the next step:
+    a plain T stage calls ``apply_rows``, a power stage ``power_rows`` with
+    the index row [n], and a weighted stage then forms (1 - w(n)) x + w(n) z
+    with both weights as 0-d arrays, which hold the floats ``combine`` is
+    given and so round as it does.  The block's iterates are written into X
+    once, as every k-th of the points the steps made, k being the points one
+    step makes.  One ``inside_rows`` call tests every point the steps made,
+    and one ``norm_rows`` call takes their displacements, the first of which
+    at most ``tol`` ends the run at its step.  Returns the last step kept and
+    the stop reason, as ``_checked_block`` does, or None when a point is
+    rejected.  The caller runs it under ``_screen``, so a block that raises
+    or meets a numpy condition is also run again checked, and warns only at
+    the steps its checked run reaches.  The row evaluators give the bits of
+    their one-row views, and a combination runs the ufuncs ``combine`` runs,
+    so a block returned here has the bits its checked run would have.
 
     Without a stop tolerance, a block whose start x* = x_{first-1} repeats
-    x_{first-2} bit for bit is a repeated-iterate block: one ``_step`` on as
-    many copies of x* as the block has steps, with the index column first ..
-    last, so that row r is step first + r taken from x*.  The steps whose
-    rows keep x*'s bits, and the first one that does not, had x* as their
-    input, so the block keeps them and ends there; the rows after that are
-    dropped, as the steps past an early stop are, though their weights were
-    read.
+    x_{first-2} bit for bit is a repeated-iterate block: the same loop makes
+    one pass, on as many copies of x* as the block has steps, with the index
+    row first .. last and the weights as columns, so that row r is step
+    first + r taken from x*.  The steps whose rows keep x*'s bits, and the
+    first one that does not, had x* as their input, so the block keeps them
+    and ends there; the rows after that are dropped, as the steps past an
+    early stop are, though their weights were read.
     """
     x = X[first - 1:first]
-    made = []
-    k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
     ns = np.arange(first, last + 1)
-    if tol < 0.0 and first > 1 and np.array_equal(x.view(np.int64), X[first - 2:first - 1].view(np.int64)):
-        z = _step(m, stages, np.repeat(x, len(ns), 0), ns, ns, made)
-        moved = np.flatnonzero((z.view(np.int64) != x.view(np.int64)).any(axis=1))
+    repeated = tol < 0.0 and first > 1 and np.array_equal(x.view(np.int64), X[first - 2:first - 1].view(np.int64))
+    # Indexed by the pass r: one pass of every step on copies of x*, or one pass a step.
+    rows, shape = (ns[None], (1, -1, 1)) if repeated else (ns[:, None], (-1,))
+    stage_weights = []  # each stage: whether it applies T^n, and its 1 - w(n) and w(n), or None
+    for schedule, values, power in stages:
+        w = None if schedule is None else _weights(schedule, values, first, last).reshape(shape)
+        stage_weights.append((power, None if w is None else 1.0 - w, w))
+    if repeated:
+        x = np.repeat(x, len(ns), 0)
+    made = []
+    for r, row in enumerate(rows):
+        z = x
+        for power, v, w in stage_weights:
+            z = m.power_rows(row, z) if power else m.apply_rows(z)
+            made.append(z)
+            if w is not None:
+                z = np.add(np.multiply(v[r, ...], x), np.multiply(w[r, ...], z))
+                made.append(z)
+        x = z
+    k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
+    if repeated:
+        moved = np.flatnonzero((x.view(np.int64) != X[first - 1:first].view(np.int64)).any(axis=1))
         last = first + int(moved[0]) if len(moved) else last
         P = np.stack(made, axis=1)[:last - first + 1].reshape(-1, X.shape[1])  # step-major, as row steps append them
     else:
-        for n, row in zip(range(first, last + 1), ns[:, None]):
-            x = _step(m, stages, x, n, row, made)
         P = np.concatenate(made)
     if not m.domain.inside_rows(m.space, P).all():
         return None
@@ -627,39 +623,33 @@ def linear_rate_oracle(scheme: str, q: float, alpha: float, n: int = 1) -> float
 # ---------------------------------------------------------------------------
 # serialization
 
-# orjson writes repr's shortest round-trip digits (Ryu) in another notation: an
-# exponent without sign or leading zero ("1e16", "1.5e-7"), and positional
-# digits down to 1e-5 where repr turns scientific below 1e-4.
-_EXP_SIGN = re.compile(rb"e(\d)")
-_EXP_PAD = re.compile(rb"(e[+-])(\d)(?!\d)")
-_REPR_BAND = (9e-6, 2e-4)
-
-
 def _float_texts(a: np.ndarray) -> list[str]:
     """repr of each float in the 1-D float64 array ``a``, in order, from one
-    orjson pass.  Non-finite values (orjson's null) and the band where the two
-    notations part are formatted with repr itself."""
+    orjson pass, with the values where the two notations may part written by
+    repr itself."""
     import orjson
 
     if not a.size:
         return []
-    s = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-    texts = _EXP_PAD.sub(rb"\g<1>0\2", _EXP_SIGN.sub(rb"e+\1", s)).decode().split(",")
+    texts = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    # orjson writes repr's shortest round-trip digits (Ryu), but as null where
+    # a value is not finite, and in another notation where repr's is
+    # scientific with a sign or a padded exponent: "1e16" and "1.5e-7", or
+    # positional digits down to 1e-5, against "1e+16" and "1.5e-07".  The
+    # band edges keep a margin round 1e-9 and 1e16, where the exponent gains
+    # or loses a digit.
     mag = np.abs(a)
-    lo, hi = _REPR_BAND
     with np.errstate(invalid="ignore"):
-        back = ~np.isfinite(a) | ((mag >= lo) & (mag < hi))
-    for i in np.flatnonzero(back).tolist():
-        texts[i] = repr(float(a[i]))
+        back = np.flatnonzero(~(mag < 5e15) | ((mag >= 5e-10) & (mag < 2e-4)))
+    for i, value in zip(back.tolist(), a[back].tolist()):
+        texts[i] = repr(value)
     return texts
 
 
 def _csv_columns(traj: Trajectory) -> list:
     """Each CSV column: its header cell, then one cell per step.  Floats are
     written with repr, the shortest decimal that round-trips, stable across
-    platforms; an unknown distance is an empty cell.  Each distinct float,
-    told apart by its bits so that -0.0 and 0.0 stay apart, is formatted
-    once."""
+    platforms; an unknown distance is an empty cell."""
     names = [f"x_{i}" for i in range(traj.points.shape[1])] + ["step_norm", "residual_T", "residual_Tn"]
     floats = [*traj.points[1:].T, traj.step_norm, traj.residual_T, traj.residual_Tn]
     dist = traj.dist_to_known_fp
@@ -667,10 +657,10 @@ def _csv_columns(traj: Trajectory) -> list:
     if known:
         names.append("dist_to_known_fp")
         floats.append(dist)
-    F = np.array(floats, dtype=float)
-    bits, inverse = np.unique(F.view(np.int64), return_inverse=True)
-    text = np.array(_float_texts(bits.view(float)), dtype=object)[inverse.reshape(F.shape)]
-    cells = {"n": map(str, range(1, traj.steps + 1)), **dict(zip(names, text.tolist()))}
+    steps = traj.steps
+    texts = _float_texts(np.array(floats, dtype=float).ravel())
+    cells = {"n": map(str, range(1, steps + 1)),
+             **{name: texts[i * steps:(i + 1) * steps] for i, name in enumerate(names)}}
     if not known:
         cells["dist_to_known_fp"] = ("" if d is None else repr(d) for d in dist)
     return [chain((name,), column) for name, column in cells.items()]

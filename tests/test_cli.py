@@ -234,6 +234,16 @@ def test_run_writes_outputs_and_exits_zero(tmp_path, capsys):
     assert meta["stop_reason"] == "max_steps"
 
 
+def test_run_report_times_every_phase_but_its_own_write(tmp_path):
+    path = _write(tmp_path, GOOD)
+    assert cli.main(["run", path, "--output", str(tmp_path / "out"), "--quiet"]) == 0
+    timings = json.loads((tmp_path / "out" / "hybrid-demo.report.json").read_text())["timings"]
+    assert list(timings) == ["parse_seconds", "build_seconds", "run_seconds", "checks", "write_seconds"]
+    seconds = [v for k, v in timings.items() if k != "checks"] + [c["seconds"] for c in timings["checks"]]
+    assert all(math.isfinite(v) and v >= 0.0 for v in seconds)
+    assert [c["name"] for c in timings["checks"]] == [c["name"] for c in GOOD["checks"]]
+
+
 def test_run_is_deterministic_byte_for_byte(tmp_path):
     path = _write(tmp_path, GOOD)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -1134,12 +1144,30 @@ def _assert_console_contract(argv):
     code, err = _console(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
     lines = err.splitlines()
-    if code == 1:
-        assert len(lines) == 1 and lines[0].startswith("error:") and err.endswith("\n"), (argv, err)
+    if code == 1:  # any warnings the command raised first, each on its line, then one error line, last
+        assert lines and lines[-1].startswith("error:") and err.endswith("\n"), (argv, err)
+        assert all(line.startswith("warning:") for line in lines[:-1]), (argv, err)
         if argv[0] in ("run", "compare"):  # every error of a scenario command names its file
-            assert lines[0].startswith(f"error: {argv[1]}: "), (argv, err)
+            assert lines[-1].startswith(f"error: {argv[1]}: "), (argv, err)
     else:
         assert all(line.startswith("warning:") for line in lines), (argv, err)
+
+
+@pytest.mark.filterwarnings("default")
+def test_a_warning_raised_before_an_error_keeps_its_own_line(tmp_path):
+    # modified_pm_hybrid warns at p = 1 as the run starts; the check that follows
+    # then finds no finite violation of L = 1e308 and refuses.
+    doc = json.loads((SCENARIO_DIR / "example21_hybrid.json").read_text())
+    doc.update(space={"dim": 40, "p": 1}, mapping={"id": "asymptotic_demo", "parameters": {}}, x0=[0.1] * 40,
+               checks=[{"name": "certify", "class": "uniformly_lipschitz", "L": 1e308, "n_max": 2, "samples": 50}])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["run", str(path), "--output", str(tmp_path / "results")]
+    assert _console(argv) == (1, (
+        "warning: p = 1.0 is not uniformly convex; convergence guarantees for modified_pm_hybrid assume 1 < p < inf\n"
+        f"error: {path}: checks[0]: uniformly_lipschitz: every sampled violation is -inf or nan, "
+        "so no candidate is a witness\n"))
+    _assert_console_contract(argv)
 
 
 def test_a_scenario_path_with_a_line_break_is_one_error_line():

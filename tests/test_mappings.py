@@ -99,6 +99,22 @@ def test_swap_shrink_example_values_and_power():
     assert m.meta.k_schedule.at(9) == 1.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_swap_shrink_power_of_one_row_is_that_row_of_many(dim):
+    # One row takes its own branch, which returns the row np.where picks for
+    # many: its bits, for odd and even n, signed zeros included.
+    m = make_asymptotically_nonexpansive_example(dim)
+    rng = np.random.default_rng(dim)
+    ns = rng.permutation(np.arange(1, 41))
+    X = rng.uniform(-1.0, 1.0, (40, dim)) * np.array(m.domain.highs)
+    X[::7] = -0.0
+    many = m.power_rows(ns, X)
+    for i in range(40):
+        assert m.power_rows(ns[i:i + 1], X[i:i + 1]).view(np.int64).tolist() == many[i:i + 1].view(np.int64).tolist()
+    one = np.array([[0.5, -0.8, *[-0.0] * (dim - 2)]])
+    assert m.power_rows(np.array([1]), one).view(np.int64).tolist() == m.apply_rows(one).view(np.int64).tolist()
+
+
 def test_swap_shrink_degenerate_dimension():
     m = make_asymptotically_nonexpansive_example(1)
     assert m.apply(Vector((0.8,))).coords == (0.4,)

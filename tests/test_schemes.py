@@ -367,15 +367,39 @@ def test_float_texts_are_repr_across_the_bands_where_notations_part():
     decades = np.array([float(f"1e{k}") for k in range(-325, 309)])
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     rng = np.random.default_rng(0)
+    # The edges of the magnitudes repr writes, and where the exponent gains or
+    # loses a digit: 2000 neighbouring floats on each side of each, and draws
+    # from half to twice each.
+    edges = np.array([5e-10, 1e-9, 9e-6, 2e-4, 5e15, 1e16])
+    sweeps = (edges.view(np.int64)[:, None] + np.arange(-2000, 2001)).view(float)
     a = np.concatenate([
         decades, np.nextafter(decades, -np.inf), np.nextafter(decades, np.inf),
-        powers, np.nextafter(powers, 0.0),
+        powers, np.nextafter(powers, 0.0), sweeps.ravel(),
+        *(rng.uniform(edge / 2, 2 * edge, 5000) for edge in edges),
         rng.uniform(9e-6, 2e-4, 20000), rng.uniform(1e15, 1e17, 20000),
         [0.0, math.inf, math.nan, 5e-324, np.finfo(float).max],
     ])
     a = np.concatenate([a, -a])
     assert _float_texts(a) == _reprs(a)
     assert _float_texts(np.empty(0)) == []
+
+
+def test_csv_cells_are_repr_on_a_run_that_stays_where_repr_writes_them():
+    # mann on x -> 0.99 x from 2e-4 shrinks by 0.995 a step: x_0, the step
+    # norms and both residuals stay between 5e-10 and 2e-4 for all 1000 steps,
+    # while x_1 and x_2 stay -0.0 and 0.0.
+    t = _run("mann", make_linear_contraction(0.99, 3), (2e-4, -0.0, 0.0), max_steps=1000, stop_tolerance=-1.0)
+    inside = np.array([t.points[1:, 0], t.step_norm, t.residual_T, t.residual_Tn])
+    assert ((inside >= 5e-10) & (inside < 2e-4)).all()
+    rows = [["n", "x_0", "x_1", "x_2", "step_norm", "residual_T", "residual_Tn", "dist_to_known_fp"]]
+    for n, (x, *record) in enumerate(zip(t.points[1:].tolist(), t.step_norm, t.residual_T, t.residual_Tn,
+                                         t.dist_to_known_fp), 1):
+        rows.append([str(n), *map(repr, x), *map(repr, record)])
+    assert {(row[2], row[3]) for row in rows[1:]} == {("-0.0", "0.0")}
+    assert trajectory_csv_rows(t) == rows
+    buf = io.StringIO()
+    write_trajectory_csv(t, buf)
+    assert buf.getvalue() == "".join(",".join(row) + "\n" for row in rows)
 
 
 def test_trajectory_header_echoes_config():
