@@ -27,8 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import (
     _GAUGE_PARAMETERS,
     ConditionIWitness,
@@ -63,11 +61,12 @@ from .schemes import (
     _check_scheme,
     _check_start,
     _p_token,
+    _weights,
     run_scheme,
     trajectory_header,
     write_trajectory_csv,
 )
-from .space import ModulusEstimate, NormedSpace, Vector, modulus_of_convexity_estimate
+from .space import ModulusEstimate, NormedSpace, Vector, _check_epsilon, modulus_of_convexity_estimate
 
 SCHEMA_VERSION = 1
 CHECK_NAMES = ("lemma21", "theorem31", "theorem32", "theorem33", "condition_I", "certify")
@@ -196,11 +195,13 @@ def _expect_int(v, path: str, minimum: int | None = None) -> int:
     return v
 
 
-def _expect_real(v, path: str) -> float:
+def _expect_real(v, path: str, positive: bool = False) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioError(path, f"expected a number, got {type(v).__name__}")
     if not math.isfinite(float(v)):
         raise ScenarioError(path, f"must be finite, got {v}")
+    if positive and v <= 0.0:
+        raise ScenarioError(path, f"must be > 0, got {float(v)}")
     return float(v)
 
 
@@ -283,9 +284,7 @@ def check_from_dict(obj, path: str) -> CheckSpec:
     if key == "schedule":
         bound = _field(d, path, key, schedule_from_dict)
     elif key == "L":
-        bound = _field(d, path, key, _expect_real)
-        if bound <= 0.0:
-            raise ScenarioError(_join(path, key), f"must be > 0, got {bound}")
+        bound = _field(d, path, key, _expect_real, positive=True)
     _reject_unknown(d, {"name", "class", "samples"} | ({key, "n_max"} if key else set()), path)
     if key is not None:
         n_max = _field(d, path, "n_max", _expect_int, _DEFAULT_CERT_N_MAX, minimum=1)
@@ -439,7 +438,7 @@ def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
     steps, alpha, read = traj.steps, traj.config.alpha, traj.alpha_values
     b = near_schedule_for(m).values(1, steps)
     if alpha is not None:  # alpha(n) is read again only past the run's reads
-        b = (1.0 + np.concatenate((read[:steps], alpha.values(len(read) + 1, max(steps, len(read)))))) * b
+        b = (1.0 + _weights(alpha, read, 1, steps)) * b
     a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
     b = [*b.tolist(), 0.0]
     delta = [0.0] * len(a)
@@ -628,7 +627,6 @@ def cmd_certify(args) -> int:
     _cert_class(args.class_name, "--class")
     dim = args.dim if args.dim is not None else CATALOG[args.mapping].default_dim
     space = _at("--dim", NormedSpace, dim, _cli_p(args.p, "--p"))
-    mapping = _at("mapping", get_mapping, args.mapping, _parse_cli_params(args.param), space)
 
     key = _CERTIFIERS[args.class_name][0]
     flags = {"schedule": ("--schedule", args.schedule, "coefficient schedule"),
@@ -640,6 +638,12 @@ def cmd_certify(args) -> int:
     bound = None if key is None else flags[key][1]
     if key == "schedule":
         bound = _parse_schedule_spec(bound)
+    elif key == "L":
+        bound = _expect_real(bound, "--lipschitz", positive=True)
+    if key is not None:  # a class without a bound reads no n_max
+        _expect_int(args.n_max, "--n-max", minimum=1)
+    _expect_int(args.samples, "--samples", minimum=1)
+    mapping = _at("mapping", get_mapping, args.mapping, _parse_cli_params(args.param), space)
     cert = _certify(args.class_name, mapping, bound, args.n_max, args.samples, args.seed)
 
     print(json.dumps(certificate_to_dict(cert), indent=2))
@@ -658,6 +662,8 @@ def _modulus_to_dict(est: ModulusEstimate) -> dict:
 
 def cmd_modulus(args) -> int:
     space = _at("--dim", NormedSpace, args.dim, _cli_p(args.p, "--p"))
+    _expect_int(args.samples, "--samples", minimum=1)
+    _at("--epsilon", _check_epsilon, args.epsilon)
     est = modulus_of_convexity_estimate(space, args.epsilon, args.samples, args.seed)
     print(json.dumps(_modulus_to_dict(est), indent=2))
     return 0

@@ -45,6 +45,9 @@ _POWER_SAMPLES = 100
 _POWER_N_MAX = 20
 _POWER_TOL = 1e-10
 _DISCONTINUITY_OFFSETS = (1e-3, 1e-6)
+# The field each evaluator of a Mapping is derived from when it is not given.
+# The per-row iteration, power_rows without a closed form, reads the whole map.
+_SOURCES = {"apply": "apply_rows", "power": "power_rows", "apply_rows": "apply", "power_rows": None}
 
 
 @dataclass(frozen=True)
@@ -76,28 +79,31 @@ class Mapping:
     power_rows: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        # A derived evaluator names the evaluators it was derived from, so one
-        # that dataclasses.replace carries over is derived again when a field
-        # it names now holds another given callable.  The per-row iteration
-        # names none: it reads this map, so it is always derived again.
-        fields = {name: getattr(self, name) for name in ("apply", "power", "apply_rows", "power_rows")}
-        apply, power, apply_rows, power_rows = (None if _stale(fn, fields) else fn for fn in fields.values())
+        # A derived evaluator records the callable in its source field that it
+        # was derived from, as derived_from.  One that dataclasses.replace
+        # carries over is kept while that field holds no given callable or the
+        # same one; the per-row iteration has no source field, since it reads
+        # this map, so it is always derived again.
+        fields = {name: getattr(self, name) for name in _SOURCES}
+        given = {name: fn for name, fn in fields.items() if fn is not None and not hasattr(fn, "derived_from")}
+        kept = {name: fn for name, fn in fields.items() if name in given or (
+            fn is not None and _SOURCES[name] and given.get(_SOURCES[name], fn.derived_from) == fn.derived_from)}
+        apply, power, apply_rows, power_rows = (kept.get(name) for name in _SOURCES)
         if apply is None and apply_rows is None:
             raise ContractError(f"mapping '{self.mapping_id}' declares neither apply nor apply_rows")
         derived = {}
         if apply is None:
-            derived["apply"] = _derived(lambda x: Vector.from_array(apply_rows(x.array[None])[0]),
-                                        apply_rows=apply_rows)
+            derived["apply"] = lambda x: Vector.from_array(apply_rows(x.array[None])[0])
         if apply_rows is None:
-            derived["apply_rows"] = _derived(
-                lambda X: _stack((apply(Vector.from_array(x)) for x in X), X.shape), apply=apply)
+            derived["apply_rows"] = lambda X: _stack((apply(Vector.from_array(x)) for x in X), X.shape)
         if power is None and power_rows is not None:
-            derived["power"] = _derived(lambda n, x: x if n == 0 else Vector.from_array(
-                power_rows(np.array([n]), x.array[None])[0]), power_rows=power_rows)
+            derived["power"] = lambda n, x: x if n == 0 else Vector.from_array(
+                power_rows(np.array([n]), x.array[None])[0])
         elif power_rows is None:
-            derived["power_rows"] = _derived(lambda ns, X: _stack(
-                (_iterate(self, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape))
+            derived["power_rows"] = lambda ns, X: _stack(
+                (_iterate(self, int(n), Vector.from_array(x)) for n, x in zip(ns, X)), X.shape)
         for name, fn in derived.items():
+            fn.derived_from = kept.get(_SOURCES[name])
             object.__setattr__(self, name, fn)
 
     @property
@@ -242,22 +248,6 @@ def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> float | np.ndarray:
         return float(fn(int(ns[0])))
     distinct, index = np.unique(ns, return_inverse=True)
     return np.array([fn(n) for n in distinct.tolist()], dtype=float)[index, None]
-
-
-def _derived(fn: Callable, **sources: Callable) -> Callable:
-    fn.derived_from = sources
-    return fn
-
-
-def _stale(fn: Callable | None, fields: dict) -> bool:
-    """Whether ``fn`` was derived from this map, or from an evaluator that
-    ``fields`` replaced by another given one."""
-    sources = getattr(fn, "derived_from", None)
-    if sources is None:  # given
-        return False
-    return not sources or any(
-        fields[name] not in (None, source) and not hasattr(fields[name], "derived_from")
-        for name, source in sources.items())
 
 
 def _stack(vectors: Iterable[Vector], shape: tuple[int, int]) -> np.ndarray:
@@ -731,8 +721,9 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
         return X.take(swap, axis=1) * scale
 
     def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
-        even = _per_n(lambda n: mu ** (2 * (n // 2)), ns) * X
-        even[:, :2] = _per_n(lambda n: (lam * mu) ** (n // 2), ns) * X[:, :2]
+        halves = ns // 2  # both factors read n only through n // 2
+        even = _per_n(lambda h: mu ** (2 * h), halves) * X
+        even[:, :2] = _per_n(lambda h: (lam * mu) ** h, halves) * X[:, :2]
         if len(ns) == 1:  # the row np.where would pick, without the other
             return apply_rows(even) if ns[0] % 2 else even
         return np.where((ns % 2 == 1)[:, None], apply_rows(even), even)

@@ -421,6 +421,18 @@ def _seed_pairs(space: NormedSpace, epsilon: float) -> list[tuple[np.ndarray, np
     return pairs
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Refuse a separation that no two unit-ball points have: not finite, below 0 or above 2."""
+    if not math.isfinite(epsilon):
+        raise ContractError(f"epsilon must be finite, got {epsilon}")
+    if epsilon < 0.0:
+        raise ContractError(f"epsilon must be >= 0, got {epsilon}")
+    if epsilon > 2.0:
+        raise InfeasibleError(
+            f"no unit-ball pair has separation {epsilon} > 2; the constraint set is empty"
+        )
+
+
 def modulus_of_convexity_estimate(
     space: NormedSpace, epsilon: float, sample_count: int, seed: int
 ) -> ModulusEstimate:
@@ -433,14 +445,7 @@ def modulus_of_convexity_estimate(
     """
     if sample_count < 1:
         raise ContractError(f"sample_count must be >= 1, got {sample_count}")
-    if not math.isfinite(epsilon):
-        raise ContractError(f"epsilon must be finite, got {epsilon}")
-    if epsilon < 0.0:
-        raise ContractError(f"epsilon must be >= 0, got {epsilon}")
-    if epsilon > 2.0:
-        raise InfeasibleError(
-            f"no unit-ball pair has separation {epsilon} > 2; the constraint set is empty"
-        )
+    _check_epsilon(epsilon)
 
     rng = _rng(seed)
     xs = space.unit_ball_points(rng, sample_count)

@@ -694,7 +694,7 @@ _CERTIFY_FAULTS = [
     (_NEARLY + ["--schedule", "harmonic_tail:1,-1"],
      "--schedule: harmonic_tail offset must be > -1 so at(1) is defined, got -1.0"),
     (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "inf"],
-     "Lipschitz constant must be finite and > 0, got inf"),
+     "--lipschitz: must be finite, got inf"),
     (["example21", "--class", "nonexpansive", "--param", "q"], "--param: expected name=value, got 'q'"),
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--p", "abc"],
      "--p: expected a number or 'inf', got 'abc'"),
@@ -719,6 +719,20 @@ _CERTIFY_FAULTS = [
     (["example21", "--class", "nonexpansive", "--param", "q=2"], "mapping: q must lie in (0, 1), got 2.0"),
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--dim", "2"],
      "mapping: example21 is one-dimensional; got space dim 2"),
+    # Each value of --lipschitz, --n-max and --samples is refused at its flag,
+    # before the mapping is built, by the readers of the scenario's keys.
+    (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "0"],
+     "--lipschitz: must be > 0, got 0.0"),
+    (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "-2"],
+     "--lipschitz: must be > 0, got -2.0"),
+    (["contraction", "--class", "uniformly_lipschitz", "--param", "q=0.5", "--lipschitz", "nan"],
+     "--lipschitz: must be finite, got nan"),
+    (_NEARLY + ["--schedule", "geometric:0.5", "--n-max", "0"], "--n-max: must be >= 1, got 0"),
+    (["identity", "--class", "uniformly_lipschitz", "--lipschitz", "1", "--n-max", "-3"],
+     "--n-max: must be >= 1, got -3"),
+    (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "0"], "--samples: must be >= 1, got 0"),
+    (_NEARLY + ["--schedule", "geometric:0.5", "--samples", "-1"], "--samples: must be >= 1, got -1"),
+    (["example21", "--class", "nonexpansive", "--param", "q=2", "--samples", "0"], "--samples: must be >= 1, got 0"),
 ]
 
 
@@ -726,6 +740,14 @@ _CERTIFY_FAULTS = [
 def test_certify_error_lines_are_pinned(capsys, argv, message):
     assert cli.main(["certify"] + argv) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_certify_reads_no_n_max_for_a_class_without_a_bound(capsys):
+    argv = ["certify", "example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "50"]
+    assert cli.main(argv) == 2
+    refuted = capsys.readouterr()
+    assert cli.main(argv + ["--n-max", "0"]) == 2
+    assert capsys.readouterr() == refuted
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +813,25 @@ def test_modulus_infeasible_epsilon_exits_one(capsys):
     assert "2.5" in capsys.readouterr().err
     for epsilon in ("nan", "inf"):
         assert cli.main(["modulus", "--p", "2", "--dim", "2", "--epsilon", epsilon, "--samples", "10"]) == 1
-        assert capsys.readouterr().err == f"error: epsilon must be finite, got {epsilon}\n"
+        assert capsys.readouterr().err == f"error: --epsilon: epsilon must be finite, got {epsilon}\n"
+
+
+# Each value of --epsilon and --samples is refused at its flag; the library's
+# modulus_of_convexity_estimate refuses the same values with the same rules.
+_MODULUS_FAULTS = [
+    (["--epsilon", "-1"], "--epsilon: epsilon must be >= 0, got -1.0"),
+    (["--epsilon", "3"], "--epsilon: no unit-ball pair has separation 3.0 > 2; the constraint set is empty"),
+    (["--epsilon", "nan"], "--epsilon: epsilon must be finite, got nan"),
+    (["--epsilon=-inf", "--dim", "3"], "--epsilon: epsilon must be finite, got -inf"),
+    (["--epsilon", "0.5", "--samples", "0"], "--samples: must be >= 1, got 0"),
+    (["--epsilon", "3", "--samples", "-1"], "--samples: must be >= 1, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _MODULUS_FAULTS)
+def test_modulus_error_lines_are_pinned(capsys, argv, message):
+    assert cli.main(["modulus"] + argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1140,6 +1180,11 @@ def _console(argv):
     return code, err.getvalue()
 
 
+# The library's own phrases for a value that certify and modulus read from one flag.
+_UNPLACED = tuple(f"error: {phrase}" for phrase in (
+    "n_max must", "sample_count must", "Lipschitz constant", "epsilon must", "no unit-ball pair"))
+
+
 def _assert_console_contract(argv):
     code, err = _console(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
@@ -1149,6 +1194,8 @@ def _assert_console_contract(argv):
         assert all(line.startswith("warning:") for line in lines[:-1]), (argv, err)
         if argv[0] in ("run", "compare"):  # every error of a scenario command names its file
             assert lines[-1].startswith(f"error: {argv[1]}: "), (argv, err)
+        if argv[0] in ("certify", "modulus"):  # a flag's refused value is placed at the flag
+            assert not lines[-1].startswith(_UNPLACED), (argv, err)
     else:
         assert all(line.startswith("warning:") for line in lines), (argv, err)
 

@@ -1,5 +1,6 @@
 """Mapping catalog, construction contracts, and sampled class certification."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -36,7 +37,7 @@ from fixiter import (
     near_schedule_for,
     near_sequence_from_asymptotic,
 )
-from fixiter.mappings import _screen, special_points, uniform_lipschitz_violation
+from fixiter.mappings import CATALOG, _screen, special_points, uniform_lipschitz_violation
 
 
 def test_scaling_with_jump_hand_values():
@@ -491,6 +492,79 @@ def test_replace_derives_again_from_a_new_evaluator():
     again = replace(adapted, mapping_id="again")
     assert (again.apply, again.power) == (adapted.apply, adapted.power) == (c.apply, c.power)
     assert again.power_rows(np.array([2]), X).tolist() == [[0.2]]
+
+
+_EVALUATORS = ("apply", "power", "apply_rows", "power_rows")
+# Each derived evaluator's source field, and how the test calls the evaluator.
+# power_rows derived is the per-row iteration, which reads apply at n = 1.
+_SOURCE_OF = {"apply": "apply_rows", "power": "power_rows", "apply_rows": "apply", "power_rows": "apply"}
+_CALL = {
+    "apply": lambda m, X: m.apply(Vector.from_array(X[0])),
+    "power": lambda m, X: m.power(2, Vector.from_array(X[0])),
+    "apply_rows": lambda m, X: m.apply_rows(X),
+    "power_rows": lambda m, X: m.power_rows(np.ones(len(X), dtype=int), X),
+}
+_REPLACE_MAPS = ["scalars", "scalars_with_power"] + [
+    f"{mapping_id}-{dim}" for mapping_id, dim in itertools.product(CATALOG_IDS, (1, 2, 3))
+    if mapping_id != "example21" or dim == 1]  # example21 is one-dimensional
+
+
+def _map_and_given(key):
+    """The map named ``key`` in _REPLACE_MAPS and the evaluators it was built from."""
+    if key.startswith("scalars"):
+        power = (lambda n, x: Vector((0.5**n * x.coords[0], x.coords[1]))) if key.endswith("power") else None
+        m = build_mapping("halve_first", NormedSpace(2, 2.0), Box((-1.0, -1.0), (1.0, 1.0)),
+                          lambda x: Vector((0.5 * x.coords[0], x.coords[1])), power)
+        return m, {"apply", "power"} if power else {"apply"}
+    mapping_id, dim = key.rsplit("-", 1)
+    params = dict.fromkeys(CATALOG[mapping_id].parameters, 0.5)
+    return get_mapping(mapping_id, params, NormedSpace(int(dim), 2.0)), {"apply_rows", "power_rows"}
+
+
+@pytest.mark.parametrize("key", _REPLACE_MAPS)
+def test_replace_never_leaves_a_stale_form(key):
+    # Each evaluator field is set to None, to a fresh given wrapper of itself,
+    # or left.  Either both apply forms are cleared, or the rows have the bits
+    # of the scalar path, every callable passed in is kept, and an evaluator
+    # derived from a field that now holds a passed callable is derived again
+    # and calls it.
+    m, given = _map_and_given(key)
+    X = m.domain.sample(m.space, np.random.default_rng(7), 4)
+    ns, xs = np.array([1, 2, 3, 5]), [Vector.from_array(x) for x in X]
+    calls = []
+
+    def noting(fn):
+        def wrapper(*args):
+            calls.append(wrapper)
+            return fn(*args)
+        return wrapper
+
+    choices = [[{}, {name: None}] + ([{name: noting(getattr(m, name))}] if getattr(m, name) is not None else [])
+               for name in _EVALUATORS]
+    for combo in itertools.product(*choices):
+        changes = {name: fn for change in combo for name, fn in change.items()}
+        try:
+            r = replace(m, **changes)
+        except ContractError as e:  # only when both apply forms are cleared
+            assert "declares neither apply nor apply_rows" in str(e), changes
+            assert {changes.get("apply", m.apply), changes.get("apply_rows", m.apply_rows)} == {None}, changes
+            continue
+        passed = {name: fn for name, fn in changes.items() if fn is not None}
+        assert all(getattr(r, name) is fn for name, fn in passed.items()), changes
+        assert r.apply_rows(X).tobytes() == np.array([r.apply(x).coords for x in xs]).tobytes(), changes
+        assert (r.power_rows(ns, X).tobytes()
+                == np.array([apply_power(r, int(n), x).coords for n, x in zip(ns, xs)]).tobytes()), changes
+        for name, source in _SOURCE_OF.items():
+            # one left as it is stays the same object, unless it is derived from a
+            # field that now holds a passed callable, or is the per-row iteration
+            if name not in changes and getattr(m, name) is not None:
+                kept = name in given or name != "power_rows" and source not in passed
+                assert (getattr(r, name) is getattr(m, name)) == kept, (name, changes)
+            derived = name not in passed and (name in changes or name not in given)
+            if derived and source in passed:
+                calls.clear()
+                _CALL[name](r, X)
+                assert passed[source] in calls, (name, changes)
 
 
 def test_per_row_iteration_boxes_each_row_once(monkeypatch):
