@@ -13,7 +13,6 @@ from .analysis import (
     TAU_REG,
     TAU_SUM,
     CheckResult,
-    ConditionIWitness,
     Lemma21Report,
     Lemma22Report,
     LimitVerdict,
@@ -73,7 +72,6 @@ from .schemes import (
     ConstraintCheck,
     RunConfig,
     ScheduleVerdict,
-    StepRecord,
     Trajectory,
     linear_rate_oracle,
     run_scheme,

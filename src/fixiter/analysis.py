@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContractError, ScopeError
+from .errors import ContractError, ScopeError, _finite_positive
 from .mappings import (
     TAU_CERT,
     Certificate,
@@ -294,9 +294,9 @@ def verify_theorem31(traj: Trajectory, m: Mapping) -> TheoremReport:
     the distance to each known fixed point settles, the power residual
     ||x_n - T^n x_n|| dies out, and the iterates go Cauchy onto a point that
     is numerically fixed."""
-    if traj.scheme != "modified_pm_hybrid":
+    if traj.config.scheme != "modified_pm_hybrid":
         raise ScopeError(
-            f"theorem31 diagnostics apply to modified_pm_hybrid trajectories, got {traj.scheme}"
+            f"theorem31 diagnostics apply to modified_pm_hybrid trajectories, got {traj.config.scheme}"
         )
     if not m.meta.known_fixed_points:
         raise ContractError("theorem31 diagnostics need at least one known fixed point")
@@ -426,12 +426,6 @@ class PhiSpec:
         return out
 
 
-@dataclass(frozen=True)
-class ConditionIWitness:
-    phi: PhiSpec
-    certificate: Certificate | None = None
-
-
 def certify_condition_I(m: Mapping, w: PhiSpec, sample_count: int, seed: int) -> Certificate:
     """Sampled check of the coercivity bound ||x - Tx|| >= phi(d(x, F(T))) for the gauge ``w``.
 
@@ -463,15 +457,18 @@ def certify_condition_I(m: Mapping, w: PhiSpec, sample_count: int, seed: int) ->
     )
 
 
-def verify_theorem33(traj: Trajectory, m: Mapping, w: ConditionIWitness) -> TheoremReport:
+def verify_theorem33(
+    traj: Trajectory, m: Mapping, phi: PhiSpec, certificate: Certificate | None
+) -> TheoremReport:
     """Chain from vanishing residuals to convergence into the fixed-point set,
-    valid only under a certified coercivity witness: the residual tail dies,
+    valid only under a coercivity witness, the gauge ``phi`` with its
+    certified ``certify_condition_I`` certificate: the residual tail dies,
     the gauge of the distance is dominated by the residual at every step, and
     the distance tail dies."""
-    if w.certificate is None or w.certificate.verdict != "certified":
+    if certificate is None or certificate.verdict != "certified":
         raise ScopeError(
             "theorem33 diagnostics need a certified coercivity witness; "
-            f"got {'no certificate' if w.certificate is None else w.certificate.verdict}"
+            f"got {'no certificate' if certificate is None else certificate.verdict}"
         )
     residuals, dists = traj.residual_T, traj.dist_to_known_fp
     if None in dists:
@@ -481,7 +478,7 @@ def verify_theorem33(traj: Trajectory, m: Mapping, w: ConditionIWitness) -> Theo
     worst_gap = -math.inf
     worst_n = None
     for n, (res, d) in enumerate(zip(residuals, dists), start=1):
-        gap = w.phi(d) - res
+        gap = phi(d) - res
         if gap > worst_gap:
             worst_gap = gap
             worst_n = n
@@ -543,8 +540,7 @@ def compare_schemes(base: RunConfig, schemes: Sequence[str], target_error: float
     steps_to_target is the first iterate index (0 = the start point) whose
     distance to the known fixed-point set is at most the target.
     """
-    if not 0.0 < target_error < math.inf:
-        raise ContractError(f"target_error must be finite and > 0, got {target_error}")
+    _finite_positive("target_error", target_error, ContractError)
     if not base.mapping.has_fixed_set:
         raise ContractError("compare_schemes needs a mapping with a known fixed-point set")
 

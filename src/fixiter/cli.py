@@ -29,7 +29,6 @@ from pathlib import Path
 
 from .analysis import (
     _GAUGE_PARAMETERS,
-    ConditionIWitness,
     PhiSpec,
     certify_condition_I,
     check_lemma21,
@@ -472,7 +471,7 @@ def _check(c: CheckSpec, m: Mapping, traj: Trajectory, seed: int) -> tuple[bool,
                 "note": "coercivity witness not certified; the chain does not apply",
                 "condition_certificate": certificate_to_dict(cert),
             }
-        report = verify_theorem33(traj, m, ConditionIWitness(phi=c.phi, certificate=cert))
+        report = verify_theorem33(traj, m, c.phi, cert)
         details = report.to_dict()
         details["condition_certificate"] = certificate_to_dict(cert)
         return report.passed, details

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 
 class FixiterError(Exception):
     """Base class for every error raised by this library."""
@@ -45,3 +47,9 @@ class ScenarioError(FixiterError):
         self.path = path
         self.message = message
         super().__init__(f"{path}: {message}")
+
+
+def _finite_positive(name: str, value: float, error: type[FixiterError]) -> None:
+    """Raise ``error`` unless ``value`` is finite and > 0 (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be finite and > 0, got {value}")

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ParameterError, ScheduleError
+from .errors import ContractError, DomainError, ParameterError, ScheduleError, _finite_positive
 from .schedules import Schedule
 from .space import Ball, Box, Domain, NormedSpace, Vector, _point_distances, _rng, _same_dim
 
@@ -421,8 +421,8 @@ def _check_meta(space: NormedSpace, meta: MappingMeta) -> None:
         _coefficients(meta.declared_class, s, 1, 100)
         if s.at(10_000) > floor + 1e-2:
             raise ScheduleError(f"{name} schedule does not approach {floor:g}")
-    if meta.lipschitz_L is not None and not 0.0 < meta.lipschitz_L < math.inf:
-        raise ContractError(f"Lipschitz constant must be finite and > 0, got {meta.lipschitz_L}")
+    if meta.lipschitz_L is not None:
+        _finite_positive("Lipschitz constant", meta.lipschitz_L, ContractError)
     for p in meta.known_fixed_points or ():
         if p.dim != space.dim:
             raise ContractError(f"fixed point {p.coords} has wrong dimension")
@@ -577,8 +577,7 @@ def certify_uniform_lipschitz(
     m: Mapping, L: float, n_max: int, sample_count: int, seed: int
 ) -> Certificate:
     """Sampled check of ||T^n x - T^n y|| <= L * ||x - y|| for 1 <= n <= n_max."""
-    if not 0.0 < L < math.inf:
-        raise ParameterError(f"Lipschitz constant must be finite and > 0, got {L}")
+    _finite_positive("Lipschitz constant", L, ParameterError)
     return _certify_pairs("uniformly_lipschitz", m, lambda n_max: (L, 0.0), n_max, sample_count, seed)
 
 

@@ -214,16 +214,6 @@ class RunConfig:
     stop_tolerance: float = 1e-12
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    n: int
-    step_norm: float
-    residual_T: float
-    residual_Tn: float
-    dist_to_known_fp: float | None
-    applications: int
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Iterates x_0 .. x_N plus the record columns of steps n = 1 .. N.
@@ -236,8 +226,7 @@ class Trajectory:
     to the known fixed-point set, None when no set is declared, and the
     mapping applications the scheme charges for the update, n for each T^n
     without a closed form: not the ``apply`` calls made, as a chain stops
-    at a fixed point (diagnostics are not counted).  ``records`` boxes the
-    columns into StepRecords on first use.
+    at a fixed point (diagnostics are not counted).
     """
 
     config: RunConfig
@@ -268,15 +257,6 @@ class Trajectory:
     @cached_property
     def iterates(self) -> tuple[Vector, ...]:
         return tuple(Vector(x) for x in self.points.tolist())
-
-    @cached_property
-    def records(self) -> tuple[StepRecord, ...]:
-        return tuple(StepRecord(n, *fields) for n, fields in enumerate(zip(
-            self.step_norm, self.residual_T, self.residual_Tn, self.dist_to_known_fp, self.applications), 1))
-
-    @property
-    def scheme(self) -> str:
-        return self.config.scheme
 
     @property
     def steps(self) -> int:

@@ -13,7 +13,6 @@ import pytest
 
 from conftest import record_acceptance
 from fixiter import (
-    ConditionIWitness,
     PhiSpec,
     RunConfig,
     Schedule,
@@ -80,7 +79,7 @@ def test_criterion_02_power_hybrid_convergence():
         dists = [abs(v.coords[0]) for v in traj.iterates]
         window = dists[-50:]
         osc = max(window) - min(window)
-        tail_resid = max(r.residual_Tn for r in traj.records[-50:])
+        tail_resid = max(traj.residual_Tn[-50:])
         if final > 1e-10:
             failures.append(f"x0={x0}: |x_N| = {final}")
         if osc > 1e-8:
@@ -209,9 +208,8 @@ def test_criterion_08_coercivity_and_chain():
     strong = certify_condition_I(m, PhiSpec("linear", lam=0.75), 10_000, 0)
     if strong.verdict != "refuted":
         failures.append(f"0.75t gauge: {strong.verdict}")
-    witness = ConditionIWitness(PhiSpec("linear", lam=0.5), weak)
     for traj in runs:
-        rep = verify_theorem33(traj, m, witness)
+        rep = verify_theorem33(traj, m, PhiSpec("linear", lam=0.5), weak)
         if not rep.passed:
             x0 = traj.iterates[0].coords[0]
             failures.append(f"chain failed from x0={x0}")

@@ -14,7 +14,6 @@ from fixiter import (
     TAU_FP,
     TAU_LIM,
     TAU_REG,
-    ConditionIWitness,
     ConfigurationError,
     ContractError,
     NormedSpace,
@@ -408,11 +407,11 @@ def test_the_gauge_check_passes_at_its_threshold(above):
     # tail windows, where every other step's excess is below it.
     traj, m = _hybrid_run(0.9)
     phi = PhiSpec("linear", lam=0.5)
-    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
+    cert = certify_condition_I(m, phi, 1_000, 0)
     value = _at_or_above(TAU_CERT, above)
     records = replace(traj, residual_T=(0.0, *traj.residual_T[1:]),
                       dist_to_known_fp=(2.0 * value, *traj.dist_to_known_fp[1:]))
-    rep = verify_theorem33(records, m, w)
+    rep = verify_theorem33(records, m, phi, cert)
     _assert_verdict(rep, "gauge_dominated_by_residual", value, TAU_CERT, above)
     assert rep.checks[1].detail.endswith("worst at step 1")
 
@@ -510,20 +509,13 @@ def test_coercivity_refuses_a_fixed_point_of_another_dimension(fixed_dim):
         certify_condition_I(bad, PhiSpec("linear", lam=0.5), 100, 0)
 
 
-def test_condition_witness_bundles_certificate():
-    m = make_example21(0.5)
-    phi = PhiSpec("linear", lam=0.5)
-    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
-    assert w.certificate is not None
-    assert w.certificate.verdict == "certified"
-    assert w.phi(2.0) == 1.0
-
-
 def test_residual_to_distance_chain_passes():
     traj, m = _hybrid_run(0.9)
     phi = PhiSpec("linear", lam=0.5)
-    w = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
-    rep = verify_theorem33(traj, m, w)
+    cert = certify_condition_I(m, phi, 1_000, 0)
+    assert cert.verdict == "certified"
+    assert phi(2.0) == 1.0
+    rep = verify_theorem33(traj, m, phi, cert)
     assert rep.passed
     assert {c.name for c in rep.checks} == {
         "residual_tail_vanishes", "gauge_dominated_by_residual", "distance_tail_vanishes"}
@@ -532,11 +524,11 @@ def test_residual_to_distance_chain_passes():
 def test_residual_to_distance_chain_demands_certified_witness():
     traj, m = _hybrid_run(0.9)
     phi = PhiSpec("linear", lam=0.75)
-    refuted = ConditionIWitness(phi, certify_condition_I(m, phi, 1_000, 0))
+    refuted = certify_condition_I(m, phi, 1_000, 0)
     with pytest.raises(ScopeError):
-        verify_theorem33(traj, m, refuted)
+        verify_theorem33(traj, m, phi, refuted)
     with pytest.raises(ScopeError):
-        verify_theorem33(traj, m, ConditionIWitness(PhiSpec("linear", lam=0.5)))
+        verify_theorem33(traj, m, PhiSpec("linear", lam=0.5), None)
 
 
 def test_residual_to_distance_chain_needs_distance_records():
@@ -548,9 +540,9 @@ def test_residual_to_distance_chain_needs_distance_records():
                              stop_tolerance=-1.0))
     m21 = make_example21(0.5)
     phi = PhiSpec("linear", lam=0.5)
-    w = ConditionIWitness(phi, certify_condition_I(m21, phi, 1_000, 0))
+    cert = certify_condition_I(m21, phi, 1_000, 0)
     with pytest.raises(ContractError):
-        verify_theorem33(t, bare, w)
+        verify_theorem33(t, bare, phi, cert)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from fixiter import (
 )
 from fixiter import mappings, schemes
 from fixiter.mappings import CATALOG, _chain, _iterate
-from fixiter.schemes import POWER_SCHEMES, StepRecord, _STAGES, _validate_config
+from fixiter.schemes import POWER_SCHEMES, _STAGES, _validate_config
 
 # The overflowing maps warn on their way to the error both engines raise, and
 # the dividing map warns of 1/0.
@@ -64,13 +64,15 @@ TOLERANCES = (-1.0, 0.0, 1e-9, 1e-3)
 
 
 def _scalar_run(config):
-    """The Vector engine: (iterates, records, stop_reason), or its error."""
+    """The Vector engine: (iterates, record columns, stop_reason), or its error.
+
+    The columns are those ``_columns`` reads off a trajectory, in its order."""
     _validate_config(config)
     m = config.mapping
     space = m.space
     power_cost = (lambda n: 1) if m.has_power else (lambda n: n)
     iterates = [config.x0]
-    records = []
+    columns = ([], [], [], [], [])
     stop_reason = "max_steps"
     for n in range(1, config.max_steps + 1):
         x = iterates[-1]
@@ -107,19 +109,26 @@ def _scalar_run(config):
         except DomainError:
             stop_reason = "domain_exit"
             break
-        records.append(StepRecord(
-            n=n,
-            step_norm=space.norm(nxt - x),
-            residual_T=space.norm(nxt - apply_power(m, 1, nxt)),
-            residual_Tn=space.norm(nxt - apply_power(m, n, nxt)),
-            dist_to_known_fp=distance_to_fixed_set(m, nxt),
-            applications=cost,
-        ))
+        record = (
+            space.norm(nxt - x),
+            space.norm(nxt - apply_power(m, 1, nxt)),
+            space.norm(nxt - apply_power(m, n, nxt)),
+            distance_to_fixed_set(m, nxt),
+            cost,
+        )
+        for column, value in zip(columns, record):
+            column.append(value)
         iterates.append(nxt)
-        if records[-1].step_norm <= config.stop_tolerance:
+        if record[0] <= config.stop_tolerance:
             stop_reason = "tolerance"
             break
-    return tuple(iterates), tuple(records), stop_reason
+    return tuple(iterates), tuple(map(tuple, columns)), stop_reason
+
+
+def _columns(t):
+    """A trajectory's record columns: step_norm, residual_T, residual_Tn,
+    dist_to_known_fp and applications."""
+    return t.step_norm, t.residual_T, t.residual_Tn, t.dist_to_known_fp, t.applications
 
 
 def _outcome(run):
@@ -136,11 +145,11 @@ def _assert_same(config):
         t = run_scheme(config)
         assert t.points.shape == (t.steps + 1, config.mapping.space.dim)
         assert not t.points.flags.writeable
-        return t.iterates, t.records, t.stop_reason, t.points.tobytes()
+        return t.iterates, _columns(t), t.stop_reason, t.points.tobytes()
 
     def vector_engine():
-        iterates, records, stop_reason = _scalar_run(config)
-        return iterates, records, stop_reason, np.array([x.coords for x in iterates]).tobytes()
+        iterates, columns, stop_reason = _scalar_run(config)
+        return iterates, columns, stop_reason, np.array([x.coords for x in iterates]).tobytes()
 
     assert _outcome(array_engine) == _outcome(vector_engine)
 
@@ -379,10 +388,9 @@ def test_a_scalar_closed_form_is_the_map_itself_at_n_1():
         t, u = (run_scheme(_config(scheme, m, None, 0.5, 0.5, steps, -1.0, x0=Vector((0.7,))))
                 for m in (closed, bare))
         assert t.points.tobytes() == u.points.tobytes()
-        assert [(r.step_norm, r.residual_T) for r in t.records] == [
-            (r.step_norm, r.residual_T) for r in u.records]
+        assert (t.step_norm, t.residual_T) == (u.step_norm, u.residual_T)
         if steps == 1:
-            assert t.records == u.records
+            assert _columns(t) == _columns(u)
 
 
 # Mapping applications of a 120-step run from 0.7 on example21 (q = 0.5)
@@ -652,7 +660,7 @@ def test_a_step_that_fails_after_its_chain_keeps_nothing(scheme):
     t = run_scheme(config)
     assert (t.stop_reason, t.steps) == ("domain_exit", 1)
     assert calls[-2] == pytest.approx(y2) and calls[-1] == t.points[1, 0]
-    assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
+    assert (t.iterates, _columns(t), t.stop_reason) == _scalar_run(config)
 
 
 def _refuse(n, a):
@@ -739,7 +747,7 @@ def test_a_block_pass_calls_the_row_evaluators_and_its_checked_run_apply_and_pow
     powers = len(_STAGES[scheme])  # every stage applies T^n
     checked = ["apply"] * powers + ["power"] * (8 * powers + 1)  # steps 1 .. 9, and T^10 x_9 leaves
     assert calls == ["power_rows"] * 16 * powers + checked + ["apply_rows", "power_rows"]
-    assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
+    assert (t.iterates, _columns(t), t.stop_reason) == _scalar_run(config)
 
 
 # apply_rows and power_rows calls of a 120-step run on example21: one a step
@@ -868,7 +876,7 @@ def test_weights_past_the_validated_horizon_may_leave_the_domain():
                            max_steps=10_002, stop_tolerance=-1.0)
         t = run_scheme(config)
         assert (t.stop_reason, t.steps) == ("domain_exit", 10_000)
-        assert (t.iterates, t.records, t.stop_reason) == _scalar_run(config)
+        assert (t.iterates, _columns(t), t.stop_reason) == _scalar_run(config)
 
 
 def test_huge_step_budget_with_tolerance_stop_allocates_by_the_steps_taken():
@@ -958,15 +966,15 @@ def test_asymptotic_demo_applies_the_swap_and_scale_it_was_written_as(dim):
 # record columns: the CSV, equality and schedule reads
 
 def _record_rows(traj):
-    """The CSV rows built from the boxed records, one row at a time, as the
-    writer built them before the trajectory kept its records as columns."""
+    """The CSV rows built one row at a time from the zipped record columns,
+    with one repr per cell, as the writer once built them."""
     fmt = lambda value: "" if value is None else repr(float(value))
     dim = traj.config.mapping.space.dim
     rows = [["n"] + [f"x_{i}" for i in range(dim)] + [
         "step_norm", "residual_T", "residual_Tn", "dist_to_known_fp"]]
-    for rec, x in zip(traj.records, traj.points[1:].tolist()):
-        rows.append([str(rec.n)] + [fmt(c) for c in x] + [
-            fmt(rec.step_norm), fmt(rec.residual_T), fmt(rec.residual_Tn), fmt(rec.dist_to_known_fp)])
+    for n, (x, *record) in enumerate(zip(traj.points[1:].tolist(), traj.step_norm, traj.residual_T,
+                                         traj.residual_Tn, traj.dist_to_known_fp), 1):
+        rows.append([str(n)] + [fmt(c) for c in x] + [fmt(value) for value in record])
     return rows
 
 
@@ -1040,7 +1048,7 @@ def test_trajectories_are_equal_exactly_when_their_records_are():
         replace(t, step_norm=bumped(t.step_norm, t.step_norm[3] + 0.0)),
         replace(t, alpha_values=()),
     ]
-    old_key = lambda u: (u.config, u.records, u.stop_reason)
+    old_key = lambda u: (u.config, _columns(u), u.stop_reason)
     for u in others:
         same = old_key(u) == old_key(t) and np.array_equal(u.points, t.points)
         assert (u == t) == same

@@ -292,10 +292,10 @@ def test_certifier_argument_validation():
         certify_nonexpansive(m, 0, 0)
     with pytest.raises(ContractError):
         certify_nearly_nonexpansive(m, Schedule.constant(0.1), 0, 100, 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=r"^Lipschitz constant must be finite and > 0, got 0\.0$"):
         certify_uniform_lipschitz(m, 0.0, 1, 100, 0)
     for L in (math.inf, math.nan):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=f"^Lipschitz constant must be finite and > 0, got {L}$"):
             certify_uniform_lipschitz(m, L, 1, 100, 0)
     for scale, offset in ((math.inf, 0.0), (math.nan, 0.0), (1.0, math.inf)):
         with pytest.raises(ScheduleError):

@@ -78,11 +78,11 @@ def test_modified_pm_hybrid_hand_value_on_jump_map():
 
 def test_step_records_carry_diagnostics():
     t = _run("picard", make_linear_contraction(0.5, 1), (1.0,), max_steps=2, stop_tolerance=-1.0)
-    r1, r2 = t.records
-    assert (r1.n, r1.step_norm, r1.residual_T, r1.residual_Tn) == (1, 0.5, 0.25, 0.25)
-    assert r1.dist_to_known_fp == 0.5
-    assert (r2.n, r2.step_norm, r2.residual_T) == (2, 0.25, 0.125)
-    assert r2.residual_Tn == 0.1875  # against the squared map at step 2
+    # Entry n - 1 of each column describes step n.
+    assert (t.step_norm[0], t.residual_T[0], t.residual_Tn[0]) == (0.5, 0.25, 0.25)
+    assert t.dist_to_known_fp[0] == 0.5
+    assert (t.step_norm[1], t.residual_T[1]) == (0.25, 0.125)
+    assert t.residual_Tn[1] == 0.1875  # against the squared map at step 2
     assert t.final == t.iterates[-1]
     assert t.steps == 2
 
@@ -118,7 +118,7 @@ def test_domain_exit_truncates_before_offending_point():
     t = run_scheme(RunConfig("picard", doubler, Vector((0.7,)), max_steps=10, stop_tolerance=-1.0))
     assert t.stop_reason == "domain_exit"
     assert t.iterates == (Vector((0.7,)),)
-    assert t.records == ()
+    assert (t.step_norm, t.residual_T, t.residual_Tn, t.dist_to_known_fp, t.applications) == ((),) * 5
 
 
 def test_iterates_remain_in_convex_domain():
@@ -144,10 +144,10 @@ def test_application_costs_without_closed_form_power():
     m = build_mapping("halver", sp, Box((-1.0,), (1.0,)),
                       lambda x: Vector((0.5 * x.coords[0],)))
     t = _run("modified_mann", m, (1.0,), max_steps=5, stop_tolerance=-1.0)
-    assert [r.applications for r in t.records] == [1, 2, 3, 4, 5]
+    assert t.applications == (1, 2, 3, 4, 5)
     assert t.total_applications == 15
     t = _run("modified_pm_hybrid", m, (1.0,), max_steps=5, stop_tolerance=-1.0)
-    assert [r.applications for r in t.records] == [2, 4, 6, 8, 10]
+    assert t.applications == (2, 4, 6, 8, 10)
     assert t.total_applications == 30
 
 
@@ -321,7 +321,7 @@ def test_csv_rows_round_trip_floats():
     for i, row in enumerate(rows[1:], start=1):
         assert row[0] == str(i)
         assert float(row[1]) == t.iterates[i].coords[0]  # repr round-trips exactly
-        assert float(row[2]) == t.records[i - 1].step_norm
+        assert float(row[2]) == t.step_norm[i - 1]
 
 
 def test_csv_blank_cell_for_unknown_distance():

@@ -1,6 +1,7 @@
 """Facts about fixiter's source text that hold in every module."""
 
 import ast
+import types
 from pathlib import Path
 
 import fixiter
@@ -65,3 +66,30 @@ def test_theorem_checks_and_reports_are_built_only_by_their_pass_rules():
     found = [f"{path.relative_to(SOURCE)}:{line}" for path in sorted(SOURCE.rglob("*.py"))
              for line in _stated_verdicts(ast.parse(path.read_text(), str(path)))]
     assert found == []
+
+
+# Every public name of the package, sorted.  An addition or removal is an API
+# change, so it shows in this list.
+_PUBLIC_NAMES = [
+    "Ball", "Box", "CATALOG_IDS", "Certificate", "CheckResult", "ConfigurationError", "ConstraintCheck",
+    "ContractError", "Domain", "DomainError", "FixiterError", "InfeasibleError", "Lemma21Report",
+    "Lemma22Report", "LimitVerdict", "MAPPING_CLASSES", "Mapping", "MappingMeta", "ModulusEstimate",
+    "NormedSpace", "POWER_SCHEMES", "ParameterError", "PhiSpec", "RateReport", "RateRow", "RunConfig",
+    "SCHEMES", "ScenarioError", "Schedule", "ScheduleError", "ScheduleVerdict", "ScopeError", "TAU_CERT",
+    "TAU_DOM", "TAU_FP", "TAU_LEM22", "TAU_LIM", "TAU_REG", "TAU_SUM", "TheoremReport", "Trajectory",
+    "Vector", "Witness", "apply_power", "build_mapping", "certify_asymptotically_nonexpansive",
+    "certify_condition_I", "certify_nearly_nonexpansive", "certify_nonexpansive",
+    "certify_uniform_lipschitz", "check_lemma21", "check_lemma22_witness", "combine", "compare_schemes",
+    "distance_to_fixed_set", "fixed_point_residual", "get_mapping", "limit_verdict", "linear_rate_oracle",
+    "make_asymptotically_nonexpansive_example", "make_example21", "make_identity",
+    "make_linear_contraction", "modulus_of_convexity_estimate", "near_schedule_for",
+    "near_sequence_from_asymptotic", "run_scheme", "tail_window_start", "trajectory_csv_rows",
+    "trajectory_header", "validate_schedule", "verify_theorem31", "verify_theorem32", "verify_theorem33",
+    "write_trajectory_csv",
+]
+
+
+def test_the_package_exports_exactly_its_public_names():
+    found = sorted(name for name, value in vars(fixiter).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert found == _PUBLIC_NAMES
