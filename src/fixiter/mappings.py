@@ -44,6 +44,7 @@ _SELF_MAP_SAMPLES = 1000
 _POWER_SAMPLES = 100
 _POWER_N_MAX = 20
 _POWER_TOL = 1e-10
+_FIXED_POINT_TOL = 1e-10
 _DISCONTINUITY_OFFSETS = (1e-3, 1e-6)
 # The field each evaluator of a Mapping is derived from when it is not given.
 # The per-row iteration, power_rows without a closed form, reads the whole map.
@@ -239,13 +240,19 @@ def _coefficients(declared_class: str, s: Schedule, first: int, last: int) -> np
 # ---------------------------------------------------------------------------
 # row evaluation
 
-def _per_n(fn: Callable[[int], object], ns: np.ndarray) -> float | np.ndarray:
-    """The factor ``fn(n)`` of each row, evaluated once per distinct n in
-    Python floats, to scale rows by: a float for one row, as the scheme
-    engine's power stages pass, since a float scales a row by the same
-    products as a column; for many rows, a (k, 1) column."""
+def _per_n(fn: Callable[[int], object], ns: np.ndarray | tuple[int]) -> float | np.ndarray:
+    """The factor ``fn(n)`` of each row, to scale rows by, as Python floats:
+    a float for one row (an array or a 1-tuple), as the scheme engine's power
+    stages pass, since a float scales a row by the same products as a column;
+    for many rows, a (k, 1) column.  ``fn`` is evaluated once per n from
+    min(ns) to max(ns), a table indexed by ns - min(ns), when that range is
+    no longer than the rows, and otherwise once per distinct n, so never more
+    often than there are rows."""
     if len(ns) == 1:
         return float(fn(int(ns[0])))
+    lo, hi = int(ns.min()), int(ns.max())
+    if hi - lo < len(ns):
+        return np.array([fn(n) for n in range(lo, hi + 1)], dtype=float)[ns - lo, None]
     distinct, index = np.unique(ns, return_inverse=True)
     return np.array([fn(n) for n in distinct.tolist()], dtype=float)[index, None]
 
@@ -336,9 +343,13 @@ def build_mapping(
     * a registered closed-form power agrees with repeated application to
       within 1e-10, returns x at n = 0, and gives apply's bits at n = 1;
     * declared metadata is coherent (schedules present and admissible for the
-      declared class, listed fixed points actually fixed).
-    Sampled probes are screened by the row evaluators under ``_screen``'s
-    rule: a probe the screen cannot clear is checked again on Vectors, and
+      declared class, listed fixed points actually fixed, to within 1e-10).
+    Probes are screened by the row evaluators under ``_screen``'s rule: one
+    ``apply_rows`` pass over the samples, the probe points and the declared
+    fixed points feeds the self-map test, the fixed points' residuals and
+    the n = 1 comparison, and the power samples are iterated, sorted by n, on
+    the prefix of rows still short of their n.  A probe the screen cannot
+    clear is checked again on Vectors, in the order of the checks above, and
     every probe is when the screen raises or meets a numpy condition, so the
     probes raise and warn as they would without the screen.
     """
@@ -361,9 +372,19 @@ def build_mapping(
 
     rng = np.random.default_rng(_SELF_MAP_SEED)
     sampled = domain.sample(space, rng, _SELF_MAP_SAMPLES)
-    inside = _screen(lambda: domain.inside_rows(space, m.apply_rows(sampled)))
-    doubtful = sampled if inside is None else sampled[~inside]
-    for x in [Vector.from_array(row) for row in doubtful] + special_points(space, domain, meta):
+    # The probes: the samples, then the special points, the declared fixed points last.
+    probes = np.concatenate([sampled, [x.coords for x in special_points(space, domain, meta)]])
+    first_fixed = len(probes) - len(meta.known_fixed_points or ())
+
+    def screen_probes() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        images = m.apply_rows(probes)
+        inside = domain.inside_rows(space, images)
+        P, TP = probes[first_fixed:], images[first_fixed:]
+        settled = domain.inside_rows(space, P) & inside[first_fixed:] & (space.norm_rows(P - TP) <= _FIXED_POINT_TOL)
+        return images, inside, settled
+
+    images, inside, settled = _screen(screen_probes) or (None, None, None)
+    for x in map(Vector.from_array, probes if inside is None else probes[~inside]):
         fx = m.apply(x)
         if not domain.contains(space, fx):
             raise ContractError(
@@ -375,11 +396,14 @@ def build_mapping(
         ns = rng.integers(1, _POWER_N_MAX + 1, size=_POWER_SAMPLES)
 
         def agreeing() -> np.ndarray:
-            iterated = xs.copy()
-            for step in range(1, int(ns.max()) + 1):
-                live = ns >= step
-                iterated[live] = m.apply_rows(iterated[live])
-            return space.norm_rows(m.power_rows(ns, xs) - iterated) <= _POWER_TOL
+            # Sorted by n, descending, the rows still short of their n at step s
+            # are the first at_least[s], those with n >= s.
+            order = np.argsort(-ns, kind="stable")
+            at_least = np.cumsum(np.bincount(ns)[::-1])[::-1]
+            iterated = xs[order]
+            for live in at_least[1:].tolist():
+                iterated[:live] = m.apply_rows(iterated[:live])
+            return space.norm_rows(m.power_rows(ns, xs) - iterated[np.argsort(order)]) <= _POWER_TOL
 
         agree = _screen(agreeing)
         for row, n in zip(xs, ns) if agree is None else zip(xs[~agree], ns[~agree]):
@@ -394,20 +418,21 @@ def build_mapping(
         for x in map(Vector.from_array, xs[:5]):
             if m.power(0, x).coords != x.coords:
                 raise ContractError(f"power(0, x) must return x exactly for '{mapping_id}'")
-        same = _screen(lambda: (m.power_rows(np.ones(len(sampled), dtype=int), sampled).view(np.int64)
-                                == m.apply_rows(sampled).view(np.int64)).all(axis=1))
+        same = None if images is None else _screen(lambda: (
+            m.power_rows(np.ones(len(sampled), dtype=int), sampled).view(np.int64)
+            == images[:len(sampled)].view(np.int64)).all(axis=1))
         for x in map(Vector.from_array, sampled if same is None else sampled[~same]):
             if m.power(1, x).array.tobytes() != m.apply(x).array.tobytes():
                 raise ContractError(
                     f"closed-form power of '{mapping_id}' at n = 1 differs from apply at {x.coords}")
 
-    if meta.known_fixed_points:
-        for p in meta.known_fixed_points:
-            res = fixed_point_residual(m, p)
-            if res > 1e-10:
-                raise ContractError(
-                    f"declared fixed point {p.coords} of '{mapping_id}' has residual {res:.3e}"
-                )
+    unsettled = probes[first_fixed:] if settled is None else probes[first_fixed:][~settled]
+    for p in map(Vector.from_array, unsettled):
+        res = fixed_point_residual(m, p)
+        if res > _FIXED_POINT_TOL:
+            raise ContractError(
+                f"declared fixed point {p.coords} of '{mapping_id}' has residual {res:.3e}"
+            )
     return m
 
 
@@ -720,11 +745,12 @@ def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | 
         return X.take(swap, axis=1) * scale
 
     def power_rows(ns: np.ndarray, X: np.ndarray) -> np.ndarray:
-        halves = ns // 2  # both factors read n only through n // 2
+        one = int(ns[0]) if len(ns) == 1 else None  # one row's n, whose n // 2 Python takes
+        halves = ns // 2 if one is None else (one // 2,)  # both factors read n only through n // 2
         even = _per_n(lambda h: mu ** (2 * h), halves) * X
         even[:, :2] = _per_n(lambda h: (lam * mu) ** h, halves) * X[:, :2]
-        if len(ns) == 1:  # the row np.where would pick, without the other
-            return apply_rows(even) if ns[0] % 2 else even
+        if one is not None:  # the row np.where would pick, without the other
+            return apply_rows(even) if one % 2 else even
         return np.where((ns % 2 == 1)[:, None], apply_rows(even), even)
 
     meta = MappingMeta(

@@ -1353,5 +1353,16 @@ def mutated_command_lines(draw):
 @pytest.mark.filterwarnings("default")
 @settings(max_examples=150, deadline=5_000, derandomize=True, database=None)
 @given(argv=mutated_command_lines())
+# A value each flag refuses, which the library would refuse in its own terms.
+@example(argv=["certify", "contraction", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "0"])
+@example(argv=["certify", "example21", "--class", "nearly_nonexpansive", "--param", "q=0.5", "--schedule",
+               "geometric:0.5", "--n-max", "0", "--samples", "500"])
+@example(argv=["certify", "identity", "--class", "uniformly_lipschitz", "--lipschitz", "0", "--dim", "3",
+               "--samples", "500"])
+@example(argv=["certify", "identity", "--class", "uniformly_lipschitz", "--lipschitz", "nan", "--dim", "3",
+               "--samples", "500"])
+@example(argv=["modulus", "--epsilon", "0.5", "--p", "3", "--dim", "3", "--samples", "0"])
+@example(argv=["modulus", "--epsilon", "nan", "--p", "3", "--dim", "3", "--samples", "1000"])
+@example(argv=["modulus", "--epsilon", "-1", "--p", "3", "--dim", "3", "--samples", "1000"])
 def test_a_mutated_certify_or_modulus_command_line_keeps_the_console_contract(argv):
     _assert_console_contract(argv)

@@ -4,9 +4,12 @@ import itertools
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fixiter import (
     CATALOG_IDS,
@@ -37,7 +40,8 @@ from fixiter import (
     near_schedule_for,
     near_sequence_from_asymptotic,
 )
-from fixiter.mappings import CATALOG, _screen, special_points, uniform_lipschitz_violation
+from fixiter.mappings import (_POWER_N_MAX, _POWER_SAMPLES, _SELF_MAP_SAMPLES, _SELF_MAP_SEED, CATALOG, _per_n,
+                              _screen, special_points, uniform_lipschitz_violation)
 
 
 def test_scaling_with_jump_hand_values():
@@ -437,6 +441,138 @@ def test_a_closed_form_given_as_rows_must_be_apply_at_n_1():
     with pytest.raises(ContractError, match=r"closed-form power of 'expq' at n = 1 differs from apply at \("):
         build_mapping("expq", sp, box, apply_rows=lambda X: q * X,
                       power_rows=lambda ns, X: np.exp(ns * math.log(q))[:, None] * X)
+
+
+# Construction's probes, drawn as build_mapping draws them: the self-map
+# samples, then the power samples and their indices.
+def _build_probes(sp, domain):
+    rng = np.random.default_rng(_SELF_MAP_SEED)
+    sampled = domain.sample(sp, rng, _SELF_MAP_SAMPLES)
+    return sampled, domain.sample(sp, rng, _POWER_SAMPLES), rng.integers(1, _POWER_N_MAX + 1, size=_POWER_SAMPLES)
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as raised:
+        call()
+    return type(raised.value), str(raised.value)
+
+
+def test_build_refuses_a_map_that_leaves_the_domain_at_a_sampled_probe():
+    sp, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    x = next(x for (x,) in _build_probes(sp, box)[0].tolist() if x > 0.5)
+    assert _refusal(lambda: build_mapping("escape", sp, box, apply_rows=lambda X: np.where(X > 0.5, 2.0 * X, X))) == (
+        ContractError, f"mapping 'escape' is not a self-map: T{(x,)} = {(2.0 * x,)} left the domain")
+
+
+def test_build_refuses_a_map_that_leaves_the_domain_only_at_a_special_point():
+    sp = NormedSpace(1, 2.0)
+    corner = lambda X: np.where(X == 1.0, 1.5, 0.5 * X)
+    assert _refusal(lambda: build_mapping("corner", sp, Box((-1.0,), (1.0,)), apply_rows=corner)) == (
+        ContractError, "mapping 'corner' is not a self-map: T(1.0,) = (1.5,) left the domain")
+    # The discontinuity's neighbours at +-1e-3 come first, then 0.5 + 1e-6.
+    near = 0.5 + 1e-6
+    jump = lambda X: np.where(X == near, 2.0, 0.5 * X)
+    assert _refusal(lambda: build_mapping("jump", sp, Box((0.0,), (1.0,)), apply_rows=jump,
+                                          meta=MappingMeta(discontinuities=(Vector((0.5,)),)))) == (
+        ContractError, f"mapping 'jump' is not a self-map: T{(near,)} = (2.0,) left the domain")
+
+
+def test_build_refuses_a_declared_fixed_point_that_is_not_fixed():
+    sp, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    halve = lambda X: 0.5 * X
+    fixed = lambda *points: MappingMeta(known_fixed_points=tuple(Vector((p,)) for p in points))
+    assert _refusal(lambda: build_mapping("m", sp, box, apply_rows=halve, meta=fixed(0.0, 4e-10))) == (
+        ContractError, "declared fixed point (4e-10,) of 'm' has residual 2.000e-10")
+    # A residual of at most 1e-10 is fixed; a point outside the domain is refused
+    # though its image lies inside.
+    assert build_mapping("m", sp, box, apply_rows=halve, meta=fixed(2e-10, 0.0)).meta == fixed(2e-10, 0.0)
+    assert _refusal(lambda: build_mapping("m", sp, box, apply_rows=halve, meta=fixed(0.0, 2.0))) == (
+        DomainError, "point (2.0,) lies outside the domain of mapping 'm'")
+
+
+def test_build_raises_what_an_evaluator_raises_at_one_probe():
+    def apply_rows(X):
+        if (X == 1.0).any():
+            raise ValueError("no image at 1.0")
+        return 0.5 * X
+
+    assert _refusal(lambda: build_mapping("m", NormedSpace(1, 2.0), Box((-1.0,), (1.0,)), apply_rows=apply_rows)) == (
+        ValueError, "no image at 1.0")
+
+
+def test_build_refuses_a_closed_form_wrong_at_one_n_or_at_n_1():
+    sp, box = NormedSpace(1, 2.0), Box((-1.0,), (1.0,))
+    _, xs, ns = _build_probes(sp, box)
+    i = ns.tolist().index(7)
+    x = Vector((xs[i, 0],))
+    wrong = lambda ns, X: np.array([0.5 ** (int(n) - (int(n) == 7)) for n in ns])[:, None] * X
+    gap = sp.distance(Vector((0.5**6 * x.coords[0],)), Vector((0.5**7 * x.coords[0],)))
+    assert _refusal(lambda: build_mapping("wrong7", sp, box, apply_rows=lambda X: 0.5 * X, power_rows=wrong)) == (
+        ContractError, f"closed-form power of 'wrong7' disagrees with 7-fold application at {x.coords} by {gap:.3e}")
+    q = 0.123
+    sampled = _build_probes(sp, box)[0]
+    expq = lambda ns, X: np.exp(ns * math.log(q))[:, None] * X
+    differs = expq(np.ones(len(sampled), dtype=int), sampled).view(np.int64) != (q * sampled).view(np.int64)
+    first = int(np.argmax(differs[:, 0]))
+    assert _refusal(lambda: build_mapping("expq", sp, box, apply_rows=lambda X: q * X, power_rows=expq)) == (
+        ContractError, f"closed-form power of 'expq' at n = 1 differs from apply at {tuple(sampled[first].tolist())}")
+
+
+def test_a_numpy_condition_met_only_at_a_special_point_warns_once_there():
+    # 1 / (1 - x) divides by zero at the corner x = 1 alone; arctan takes the
+    # inf to pi / 2, inside the box.
+    seen = []
+
+    def apply(x):
+        seen.append(x.coords)
+        return Vector((0.25 * np.arctan(np.float64(1.0) / (1.0 - np.float64(x.coords[0]))),))
+
+    def apply_rows(X):
+        return 0.25 * np.arctan(1.0 / (1.0 - X))
+
+    with pytest.warns(RuntimeWarning, match="divide by zero") as record:
+        build_mapping("m", NormedSpace(1, 2.0), Box((-1.0,), (1.0,)), apply, apply_rows=apply_rows)
+    assert len(record) == 1
+    assert seen.count((1.0,)) == 1
+
+
+def _unique_per_n(fn, ns):
+    """The reference factors: ``fn`` once per distinct n, through np.unique."""
+    if len(ns) == 1:
+        return float(fn(int(ns[0])))
+    distinct, index = np.unique(ns, return_inverse=True)
+    return np.array([fn(n) for n in distinct.tolist()], dtype=float)[index, None]
+
+
+_CATALOG_POWERS = [make_example21(0.3), make_linear_contraction(0.9, 2), make_identity(2),
+                   *map(make_asymptotically_nonexpansive_example, (1, 2, 3))]
+_INDEX_ARRAYS = st.one_of(
+    # a range no longer than the rows, a dense table's
+    st.integers(1, 30).flatmap(lambda k: st.tuples(st.integers(1, 1000), st.integers(0, k - 1)).flatmap(
+        lambda start: st.lists(st.integers(start[0], sum(start)), min_size=k, max_size=k))),
+    st.lists(st.integers(1, 10**6), min_size=2, max_size=8),  # sparse and wide, np.unique's
+    st.tuples(st.integers(1, 10**9), st.integers(1, 30)).map(lambda nk: [nk[0]] * nk[1]),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ns=_INDEX_ARRAYS)
+@example(ns=[1, 10**9])
+@example(ns=[7])
+@example(ns=[3, 1, 2, 2, 3])
+@example(ns=[5, 5, 5])
+@example(ns=[1, 20, 40, 10**6])
+def test_per_n_factors_are_the_unique_formulas_bits_from_at_most_one_call_a_row(ns):
+    ns = np.array(ns)
+    calls = []
+    factors = _per_n(lambda n: calls.append(n) or 0.5**n, ns)
+    assert len(calls) <= len(ns)
+    assert np.asarray(factors).tobytes() == np.asarray(_unique_per_n(lambda n: 0.5**n, ns)).tobytes()
+    for m in _CATALOG_POWERS:
+        X = m.domain.sample(m.space, np.random.default_rng(len(ns)), len(ns))
+        with mock.patch("fixiter.mappings._per_n", _unique_per_n):
+            want = m.power_rows(ns, X)
+        assert m.power_rows(ns, X).tobytes() == want.tobytes(), m.mapping_id
 
 
 def test_dropped_rows_become_per_row_adapters():
