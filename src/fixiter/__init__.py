@@ -14,7 +14,6 @@ from .analysis import (
     TAU_SUM,
     CheckResult,
     Lemma21Report,
-    Lemma22Report,
     LimitVerdict,
     PhiSpec,
     RateReport,

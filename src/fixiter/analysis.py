@@ -27,7 +27,7 @@ from .mappings import (
     fixed_point_residual,
     special_points,
 )
-from .schemes import ConstraintCheck, RunConfig, Trajectory, run_scheme
+from .schemes import RunConfig, Trajectory, run_scheme
 from .space import NormedSpace, Vector, _point_distances, _rng, _same_dim, combine
 
 TAU_LIM = 1e-8
@@ -160,29 +160,6 @@ def check_lemma21(
 # ---------------------------------------------------------------------------
 # uniform-convexity collapse checker
 
-@dataclass(frozen=True)
-class Lemma22Report:
-    hypothesis_checks: tuple[ConstraintCheck, ...]
-    conclusion_tail_max: float
-    conclusion_ok: bool | None
-    verdict: str  # confirmed | conclusion_failure | hypothesis_failure
-
-    @property
-    def hypothesis_ok(self) -> bool:
-        return all(c.status == "satisfied" for c in self.hypothesis_checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "hypothesis_checks": [
-                {"name": c.name, "status": c.status, "detail": c.detail}
-                for c in self.hypothesis_checks
-            ],
-            "conclusion_tail_max": self.conclusion_tail_max,
-            "conclusion_ok": self.conclusion_ok,
-        }
-
-
 def check_lemma22_witness(
     t: Sequence[float],
     xs: Sequence[Vector],
@@ -192,21 +169,21 @@ def check_lemma22_witness(
     N: int,
     a_bound: float,
     b_bound: float,
-) -> Lemma22Report:
+) -> TheoremReport:
     """Check the two-sequence collapse property in a uniformly convex space.
 
     Hypotheses checked over the tail window: both sequences stay norm-bounded
     by r, and the t-mixture (1 - t_n) x_n + t_n y_n has norm approaching r.
     When all hold, the gap ||x_n - y_n|| must die out; its tail max is
-    compared against ``TAU_LEM22``.  A failed hypothesis yields verdict
-    hypothesis_failure and no claim about the conclusion.
+    compared against ``TAU_LEM22``.  The report's ``verdict`` is
+    hypothesis_failure when a hypothesis fails, which makes no claim about
+    the conclusion, and otherwise confirmed or conclusion_failure.
     """
     if not space.uniformly_convex:
         raise ContractError(f"p = {space.p} is not uniformly convex (need 1 < p < inf)")
     if not (0.0 < a_bound <= b_bound < 1.0):
         raise ContractError(f"need 0 < a <= b < 1, got a = {a_bound}, b = {b_bound}")
-    if r <= 0.0:
-        raise ContractError(f"r must be > 0, got {r}")
+    _finite_positive("r", r, ContractError)
     if N < 1:
         raise ContractError(f"N must be >= 1, got {N}")
     if len(t) < N or len(xs) < N or len(ys) < N:
@@ -219,26 +196,16 @@ def check_lemma22_witness(
     y_norms = np.array([space.norm(ys[i]) for i in range(N)])
     mix_norms = np.array([space.norm(combine(t[i], xs[i], ys[i])) for i in range(N)])
     gaps = np.array([space.distance(xs[i], ys[i]) for i in range(N)])
-    start = tail_window_start(N)
-
-    def bound_check(name: str, excess: float, tol: float, desc: str) -> ConstraintCheck:
-        status = "satisfied" if excess <= tol else "violated"
-        return ConstraintCheck(name, status, f"{desc}: {excess:.6g} vs tolerance {tol:.6g}")
-
     checks = (
-        bound_check("limsup_x", float(x_norms[start:].max()) - r, TAU_LIM,
-                    "tail excess of ||x_n|| over r"),
-        bound_check("limsup_y", float(y_norms[start:].max()) - r, TAU_LIM,
-                    "tail excess of ||y_n|| over r"),
-        bound_check("mixture_norm_to_r", float(np.abs(mix_norms[start:] - r).max()), TAU_LEM22,
-                    "tail deviation of ||(1-t_n) x_n + t_n y_n|| from r"),
+        _tail_max_check("limsup_x", x_norms - r, TAU_LIM, "max excess of ||x_n|| over r"),
+        _tail_max_check("limsup_y", y_norms - r, TAU_LIM, "max excess of ||y_n|| over r"),
+        _tail_max_check("mixture_norm_to_r", np.abs(mix_norms - r), TAU_LEM22,
+                        "max deviation of ||(1-t_n) x_n + t_n y_n|| from r"),
+        _tail_max_check("gap_vanishes", gaps, TAU_LEM22, "max ||x_n - y_n||"),
     )
-    tail_max_gap = float(gaps[start:].max())
-    report = Lemma22Report(checks, tail_max_gap, None, "hypothesis_failure")
-    if not report.hypothesis_ok:
-        return report
-    ok = tail_max_gap <= TAU_LEM22
-    return replace(report, conclusion_ok=ok, verdict="confirmed" if ok else "conclusion_failure")
+    verdict = ("hypothesis_failure" if not all(c.passed for c in checks[:3])
+               else "confirmed" if checks[3].passed else "conclusion_failure")
+    return _report("lemma22", checks, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------

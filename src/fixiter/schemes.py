@@ -305,7 +305,7 @@ _BLOCK = 16
 
 
 def _weight(schedule: Schedule | None, values: list[float], n: int) -> float | None:
-    """w(n) of a stage's weight schedule, read from the values the checks read
+    """w(n) of a stage's weight schedule, read from the values already read
     for n up to their length, or None for a stage without one."""
     if schedule is None:
         return None
@@ -356,6 +356,8 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     stage_weights = []  # each stage: whether it applies T^n, and its 1 - w(n) and w(n), or None
     for schedule, values, power in stages:
         w = None if schedule is None else _weights(schedule, values, first, last).reshape(shape)
+        if w is not None and last > len(values):  # read past the list: a checked re-run reads them from it
+            values.extend(w.ravel()[len(values) - first + 1:].tolist())
         stage_weights.append((power, None if w is None else 1.0 - w, w))
     if repeated:
         x = np.repeat(x, len(ns), 0)
@@ -478,7 +480,8 @@ def run_scheme(config: RunConfig) -> Trajectory:
             stacklevel=2,
         )
 
-    # Each stage: its weight schedule, the values of it the checks read, and whether it applies T^n.
+    alpha_values = tuple(read.get("alpha", ()))
+    # Each stage: its weight schedule, the values of it read so far, and whether it applies T^n.
     stages = [(None, (), power) if w is None else (getattr(config, w), read[w], power)
               for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
@@ -505,8 +508,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
     columns = _screen(lambda: _record_columns(m, points, config.scheme, kept)) or _scalar_records(m, points)
     if error is not None:
         raise error
-    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason,
-                      tuple(read.get("alpha", ())))
+    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason, alpha_values)
 
 
 def _record_columns(m: Mapping, points: np.ndarray, scheme: str,

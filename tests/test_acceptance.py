@@ -190,12 +190,12 @@ def test_criterion_07_collapse_checker():
     t = [0.5] * 500
     failures = []
     rep = check_lemma22_witness(t, xs, ys, 1.0, sp, 500, 0.5, 0.5)
-    if rep.verdict != "confirmed" or rep.conclusion_tail_max > TAU_LEM22:
-        failures.append(f"rotating: {rep.verdict}, tail gap {rep.conclusion_tail_max}")
+    if rep.extra["verdict"] != "confirmed" or rep.checks[3].value > TAU_LEM22:
+        failures.append(f"rotating: {rep.extra['verdict']}, tail gap {rep.checks[3].value}")
     anti = check_lemma22_witness(t, xs, [Vector((-1.0, 0.0))] * 500, 1.0, sp,
                                  500, 0.5, 0.5)
-    if anti.verdict != "hypothesis_failure":
-        failures.append(f"antipodal: {anti.verdict}")
+    if anti.extra["verdict"] != "hypothesis_failure":
+        failures.append(f"antipodal: {anti.extra['verdict']}")
     _report(7, not failures, failures)
 
 

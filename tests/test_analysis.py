@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fixiter import (
     TAU_CERT,
     TAU_FP,
+    TAU_LEM22,
     TAU_LIM,
     TAU_REG,
     ConfigurationError,
@@ -25,6 +26,7 @@ from fixiter import (
     certify_condition_I,
     check_lemma21,
     check_lemma22_witness,
+    combine,
     compare_schemes,
     fixed_point_residual,
     limit_verdict,
@@ -189,8 +191,8 @@ def test_collapse_checker_identical_sequences():
     sp = NormedSpace(2, 2.0)
     pts = [Vector((1.0, 0.0))] * 500
     rep = check_lemma22_witness([0.5] * 500, pts, pts, 1.0, sp, 500, 0.4, 0.6)
-    assert rep.verdict == "confirmed"
-    assert rep.conclusion_tail_max == 0.0
+    assert rep.extra["verdict"] == "confirmed"
+    assert rep.checks[3].value == 0.0
 
 
 def test_collapse_checker_slowly_closing_rotation():
@@ -199,14 +201,14 @@ def test_collapse_checker_slowly_closing_rotation():
     ys = [_unit(1.0 / n) for n in range(1, 501)]
     rep = check_lemma22_witness([0.5] * 500, xs, ys, 1.0, sp, 500, 0.5, 0.5)
     # window starts at n = 376 where the chord is largest
-    assert rep.conclusion_tail_max == pytest.approx(2.0 * math.sin(1.0 / 752.0), rel=1e-12)
+    assert rep.checks[3].value == pytest.approx(2.0 * math.sin(1.0 / 752.0), rel=1e-12)
     # the chord has not yet fallen to TAU_LEM22
-    assert rep.verdict == "conclusion_failure"
-    assert rep.conclusion_ok is False
+    assert rep.extra["verdict"] == "conclusion_failure"
+    assert rep.checks[3].passed is False
     # a rotation closing as 1/n^3 has: its chord at n = 376 is about 2e-8
     fast = check_lemma22_witness([0.5] * 500, xs, [_unit(n ** -3.0) for n in range(1, 501)],
                                  1.0, sp, 500, 0.5, 0.5)
-    assert fast.verdict == "confirmed"
+    assert fast.extra["verdict"] == "confirmed"
 
 
 def test_collapse_checker_antipodal_is_hypothesis_failure():
@@ -214,9 +216,10 @@ def test_collapse_checker_antipodal_is_hypothesis_failure():
     xs = [Vector((1.0, 0.0))] * 500
     ys = [Vector((-1.0, 0.0))] * 500
     rep = check_lemma22_witness([0.5] * 500, xs, ys, 1.0, sp, 500, 0.5, 0.5)
-    assert rep.verdict == "hypothesis_failure"
-    assert rep.conclusion_ok is None
-    failing = {c.name for c in rep.hypothesis_checks if c.status == "violated"}
+    # a failed hypothesis makes no claim about the conclusion
+    assert rep.extra["verdict"] == "hypothesis_failure"
+    assert rep.passed is False
+    failing = {c.name for c in rep.checks[:3] if not c.passed}
     assert failing == {"mixture_norm_to_r"}
 
 
@@ -226,16 +229,16 @@ def test_collapse_report_hypothesis_ok_and_dict():
     confirmed = check_lemma22_witness([0.5] * 500, xs, xs, 1.0, sp, 500, 0.4, 0.6)
     failed = check_lemma22_witness([0.5] * 500, xs, [Vector((-1.0, 0.0))] * 500, 1.0, sp,
                                    500, 0.5, 0.5)
-    assert confirmed.hypothesis_ok and not failed.hypothesis_ok
+    assert all(c.passed for c in confirmed.checks[:3]) and not all(c.passed for c in failed.checks[:3])
     d = confirmed.to_dict()
-    assert (d["verdict"], d["conclusion_tail_max"], d["conclusion_ok"]) == ("confirmed", 0.0, True)
-    assert [(c["name"], c["status"]) for c in d["hypothesis_checks"]] == [
-        ("limsup_x", "satisfied"), ("limsup_y", "satisfied"), ("mixture_norm_to_r", "satisfied")]
+    assert (d["verdict"], d["checks"][3]["value"], d["checks"][3]["passed"]) == ("confirmed", 0.0, True)
+    assert [(c["name"], c["passed"]) for c in d["checks"][:3]] == [
+        ("limsup_x", True), ("limsup_y", True), ("mixture_norm_to_r", True)]
     d = failed.to_dict()
-    assert (d["verdict"], d["conclusion_tail_max"], d["conclusion_ok"]) == ("hypothesis_failure", 2.0, None)
-    assert [(c["name"], c["status"]) for c in d["hypothesis_checks"]] == [
-        ("limsup_x", "satisfied"), ("limsup_y", "satisfied"), ("mixture_norm_to_r", "violated")]
-    assert d["hypothesis_checks"][2]["detail"].startswith("tail deviation of ||(1-t_n) x_n + t_n y_n|| from r: ")
+    assert (d["verdict"], d["checks"][3]["value"], d["passed"]) == ("hypothesis_failure", 2.0, False)
+    assert [(c["name"], c["passed"]) for c in d["checks"][:3]] == [
+        ("limsup_x", True), ("limsup_y", True), ("mixture_norm_to_r", False)]
+    assert d["checks"][2]["detail"].startswith("max deviation of ||(1-t_n) x_n + t_n y_n|| from r over ")
     assert json.loads(json.dumps(d)) == d
 
 
@@ -256,6 +259,74 @@ def test_collapse_checker_contract_errors():
         check_lemma22_witness(good_t, pts[:5], pts, 1.0, sp, 10, 0.4, 0.6)
     with pytest.raises(ContractError, match="^N must be >= 1, got 0$"):
         check_lemma22_witness(good_t, pts, pts, 1.0, sp, 0, 0.4, 0.6)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+def test_collapse_checker_refuses_a_radius_that_is_not_finite_and_positive(r):
+    pts = [Vector((1.0, 0.0))] * 10
+    with pytest.raises(ContractError, match=rf"^r must be finite and > 0, got {r}$"):
+        check_lemma22_witness([0.5] * 10, pts, pts, r, NormedSpace(2, 2.0), 10, 0.4, 0.6)
+
+
+def _lemma22_reference(t, xs, ys, r, space, N):
+    """The collapse rule as it read before its report took the theorems'
+    shape: the verdict, the three hypothesis excesses, whether each is within
+    its tolerance, and the tail max of the gap."""
+    x_norms = np.array([space.norm(xs[i]) for i in range(N)])
+    y_norms = np.array([space.norm(ys[i]) for i in range(N)])
+    mix_norms = np.array([space.norm(combine(t[i], xs[i], ys[i])) for i in range(N)])
+    gaps = np.array([space.distance(xs[i], ys[i]) for i in range(N)])
+    start = tail_window_start(N)
+    excess = [float(x_norms[start:].max()) - r, float(y_norms[start:].max()) - r,
+              float(np.abs(mix_norms[start:] - r).max())]
+    ok = [e <= tol for e, tol in zip(excess, (TAU_LIM, TAU_LIM, TAU_LEM22))]
+    gap = float(gaps[start:].max())
+    verdict = ("hypothesis_failure" if not all(ok)
+               else "confirmed" if gap <= TAU_LEM22 else "conclusion_failure")
+    return verdict, excess, ok, gap
+
+
+# Relative norm offsets and angles that land on each side of TAU_LIM and TAU_LEM22.
+_OFFSETS = st.sampled_from([0.0, 1e-12, -1e-12, 5e-9, 2e-8, -3e-7, 4e-6, 0.3])
+_ANGLES = st.sampled_from([0.0, 3e-9, 2e-7, 5e-6, 4e-5, 1e-3, math.pi])
+
+
+@st.composite
+def _collapse_cases(draw):
+    p = draw(st.sampled_from([1.5, 2.0, 3.0]))
+    N = draw(st.integers(1, 60))
+    a = draw(st.floats(0.01, 0.99))
+    b = draw(st.floats(a, 0.99))
+    r = draw(st.sampled_from([0.5, 1.0, 2.75]))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    dx, angle, dy = draw(_OFFSETS), draw(_ANGLES), draw(_OFFSETS)
+    # Per entry k in 0 .. 8: t_n sits at a fraction k // 3 / 2 of [a, b], and
+    # takes a share k % 3 / 2 of each offset.
+    steps = draw(st.lists(st.integers(0, 8), min_size=N, max_size=N))
+
+    def on_sphere(angle, offset):  # a point of norm about r * (1 + offset)
+        c, s = math.cos(theta + angle), math.sin(theta + angle)
+        scale = r * (1.0 + offset) / (abs(c) ** p + abs(s) ** p) ** (1.0 / p)
+        return Vector((scale * c, scale * s))
+
+    t = [min(a + k // 3 / 2 * (b - a), b) for k in steps]
+    xs = [on_sphere(0.0, k % 3 / 2 * dx) for k in steps]
+    ys = [on_sphere(k % 3 / 2 * angle, k % 3 / 2 * dy) for k in steps]
+    return t, xs, ys, r, NormedSpace(2, p), N, a, b
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_collapse_cases())
+def test_collapse_report_keeps_the_reference_rules_verdict_and_bits(case):
+    # Each check's value is the tail max of a per-n array: fl(a - r) is monotone
+    # in a, so max(a[s:] - r) has the bits of max(a[s:]) - r.
+    t, xs, ys, r, space, N, a, b = case
+    rep = check_lemma22_witness(t, xs, ys, r, space, N, a, b)
+    verdict, excess, ok, gap = _lemma22_reference(t, xs, ys, r, space, N)
+    assert rep.extra["verdict"] == verdict and rep.passed == (verdict == "confirmed")
+    assert [c.value.hex() for c in rep.checks] == [v.hex() for v in (*excess, gap)]
+    assert [c.passed for c in rep.checks] == [*ok, gap <= TAU_LEM22]
+    assert [c.threshold for c in rep.checks] == [TAU_LIM, TAU_LIM, TAU_LEM22, TAU_LEM22]
 
 
 # ---------------------------------------------------------------------------

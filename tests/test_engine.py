@@ -1090,3 +1090,24 @@ def test_a_schedule_that_raises_past_the_horizon_raises_at_its_step():
     with pytest.raises(ValueError, match="no alpha at n = 10001"):
         run_scheme(config)
     assert sizes[-1] == 10_000  # the T x_n column of the 10000 steps before it
+
+
+def test_a_block_past_the_horizon_that_gives_way_reads_each_weight_once():
+    # The array pass of a block past the 10000-step horizon reads its weights
+    # and then raises; its checked run reads the same weights, not alpha(n) again.
+    calls, applied = Counter(), []
+
+    def apply_rows(X):
+        applied.append(None)
+        if len(applied) == 10_500:
+            raise RuntimeError("one failed array pass")
+        return m.apply_rows(X)
+
+    m = make_linear_contraction(0.999)
+    alpha = Schedule.formula(lambda n: calls.update([n]) or 0.5)
+    config = RunConfig("mann", replace(m, apply_rows=apply_rows), Vector((0.5,)), alpha=alpha,
+                       max_steps=12_000, stop_tolerance=-1.0)
+    t = run_scheme(config)
+    assert t.steps == 12_000 and len(applied) > 10_500
+    assert sorted(calls) == list(range(1, 12_001)) and set(calls.values()) == {1}
+    assert t.alpha_values == (0.5,) * 10_000

@@ -73,7 +73,7 @@ def test_theorem_checks_and_reports_are_built_only_by_their_pass_rules():
 _PUBLIC_NAMES = [
     "Ball", "Box", "CATALOG_IDS", "Certificate", "CheckResult", "ConfigurationError", "ConstraintCheck",
     "ContractError", "Domain", "DomainError", "FixiterError", "InfeasibleError", "Lemma21Report",
-    "Lemma22Report", "LimitVerdict", "MAPPING_CLASSES", "Mapping", "MappingMeta", "ModulusEstimate",
+    "LimitVerdict", "MAPPING_CLASSES", "Mapping", "MappingMeta", "ModulusEstimate",
     "NormedSpace", "POWER_SCHEMES", "ParameterError", "PhiSpec", "RateReport", "RateRow", "RunConfig",
     "SCHEMES", "ScenarioError", "Schedule", "ScheduleError", "ScheduleVerdict", "ScopeError", "TAU_CERT",
     "TAU_DOM", "TAU_FP", "TAU_LEM22", "TAU_LIM", "TAU_REG", "TAU_SUM", "TheoremReport", "Trajectory",
