@@ -405,8 +405,9 @@ def build_run_config(s: Scenario, m: Mapping) -> RunConfig:
 
 
 def preflight_checks(s: Scenario, m: Mapping) -> None:
-    """Reject checks whose preconditions the scenario cannot meet, before any
-    work happens, so validation failures never leave partial outputs.  Every
+    """Reject checks whose preconditions the scenario cannot meet, so the
+    refusal comes before the run and its checks do any work; outputs are safe
+    either way, since nothing is written until every check finishes.  Every
     catalog map declares a fixed-point set and a near-sequence, which lemma21,
     theorem33 and condition_I read, so no scenario can lack them."""
     for i, c in enumerate(s.checks):

@@ -707,30 +707,15 @@ _DEMO_SHRINK = 0.5
 def make_asymptotically_nonexpansive_example(dim: int = 2, space: NormedSpace | None = None) -> Mapping:
     """A map that expands on its first application but contracts from then on.
 
-    For dim >= 2 the first two coordinates are swapped with scale factors
-    (1.2, 0.5): one application stretches by up to 1.2, so the map is not
+    The first two coordinates are swapped with scale factors (1.2, 0.5), so
+    dim >= 2.  One application stretches by up to 1.2, so the map is not
     nonexpansive, but every even power is a plain contraction and the iterate
     Lipschitz constants drop to at most 0.72 from n = 2 onward.  The declared
-    asymptotic schedule is (1.2, 1, 1, ...).  For dim = 1 the catalog falls
-    back to the halving map with the constant schedule 1.
+    asymptotic schedule is (1.2, 1, 1, ...).
     """
     space = _space_for(dim, space)
-
-    if dim == 1:
-        domain = Box((-1.0,), (1.0,))
-        meta = MappingMeta(
-            declared_class="asymptotically_nonexpansive",
-            known_fixed_points=(Vector((0.0,)),),
-            lipschitz_L=1.0,
-            k_schedule=Schedule.constant(1.0),
-        )
-        return build_mapping(
-            "asymptotic_demo", space, domain,
-            meta=meta,
-            parameters={"dim": dim},
-            apply_rows=lambda X: 0.5 * X,
-            power_rows=lambda ns, X: _per_n(lambda n: 0.5**n, ns) * X,
-        )
+    if dim < 2:
+        raise ParameterError(f"asymptotic_demo swaps two coordinates, so it needs dim >= 2; got space dim {dim}")
 
     lam, mu = _DEMO_EXPAND, _DEMO_SHRINK
     lows = [-1.0, -1.0 / lam] + [-1.0] * (dim - 2)

@@ -155,10 +155,18 @@ def test_recurrence_checker_fuzzed_violation_indices():
 entries = st.floats(0.0, 4.0) | st.sampled_from([0.0, 1e-12, 1.0])
 
 
+@st.composite
+def recurrences(draw):
+    """Sequences a, b and d of one length: both readers slice b and d to len(a)."""
+    a = draw(st.lists(entries, min_size=2, max_size=40))
+    same_length = st.lists(entries, min_size=len(a), max_size=len(a))
+    return a, draw(same_length), draw(same_length)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(a=st.lists(entries, min_size=2, max_size=40), b=st.lists(entries, min_size=40, max_size=40),
-       d=st.lists(entries, min_size=40, max_size=40), decay=st.booleans())
-def test_recurrence_checker_finds_the_loops_first_violation(a, b, d, decay):
+@given(abd=recurrences(), decay=st.booleans())
+def test_recurrence_checker_finds_the_loops_first_violation(abd, decay):
+    a, b, d = abd
     # With decay, a is made nonincreasing, so the recurrence holds throughout.
     if decay:
         a = sorted(a, reverse=True)

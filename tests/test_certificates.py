@@ -107,7 +107,7 @@ def test_uniform_lipschitz_certificate(q, dim, n_max, budget, seed):
 
 
 @PROPERTY_SETTINGS
-@given(dim=dims, n_max=n_maxes, budget=budgets, seed=seeds)
+@given(dim=st.integers(min_value=2, max_value=3), n_max=n_maxes, budget=budgets, seed=seeds)
 def test_asymptotically_nonexpansive_certificate(dim, n_max, budget, seed):
     m = make_asymptotically_nonexpansive_example(dim)
     k = Schedule.table((1.2, 1.0))
@@ -185,7 +185,7 @@ def catalog_maps(draw, drop_rows=st.booleans()):
     row evaluators are dropped, so rows are evaluated by the per-row loop
     derived over its scalar views."""
     mapping_id = draw(st.sampled_from(CATALOG_IDS))
-    dim = 1 if mapping_id == "example21" else draw(dims)
+    dim = 1 if mapping_id == "example21" else draw(st.integers(2 if mapping_id == "asymptotic_demo" else 1, 3))
     params = {"q": draw(ratios)} if CATALOG[mapping_id].parameters else {}
     m = get_mapping(mapping_id, params, NormedSpace(dim, draw(st.sampled_from(P_VALUES))))
     return replace(m, apply_rows=None, power_rows=None) if draw(drop_rows) else m

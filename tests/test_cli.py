@@ -632,6 +632,8 @@ _SCENARIO_FAULTS = [
     ({"x0": [0.9, 0.1]}, "x0: x0 has dim 2, mapping space has dim 1"),
     ({"scheme": "mann", "checks": [], **_alpha("constant", value=-0.5)},
      "schedule invalid for mann: alpha(1) = -0.5 outside [0, 1)"),
+    ({"mapping": {"id": "asymptotic_demo", "parameters": {}}},
+     "mapping: asymptotic_demo swaps two coordinates, so it needs dim >= 2; got space dim 1"),
 ]
 
 
@@ -660,7 +662,7 @@ def test_every_catalog_map_declares_a_fixed_set_and_a_near_sequence(mapping_id):
     for dim in (1, 2, 3):
         try:
             m = get_mapping(mapping_id, dict.fromkeys(entry.parameters, 0.5), NormedSpace(dim, 2.0))
-        except ParameterError:  # example21 is one-dimensional
+        except ParameterError:  # example21 is one-dimensional; asymptotic_demo needs dim >= 2
             continue
         built.append(dim)
         assert m.has_fixed_set and near_schedule_for(m) is not None, dim
@@ -733,6 +735,9 @@ _CERTIFY_FAULTS = [
     (["example21", "--class", "nonexpansive", "--param", "q=0.5", "--samples", "0"], "--samples: must be >= 1, got 0"),
     (_NEARLY + ["--schedule", "geometric:0.5", "--samples", "-1"], "--samples: must be >= 1, got -1"),
     (["example21", "--class", "nonexpansive", "--param", "q=2", "--samples", "0"], "--samples: must be >= 1, got 0"),
+    # The space is refused at the mapping when the catalog map cannot live in it.
+    (["asymptotic_demo", "--class", "nonexpansive", "--dim", "1"],
+     "mapping: asymptotic_demo swaps two coordinates, so it needs dim >= 2; got space dim 1"),
 ]
 
 
@@ -1015,7 +1020,7 @@ def _long_mann_run():
 
 
 @pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS) + ["mann_past_10000"]
-                         + [f"asymptotic_demo_dim{dim}" for dim in (1, 2, 3)])
+                         + [f"asymptotic_demo_dim{dim}" for dim in (2, 3)])
 def test_lemma21_reads_the_alpha_values_the_schedule_gives(scenario):
     if scenario in SCHEDULE_READS:
         s = cli.parse_scenario(SCENARIO_DIR / f"{scenario}.json")

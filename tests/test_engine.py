@@ -210,7 +210,7 @@ def catalog_maps(draw):
     """A catalog map in a generated l_p space: as built, without its row
     evaluators, or without its closed-form power."""
     mapping_id = draw(st.sampled_from(CATALOG_IDS))
-    dim = 1 if mapping_id == "example21" else draw(st.integers(1, 3))
+    dim = 1 if mapping_id == "example21" else draw(st.integers(2 if mapping_id == "asymptotic_demo" else 1, 3))
     params = {"q": draw(st.floats(0.05, 0.95))} if CATALOG[mapping_id].parameters else {}
     m = get_mapping(mapping_id, params, NormedSpace(dim, draw(st.sampled_from(P_VALUES))))
     return draw(st.sampled_from([m, replace(m, apply_rows=None, power_rows=None),
@@ -919,7 +919,7 @@ def catalog_rows(draw):
     """A catalog map in l_1, l_2 or l_inf, and rows around its domain (past
     example21's jump at 1) with power indices 1 .. 40, repeats included."""
     mapping_id = draw(st.sampled_from(CATALOG_IDS))
-    dim = 1 if mapping_id == "example21" else draw(st.integers(1, 3))
+    dim = 1 if mapping_id == "example21" else draw(st.integers(2 if mapping_id == "asymptotic_demo" else 1, 3))
     m = _catalog_map(mapping_id, dim, draw(st.sampled_from((1.0, 2.0, math.inf))),
                      draw(st.sampled_from((0.05, 0.5, 0.95))))
     k = draw(st.integers(2, 12))
