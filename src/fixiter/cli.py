@@ -60,7 +60,6 @@ from .schemes import (
     _check_scheme,
     _check_start,
     _p_token,
-    _weights,
     run_scheme,
     trajectory_header,
     write_trajectory_csv,
@@ -435,10 +434,9 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
 
 def _lemma21_on_trajectory(m: Mapping, traj: Trajectory) -> tuple[bool, dict]:
-    steps, alpha, read = traj.steps, traj.config.alpha, traj.alpha_values
-    b = near_schedule_for(m).values(1, steps)
-    if alpha is not None:  # alpha(n) is read again only past the run's reads
-        b = (1.0 + _weights(alpha, read, 1, steps)) * b
+    b = near_schedule_for(m).values(1, traj.steps)
+    if traj._alpha is not None:  # the run's reader of alpha, which read alpha(n) for each step
+        b = (1.0 + traj._alpha.values(1, traj.steps)) * b
     a = [distance_to_fixed_set(m, traj.config.x0), *traj.dist_to_known_fp]
     b = [*b.tolist(), 0.0]
     delta = [0.0] * len(a)

@@ -112,12 +112,7 @@ class Schedule:
         if got is not None and np.isfinite(got).all():
             stop = np.flatnonzero(until(got)) if until is not None else ()
             return got[:stop[0] + 1] if len(stop) else got
-        read = []
-        for n in range(first, last + 1):
-            read.append(self.at(n))
-            if until is not None and until(read[-1]):
-                break
-        return np.array(read, dtype=float)
+        return np.array(_Memo(self)._in_order(first, last, until), dtype=float)
 
     def to_dict(self) -> dict:
         if self.kind == "formula":
@@ -125,6 +120,44 @@ class Schedule:
         # A table's values are a list, as scenario files hold them.
         return {"kind": self.kind,
                 "parameters": {k: list(v) if isinstance(v, tuple) else v for k, v in self.params}}
+
+
+class _Memo:
+    """One run's reader of a schedule: ``memo[n]`` and ``read[n - 1]`` are at(n),
+    read once each in order from n = 1, as arrays where the schedule has them.
+    An at(n) that raises keeps the values before it, and its error to raise again."""
+
+    def __init__(self, schedule: Schedule):
+        self.schedule, self.read, self.error = schedule, [], None
+
+    def __getitem__(self, n: int) -> float:
+        if n > len(self.read):
+            self.values(n, n)
+        return self.read[n - 1]
+
+    def values(self, first: int, last: int, until: Callable | None = None) -> np.ndarray:
+        """As ``Schedule.values``; ``until`` ends the values read from the schedule."""
+        read = self.read
+        if last > len(read):
+            if self.schedule._rows is None:
+                self._in_order(len(read) + 1, last, until)
+            else:
+                read.extend(self.schedule.values(len(read) + 1, last, until).tolist())
+        return np.array(read[first - 1:last], dtype=float)
+
+    def _in_order(self, first: int, last: int, until: Callable | None) -> list[float]:
+        """``read`` with at(n) for n = first .. last appended, to the first value ``until`` holds for."""
+        if self.error is not None:
+            raise self.error
+        try:
+            for n in range(first, last + 1):
+                self.read.append(self.schedule.at(n))
+                if until is not None and until(self.read[-1]):
+                    break
+        except Exception as e:
+            self.error = e
+            raise
+        return self.read
 
 
 def _index(n, least: int = 1) -> int:

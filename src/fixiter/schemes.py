@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConfigurationError, ContractError, DomainError, ParameterError
 from .mappings import (Mapping, _chain, _fixed_set_distances, _iterate, _screen, _stack, apply_power,
                        distance_to_fixed_set, fixed_point_residual)
-from .schedules import Schedule
+from .schedules import Schedule, _Memo
 from .space import Vector, combine
 
 # Each scheme's update as stages run in order on z, which starts at x = x_{n-1}:
@@ -158,13 +158,6 @@ def validate_schedule(
     ``undetermined``.  The overall verdict is ``violated`` when any enforced
     check fails; informational checks never affect it.
     """
-    return _schedule_verdict(scheme, alpha, beta, horizon)[0]
-
-
-def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None,
-                      horizon: int) -> tuple[ScheduleVerdict, dict[str, list[float]]]:
-    """``validate_schedule``'s verdict, and the values of each schedule its
-    range checks read, by the schedule's name."""
     _check_scheme(scheme)
     if horizon < 1:
         raise ContractError(f"horizon must be >= 1, got {horizon}")
@@ -172,7 +165,6 @@ def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None
         raise ConfigurationError(f"beta schedule is only meaningful for ishikawa, not {scheme}")
 
     checks: list[ConstraintCheck] = []
-    read: dict[str, list[float]] = {}
     if scheme == "picard":
         checks.append(ConstraintCheck("no_schedule_needed", "satisfied", "picard uses no step sizes"))
     else:
@@ -180,18 +172,17 @@ def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None
             raise ConfigurationError(f"scheme {scheme} requires an alpha schedule")
         # Each check reads the values the range check read, so each alpha(n) is evaluated once.
         lo_open = scheme in POWER_SCHEMES
-        check, read["alpha"] = _range_check("alpha", alpha, horizon, lo_open=lo_open)
+        check, values = _range_check("alpha", alpha, horizon, lo_open=lo_open)
         checks.append(check)
         if check.status == "satisfied":
             if not lo_open:  # mann, ishikawa, pm_hybrid
-                checks.append(_divergence_check(read["alpha"]))
+                checks.append(_divergence_check(values))
             else:
-                checks.extend(_bounded_away_checks(read["alpha"], enforced=scheme == "modified_mann"))
+                checks.extend(_bounded_away_checks(values, enforced=scheme == "modified_mann"))
         if scheme == "ishikawa":
             if beta is None:
                 raise ConfigurationError("ishikawa requires a beta schedule")
-            check, read["beta"] = _range_check("beta", beta, horizon, lo_open=False)
-            checks.append(check)
+            checks.append(_range_check("beta", beta, horizon, lo_open=False)[0])
 
     enforced = [c for c in checks if c.enforced]
     if any(c.status == "violated" for c in enforced):
@@ -200,7 +191,7 @@ def _schedule_verdict(scheme: str, alpha: Schedule | None, beta: Schedule | None
         verdict = "undetermined"
     else:
         verdict = "satisfied"
-    return ScheduleVerdict(scheme=scheme, verdict=verdict, checks=tuple(checks)), read
+    return ScheduleVerdict(scheme=scheme, verdict=verdict, checks=tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -237,10 +228,10 @@ class Trajectory:
     dist_to_known_fp: tuple[float | None, ...]
     applications: tuple[int, ...]
     stop_reason: str  # tolerance | max_steps | domain_exit
-    # alpha(n) for n = 1 .. min(max_steps, 10 000), the values the schedule
-    # checks read and the steps used, or () without an alpha schedule.  The
-    # config's schedule decides them, so == and hash do not read them.
+    # alpha(n) for n <= min(max_steps, 10 000), or () where no check reads alpha, and the run's reader
+    # of alpha, holding every alpha(n) read.  The config's schedule decides both: == and hash skip them.
     alpha_values: tuple[float, ...] = field(default=(), repr=False)
+    _alpha: _Memo | None = field(default=None, repr=False)
 
     def _key(self) -> tuple:
         return (self.config, self.step_norm, self.residual_T, self.residual_Tn, self.dist_to_known_fp,
@@ -280,21 +271,21 @@ def _check_start(config: RunConfig) -> None:
         raise DomainError(f"x0 = {config.x0.coords} lies outside the mapping domain")
 
 
-def _validate_config(config: RunConfig) -> dict[str, list[float]]:
-    """Refuse a configuration ``run_scheme`` cannot run; return the values of
-    each schedule the schedule checks read, for n <= min(max_steps, 10 000)."""
+def _validate_config(config: RunConfig) -> tuple[_Memo | None, _Memo | None]:
+    """Refuse a configuration ``run_scheme`` cannot run; return the run's readers of alpha and
+    beta, or None, through which the schedule checks read n <= min(max_steps, 10 000)."""
     _check_scheme(config.scheme)
     if config.max_steps < 1:
         raise ContractError(f"max_steps must be >= 1, got {config.max_steps}")
     if not math.isfinite(config.stop_tolerance):
         raise ContractError(f"stop_tolerance must be finite, got {config.stop_tolerance}")
     _check_start(config)
-    horizon = min(config.max_steps, 10_000)
-    verdict, read = _schedule_verdict(config.scheme, config.alpha, config.beta, horizon)
+    alpha, beta = (None if s is None else _Memo(s) for s in (config.alpha, config.beta))
+    verdict = validate_schedule(config.scheme, alpha, beta, min(config.max_steps, 10_000))
     if not verdict.ok:
         failed = "; ".join(c.detail for c in verdict.checks if c.status == "violated" and c.enforced)
         raise ConfigurationError(f"schedule invalid for {config.scheme}: {failed}")
-    return read
+    return alpha, beta
 
 
 # Steps the trajectory array first has room for; it doubles when full.
@@ -302,20 +293,6 @@ _CHUNK = 1024
 # Steps in the first block the update runs before testing its points; each
 # block after it is twice as long, up to _CHUNK steps.
 _BLOCK = 16
-
-
-def _weight(schedule: Schedule | None, values: list[float], n: int) -> float | None:
-    """w(n) of a stage's weight schedule, read from the values already read
-    for n up to their length, or None for a stage without one."""
-    if schedule is None:
-        return None
-    return values[n - 1] if n <= len(values) else schedule.at(n)
-
-
-def _weights(schedule: Schedule, values: list[float], first: int, last: int) -> np.ndarray:
-    """w(n) for n = first .. last as one array, read as ``_weight`` reads them."""
-    known = len(values)
-    return np.concatenate((values[first - 1:last], schedule.values(max(first, known + 1), max(last, known))))
 
 
 def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: int,
@@ -346,7 +323,7 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     first + r taken from x*.  The steps whose rows keep x*'s bits, and the
     first one that does not, had x* as their input, so the block keeps them
     and ends there; the rows after that are dropped, as the steps past an
-    early stop are, though their weights were read.
+    early stop are, and the next block reads their weights from the run's reader.
     """
     x = X[first - 1:first]
     ns = np.arange(first, last + 1)
@@ -354,10 +331,8 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
     # Indexed by the pass r: one pass of every step on copies of x*, or one pass a step.
     rows, shape = (ns[None], (1, -1, 1)) if repeated else (ns[:, None], (-1,))
     stage_weights = []  # each stage: whether it applies T^n, and its 1 - w(n) and w(n), or None
-    for schedule, values, power in stages:
-        w = None if schedule is None else _weights(schedule, values, first, last).reshape(shape)
-        if w is not None and last > len(values):  # read past the list: a checked re-run reads them from it
-            values.extend(w.ravel()[len(values) - first + 1:].tolist())
+    for reader, power in stages:
+        w = None if reader is None else reader.values(first, last).reshape(shape)
         stage_weights.append((power, None if w is None else 1.0 - w, w))
     if repeated:
         x = np.repeat(x, len(ns), 0)
@@ -371,7 +346,7 @@ def _unchecked_block(m: Mapping, stages: list, X: np.ndarray, first: int, last: 
                 z = np.add(np.multiply(v[r, ...], x), np.multiply(w[r, ...], z))
                 made.append(z)
         x = z
-    k = sum(1 + (schedule is not None) for schedule, _, _ in stages)  # points per step
+    k = sum(1 + (reader is not None) for reader, _ in stages)  # points per step
     if repeated:
         moved = np.flatnonzero((x.view(np.int64) != X[first - 1:first].view(np.int64)).any(axis=1))
         last = first + int(moved[0]) if len(moved) else last
@@ -408,8 +383,8 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, li
     for n in range(first, last + 1):
         z, pair = x, None
         try:
-            for schedule, values, power in stages:
-                w = _weight(schedule, values, n)
+            for reader, power in stages:
+                w = None if reader is None else reader[n]
                 if kept is not None and pair is None:  # the first stage keeps the images its chain passes
                     *pair, z = _chain(m, x, n if power else 1)
                 else:
@@ -426,7 +401,7 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, li
             return n - 1, "max_steps", e
         if kept is not None:
             kept[0].append(pair[0])
-            if stages[0][2]:
+            if stages[0][1]:
                 kept[1].append(pair[1])
         X[n] = z.array
         if tol >= 0.0 and space.norm_rows(X[n:n + 1] - X[n - 1:n])[0] <= tol:
@@ -438,16 +413,16 @@ def _checked_block(m: Mapping, stages: list, X: np.ndarray, kept: tuple[list, li
 def run_scheme(config: RunConfig) -> Trajectory:
     """Execute the configured scheme and record the trajectory.
 
-    Each schedule is evaluated once per n: the weights of steps n <=
-    min(max_steps, 10 000) are the values the schedule checks read.  The
+    Each schedule is evaluated at most once per n: the checks and the steps
+    read it through a run's ``_Memo``, alpha's kept on the trajectory.  The
     iterates are the rows of one float64 array, written in blocks of steps:
     16 steps first, and each block after it twice as long, up to 1024.  A
     block first runs through the mapping's row evaluators without domain
     tests, each step's row carried straight into the next, and then one
     ``inside_rows`` call tests every point it made, its iterates are written
     into the array once and one ``norm_rows`` call checks the stop
-    tolerance.  The trajectory keeps the alpha values the checks read in
-    ``alpha_values``.  Both the block and the record columns below are array
+    tolerance.  ``alpha_values`` holds alpha(n) for n <= min(max_steps,
+    10 000).  Both the block and the record columns below are array
     passes under ``_screen``'s rule: when a point is rejected, anything
     raises, or numpy meets a condition it would act on, the pass gives way to
     its scalar path.  A block then runs again from its first step on
@@ -469,7 +444,7 @@ def run_scheme(config: RunConfig) -> Trajectory:
     is held until the records of the steps before it are computed, since
     those were computed, and could raise, first.
     """
-    read = _validate_config(config)
+    alpha, beta = _validate_config(config)
     m = config.mapping
     space = m.space
     if config.scheme == "modified_pm_hybrid" and not space.uniformly_convex:
@@ -480,10 +455,9 @@ def run_scheme(config: RunConfig) -> Trajectory:
             stacklevel=2,
         )
 
-    alpha_values = tuple(read.get("alpha", ()))
-    # Each stage: its weight schedule, the values of it read so far, and whether it applies T^n.
-    stages = [(None, (), power) if w is None else (getattr(config, w), read[w], power)
-              for w, power in _STAGES[config.scheme]]
+    alpha_values = () if alpha is None else tuple(alpha.read)  # the values the checks read
+    # Each stage: the run's reader of its weight schedule, or None, and whether it applies T^n.
+    stages = [({"alpha": alpha, "beta": beta}.get(w), power) for w, power in _STAGES[config.scheme]]
     X = np.empty((min(config.max_steps, _CHUNK) + 1, space.dim))
     X[0] = config.x0.coords
     # kept[0][n], kept[1][n]: T x_n and, on a power scheme, T^n x_n, as step n + 1's
@@ -502,13 +476,13 @@ def run_scheme(config: RunConfig) -> Trajectory:
 
     points = X[: steps + 1]
     points.flags.writeable = False
-    fixed = sum(not power for _, _, power in stages)
+    fixed = sum(not power for _, power in stages)
     powered = len(stages) - fixed
     costs = [fixed + powered] * steps if m.has_power else [fixed + powered * n for n in range(1, steps + 1)]
     columns = _screen(lambda: _record_columns(m, points, config.scheme, kept)) or _scalar_records(m, points)
     if error is not None:
         raise error
-    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason, alpha_values)
+    return Trajectory(config, points, *map(tuple, columns), tuple(costs), stop_reason, alpha_values, alpha)
 
 
 def _record_columns(m: Mapping, points: np.ndarray, scheme: str,

@@ -977,8 +977,9 @@ SCHEDULE_READS = {"asymptotic_mann": 921, "contraction_compare": 400, "example21
                   "ishikawa_contraction": 600}
 
 
-@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS))
-def test_run_reads_each_alpha_value_once(tmp_path, monkeypatch, scenario):
+def _counted_reads(monkeypatch, schedule=None):
+    """The per-n reads made from here on, as SCHEDULE_READS counts them: of
+    every schedule, or of those equal to ``schedule``."""
     reads, depth = [], [0]
 
     def counted(method, size):
@@ -988,15 +989,45 @@ def test_run_reads_each_alpha_value_once(tmp_path, monkeypatch, scenario):
                 got = method(self, *args, **kwargs)
             finally:
                 depth[0] -= 1
-            if depth[0] == 0:  # not a read that values, or a derived schedule, makes for its caller
+            # not a read that values, or a derived schedule, makes for its caller
+            if depth[0] == 0 and schedule in (None, self):
                 reads.append(size(got))
             return got
         return read
 
     monkeypatch.setattr(Schedule, "at", counted(Schedule.at, lambda got: 1))
     monkeypatch.setattr(Schedule, "values", counted(Schedule.values, len))
+    return reads
+
+
+@pytest.mark.parametrize("scenario", sorted(SCHEDULE_READS))
+def test_run_reads_each_alpha_value_once(tmp_path, monkeypatch, scenario):
+    reads = _counted_reads(monkeypatch)
     assert cli.main(["run", str(SCENARIO_DIR / f"{scenario}.json"), "--output", str(tmp_path), "--quiet"]) == 0
     assert sum(reads) == SCHEDULE_READS[scenario]
+
+
+def test_a_run_past_10000_steps_reads_each_alpha_value_once(tmp_path, monkeypatch):
+    # The checks read alpha(n) for n <= 10 000 and the steps past them read the
+    # rest; the lemma21 check reads all 10 100 from the run's reader.
+    doc = json.loads((SCENARIO_DIR / "contraction_compare.json").read_text())
+    doc.update(scheme="mann", max_steps=10_100, checks=[{"name": "lemma21"}])
+    reads = _counted_reads(monkeypatch, Schedule.constant(0.5))
+    assert cli.main(["run", _write(tmp_path, doc), "--output", str(tmp_path), "--quiet"]) == 0
+    assert sum(reads) == 10_100
+
+
+def test_compare_reads_each_schedule_value_once_per_run(tmp_path, monkeypatch):
+    # Each of the five weighted schemes reads alpha(n) for its 200 steps, and
+    # ishikawa beta(n); picard reads neither.
+    path = str(SCENARIO_DIR / "ishikawa_contraction.json")
+    alpha, beta = Schedule.constant(0.5), Schedule.harmonic_tail(1.0, 1.0)
+    for schedule, count in ((alpha, 5 * 200), (beta, 200)):
+        with monkeypatch.context() as patched:
+            reads = _counted_reads(patched, schedule)
+            assert cli.main(["compare", path, "--schemes", ",".join(cli.SCHEMES), "--target", "1e-6",
+                             "--output", str(tmp_path / schedule.kind), "--quiet"]) == 0
+        assert sum(reads) == count
 
 
 def _lemma21_reading_alpha(m, traj):

@@ -1092,6 +1092,27 @@ def test_a_schedule_that_raises_past_the_horizon_raises_at_its_step():
     assert sizes[-1] == 10_000  # the T x_n column of the 10000 steps before it
 
 
+@pytest.mark.parametrize("scheme, name", [(scheme, "alpha") for scheme in SCHEMES[1:]] + [("ishikawa", "beta")])
+def test_a_schedule_that_raises_past_the_horizon_is_read_once_per_n(scheme, name):
+    # The block of steps 10001 on reads w(n) in order and gives way at
+    # n = 10005, which raises; its checked re-run reads w(n) for n < 10005,
+    # and the error of n = 10005, from the run's reader.
+    calls = Counter()
+
+    def w(n):
+        calls.update([n])
+        if n == 10_005:
+            raise ValueError(f"no weight at n = {n}")
+        return 0.5
+
+    weights = {"alpha": Schedule.constant(0.5), "beta": Schedule.constant(0.5) if scheme == "ishikawa" else None}
+    config = RunConfig(scheme, make_linear_contraction(0.5, 1), Vector((0.5,)), max_steps=10_050,
+                       stop_tolerance=-1.0, **{**weights, name: Schedule.formula(w)})
+    with pytest.raises(ValueError, match="no weight at n = 10005"):
+        run_scheme(config)
+    assert sorted(calls) == list(range(1, 10_006)) and set(calls.values()) == {1}
+
+
 def test_a_block_past_the_horizon_that_gives_way_reads_each_weight_once():
     # The array pass of a block past the 10000-step horizon reads its weights
     # and then raises; its checked run reads the same weights, not alpha(n) again.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fixiter import (ContractError, RunConfig, Schedule, ScheduleError, Vector, make_example21, run_scheme,
                      validate_schedule)
-from fixiter.schemes import _range_check
+from fixiter.schedules import _Memo
 
 
 def test_constant():
@@ -184,12 +184,14 @@ def test_values_has_the_bits_and_the_first_error_of_at_in_order(s, first, width,
     (Schedule.constant(0.5), None),
 ])
 def test_a_range_check_reads_nothing_past_its_first_violation(s, violated):
-    check, read = _range_check("alpha", s, 10_000, lo_open=True)
+    # Read through a run's reader, as run_scheme reads it, which keeps what the check read.
+    reader = _Memo(s)
+    check = validate_schedule("modified_mann", reader, horizon=10_000).checks[0]
     if violated is None:
-        assert (check.status, len(read)) == ("satisfied", 10_000)
+        assert (check.status, len(reader.read)) == ("satisfied", 10_000)
     else:
         assert (check.status, check.detail) == ("violated", violated)
-        assert read == _read_in_order(s, 1, 10_000, lambda v: not 0.0 < v < 1.0)
+        assert reader.read == _read_in_order(s, 1, 10_000, lambda v: not 0.0 < v < 1.0)
 
 
 def test_a_range_check_on_a_formula_reads_in_order_and_stops_at_its_first_violation():
@@ -197,12 +199,31 @@ def test_a_range_check_on_a_formula_reads_in_order_and_stops_at_its_first_violat
     # the first violation, which a later error would otherwise hide.
     calls = []
     s = _formula({7: 1.5, 8: ValueError("past the violation"), 9: math.inf}, calls)
-    check, read = _range_check("alpha", s, 500, lo_open=False)
+    reader = _Memo(s)
+    check = validate_schedule("mann", reader, horizon=500).checks[0]
     assert calls == [*range(1, 8)]
-    assert (check.status, check.detail, read) == ("violated", "alpha(7) = 1.5 outside [0, 1)", [0.5] * 6 + [1.5])
+    assert (check.status, check.detail, reader.read) == ("violated", "alpha(7) = 1.5 outside [0, 1)",
+                                                         [0.5] * 6 + [1.5])
     calls.clear()
     assert validate_schedule("mann", s, horizon=500).verdict == "violated"
     assert calls == [*range(1, 8)]
+
+
+def test_a_reader_reads_each_n_once_and_keeps_what_it_read_before_an_error():
+    calls = []
+    reader = _Memo(_formula({8: ValueError("no value at n = 8")}, calls))
+    with pytest.raises(ValueError, match="no value at n = 8"):
+        reader.values(5, 20)
+    assert (calls, reader.read) == ([*range(1, 9)], [0.5] * 7)
+    assert reader.values(2, 7).tolist() == [0.5] * 6 and reader[7] == 0.5
+    with pytest.raises(ValueError, match="no value at n = 8"):  # the error kept, not a call again
+        reader[8]
+    assert calls == [*range(1, 9)]
+    # A schedule with an array form is read by one values call, with its bits.
+    s = Schedule.harmonic_tail(1.0, 0.5)
+    reader = _Memo(s)
+    assert reader.values(3, 6).tolist() == s.values(3, 6).tolist() and reader.read == s.values(1, 6).tolist()
+    assert [reader[n] for n in (1, 6, 9)] == [s.at(n) for n in (1, 6, 9)] and len(reader.read) == 9
 
 
 def test_equality_ignores_evaluator_identity():
