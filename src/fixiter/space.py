@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Union
 
 import numpy as np
@@ -46,7 +47,15 @@ class Vector:
     coords: tuple[float, ...]
 
     def __init__(self, coords: Iterable[float]):
-        coords = tuple(map(float, coords))
+        # A tuple of exact floats is kept as given, since float() returns each
+        # item unchanged; anything else is converted.
+        if type(coords) is not tuple:
+            coords = tuple(map(float, coords))
+        else:
+            for c in coords:
+                if type(c) is not float:
+                    coords = tuple(map(float, coords))
+                    break
         if not (coords and _isfinite(sum(coords))):
             if not coords:
                 raise ContractError("vector must have dimension >= 1")
@@ -189,7 +198,7 @@ class NormedSpace:
             else:
                 root = 1.0 / self.p
                 sums = np.add.reduce(np.abs(X) ** self.p, axis=1)
-                norms = np.array([math.pow(s, root) for s in sums.tolist()], dtype=float)
+                norms = np.array(list(map(math.pow, sums.tolist(), repeat(root))), dtype=float)
         lost = ~((sums >= _TINY) & (sums < math.inf))
         if lost.any() and X.compress(lost, axis=0).any():
             A = np.abs(X)

@@ -141,6 +141,20 @@ def test_norm_rows_keep_a_row_whose_power_sum_underflows_or_overflows(p, rows):
             assert np.all(norms <= peaks * dim ** (1.0 / p) * (1.0 + 1e-12) + 5e-324)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(p=st.sampled_from([1.0001, 1.5, 3.0]), rows=st.sampled_from([1, 3, 300, 4096]), dim=st.integers(1, 8),
+       scale=st.sampled_from([1e-100, 1e-3, 1.0, 1e3, 1e100]), seed=st.integers(0, 2**32 - 1))
+def test_a_generic_p_norm_is_math_pow_of_each_row_sum_bit_for_bit(p, rows, dim, scale, seed):
+    # Entries of magnitude in [scale / 2, 2 * scale] keep every sum of |x_i|**p
+    # a normal float, so no row is rescaled and each norm is the plain root.
+    rng = np.random.default_rng(seed)
+    X = rng.choice([-1.0, 1.0], size=(rows, dim)) * rng.uniform(0.5, 2.0, size=(rows, dim)) * scale
+    sums = np.add.reduce(np.abs(X) ** p, axis=1)
+    assert np.all((sums >= np.finfo(float).tiny) & (sums < math.inf))
+    want = np.array([math.pow(s, 1.0 / p) for s in sums.tolist()])
+    assert np.array_equal(NormedSpace(dim, p).norm_rows(X).view(np.int64), want.view(np.int64))
+
+
 def test_l2_and_l1_norms_hold_over_the_whole_float_range():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -252,6 +266,59 @@ def test_vector_keeps_its_dataclass_surface():
         dataclasses.replace(v, coords=(1.0, math.inf))
     with pytest.raises(dataclasses.FrozenInstanceError):
         v.coords = (1.0,)
+
+
+class _Negated(float):
+    """A float subclass whose ``float()`` is another value: its negation."""
+
+    def __float__(self):
+        return -float.__float__(self)
+
+
+class _Subtuple(tuple):
+    """A tuple that is not exactly a tuple."""
+
+
+# Items the constructor takes: exact floats (kept as given inside an exact
+# tuple), and others that float() converts, a few to another value.
+coordinate_items = st.one_of(
+    finite_floats,
+    st.sampled_from(EXTREMES.tolist()),
+    finite_floats.map(np.float64),
+    finite_floats.map(_Negated),
+    st.integers(-2**63, 2**63),
+    st.just(2**53 + 1),
+    st.booleans(),
+)
+
+
+@BOXING_SETTINGS
+@given(items=st.lists(st.one_of(coordinate_items, st.sampled_from([math.nan, math.inf, -math.inf])), max_size=6),
+       container=st.sampled_from([tuple, list, _Subtuple]))
+@example(items=[2**53 + 1, True, -0.0], container=tuple)
+@example(items=[5e-324, np.float64(1.7e308), _Negated(-1.7e308)], container=tuple)
+@example(items=[], container=tuple)
+@example(items=[1.0, math.nan], container=tuple)
+def test_the_constructor_keeps_or_converts_to_the_same_coordinates(items, container):
+    x = container(items)
+    want = tuple(map(float, items))
+    if want and all(map(math.isfinite, want)):
+        coords = Vector(x).coords
+        assert type(coords) is tuple and len(coords) == len(want)
+        assert all(type(c) is float for c in coords)
+        assert _bits(coords) == _bits(want)
+    else:
+        message = f"vector has non-finite coordinates: {want}" if want else "vector must have dimension >= 1"
+        assert _raised(Vector, x) == _raised(Vector, list(items)) == (ContractError, message)
+
+
+def test_the_constructor_keeps_a_tuple_of_exact_floats_as_given():
+    t = (0.5, -0.0, 5e-324, -1.7e308)
+    assert Vector(t).coords is t
+    for other in (list(t), _Subtuple(t), (0.5, np.float64(-0.0)), (0.5, _Negated(1.0)), (1.0, 2)):
+        coords = Vector(other).coords
+        assert coords is not other and type(coords) is tuple
+        assert _bits(coords) == _bits(tuple(map(float, other)))
 
 
 class _Subarray(np.ndarray):
